@@ -6,43 +6,14 @@ cohomology groups H^n(M, r; A) with exact integer linear algebra.  It
 also houses the symmetric-cochain comparison complex, the small cyclic
 resolutions with their explicit contractions, and the coherence /
 classification checks for symmetric monoidal abelian groupoids.
+
+The package root carries the README's quick-start API and the public
+error classes; everything else is imported from its module.
 """
 
-from .monoid import (FiniteCommutativeMonoid, InfiniteCyclicMonoid,
-                     INFINITE_CYCLIC, MonoidError, validate_table,
-                     make_cyclic, cyclic_p, cyclic_s,
-                     monoid_from_descriptor, monoid_to_descriptor)
-from .zlinalg import (IntMatrix, AbGroupInvariants, smith_normal_form,
-                      snf_diagonal, matrix_rank, kernel_basis,
-                      lattice_basis, lattice_contains, preimage_lattice,
-                      preimage_lattice_multi, subquotient_invariants,
-                      LatticeContainmentError)
-from .hmod import (FGAbelianGroup, HModule, ConstantModule, SampledModule,
-                   ModuleError, constant_module, constant_as_tabular,
-                   validate_module, zm_as_hmodule, FreeBasis, CochainGroup,
-                   hom_realization, dualize, PiMismatchError,
-                   module_from_descriptor, parse_group_shorthand)
-from .bar import (BarWord, FreeBasedDGA, DGAError, zm_dga, bar,
-                  iterated_bar, shuffle_product, bar_word_diff,
-                  bar_word_shuffle, explicit_low_degree_differential,
-                  validate_dga, render_word)
-from .cohomology import (CochainComplex, cochain_complex, cohomology_group,
-                         dga_cohomology, truncated_coboundaries,
-                         truncated_formula_chain, brute_force_cohomology,
-                         TruncationError, BruteForceCapError)
-from .grillet import (SymmetricCochainLattice, symmetric_cochains,
-                      grillet_coboundary, grillet_cohomology,
-                      inclusion_chainmap, inclusion_matrices,
-                      eleob_equivalent, injectivity_check)
-from .cyclic import (small_resolution, small_resolution_inf, bullet,
-                     CyclicContraction, ContractionReport, gf_closed_form,
-                     f_map, g_map, phi_homotopy,
-                     verify_contraction, verify_contraction_inf,
-                     leech_groups_cyclic, level2_groups_cyclic, level3_top,
-                     closed_form_top, torsion_subgroup_invariants,
-                     infinite_cyclic_groups)
-from .groupoid import (SMAGroupoid, GroupoidError, crossed_product,
-                       check_coherence, cocycle_check, extract_triple,
-                       MonoidalFunctorData, verify_monoidal_iso,
-                       build_monoidal_iso, enumerate_cochain_tables,
-                       identity_iso_classes, iso_classes, monoid_automorphisms)
+from .monoid import MonoidError, make_cyclic
+from .zlinalg import LatticeContainmentError
+from .hmod import FGAbelianGroup, ModuleError, PiMismatchError, constant_module
+from .bar import DGAError
+from .cohomology import BruteForceCapError, TruncationError, cohomology_group
+from .groupoid import GroupoidError

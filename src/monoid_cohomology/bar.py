@@ -52,10 +52,6 @@ class BarWord:
         assert level >= self.level or not self.letters
         return BarWord(self.letters, self.seps, level)
 
-    def sort_key(self):
-        # more letters first, then higher separators, then letters
-        return (-len(self.letters), tuple(-k for k in self.seps), self.letters)
-
     def __eq__(self, other):
         return (isinstance(other, BarWord) and self.letters == other.letters
                 and self.seps == other.seps and self.level == other.level)
@@ -94,6 +90,13 @@ def chain_add_term(chain, key, coeff):
         del chain[key]
 
 
+def add_cell_term(M, chain, u, letters, seps, level, coeff):
+    """Add coeff (u, [letters]) to chain; a cell with a unit letter is
+    normalized away."""
+    if all(x != M.identity for x in letters):
+        chain_add_term(chain, (u, BarWord(letters, seps, level)), coeff)
+
+
 def chain_sum(*chains):
     out = {}
     for ch in chains:
@@ -116,6 +119,28 @@ def chain_translate(M, chain, u):
 
 def unit_chain(M, gen):
     return {(M.identity, gen): 1}
+
+
+def extend_linear(M, fn, chain):
+    """The translation-linear extension of fn (generator -> chain) to a
+    chain: the term c (u, g) contributes c times fn(g) translated by u."""
+    out = {}
+    for (u, g), c in chain.items():
+        for (v, h), cc in fn(g).items():
+            chain_add_term(out, (M.op(u, v), h), c * cc)
+    return out
+
+
+def extend_bilinear(M, fn, chain_a, chain_b):
+    """The translation-bilinear extension of fn ((generator, generator)
+    -> chain) to a pair of chains."""
+    out = {}
+    for (u, g), ca in chain_a.items():
+        for (v, h), cb in chain_b.items():
+            uv = M.op(u, v)
+            for (w, k), c in fn(g, h).items():
+                chain_add_term(out, (M.op(uv, w), k), ca * cb * c)
+    return out
 
 
 # -- flat bar words over the monoid algebra ----------------------------------
@@ -220,6 +245,32 @@ def bar_word_diff(M, word):
     return out
 
 
+def shuffles(fa, fb, degs_a, degs_b):
+    """Every shuffle of the factor lists fa and fb, as (merged, sign)
+    pairs.  The sign exponent sums (1 + deg a_i)(1 + deg b_j) over the
+    inverted pairs, i.e. over each b factor placed before an a factor."""
+    p, q = len(fa), len(fb)
+    out = []
+    for apos in combinations(range(p + q), p):
+        apos_set = set(apos)
+        bpos_list = [pos for pos in range(p + q) if pos not in apos_set]
+        exponent = 0
+        merged = []
+        ai = bi = 0
+        for pos in range(p + q):
+            if pos in apos_set:
+                for j, bp in enumerate(bpos_list):
+                    if bp < pos:
+                        exponent += (1 + degs_a[ai]) * (1 + degs_b[j])
+                merged.append(fa[ai])
+                ai += 1
+            else:
+                merged.append(fb[bi])
+                bi += 1
+        out.append((merged, 1 if exponent % 2 == 0 else -1))
+    return out
+
+
 def bar_word_shuffle(M, a, b):
     """Shuffle product of two cells of the same level, as a chain.
 
@@ -237,32 +288,12 @@ def bar_word_shuffle(M, a, b):
         return {(e, b): 1}
     if b.is_empty():
         return {(e, a): 1}
-    r = a.level
     segsA = split_top(a)
     segsB = split_top(b)
-    p, q = len(segsA), len(segsB)
-    degsA = [s.degree for s in segsA]
-    degsB = [s.degree for s in segsB]
     out = {}
-    for apos in combinations(range(p + q), p):
-        apos_set = set(apos)
-        exponent = 0
-        merged = []
-        ai = bi = 0
-        bpos_list = [pos for pos in range(p + q) if pos not in apos_set]
-        for pos in range(p + q):
-            if pos in apos_set:
-                # count b factors placed before this a factor
-                for j, bp in enumerate(bpos_list):
-                    if bp < pos:
-                        exponent += (1 + degsA[ai]) * (1 + degsB[j])
-                merged.append(segsA[ai])
-                ai += 1
-            else:
-                merged.append(segsB[bi])
-                bi += 1
-        word = join_top(merged, r)
-        chain_add_term(out, (e, word), 1 if exponent % 2 == 0 else -1)
+    for merged, sign in shuffles(segsA, segsB, [s.degree for s in segsA],
+                                 [s.degree for s in segsB]):
+        chain_add_term(out, (e, join_top(merged, a.level)), sign)
     return out
 
 
@@ -273,54 +304,45 @@ def explicit_low_degree_differential(M, word):
     """
     e = M.identity
 
-    def w(letters, seps, level):
-        if any(x == e for x in letters):
-            return None
-        return BarWord(letters, seps, level)
-
-    def add(out, u, maybe_word, c):
-        if maybe_word is not None:
-            chain_add_term(out, (u, maybe_word), c)
-
     out = {}
     if word.level == 1:
         xs = word.letters
         n = len(xs)
-        add(out, xs[0], w(xs[1:], (1,) * max(0, n - 2), 1), 1)
+        add_cell_term(M, out, xs[0], xs[1:], (1,) * max(0, n - 2), 1, 1)
         for i in range(n - 1):
             sign = -1 if i % 2 == 0 else 1  # (-1)^{i+1} with 1-based i
             merged = xs[:i] + (M.op(xs[i], xs[i + 1]),) + xs[i + 2:]
-            add(out, e, w(merged, (1,) * (n - 2), 1), sign)
+            add_cell_term(M, out, e, merged, (1,) * (n - 2), 1, sign)
         sign = 1 if n % 2 == 0 else -1
-        add(out, xs[n - 1], w(xs[:-1], (1,) * max(0, n - 2), 1), sign)
+        add_cell_term(M, out, xs[n - 1], xs[:-1], (1,) * max(0, n - 2), 1, sign)
         return out
     if word.level == 2 and word.seps == (2,):
         x, y = word.letters
-        add(out, e, w((x, y), (1,), 2), 1)
-        add(out, e, w((y, x), (1,), 2), -1)
+        add_cell_term(M, out, e, (x, y), (1,), 2, 1)
+        add_cell_term(M, out, e, (y, x), (1,), 2, -1)
         return out
     if word.level == 2 and word.seps == (2, 1):
         x1, x2, x3 = word.letters
-        add(out, x2, w((x1, x3), (2,), 2), -1)
-        add(out, e, w((x1, M.op(x2, x3)), (2,), 2), 1)
-        add(out, x3, w((x1, x2), (2,), 2), -1)
-        add(out, e, w((x1, x2, x3), (1, 1), 2), 1)
-        add(out, e, w((x2, x1, x3), (1, 1), 2), -1)
-        add(out, e, w((x2, x3, x1), (1, 1), 2), 1)
+        add_cell_term(M, out, x2, (x1, x3), (2,), 2, -1)
+        add_cell_term(M, out, e, (x1, M.op(x2, x3)), (2,), 2, 1)
+        add_cell_term(M, out, x3, (x1, x2), (2,), 2, -1)
+        add_cell_term(M, out, e, (x1, x2, x3), (1, 1), 2, 1)
+        add_cell_term(M, out, e, (x2, x1, x3), (1, 1), 2, -1)
+        add_cell_term(M, out, e, (x2, x3, x1), (1, 1), 2, 1)
         return out
     if word.level == 2 and word.seps == (1, 2):
         x1, x2, x3 = word.letters
-        add(out, x1, w((x2, x3), (2,), 2), -1)
-        add(out, e, w((M.op(x1, x2), x3), (2,), 2), 1)
-        add(out, x2, w((x1, x3), (2,), 2), -1)
-        add(out, e, w((x1, x2, x3), (1, 1), 2), -1)
-        add(out, e, w((x1, x3, x2), (1, 1), 2), 1)
-        add(out, e, w((x3, x1, x2), (1, 1), 2), -1)
+        add_cell_term(M, out, x1, (x2, x3), (2,), 2, -1)
+        add_cell_term(M, out, e, (M.op(x1, x2), x3), (2,), 2, 1)
+        add_cell_term(M, out, x2, (x1, x3), (2,), 2, -1)
+        add_cell_term(M, out, e, (x1, x2, x3), (1, 1), 2, -1)
+        add_cell_term(M, out, e, (x1, x3, x2), (1, 1), 2, 1)
+        add_cell_term(M, out, e, (x3, x1, x2), (1, 1), 2, -1)
         return out
     if word.level == 3 and word.seps == (3,):
         x1, x2 = word.letters
-        add(out, e, w((x1, x2), (2,), 3), -1)
-        add(out, e, w((x2, x1), (2,), 3), -1)
+        add_cell_term(M, out, e, (x1, x2), (2,), 3, -1)
+        add_cell_term(M, out, e, (x2, x1), (2,), 3, -1)
         return out
     raise ValueError("no closed formula for the shape of %r" % (word,))
 
@@ -336,23 +358,22 @@ class FreeBasedDGA:
 
     basis: dict degree -> tuple of generator keys (ordered).
     pi: generator -> monoid element.
-    diff: generator -> chain over generators one degree down.
+    diff: generator -> chain over generators one degree down (a
+    generator it does not list is a cycle).
     product_fn: (generator, generator) -> chain (sum of the degrees).
     eps_tilde: degree-0 generator -> int augmentation coefficient.
     """
 
     __slots__ = ("monoid", "degmax", "basis", "pi", "degree_of", "diff",
-                 "diff_fn", "product_fn", "unit", "eps_tilde")
+                 "product_fn", "unit", "eps_tilde")
 
-    def __init__(self, monoid, degmax, basis, pi, diff, product_fn, unit, eps_tilde,
-                 diff_fn=None):
+    def __init__(self, monoid, degmax, basis, pi, diff, product_fn, unit, eps_tilde):
         self.monoid = monoid
         self.degmax = degmax
         self.basis = {d: tuple(gens) for d, gens in basis.items()}
         self.pi = dict(pi)
         self.degree_of = {g: d for d, gens in self.basis.items() for g in gens}
         self.diff = dict(diff)
-        self.diff_fn = diff_fn
         self.product_fn = product_fn
         self.unit = unit
         self.eps_tilde = dict(eps_tilde)
@@ -363,29 +384,13 @@ class FreeBasedDGA:
         return self.basis.get(degree, ())
 
     def differential(self, gen):
-        if gen in self.diff:
-            return self.diff[gen]
-        if self.diff_fn is not None:
-            return self.diff_fn(gen)
-        return {}
+        return self.diff.get(gen, {})
 
     def diff_chain(self, chain):
-        M = self.monoid
-        out = {}
-        for (u, g), c in chain.items():
-            for (v, h), cc in self.differential(g).items():
-                chain_add_term(out, (M.op(u, v), h), c * cc)
-        return out
+        return extend_linear(self.monoid, self.differential, chain)
 
     def product(self, chain_a, chain_b):
-        M = self.monoid
-        out = {}
-        for (u, g), ca in chain_a.items():
-            for (v, h), cb in chain_b.items():
-                uv = M.op(u, v)
-                for (w, k), c in self.product_fn(g, h).items():
-                    chain_add_term(out, (M.op(uv, w), k), ca * cb * c)
-        return out
+        return extend_bilinear(self.monoid, self.product_fn, chain_a, chain_b)
 
     def eps_of_chain(self, chain):
         """Augmentation coefficient of a degree-0 chain (translates do
@@ -490,39 +495,21 @@ def bar(D, degmax):
         return out
 
     diff = {w: word_diff(w) for ws in basis.values() for w in ws}
-    diff_fn = word_diff
 
     def shuffle(wa, wb):
         if not wa:
             return {(e, wb): 1}
         if not wb:
             return {(e, wa): 1}
-        p, q = len(wa), len(wb)
-        degsA = [D.degree_of[g] for g in wa]
-        degsB = [D.degree_of[g] for g in wb]
         out = {}
-        for apos in combinations(range(p + q), p):
-            apos_set = set(apos)
-            bpos_list = [pos for pos in range(p + q) if pos not in apos_set]
-            exponent = 0
-            merged = []
-            ai = bi = 0
-            for pos in range(p + q):
-                if pos in apos_set:
-                    for j, bp in enumerate(bpos_list):
-                        if bp < pos:
-                            exponent += (1 + degsA[ai]) * (1 + degsB[j])
-                    merged.append(wa[ai])
-                    ai += 1
-                else:
-                    merged.append(wb[bi])
-                    bi += 1
-            chain_add_term(out, (e, tuple(merged)), 1 if exponent % 2 == 0 else -1)
+        for merged, sign in shuffles(wa, wb, [D.degree_of[g] for g in wa],
+                                     [D.degree_of[g] for g in wb]):
+            chain_add_term(out, (e, tuple(merged)), sign)
         return out
 
     return FreeBasedDGA(
         monoid=M, degmax=degmax, basis=basis, pi=pi, diff=diff,
-        product_fn=shuffle, unit=(), eps_tilde={(): 1}, diff_fn=diff_fn,
+        product_fn=shuffle, unit=(), eps_tilde={(): 1},
     )
 
 
@@ -568,13 +555,7 @@ def iterated_bar(M, r, degmax):
     return FreeBasedDGA(
         monoid=M, degmax=degmax, basis=basis, pi=pi, diff=diff,
         product_fn=shuffle, unit=empty, eps_tilde={empty: 1},
-        diff_fn=lambda w: bar_word_diff(M, w),
     )
-
-
-def shuffle_product(M, a, b):
-    """Public entry point for the shuffle product of two flat words."""
-    return bar_word_shuffle(M, a, b)
 
 
 # -- structural validation ----------------------------------------------------

@@ -169,17 +169,14 @@ def cmd_cyclic(args):
 
 
 def _parse_cocycle_file(path):
+    """The (g, mu) tables of a cocycle file, keyed by argument tuples."""
     with open(path) as fh:
         data = json.load(fh)
-    g = {}
-    for key, coeffs in data.get("g", {}).items():
-        args_ = tuple(int(v) for v in key.split(","))
-        g[args_] = tuple(coeffs)
-    mu = {}
-    for key, coeffs in data.get("mu", {}).items():
-        args_ = tuple(int(v) for v in key.split(","))
-        mu[args_] = tuple(coeffs)
-    return g, mu
+    if not isinstance(data, dict):
+        raise InputError("cocycle file must hold a JSON object")
+    return tuple({tuple(int(v) for v in key.split(",")): tuple(coeffs)
+                  for key, coeffs in data.get(name, {}).items()}
+                 for name in ("g", "mu"))
 
 
 def cmd_groupoid(args):
@@ -289,9 +286,10 @@ def run(argv):
         return 2 if ex.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as ex:
+    except (ValueError, OSError) as ex:
         # InputError and every domain error (monoid, module, groupoid,
-        # truncation, degree-range) subclass ValueError
+        # truncation, degree-range) subclass ValueError; OSError covers
+        # unreadable descriptor and cocycle files
         sys.stderr.write("error: %s\n" % ex)
         return 2
 

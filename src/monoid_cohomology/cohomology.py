@@ -9,10 +9,10 @@ presented (non-free) coefficient groups go through the same Smith
 normal form pipeline as free ones.
 """
 
-from .bar import BarWord, bar_word_diff, iterated_bar
+from .bar import BarWord, add_cell_term, bar_word_diff, iterated_bar
 from .hmod import CochainGroup, FreeBasis, dualize
 from .monoid import FiniteCommutativeMonoid
-from .zlinalg import (AbGroupInvariants, IntMatrix, preimage_lattice,
+from .zlinalg import (AbGroupInvariants, IntMatrix, gcd, preimage_lattice,
                       snf_diagonal, subquotient_invariants)
 
 
@@ -103,31 +103,7 @@ def cohomology_group(M, r, n, module):
     return cochain_complex(M, r, module, n + 1).cohomology(n)
 
 
-def dga_cohomology(dga, module, n):
-    """H^n of Hom(D, A) for an already-built free-based DGA."""
-    if n + 1 > dga.degmax:
-        raise ValueError("DGA built only up to degree %d" % dga.degmax)
-    return CochainComplex(dga, module, n + 1).cohomology(n)
-
-
 # -- closed-form truncated coboundaries ---------------------------------------
-
-def _cell(M, letters, seps, level):
-    if any(x == M.identity for x in letters):
-        return None
-    return BarWord(letters, seps, level)
-
-
-def _add(M, chain, u, cell, coeff):
-    if cell is None:
-        return
-    key = (u, cell)
-    new = chain.get(key, 0) + coeff
-    if new:
-        chain[key] = new
-    else:
-        del chain[key]
-
 
 def _formula_d3_level2(M, t):
     # target [x|^2 y] pairs with mu; targets [x|y|z] with g
@@ -135,15 +111,15 @@ def _formula_d3_level2(M, t):
     out = {}
     if t.seps == (1, 1):
         x, y, z = t.letters
-        _add(M, out, x, _cell(M, (y, z), (1,), 2), -1)
-        _add(M, out, e, _cell(M, (M.op(x, y), z), (1,), 2), 1)
-        _add(M, out, e, _cell(M, (x, M.op(y, z)), (1,), 2), -1)
-        _add(M, out, z, _cell(M, (x, y), (1,), 2), 1)
+        add_cell_term(M, out, x, (y, z), (1,), 2, -1)
+        add_cell_term(M, out, e, (M.op(x, y), z), (1,), 2, 1)
+        add_cell_term(M, out, e, (x, M.op(y, z)), (1,), 2, -1)
+        add_cell_term(M, out, z, (x, y), (1,), 2, 1)
     else:
         assert t.seps == (2,)
         x, y = t.letters
-        _add(M, out, e, _cell(M, (x, y), (1,), 2), 1)
-        _add(M, out, e, _cell(M, (y, x), (1,), 2), -1)
+        add_cell_term(M, out, e, (x, y), (1,), 2, 1)
+        add_cell_term(M, out, e, (y, x), (1,), 2, -1)
     return out
 
 
@@ -152,28 +128,28 @@ def _formula_d4_level2(M, t):
     out = {}
     if t.seps == (1, 1, 1):
         x, y, z, w = t.letters
-        _add(M, out, x, _cell(M, (y, z, w), (1, 1), 2), -1)
-        _add(M, out, e, _cell(M, (M.op(x, y), z, w), (1, 1), 2), 1)
-        _add(M, out, e, _cell(M, (x, M.op(y, z), w), (1, 1), 2), -1)
-        _add(M, out, e, _cell(M, (x, y, M.op(z, w)), (1, 1), 2), 1)
-        _add(M, out, w, _cell(M, (x, y, z), (1, 1), 2), -1)
+        add_cell_term(M, out, x, (y, z, w), (1, 1), 2, -1)
+        add_cell_term(M, out, e, (M.op(x, y), z, w), (1, 1), 2, 1)
+        add_cell_term(M, out, e, (x, M.op(y, z), w), (1, 1), 2, -1)
+        add_cell_term(M, out, e, (x, y, M.op(z, w)), (1, 1), 2, 1)
+        add_cell_term(M, out, w, (x, y, z), (1, 1), 2, -1)
     elif t.seps == (2, 1):
         x, y, z = t.letters
-        _add(M, out, y, _cell(M, (x, z), (2,), 2), -1)
-        _add(M, out, e, _cell(M, (x, M.op(y, z)), (2,), 2), 1)
-        _add(M, out, z, _cell(M, (x, y), (2,), 2), -1)
-        _add(M, out, e, _cell(M, (x, y, z), (1, 1), 2), 1)
-        _add(M, out, e, _cell(M, (y, x, z), (1, 1), 2), -1)
-        _add(M, out, e, _cell(M, (y, z, x), (1, 1), 2), 1)
+        add_cell_term(M, out, y, (x, z), (2,), 2, -1)
+        add_cell_term(M, out, e, (x, M.op(y, z)), (2,), 2, 1)
+        add_cell_term(M, out, z, (x, y), (2,), 2, -1)
+        add_cell_term(M, out, e, (x, y, z), (1, 1), 2, 1)
+        add_cell_term(M, out, e, (y, x, z), (1, 1), 2, -1)
+        add_cell_term(M, out, e, (y, z, x), (1, 1), 2, 1)
     else:
         assert t.seps == (1, 2)
         x, y, z = t.letters
-        _add(M, out, x, _cell(M, (y, z), (2,), 2), -1)
-        _add(M, out, e, _cell(M, (M.op(x, y), z), (2,), 2), 1)
-        _add(M, out, y, _cell(M, (x, z), (2,), 2), -1)
-        _add(M, out, e, _cell(M, (x, y, z), (1, 1), 2), -1)
-        _add(M, out, e, _cell(M, (x, z, y), (1, 1), 2), 1)
-        _add(M, out, e, _cell(M, (z, x, y), (1, 1), 2), -1)
+        add_cell_term(M, out, x, (y, z), (2,), 2, -1)
+        add_cell_term(M, out, e, (M.op(x, y), z), (2,), 2, 1)
+        add_cell_term(M, out, y, (x, z), (2,), 2, -1)
+        add_cell_term(M, out, e, (x, y, z), (1, 1), 2, -1)
+        add_cell_term(M, out, e, (x, z, y), (1, 1), 2, 1)
+        add_cell_term(M, out, e, (z, x, y), (1, 1), 2, -1)
     return out
 
 
@@ -186,9 +162,9 @@ def _formula_d3_level3(M, t):
     e = M.identity
     x, y = t.letters
     out = {}
-    _add(M, out, x, _cell(M, (y,), (), 3), 1)
-    _add(M, out, e, _cell(M, (M.op(x, y),), (), 3), -1)
-    _add(M, out, y, _cell(M, (x,), (), 3), 1)
+    add_cell_term(M, out, x, (y,), (), 3, 1)
+    add_cell_term(M, out, e, (M.op(x, y),), (), 3, -1)
+    add_cell_term(M, out, y, (x,), (), 3, 1)
     return out
 
 
@@ -207,8 +183,8 @@ def _formula_d5_level3(M, t):
     if t.seps == (3,):
         x, y = t.letters
         out = {}
-        _add(M, out, e, _cell(M, (x, y), (2,), 3), -1)
-        _add(M, out, e, _cell(M, (y, x), (2,), 3), -1)
+        add_cell_term(M, out, e, (x, y), (2,), 3, -1)
+        add_cell_term(M, out, e, (y, x), (2,), 3, -1)
         return out
     t2 = BarWord(t.letters, t.seps, 2)
     return _relevel(_negated(_formula_d4_level2(M, t2)), 3)
@@ -300,33 +276,28 @@ def _coboundary_terms(M, module, source_basis, target_cells):
     return out
 
 
+def _cell_value(tgt_group, tl, f_values):
+    """Unreduced (d f)(t) = f(d t) for one target cell t."""
+    acc = [0] * tgt_group.ngens
+    for c, act, pos in tl:
+        val = f_values[pos]
+        if act is not None:
+            val = act.mul_vector(val)
+        for i, v in enumerate(val):
+            if v:
+                acc[i] += c * v
+    return acc
+
+
 def _apply_coboundary(terms, f_values):
-    """Evaluate (d f)(t) = f(d t) for each target cell, reduced."""
-    out = []
-    for tgt_group, tl in terms:
-        acc = [0] * tgt_group.ngens
-        for c, act, pos in tl:
-            val = f_values[pos]
-            if act is not None:
-                val = act.mul_vector(val)
-            for i, v in enumerate(val):
-                if v:
-                    acc[i] += c * v
-        out.append(tuple(tgt_group.reduce(acc)))
-    return tuple(out)
+    return tuple(tuple(grp.reduce(_cell_value(grp, tl, f_values)))
+                 for grp, tl in terms)
 
 
 def _is_cocycle(terms, f_values):
-    for tgt_group, tl in terms:
-        acc = [0] * tgt_group.ngens
-        for c, act, pos in tl:
-            val = f_values[pos]
-            if act is not None:
-                val = act.mul_vector(val)
-            for i, v in enumerate(val):
-                if v:
-                    acc[i] += c * v
-        if any(acc) and not tgt_group.is_zero_element(acc):
+    for grp, tl in terms:
+        acc = _cell_value(grp, tl, f_values)
+        if any(acc) and not grp.is_zero_element(acc):
             return False
     return True
 
@@ -366,7 +337,9 @@ def brute_force_cohomology(M, r, n, module):
         boundaries.add(_apply_coboundary(down_terms, g))
     zcount = len(cocycles)
     bcount = len(boundaries)
-    assert zcount % bcount == 0
+    if zcount % bcount:
+        raise ArithmeticError("%d cocycles do not split into cosets of %d "
+                              "coboundaries" % (zcount, bcount))
     qorder = zcount // bcount
 
     def scaled_in_b(f, d):
@@ -394,23 +367,20 @@ def brute_force_cohomology(M, r, n, module):
                 count_cache[d] = count_killed(d)
             nd = count_cache[d]
             for e_ in stripped:
-                nd //= _gcd(d, e_)
+                nd //= gcd(d, e_)
             if nd == residual_order:
                 found = d
                 break
-        assert found is not None, "order statistics do not match an abelian group"
+        if found is None:
+            raise ArithmeticError("order statistics do not match an abelian group")
         stripped.append(found)
         invariants.append(found)
         residual_order //= found
     inv = AbGroupInvariants.from_diagonal(invariants)
-    assert inv.order() == qorder
+    if inv.order() != qorder:
+        raise ArithmeticError("recovered %r, but the quotient has order %d"
+                              % (inv, qorder))
     return zcount, bcount, inv
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

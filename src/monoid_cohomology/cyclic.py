@@ -16,11 +16,12 @@ contraction identity on all basis cells up to a degree bound.
 from math import comb
 
 from .bar import (BarWord, FreeBasedDGA, bar, bar_word_diff, bar_word_shuffle,
-                  chain_add_term)
+                  chain_add_term, chain_sum, extend_bilinear, extend_linear)
 from .cohomology import CochainComplex
 from .monoid import (INFINITE_CYCLIC, MonoidError, cyclic_p, cyclic_s,
                      make_cyclic)
-from .zlinalg import AbGroupInvariants, IntMatrix, gcd, subquotient_invariants
+from .zlinalg import (AbGroupInvariants, IntMatrix, gcd, preimage_lattice,
+                      subquotient_invariants)
 
 
 def small_resolution(m, q, degmax):
@@ -154,12 +155,7 @@ class CyclicContraction:
         return bullet(self.M, head, tail)
 
     def f_chain(self, chain):
-        M = self.M
-        out = {}
-        for (u, w), c in chain.items():
-            for (v, gen), cc in self.f_word(w.letters).items():
-                chain_add_term(out, (M.op(u, v), gen), c * cc)
-        return out
+        return extend_linear(self.M, lambda w: self.f_word(w.letters), chain)
 
     # -- g ------------------------------------------------------------------
 
@@ -196,12 +192,7 @@ class CyclicContraction:
         return out
 
     def g_chain(self, chain):
-        M = self.M
-        out = {}
-        for (u, gen), c in chain.items():
-            for (v, w), cc in self.g_gen(gen).items():
-                chain_add_term(out, (M.op(u, v), w), c * cc)
-        return out
+        return extend_linear(self.M, self.g_gen, chain)
 
     def gf_word(self, letters):
         return self.g_chain(self.f_word(letters))
@@ -235,27 +226,7 @@ class CyclicContraction:
         return out
 
     def phi_chain(self, chain):
-        M = self.M
-        out = {}
-        for (u, w), c in chain.items():
-            for (v, w2), cc in self.phi_word(w.letters).items():
-                chain_add_term(out, (M.op(u, v), w2), c * cc)
-        return out
-
-
-def f_map(m, q, chain):
-    """f applied to a chain of bar cells of C_{m,q}."""
-    return CyclicContraction(m, q).f_chain(chain)
-
-
-def g_map(m, q, gen):
-    """g applied to one resolution generator of C_{m,q}."""
-    return CyclicContraction(m, q).g_gen(gen)
-
-
-def phi_homotopy(m, q, letters):
-    """The contracting homotopy on one bar cell of C_{m,q}."""
-    return CyclicContraction(m, q).phi_word(letters)
+        return extend_linear(self.M, lambda w: self.phi_word(w.letters), chain)
 
 
 def gf_closed_form(m, q, x, y):
@@ -318,23 +289,6 @@ class ContractionReport:
             self.params, "PASS" if self.all_pass() else sorted(self.failures()))
 
 
-def _bar_diff_chain(M, chain):
-    out = {}
-    for (u, w), c in chain.items():
-        for (v, w2), cc in bar_word_diff(M, w).items():
-            chain_add_term(out, (M.op(u, v), w2), c * cc)
-    return out
-
-
-def _bar_shuffle_chains(M, a, b):
-    out = {}
-    for (u, w1), c1 in a.items():
-        for (v, w2), c2 in b.items():
-            for (t, w3), c3 in bar_word_shuffle(M, w1, w2).items():
-                chain_add_term(out, (M.op(M.op(u, v), t), w3), c1 * c2 * c3)
-    return out
-
-
 def _resolution_gens(R, degmax):
     return [g for d in sorted(R.basis) if d <= degmax for g in R.basis[d]]
 
@@ -342,6 +296,15 @@ def _resolution_gens(R, degmax):
 def _verify(con, R, words_by_degree, degmax, report):
     M = con.M
     e = M.identity
+
+    # these go through the module globals at each call, so a wrapper put
+    # on bar_word_diff or bar_word_shuffle (a profiler, say) sees them
+    def bar_diff(w):
+        return bar_word_diff(M, w)
+
+    def bar_shuffle(a, b):
+        return bar_word_shuffle(M, a, b)
+
     gens = _resolution_gens(R, degmax)
     all_words = [w for d in sorted(words_by_degree) for w in words_by_degree[d]]
 
@@ -362,7 +325,7 @@ def _verify(con, R, words_by_degree, degmax, report):
     wit = []
     for gen in gens:
         lhs = con.g_chain(R.differential(gen))
-        rhs = _bar_diff_chain(M, con.g_gen(gen))
+        rhs = extend_linear(M, bar_diff, con.g_gen(gen))
         if lhs != rhs:
             wit.append(gen)
     report.record("g is a chain map", wit)
@@ -391,16 +354,15 @@ def _verify(con, R, words_by_degree, degmax, report):
             if R.degree_of[a] + R.degree_of[b] > degmax:
                 continue
             lhs = con.g_chain(R.product_fn(a, b))
-            rhs = _bar_shuffle_chains(M, con.g_gen(a), con.g_gen(b))
+            rhs = extend_bilinear(M, bar_shuffle, con.g_gen(a), con.g_gen(b))
             if lhs != rhs:
                 wit.append((a, b))
     report.record("g is multiplicative", wit)
 
     wit = []
     for w in all_words:
-        lhs = chain_sum_pair(
-            _bar_diff_chain(M, con.phi_word(w.letters)),
-            con.phi_chain(bar_word_diff(M, w)))
+        lhs = chain_sum(extend_linear(M, bar_diff, con.phi_word(w.letters)),
+                        con.phi_chain(bar_word_diff(M, w)))
         rhs = dict(con.gf_word(w.letters))
         chain_add_term(rhs, (e, w), -1)
         if lhs != rhs:
@@ -425,13 +387,6 @@ def _verify(con, R, words_by_degree, degmax, report):
             wit.append(w)
     report.record("Phi.Phi = 0", wit)
     return report
-
-
-def chain_sum_pair(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        chain_add_term(out, k, c)
-    return out
 
 
 def _letter_words(letters, degmax):
@@ -471,13 +426,9 @@ def _two_term_map(m, q, module, src, tgt):
     big = module.action(src, cyclic_p(m, q, m + q - 1)).scaled(m + q)
     if m == 0:
         return big
-    return chain_matrix_sub(big, module.action(src, m - 1).scaled(m))
-
-
-def chain_matrix_sub(a, b):
-    assert a.rows == b.rows and a.cols == b.cols
-    return IntMatrix(a.rows, a.cols,
-                     [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)])
+    small = module.action(src, m - 1).scaled(m)
+    return IntMatrix(big.rows, big.cols, [[x - y for x, y in zip(rb, rs)]
+                                          for rb, rs in zip(big.data, small.data)])
 
 
 def leech_groups_cyclic(m, q, k, module):
@@ -488,7 +439,6 @@ def leech_groups_cyclic(m, q, k, module):
     D = _two_term_map(m, q, module, src, tgt)
     gsrc = module.group(src)
     gtgt = module.group(tgt)
-    from .zlinalg import preimage_lattice
     kernel = preimage_lattice(D, gtgt.relations)
     odd = subquotient_invariants(kernel, gsrc.relations)
     out_rel = D.hstack(gtgt.relations)
@@ -523,10 +473,7 @@ def level3_top(m, q, module):
 def closed_form_top(q, group):
     """Hom(Z/(2q, q^2), A) for a constant coefficient group: the
     (q gcd(2, q))-torsion subgroup in invariant form."""
-    d = q * gcd(2, q)
-    inv = group.invariants()
-    torsion = [gcd(d, t) for t in inv.torsion]
-    return AbGroupInvariants.from_diagonal(torsion)
+    return torsion_subgroup_invariants(group, q * gcd(2, q))
 
 
 def torsion_subgroup_invariants(group, d):

@@ -12,7 +12,7 @@ pipeline as everything else.
 
 from itertools import product
 
-from .bar import BarWord, iterated_bar
+from .bar import BarWord, chain_add_term, iterated_bar
 from .cohomology import degree_basis
 from .hmod import CochainGroup, FreeBasis, dualize
 from .zlinalg import (IntMatrix, lattice_basis, lattice_contains,
@@ -162,9 +162,8 @@ def grillet_coboundary(M, module, n):
         chain = {}
         for coeff, u, tup in _grillet_formula(M, n, t.letters):
             cell = BarWord(tup, (1,) * (len(tup) - 1), 1)
-            key = (u, cell)
-            chain[key] = chain.get(key, 0) + coeff
-        d[t] = {k: v for k, v in chain.items() if v}
+            chain_add_term(chain, (u, cell), coeff)
+        d[t] = chain
     return dualize(d, source, target, module, M)
 
 
@@ -192,10 +191,6 @@ def grillet_cohomology(M, module, n):
 
 
 # -- the inclusion into the level-3 complex ----------------------------------
-
-def _level3_cell_of(letters, seps):
-    return BarWord(letters, seps, 3)
-
 
 def inclusion_matrices(M, module):
     """Matrices of i_1..i_4 from the symmetric cochain groups into
@@ -265,7 +260,7 @@ def inclusion_chainmap(M, module):
         witness = None
         for j in range(lat.cols):
             diffcol = [a - b for a, b in zip(lhs.column(j), rhs.column(j))]
-            if any(diffcol) and not (rel.cols and lattice_contains(rel, diffcol)):
+            if any(diffcol) and not lattice_contains(rel, diffcol):
                 ok = False
                 witness = ("lattice generator", j)
                 break
@@ -278,13 +273,6 @@ def eleob_equivalent(M, module, table):
     (a dict argument-tuple -> value vector).  Returns the triple of
     booleans (conditions (easc1), (easc2), (easc3))."""
     nu = M.nonunit()
-
-    def val(args):
-        v = table.get(args)
-        if v is None:
-            g = module.group(args[0])
-            return None
-        return v
 
     def value(args):
         v = table.get(args)
@@ -351,7 +339,6 @@ def injectivity_check(M, module):
         delta2.mul(sym2.lattice).hstack(sym3.ambient.relation_matrix()))
     for j in range(problem.cols):
         col = problem.column(j)
-        inside = lattice_contains(target, col) if target.cols else not any(col)
-        if not inside:
+        if not lattice_contains(target, col):
             return False, col
     return True, None

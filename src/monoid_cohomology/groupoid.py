@@ -323,9 +323,8 @@ def _is_group_iso(src, tgt, mat):
     src_rel = lattice_basis(src.relations)
     for j in range(ker.cols):
         col = ker.column(j)
-        if any(col):
-            if not (src_rel.cols and lattice_contains(src_rel, col)):
-                return False
+        if any(col) and not lattice_contains(src_rel, col):
+            return False
     return True
 
 
@@ -493,10 +492,3 @@ def iso_classes(M, module, search_automorphisms=False):
         if not placed:
             classes.append([(g, mu)])
     return cocycles, classes
-
-
-def identity_iso_classes(M, module):
-    """Classes of 5-cocycles under isomorphisms with identity monoid
-    and coefficient components; the class count realizes the order of
-    the top truncated cohomology group.  Returns (cocycles, classes)."""
-    return iso_classes(M, module, search_automorphisms=False)

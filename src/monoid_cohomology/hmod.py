@@ -14,13 +14,14 @@ free modules), also live here.
 import json
 
 from .monoid import FiniteCommutativeMonoid
-from .zlinalg import IntMatrix, AbGroupInvariants, lattice_basis, lattice_contains, snf_diagonal
+from .zlinalg import (IntMatrix, AbGroupInvariants, lattice_basis, lattice_contains,
+                      snf_diagonal, staircase_pivots)
 
 
 class FGAbelianGroup:
     """Z^ngens modulo the column lattice of `relations`."""
 
-    __slots__ = ("ngens", "relations", "_rel_lattice")
+    __slots__ = ("ngens", "relations", "_rel_lattice", "_pivots")
 
     def __init__(self, ngens, relations=None):
         self.ngens = ngens
@@ -29,6 +30,7 @@ class FGAbelianGroup:
         assert relations.rows == ngens
         self.relations = relations
         self._rel_lattice = lattice_basis(relations)
+        self._pivots = staircase_pivots(self._rel_lattice)
 
     @classmethod
     def free(cls, rank):
@@ -73,15 +75,8 @@ class FGAbelianGroup:
         if H.cols < self.ngens:
             raise ValueError("group is infinite")
         # H is a square staircase; box of representatives below the pivots
-        pivs = []
-        for j in range(H.cols):
-            for i in range(H.rows):
-                if H.data[i][j]:
-                    pivs.append((i, j))
-                    break
-        assert len(pivs) == self.ngens
         bounds = [0] * self.ngens
-        for i, j in pivs:
+        for i, j in self._pivots:
             bounds[i] = H.data[i][j]
         reps = [[]]
         for b in bounds:
@@ -92,14 +87,7 @@ class FGAbelianGroup:
         """Canonical representative of vec modulo the relation lattice."""
         H = self._rel_lattice
         v = list(vec)
-        for j in range(H.cols):
-            r = None
-            for i in range(H.rows):
-                if H.data[i][j]:
-                    r = i
-                    break
-            if r is None:
-                continue
+        for r, j in self._pivots:
             q = v[r] // H.data[r][j]
             if q:
                 for i in range(r, H.rows):
@@ -341,10 +329,6 @@ class CochainGroup:
         return AbGroupInvariants.from_diagonal(tors, free_rank=free)
 
 
-def hom_realization(basis, module):
-    return CochainGroup(basis, module)
-
-
 class PiMismatchError(ValueError):
     pass
 
@@ -386,36 +370,62 @@ def dualize(d, source, target, module, monoid):
 
 # -- descriptors -------------------------------------------------------------
 
-def group_from_descriptor(desc):
-    inv = AbGroupInvariants(desc.get("free_rank", 0), tuple(desc.get("torsion", ())))
+def _group_from_orders(free_rank, torsion):
+    """Z^free_rank + (+) Z/d for d in torsion; orders below 1 are
+    rejected, orders 1 vanish."""
+    if not isinstance(free_rank, int) or free_rank < 0:
+        raise ModuleError("free rank must be a non-negative integer, got %r"
+                          % (free_rank,))
+    if not all(isinstance(d, int) and d >= 1 for d in torsion):
+        raise ModuleError("torsion orders must be integers >= 1, got %r" % (torsion,))
+    inv = AbGroupInvariants.from_diagonal(torsion, free_rank=free_rank)
     return FGAbelianGroup.from_invariants(inv)
+
+
+def group_from_descriptor(desc):
+    if not isinstance(desc, dict):
+        raise ModuleError("group descriptor must be a JSON object, got %r" % (desc,))
+    torsion = desc.get("torsion", [])
+    if not isinstance(torsion, list):
+        raise ModuleError("torsion must be a list, got %r" % (torsion,))
+    return _group_from_orders(desc.get("free_rank", 0), torsion)
 
 
 def module_from_descriptor(desc, monoid):
     if isinstance(desc, str):
         desc = json.loads(desc)
+    if not isinstance(desc, dict):
+        raise ModuleError("coefficient descriptor must be a JSON object")
     kind = desc.get("kind")
     if kind == "constant":
-        return constant_module(group_from_descriptor(desc["group"]), monoid)
+        return constant_module(group_from_descriptor(desc.get("group")), monoid)
     if kind == "tabular":
         if not isinstance(monoid, FiniteCommutativeMonoid):
             raise ModuleError("tabular modules need a finite monoid")
         n = monoid.size
+        group_descs = desc.get("groups", {})
+        action_descs = desc.get("actions", {})
         groups = []
         for x in range(n):
             key = str(x)
-            if key not in desc["groups"]:
+            if key not in group_descs:
                 raise ModuleError("tabular module missing group at element %d" % x)
-            groups.append(group_from_descriptor(desc["groups"][key]))
+            groups.append(group_from_descriptor(group_descs[key]))
         actions = {}
         for x in range(n):
             for y in range(n):
                 key = "%d,%d" % (x, y)
-                if key not in desc["actions"]:
+                if key not in action_descs:
                     raise ModuleError("tabular module missing action %s" % key)
-                rows = desc["actions"][key]
+                rows = action_descs[key]
                 tgt = groups[monoid.op(x, y)]
                 src = groups[x]
+                if (not isinstance(rows, list) or len(rows) != tgt.ngens
+                        or any(not isinstance(row, list) or len(row) != src.ngens
+                               or not all(isinstance(v, int) for v in row)
+                               for row in rows)):
+                    raise ModuleError("action %s must be an integer %dx%d matrix, got %r"
+                                      % (key, tgt.ngens, src.ngens, rows))
                 actions[(x, y)] = IntMatrix(tgt.ngens, src.ngens, rows)
         mod = HModule(monoid, groups, actions)
         bad = validate_module(mod)
@@ -437,12 +447,7 @@ def parse_group_shorthand(text):
         elif part.startswith("Z^"):
             free += int(part[2:])
         elif part.startswith("Z/"):
-            n = int(part[2:])
-            if n < 1:
-                raise ModuleError("bad torsion order %r" % (part,))
-            if n > 1:
-                torsion.append(n)
+            torsion.append(int(part[2:]))
         else:
             raise ModuleError("cannot parse coefficient shorthand %r" % (part,))
-    inv = AbGroupInvariants.from_diagonal(torsion, free_rank=free)
-    return FGAbelianGroup.from_invariants(inv)
+    return _group_from_orders(free, torsion)

@@ -71,11 +71,13 @@ def validate_table(size, identity, table):
     """Build a FiniteCommutativeMonoid, checking the unit, commutativity
     and associativity laws.  Raises MonoidError with a witness for the
     first violated law."""
-    if size <= 0:
-        raise MonoidError("size must be positive, got %r" % (size,))
-    if len(table) != size or any(len(row) != size for row in table):
+    if not isinstance(size, int) or size <= 0:
+        raise MonoidError("size must be a positive integer, got %r" % (size,))
+    if (not isinstance(table, (list, tuple)) or len(table) != size
+            or any(not isinstance(row, (list, tuple)) or len(row) != size
+                   for row in table)):
         raise MonoidError("table must be %dx%d" % (size, size))
-    if not (0 <= identity < size):
+    if not (isinstance(identity, int) and 0 <= identity < size):
         raise MonoidError("identity %r out of range" % (identity,))
     for x in range(size):
         for y in range(size):
@@ -129,11 +131,23 @@ def monoid_from_descriptor(desc):
     """Parse the JSON monoid descriptor (dict or JSON string)."""
     if isinstance(desc, str):
         desc = json.loads(desc)
+    if not isinstance(desc, dict):
+        raise MonoidError("monoid descriptor must be a JSON object")
     kind = desc.get("kind")
+
+    def fields(*names):
+        missing = [n for n in names if n not in desc]
+        if missing:
+            raise MonoidError("%s descriptor lacks %s" % (kind, ", ".join(missing)))
+        return [desc[n] for n in names]
+
     if kind == "table":
-        return validate_table(desc["size"], desc["identity"], desc["table"])
+        return validate_table(*fields("size", "identity", "table"))
     if kind == "cyclic":
-        return make_cyclic(desc["index"], desc["period"])
+        m, q = fields("index", "period")
+        if not (isinstance(m, int) and isinstance(q, int)):
+            raise MonoidError("cyclic index and period must be integers")
+        return make_cyclic(m, q)
     if kind == "infinite-cyclic":
         return INFINITE_CYCLIC
     raise MonoidError("unknown monoid descriptor kind: %r" % (kind,))

@@ -65,14 +65,6 @@ class IntMatrix:
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
-    def transpose(self):
-        t = IntMatrix(self.cols, self.rows)
-        for i in range(self.rows):
-            row = self.data[i]
-            for j in range(self.cols):
-                t.data[j][i] = row[j]
-        return t
-
     def mul(self, other):
         assert self.cols == other.rows
         out = IntMatrix(self.rows, other.cols)
@@ -133,11 +125,15 @@ class AbGroupInvariants:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank, torsion=()):
-        assert free_rank >= 0
+        if free_rank < 0:
+            raise ValueError("negative free rank %r" % (free_rank,))
         torsion = tuple(int(d) for d in torsion)
-        assert all(d >= 2 for d in torsion)
+        if not all(d >= 2 for d in torsion):
+            raise ValueError("torsion orders must be >= 2: %r" % (torsion,))
         for a, b in zip(torsion, torsion[1:]):
-            assert b % a == 0, "torsion list %r is not a divisibility chain" % (torsion,)
+            if b % a:
+                raise ValueError("torsion list %r is not a divisibility chain"
+                                 % (torsion,))
         self.free_rank = free_rank
         self.torsion = torsion
 
@@ -305,7 +301,8 @@ def smith_normal_form(A):
     Dm = IntMatrix(m, n, D)
     Um = IntMatrix(m, m, U)
     Vm = IntMatrix(n, n, V)
-    assert Um.mul(A).mul(Vm) == Dm, "SNF verification failed"
+    if Um.mul(A).mul(Vm) != Dm:
+        raise ArithmeticError("SNF verification failed")
     return Dm, Um, Vm
 
 
@@ -334,13 +331,13 @@ def _rediagonalize_2x2(D, i, row_op, col_op):
                 row_op(i, i + 1, x, y, -(c // g), a // g)
 
 
-def snf_diagonal(A):
-    """Nonzero invariant factors of A (chained), without transforms.
+def _unit_sweep(A):
+    """Eliminate +-1 pivots of A with row operations.
 
-    Sparse-friendly: +-1 entries are swept first with row eliminations,
-    preferring pivots in short rows and thin columns (Markowitz-style)
-    to limit fill-in; the dense leftover goes through the full
-    algorithm.
+    Pivots in short rows and thin columns go first (Markowitz-style) to
+    limit fill-in.  Returns (rows, eliminated): the surviving rows as
+    dicts col -> value, none of which touches an eliminated column, and
+    the (pivot_row, pivot_col, pivot_val) triples in sweep order.
     """
     from heapq import heappush, heappop
 
@@ -352,7 +349,7 @@ def snf_diagonal(A):
             rows[i] = r
             for j in r:
                 col_index.setdefault(j, set()).add(i)
-    ones = 0
+    eliminated = []
     heap = []
     for i, r in rows.items():
         if any(abs(v) == 1 for v in r.values()):
@@ -393,18 +390,31 @@ def snf_diagonal(A):
                 del rows[i]
             else:
                 touched.append(i)
-        # clearing the pivot row afterwards would be column ops touching
-        # only the dropped row, so just drop it
+        # the pivot column is now zero outside the pivot row, so the row
+        # leaves the system
         for j in prow:
             s = col_index.get(j)
             if s:
                 s.discard(pi)
         del rows[pi]
-        ones += 1
+        eliminated.append((prow, pj, pval))
         for i in touched:
             r = rows.get(i)
             if r and any(abs(v) == 1 for v in r.values()):
                 heappush(heap, (len(r), i))
+    return rows, eliminated
+
+
+def snf_diagonal(A):
+    """Nonzero invariant factors of A (chained), without transforms.
+
+    Sparse-friendly: +-1 entries are swept first (_unit_sweep); clearing
+    a swept pivot row afterwards would be column operations touching only
+    that row, so each sweep contributes one factor 1, and the dense
+    leftover goes through the full algorithm.
+    """
+    rows, eliminated = _unit_sweep(A)
+    ones = len(eliminated)
     if not rows:
         return [1] * ones
     live_rows = sorted(rows)
@@ -503,72 +513,11 @@ def kernel_basis(A):
     """Basis matrix (columns) of {v : A v = 0}.
 
     Row operations preserve the kernel, so +-1 pivots are swept first
-    (recording each pivot row for back-substitution), the small
-    leftover goes through the tracked column echelon, and the
-    eliminated pivot coordinates are recovered in reverse order.
+    (_unit_sweep), the small leftover goes through the tracked column
+    echelon, and the eliminated pivot coordinates are recovered by
+    back-substitution in reverse sweep order.
     """
-    from heapq import heappush, heappop
-
-    rows = {}
-    col_index = {}
-    for i, row in enumerate(A.data):
-        r = {j: v for j, v in enumerate(row) if v}
-        if r:
-            rows[i] = r
-            for j in r:
-                col_index.setdefault(j, set()).add(i)
-    eliminated = []  # (pivot_row_dict, pivot_col, pivot_val) in sweep order
-    heap = []
-    for i, r in rows.items():
-        if any(abs(v) == 1 for v in r.values()):
-            heappush(heap, (len(r), i))
-    while heap:
-        rlen, pi = heappop(heap)
-        prow = rows.get(pi)
-        if prow is None:
-            continue
-        if len(prow) != rlen:
-            heappush(heap, (len(prow), pi))
-            continue
-        unit_cols = [j for j, v in prow.items() if abs(v) == 1]
-        if not unit_cols:
-            continue
-        pj = min(unit_cols, key=lambda j: (len(col_index.get(j, ())), j))
-        pval = prow[pj]
-        touched = []
-        for i in list(col_index.get(pj, ())):
-            if i == pi or i not in rows:
-                continue
-            r = rows[i]
-            c = r.get(pj)
-            if not c:
-                continue
-            q = c * pval
-            for j, v in prow.items():
-                nv = r.get(j, 0) - q * v
-                if nv:
-                    r[j] = nv
-                    col_index.setdefault(j, set()).add(i)
-                else:
-                    r.pop(j, None)
-                    s = col_index.get(j)
-                    if s:
-                        s.discard(i)
-            if not r:
-                del rows[i]
-            else:
-                touched.append(i)
-        for j in prow:
-            s = col_index.get(j)
-            if s:
-                s.discard(pi)
-        del rows[pi]
-        eliminated.append((prow, pj, pval))
-        for i in touched:
-            r = rows.get(i)
-            if r and any(abs(v) == 1 for v in r.values()):
-                heappush(heap, (len(r), i))
-
+    rows, eliminated = _unit_sweep(A)
     pivot_cols = {pj for _, pj, _ in eliminated}
     free_cols = [j for j in range(A.cols) if j not in pivot_cols]
     fmap = {j: k for k, j in enumerate(free_cols)}
@@ -578,13 +527,13 @@ def kernel_basis(A):
     rmap = {i: k for k, i in enumerate(live_rows)}
     for i in live_rows:
         for j, v in rows[i].items():
-            assert j not in pivot_cols
             small_cols[fmap[j]][rmap[i]] = v
     pivots, V, active = _column_echelon(len(live_rows), len(free_cols),
                                         small_cols, track=True)
     kernel_cols = []
     for j in sorted(active):
-        assert not small_cols[j], "non-pivot column failed to vanish"
+        if small_cols[j]:
+            raise ArithmeticError("non-pivot column failed to vanish")
         vec = [0] * A.cols
         for k, v in V[j].items():
             vec[free_cols[k]] = v
@@ -619,18 +568,24 @@ def lattice_basis(B):
     return out
 
 
-def lattice_solve(H, b):
-    """Solve H x = b over Z, H a column staircase (lattice_basis
-    output).  Returns the coefficient list or None."""
+def staircase_pivots(H):
+    """(row, col) of the leading entry of every nonzero column of a
+    column staircase (lattice_basis output), rows increasing."""
     pivots = []
     for j in range(H.cols):
         for i in range(H.rows):
             if H.data[i][j]:
                 pivots.append((i, j))
                 break
+    return pivots
+
+
+def lattice_solve(H, b):
+    """Solve H x = b over Z, H a column staircase (lattice_basis
+    output).  Returns the coefficient list or None."""
     b = list(b)
     x = [0] * H.cols
-    for r, j in pivots:
+    for r, j in staircase_pivots(H):
         p = H.data[r][j]
         q, rem = divmod(b[r], p)
         if rem:

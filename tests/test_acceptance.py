@@ -25,7 +25,7 @@ from monoid_cohomology.grillet import (grillet_cohomology, inclusion_chainmap,
 from monoid_cohomology.groupoid import (check_coherence, cocycle_check,
                                         crossed_product,
                                         enumerate_cochain_tables,
-                                        identity_iso_classes)
+                                        iso_classes)
 from monoid_cohomology.hmod import FGAbelianGroup, constant_module
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import AbGroupInvariants
@@ -181,7 +181,7 @@ def test_criterion_8_groupoid_classification():
              for g, mu in pairs]
     assert all(c == k for c, k in flags)
     assert sum(1 for c, _ in flags if c) == 2
-    cocycles, classes = identity_iso_classes(M, A)
+    cocycles, classes = iso_classes(M, A)
     h5 = cohomology_group(M, 3, 5, A)
     assert len(cocycles) == 2 and len(classes) == 2 == h5.order()
     _report(8, True, "2 of 4 pairs are 5-cocycles, coherence matches, "

@@ -2,7 +2,7 @@ import pytest
 
 from monoid_cohomology.bar import (BarWord, DGAError, bar, bar_word_diff,
                                    bar_word_shuffle, explicit_low_degree_differential,
-                                   iterated_bar, render_word, shuffle_product,
+                                   iterated_bar, render_word,
                                    validate_dga, zm_dga)
 from monoid_cohomology.monoid import make_cyclic
 
@@ -84,13 +84,13 @@ def test_level3_separator_differential():
 
 def test_shuffle_examples():
     # level 1: [x].[y] = [x|y] - [y|x]
-    s = shuffle_product(C23, w((1,), (), 1), w((2,), (), 1))
+    s = bar_word_shuffle(C23, w((1,), (), 1), w((2,), (), 1))
     assert s == {(0, w((1, 2), (1,), 1)): 1, (0, w((2, 1), (1,), 1)): -1}
     # level 1: [1].[1] = 0 over any monoid
     for M in SMALL + [C23]:
-        assert shuffle_product(M, w((1,), (), 1), w((1,), (), 1)) == {}
+        assert bar_word_shuffle(M, w((1,), (), 1), w((1,), (), 1)) == {}
     # level 2: [x].[y] = [x|^2 y] + [y|^2 x]
-    s = shuffle_product(C23, w((1,), (), 2), w((2,), (), 2))
+    s = bar_word_shuffle(C23, w((1,), (), 2), w((2,), (), 2))
     assert s == {(0, w((1, 2), (2,), 2)): 1, (0, w((2, 1), (2,), 2)): 1}
 
 

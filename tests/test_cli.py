@@ -111,6 +111,14 @@ def test_groupoid_check_subcommand(tmp_path):
     assert data["coherent"] is False
 
 
+def test_torsion_one_descriptor_is_the_trivial_group():
+    argv = ["--json", "cohomology", "--monoid", "cyclic:0,2", "--level", "2",
+            "--degree", "2", "--coeff"]
+    code, out, _ = invoke(argv + [_z2_tabular({"torsion": [1]}, [])])
+    assert code == 0
+    assert invoke(argv + ["Z/1"])[1] == out
+
+
 def test_monoid_descriptor_file(tmp_path):
     path = tmp_path / "monoid.json"
     path.write_text(json.dumps({"kind": "table", "size": 2, "identity": 0,
@@ -121,7 +129,35 @@ def test_monoid_descriptor_file(tmp_path):
     assert json.loads(out) == {"free_rank": 0, "torsion": [2]}
 
 
-def test_malformed_inputs_exit_2():
+def _tabular(groups, actions):
+    return json.dumps({"kind": "tabular", "groups": groups, "actions": actions})
+
+
+def _z2_tabular(group, action):
+    # the same group at both elements of Z/2, every action `action`
+    return _tabular({"0": group, "1": group},
+                    {"%d,%d" % (x, y): action for x in (0, 1) for y in (0, 1)})
+
+
+def test_malformed_inputs_exit_2(tmp_path):
+    def exits_2(monoid, coeff="Z"):
+        code, out, err = invoke(["cohomology", "--monoid", monoid, "--level",
+                                 "1", "--degree", "1", "--coeff", coeff])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    exits_2('{"kind":"table","size":2,"identity":0}')
+    exits_2('{"kind":"cyclic","index":0}')
+    exits_2("@" + str(tmp_path))  # a directory, not a descriptor file
+    # torsion orders below 1 are rejected; Z/1 has no generators, so a
+    # 1x1 action on it has the wrong shape
+    exits_2("cyclic:0,2", _z2_tabular({"torsion": [0]}, []))
+    exits_2("cyclic:0,2", _z2_tabular({"torsion": [1]}, [[1]]))
+    assert "action" in exits_2("cyclic:0,2", _tabular(
+        {"0": {"free_rank": 1}, "1": {"free_rank": 1}},
+        {"0,0": [[1, 0]], "0,1": [[1]], "1,0": [[1]], "1,1": [[1]]}))
+
     code, _, err = invoke(["cohomology", "--monoid", "cyclic:9", "--level", "1",
                            "--degree", "1", "--coeff", "Z"])
     assert code == 2 and "monoid" in err

@@ -278,13 +278,18 @@ def test_infinite_generic_pipeline_matches():
         assert cx2.cohomology(3) == G.invariants()
 
 
-def test_named_map_wrappers():
-    from monoid_cohomology.cyclic import f_map, g_map, phi_homotopy
-    from monoid_cohomology.bar import BarWord
+def test_contraction_maps_on_chains():
     cell = BarWord((2, 2), (1,), 1)
-    assert f_map(1, 2, {(0, cell): 1}) == {(1, ("v", 1)): 1}
-    assert g_map(0, 2, ("w", 0)) == {(0, BarWord((1,), (), 1)): 1}
-    assert phi_homotopy(1, 1, (1,)) == {}
+    assert CyclicContraction(1, 2).f_chain({(0, cell): 1}) == {(1, ("v", 1)): 1}
+    assert CyclicContraction(0, 2).g_gen(("w", 0)) == {(0, BarWord((1,), (), 1)): 1}
+    assert CyclicContraction(1, 1).phi_word((1,)) == {}
+    # translates and coefficients carry through the linear extension
+    assert CyclicContraction(1, 2).f_chain({(1, cell): 2, (0, w1((2,))): 1}) == {
+        (2, ("v", 1)): 2, (1, ("w", 0)): 2}
+    assert CyclicContraction(0, 2).g_chain({(1, ("w", 0)): 3, (0, ("v", 1)): 1}) == {
+        (1, w1((1,))): 3, (0, w1((1, 1))): 1}
+    assert CyclicContraction(0, 3).phi_chain({(1, w1((2,))): 2}) == {
+        (1, w1((1, 1))): 2}
 
 
 def test_small_complexes_match_generic_with_tabular_module():

@@ -5,7 +5,7 @@ from monoid_cohomology.groupoid import (GroupoidError, MonoidalFunctorData,
                                         build_monoidal_iso, check_coherence,
                                         cocycle_check, crossed_product,
                                         enumerate_cochain_tables,
-                                        extract_triple, identity_iso_classes,
+                                        extract_triple, iso_classes,
                                         verify_monoidal_iso)
 from monoid_cohomology.hmod import (FGAbelianGroup, constant_module,
                                     validate_module)
@@ -111,7 +111,7 @@ def test_coboundaries_are_cocycles():
 
 
 def test_identity_iso_classes_z2():
-    cocycles, classes = identity_iso_classes(Z2, A2)
+    cocycles, classes = iso_classes(Z2, A2)
     assert len(cocycles) == 2
     assert len(classes) == 2
     h5 = cohomology_group(Z2, 3, 5, A2)
@@ -170,13 +170,13 @@ def test_class_count_matches_h5_on_enumeration_grid():
     for M in (Z2, C11):
         for G in (zmod(2), zmod(4)):
             A = constant_module(G, M)
-            cocycles, classes = identity_iso_classes(M, A)
+            cocycles, classes = iso_classes(M, A)
             h5 = cohomology_group(M, 3, 5, A)
             assert len(classes) == h5.order(), (M, G, len(classes), h5)
 
 
 def test_automorphism_search_runs():
-    from monoid_cohomology.groupoid import iso_classes, monoid_automorphisms
+    from monoid_cohomology.groupoid import monoid_automorphisms
     assert monoid_automorphisms(Z2) == [(0, 1)]
     cocycles, classes = iso_classes(Z2, A2, search_automorphisms=True)
     assert len(classes) == 2

@@ -6,7 +6,7 @@ from monoid_cohomology.bar import BarWord
 from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, FreeBasis,
                                     HModule, ModuleError, PiMismatchError,
                                     constant_as_tabular, constant_module,
-                                    dualize, hom_realization,
+                                    dualize,
                                     module_from_descriptor,
                                     parse_group_shorthand, validate_module,
                                     zm_as_hmodule)
@@ -59,21 +59,21 @@ def test_zm_as_module_is_functorial():
         assert validate_module(zm_as_hmodule(M)) == []
 
 
-def test_hom_realization_examples():
+def test_cochain_group_examples():
     e_cell = BarWord((), (), 1)
     basis = FreeBasis([e_cell], {e_cell: Z2.identity})
     A = constant_module(FGAbelianGroup.free(1), Z2)
-    cg = hom_realization(basis, A)
+    cg = CochainGroup(basis, A)
     assert cg.total == 1 and cg.invariants() == AbGroupInvariants(1)
 
     cells = [BarWord((1,) * k, (1,) * (k - 1), 1) for k in (1, 2, 3)]
     basis3 = FreeBasis(cells, {c: c.pi(Z2) for c in cells})
-    cg3 = hom_realization(basis3, constant_module(FGAbelianGroup.cyclic(2), Z2))
+    cg3 = CochainGroup(basis3, constant_module(FGAbelianGroup.cyclic(2), Z2))
     assert cg3.invariants() == AbGroupInvariants(0, (2, 2, 2))
 
     v1 = BarWord((2,), (), 1)
     basis1 = FreeBasis([v1], {v1: 2})  # pi = m over C_{2,3}
-    cg1 = hom_realization(basis1, constant_module(FGAbelianGroup.cyclic(6), C23))
+    cg1 = CochainGroup(basis1, constant_module(FGAbelianGroup.cyclic(6), C23))
     assert cg1.invariants() == AbGroupInvariants(0, (6,))
 
 

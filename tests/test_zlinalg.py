@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
+import monoid_cohomology
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
                                        LatticeContainmentError, determinant,
                                        kernel_basis, lattice_basis,
@@ -31,13 +35,27 @@ def test_snf_zero_matrix():
     assert U == IntMatrix.identity(2) and V == IntMatrix.identity(3)
 
 
+def sparse_unit_matrices(count, max_dim=12):
+    """Mostly +-1 entries, some +-2, about a third of the cells filled:
+    the shape of real coboundaries.  The unit sweep meets fill-in and
+    stale heap entries on these, which dense draws rarely reach."""
+    out = []
+    for _ in range(count):
+        m = random.randint(1, max_dim)
+        n = random.randint(1, max_dim)
+        out.append(IntMatrix(m, n, [
+            [random.choice((1, -1, 1, -1, 2, -2)) if random.random() < 0.35 else 0
+             for _ in range(n)] for _ in range(m)]))
+    return out
+
+
 def test_snf_random_properties():
     random.seed(20240817)
-    for _ in range(250):
-        m = random.randint(0, 5)
-        n = random.randint(0, 5)
-        A = IntMatrix(m, n, [[random.randint(-9, 9) for _ in range(n)]
-                             for _ in range(m)])
+    dense = [IntMatrix(m, n, [[random.randint(-9, 9) for _ in range(n)]
+                              for _ in range(m)])
+             for m, n in ((random.randint(0, 5), random.randint(0, 5))
+                          for _ in range(250))]
+    for A in dense + sparse_unit_matrices(60):
         D, U, V = smith_normal_form(A)  # U A V == D re-verified internally
         nz = [d for d in diag_of(D) if d]
         assert all(d > 0 for d in nz)
@@ -58,14 +76,14 @@ def test_kernel_worked_examples():
 
 def test_kernel_random_saturated():
     random.seed(7)
-    for _ in range(300):
-        m = random.randint(0, 6)
-        n = random.randint(0, 6)
-        A = IntMatrix(m, n, [[random.randint(-7, 7) for _ in range(n)]
-                             for _ in range(m)])
+    dense = [IntMatrix(m, n, [[random.randint(-7, 7) for _ in range(n)]
+                              for _ in range(m)])
+             for m, n in ((random.randint(0, 6), random.randint(0, 6))
+                          for _ in range(300))]
+    for A in dense + sparse_unit_matrices(60):
         K = kernel_basis(A)
         assert A.mul(K).is_zero()
-        assert K.cols == n - matrix_rank(A)
+        assert K.cols == A.cols - matrix_rank(A)
         if K.cols:
             # a kernel basis is primitive: the quotient by it is free
             assert all(d == 1 for d in snf_diagonal(K))
@@ -201,3 +219,38 @@ def test_large_entry_exactness():
     huge = IntMatrix.from_rows([[2**64, 0, 0], [0, 3**40, 0], [0, 0, 6]])
     inv = subquotient_invariants(IntMatrix.identity(3), huge)
     assert inv.order() == 2**64 * 3**40 * 6
+
+
+OPTIMIZED_SELF_CHECKS = """
+import sys
+from monoid_cohomology import zlinalg
+
+def raises(exc, fn, *args):
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
+
+failures = [] if sys.flags.optimize else ["asserts are not stripped"]
+for bad in ((-1, ()), (0, (1,)), (0, (2, 3))):
+    if not raises(ValueError, zlinalg.AbGroupInvariants, *bad):
+        failures.append("AbGroupInvariants%r" % (bad,))
+# a broken product makes the self-check U A V == D fail
+zlinalg.IntMatrix.mul = lambda self, other: zlinalg.IntMatrix(self.rows, other.cols)
+if not raises(ArithmeticError, zlinalg.smith_normal_form,
+              zlinalg.IntMatrix.from_rows([[2, 1], [1, 3]])):
+    failures.append("smith_normal_form")
+print(failures)
+sys.exit(1 if failures else 0)
+"""
+
+
+def test_checks_survive_python_O():
+    # python -O strips assert statements; the checks guarding answers
+    # must still raise there
+    src = os.path.dirname(os.path.dirname(monoid_cohomology.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SELF_CHECKS],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
