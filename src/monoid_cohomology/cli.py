@@ -174,9 +174,25 @@ def _parse_cocycle_file(path):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise InputError("cocycle file must hold a JSON object")
-    return tuple({tuple(int(v) for v in key.split(",")): tuple(coeffs)
-                  for key, coeffs in data.get(name, {}).items()}
-                 for name in ("g", "mu"))
+    tables = []
+    for name in ("g", "mu"):
+        entries = data.get(name, {})
+        if not isinstance(entries, dict):
+            raise InputError("cocycle table %s must be a JSON object, got %r"
+                             % (name, entries))
+        table = {}
+        for key, coeffs in entries.items():
+            try:
+                args = tuple(int(v) for v in key.split(","))
+            except ValueError:
+                raise InputError("cocycle key %s[%s] must list integers" % (name, key))
+            if (not isinstance(coeffs, list)
+                    or not all(isinstance(v, int) for v in coeffs)):
+                raise InputError("cocycle value %s[%s] must be a list of integers, "
+                                 "got %r" % (name, key, coeffs))
+            table[args] = tuple(coeffs)
+        tables.append(table)
+    return tuple(tables)
 
 
 def cmd_groupoid(args):

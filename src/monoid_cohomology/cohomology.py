@@ -3,14 +3,15 @@ cohomology, extracted with exact integer lattice algebra.
 
 The degree-n cochain group of Hom(B^r(ZM), A) is the direct sum of the
 A(pi(cell)) over the generic n-cells; the coboundary is precomposition
-with the bar differential.  Kernels are preimage lattices in the free
-cover with the coefficient relations adjoined to the image lattice, so
-presented (non-free) coefficient groups go through the same Smith
-normal form pipeline as free ones.
+with the bar differential.  For a constant module the complex is K (x) A,
+with K the integer cochain complex, and H^n follows from the Smith
+diagonals of K by the universal coefficient theorem.  Other modules go
+through preimage lattices in the free cover, with the coefficient
+relations adjoined to the image lattice.
 """
 
 from .bar import BarWord, add_cell_term, bar_word_diff, iterated_bar
-from .hmod import CochainGroup, FreeBasis, dualize
+from .hmod import CochainGroup, FGAbelianGroup, FreeBasis, constant_module, dualize
 from .monoid import FiniteCommutativeMonoid
 from .zlinalg import (AbGroupInvariants, IntMatrix, gcd, preimage_lattice,
                       snf_diagonal, subquotient_invariants)
@@ -27,7 +28,8 @@ def degree_basis(dga, n):
 
 class CochainComplex:
     """Groups C^0..C^nmax and coboundaries d^0..d^{nmax-1} of
-    Hom(D, A) for a free-based DGA D."""
+    Hom(D, A) for a free-based DGA D.  For a constant module the stored
+    coboundaries are those of the integer complex K = Hom(D, Z)."""
 
     __slots__ = ("dga", "module", "nmax", "groups", "coboundaries")
 
@@ -38,43 +40,36 @@ class CochainComplex:
         self.groups = {}
         self.coboundaries = {}
         M = dga.monoid
+        coeffs = constant_module(FGAbelianGroup.free(1), M) if module.constant else module
         for n in range(nmax + 1):
             self.groups[n] = CochainGroup(degree_basis(dga, n), module)
         for n in range(nmax):
             target = degree_basis(dga, n + 1)
             d = {t: dga.differential(t) for t in target.generators}
             self.coboundaries[n] = dualize(
-                d, degree_basis(dga, n), target, module, M)
-
-    def coboundary(self, n):
-        return self.coboundaries[n]
-
-    def relation_matrix(self, n):
-        return self.groups[n].relation_matrix()
+                d, self.groups[n].basis, target, coeffs, M)
 
     def cohomology(self, n):
         """ker d^n / im d^{n-1} as invariant factors."""
         if n < 0 or n >= self.nmax:
             raise ValueError("degree %d outside the built range" % n)
         d_n = self.coboundaries[n]
-        dim = self.groups[n].total
-        if n > 0:
-            d_prev = self.coboundaries[n - 1]
-        else:
-            d_prev = IntMatrix(dim, 0)
-        rel_n = self.relation_matrix(n)
-        if self.module.constant and self.module.group(0).relations.cols == 0:
-            # free constant coefficients: C^* is a complex of free
-            # groups, so ker d^n splits off and the torsion of H^n is
-            # the torsion of coker d^{n-1}
+        d_prev = self.coboundaries[n - 1] if n > 0 else IntMatrix(d_n.cols, 0)
+        if self.module.constant:
+            # universal coefficients (Mac Lane, Homology, III): H^n =
+            # H^n(K) (x) A + Tor(H^{n+1}(K), A) = A^free (free = rank of
+            # H^n(K)) + A/dA per factor d of d^{n-1} + A[d] per factor d
+            # of d^n; for A = Z^a + (+)_t Z/t, A/dA = (Z/d)^a + (+) Z/gcd(d, t)
+            # and A[d] = (+) Z/gcd(d, t)
+            A = self.module.group(0).invariants()
             diag_prev = snf_diagonal(d_prev)
-            rank_n = len(snf_diagonal(d_n))
-            free = (dim - rank_n) - len(diag_prev)
-            return AbGroupInvariants.from_diagonal(
-                [d for d in diag_prev if d > 1], free_rank=free)
-        rel_next = self.relation_matrix(n + 1)
-        kernel = preimage_lattice(d_n, rel_next)
-        image = d_prev.hstack(rel_n)
+            diag_n = snf_diagonal(d_n)
+            free = d_n.cols - len(diag_n) - len(diag_prev)
+            tors = list(A.torsion) * free + [d for d in diag_prev if d > 1] * A.free_rank
+            tors += [gcd(d, t) for d in diag_prev + diag_n if d > 1 for t in A.torsion]
+            return AbGroupInvariants.from_diagonal(tors, free_rank=A.free_rank * free)
+        kernel = preimage_lattice(d_n, self.groups[n + 1].relation_matrix())
+        image = d_prev.hstack(self.groups[n].relation_matrix())
         return subquotient_invariants(kernel, image)
 
 

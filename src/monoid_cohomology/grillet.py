@@ -16,7 +16,8 @@ from .bar import BarWord, chain_add_term, iterated_bar
 from .cohomology import degree_basis
 from .hmod import CochainGroup, FreeBasis, dualize
 from .zlinalg import (IntMatrix, lattice_basis, lattice_contains,
-                      preimage_lattice_multi, subquotient_invariants)
+                      preimage_lattice_multi, staircase_pivots,
+                      subquotient_invariants)
 
 
 def _tuple_basis(M, n):
@@ -256,11 +257,12 @@ def inclusion_chainmap(M, module):
         rhs = mats[n + 1].mul(delta).mul(lat)
         tgt_amb = CochainGroup(tgt, module)
         rel = lattice_basis(tgt_amb.relation_matrix())
+        pivots = staircase_pivots(rel)
         ok = True
         witness = None
         for j in range(lat.cols):
             diffcol = [a - b for a, b in zip(lhs.column(j), rhs.column(j))]
-            if any(diffcol) and not lattice_contains(rel, diffcol):
+            if any(diffcol) and not lattice_contains(rel, diffcol, pivots):
                 ok = False
                 witness = ("lattice generator", j)
                 break
@@ -337,8 +339,9 @@ def injectivity_check(M, module):
     delta2 = grillet_coboundary(M, module, 2)
     target = lattice_basis(
         delta2.mul(sym2.lattice).hstack(sym3.ambient.relation_matrix()))
+    pivots = staircase_pivots(target)
     for j in range(problem.cols):
         col = problem.column(j)
-        if not lattice_contains(target, col):
+        if not lattice_contains(target, col, pivots):
             return False, col
     return True, None

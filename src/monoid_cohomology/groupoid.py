@@ -56,6 +56,9 @@ def _normalized_table(M, module, table, arity, name):
     for key, val in table.items():
         if len(key) != arity:
             raise GroupoidError("%s table key %r has arity %d" % (name, key, arity))
+        if not all(isinstance(x, int) and 0 <= x < M.size for x in key):
+            raise GroupoidError("%s table key %r names a non-element of the monoid"
+                                % (name, key))
         pi = e
         for x in key:
             pi = M.op(pi, x)
@@ -310,20 +313,19 @@ def _is_group_iso(src, tgt, mat):
     if not _matrix_maps_relations(mat, src, tgt):
         return False
     # surjectivity: every target generator is reachable modulo relations
-    from .zlinalg import lattice_basis, lattice_solve
+    from .zlinalg import lattice_basis, lattice_solve, staircase_pivots
     H = lattice_basis(mat.hstack(tgt.relations))
+    pivots = staircase_pivots(H)
     for i in range(tgt.ngens):
         bvec = [0] * tgt.ngens
         bvec[i] = 1
-        if lattice_solve(H, bvec) is None:
+        if lattice_solve(H, bvec, pivots) is None:
             return False
     # injectivity: the kernel lattice sits inside the source relations
-    from .zlinalg import preimage_lattice, lattice_contains
+    from .zlinalg import preimage_lattice
     ker = preimage_lattice(mat, tgt.relations)
-    src_rel = lattice_basis(src.relations)
     for j in range(ker.cols):
-        col = ker.column(j)
-        if any(col) and not lattice_contains(src_rel, col):
+        if not src.is_zero_element(ker.column(j)):
             return False
     return True
 

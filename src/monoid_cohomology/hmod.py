@@ -63,7 +63,7 @@ class FGAbelianGroup:
     def is_zero_element(self, vec):
         if all(v == 0 for v in vec):
             return True
-        return lattice_contains(self._rel_lattice, vec)
+        return lattice_contains(self._rel_lattice, vec, self._pivots)
 
     def elements_equal(self, a, b):
         return self.is_zero_element([x - y for x, y in zip(a, b)])

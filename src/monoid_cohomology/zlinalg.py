@@ -40,10 +40,6 @@ class IntMatrix:
         return m
 
     @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols)
-
-    @classmethod
     def from_columns(cls, columns, rows):
         m = cls(rows, len(columns))
         for j, col in enumerate(columns):
@@ -429,10 +425,6 @@ def snf_diagonal(A):
     return [1] * ones + [d for d in diag if d]
 
 
-def matrix_rank(A):
-    return len(snf_diagonal(A))
-
-
 def _column_echelon(nrows, ncols, columns, track):
     """Shared column-elimination core.
 
@@ -580,12 +572,13 @@ def staircase_pivots(H):
     return pivots
 
 
-def lattice_solve(H, b):
+def lattice_solve(H, b, pivots):
     """Solve H x = b over Z, H a column staircase (lattice_basis
-    output).  Returns the coefficient list or None."""
+    output) with pivots staircase_pivots(H).  Returns the coefficient
+    list or None."""
     b = list(b)
     x = [0] * H.cols
-    for r, j in staircase_pivots(H):
+    for r, j in pivots:
         p = H.data[r][j]
         q, rem = divmod(b[r], p)
         if rem:
@@ -600,8 +593,8 @@ def lattice_solve(H, b):
     return x
 
 
-def lattice_contains(H, vec):
-    return lattice_solve(H, vec) is not None
+def lattice_contains(H, vec, pivots):
+    return lattice_solve(H, vec, pivots) is not None
 
 
 def preimage_lattice(A, L=None):
@@ -658,10 +651,11 @@ def subquotient_invariants(K, I):
     """
     assert K.rows == I.rows
     Kb = lattice_basis(K)
+    pivots = staircase_pivots(Kb)
     X = IntMatrix(Kb.cols, I.cols)
     for j in range(I.cols):
         col = I.column(j)
-        x = lattice_solve(Kb, col)
+        x = lattice_solve(Kb, col, pivots)
         if x is None:
             raise LatticeContainmentError(j, col)
         for i in range(Kb.cols):

@@ -170,3 +170,16 @@ def test_malformed_inputs_exit_2(tmp_path):
     code, _, err = invoke(["groupoid", "check", "--monoid", "cyclic:0,2",
                            "--coeff", "Z/2", "--cocycle", "/nonexistent.json"])
     assert code == 2
+
+    def cocycle_exits_2(tables):
+        path = tmp_path / "cocycle.json"
+        path.write_text(json.dumps(tables))
+        code, out, err = invoke(["groupoid", "check", "--monoid", "cyclic:0,2",
+                                 "--coeff", "Z/2", "--cocycle", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    cocycle_exits_2({"g": {"1,1,1": 5}})
+    cocycle_exits_2({"g": []})
+    cocycle_exits_2({"g": {"7,7,7": [1]}})
+    cocycle_exits_2({"mu": {"1,1": ["a"]}})

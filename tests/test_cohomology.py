@@ -7,10 +7,10 @@ from monoid_cohomology.cohomology import (BruteForceCapError, TruncationError,
                                           degree_basis,
                                           truncated_coboundaries,
                                           truncated_formula_chain)
-from monoid_cohomology.hmod import (FGAbelianGroup, constant_module, dualize,
-                                    zm_as_hmodule)
-from monoid_cohomology.monoid import make_cyclic
-from monoid_cohomology.zlinalg import AbGroupInvariants
+from monoid_cohomology.hmod import (FGAbelianGroup, HModule, constant_module, dualize,
+                                    parse_group_shorthand, zm_as_hmodule)
+from monoid_cohomology.monoid import make_cyclic, validate_table
+from monoid_cohomology.zlinalg import AbGroupInvariants, IntMatrix
 
 Z2 = make_cyclic(0, 2)
 C11 = make_cyclic(1, 1)
@@ -177,21 +177,19 @@ def test_stability_isomorphisms():
                 cohomology_group(M, 3, 5, A)
 
 
-def test_fast_path_matches_lattice_path():
-    # constant free coefficients take a split-exactness shortcut; it
-    # must agree with the preimage-lattice route, checked here by
-    # disguising Z as a presented group with a dummy empty relation set
-    for M in (Z2, C12):
-        for r, n in ((1, 2), (1, 3), (2, 3), (2, 4)):
-            A = constant_module(Z, M)
-            fast = cohomology_group(M, r, n, A)
-            cx = cochain_complex(M, r, A, n + 1)
-            # force the generic path
-            d_n = cx.coboundaries[n]
-            d_prev = cx.coboundaries[n - 1]
-            from monoid_cohomology.zlinalg import (preimage_lattice,
-                                                   subquotient_invariants)
-            kernel = preimage_lattice(d_n, cx.relation_matrix(n + 1))
-            image = d_prev.hstack(cx.relation_matrix(n))
-            slow = subquotient_invariants(kernel, image)
-            assert fast == slow
+def test_uct_matches_lattice_census():
+    # constant coefficients take the universal coefficient route; the
+    # same group presented as a tabular module whose constant flag is
+    # False takes the preimage-lattice route, the oracle here
+    monoids = [make_cyclic(m, k - m) for k in (2, 3, 4) for m in range(k)]
+    monoids += [validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)]),
+                validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])]
+    for M in monoids:
+        for text in ("Z", "Z^2", "Z/4", "Z/6", "Z+Z/2"):
+            G = parse_group_shorthand(text)
+            ident = IntMatrix.identity(G.ngens)
+            tabular = HModule(M, [G] * M.size, {(x, y): ident for x in range(M.size)
+                                                for y in range(M.size)})
+            for r, n in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)):
+                assert cohomology_group(M, r, n, constant_module(G, M)) == \
+                    cohomology_group(M, r, n, tabular), (M, text, r, n)
