@@ -8,14 +8,16 @@ compatible with the relations.
 
 Free modules on a graded basis with projection pi, and the dualization
 of basis-level maps into coefficient matrices (the Hom(-, A) functor on
-free modules), also live here.
+free modules), also live here.  Dualization returns a row-sparse matrix:
+each bar differential has a few terms, so a coboundary is about 1%
+nonzero, and it stays sparse through the linear algebra.
 """
 
 import json
 
 from .monoid import FiniteCommutativeMonoid
-from .zlinalg import (IntMatrix, AbGroupInvariants, lattice_basis, lattice_contains,
-                      snf_diagonal, staircase_pivots)
+from .zlinalg import (IntMatrix, AbGroupInvariants, SparseIntMatrix, lattice_basis,
+                      lattice_contains, snf_diagonal, staircase_pivots)
 
 
 class FGAbelianGroup:
@@ -27,7 +29,9 @@ class FGAbelianGroup:
         self.ngens = ngens
         if relations is None:
             relations = IntMatrix(ngens, 0)
-        assert relations.rows == ngens
+        if relations.rows != ngens:
+            raise ValueError("relations have %d rows for %d generators"
+                             % (relations.rows, ngens))
         self.relations = relations
         self._rel_lattice = lattice_basis(relations)
         self._pivots = staircase_pivots(self._rel_lattice)
@@ -138,18 +142,21 @@ class ConstantModule:
     translations.  Works over any monoid, including the infinite cyclic
     one."""
 
-    __slots__ = ("monoid", "_group", "constant")
+    __slots__ = ("monoid", "_group", "_identity", "constant")
 
     def __init__(self, group, monoid=None):
         self.monoid = monoid
         self._group = group
+        self._identity = IntMatrix.identity(group.ngens)
         self.constant = True
 
     def group(self, x):
         return self._group
 
     def action(self, x, y):
-        return IntMatrix.identity(self._group.ngens)
+        """The identity matrix, one shared object: callers must not
+        mutate it."""
+        return self._identity
 
     def translate(self, x, y, vec):
         return list(vec)
@@ -312,15 +319,13 @@ class CochainGroup:
         self.total = total
 
     def relation_matrix(self):
-        cols = sum(g.relations.cols for g in self.blocks)
-        rel = IntMatrix(self.total, cols)
+        """The block-diagonal relations of the value groups, row-sparse."""
+        rows = []
         c = 0
-        for off, g in zip(self.offsets, self.blocks):
-            for j in range(g.relations.cols):
-                for i in range(g.ngens):
-                    rel.data[off + i][c] = g.relations.data[i][j]
-                c += 1
-        return rel
+        for g in self.blocks:
+            rows += [{c + j: v for j, v in r.items()} for r in g.relations.row_dicts()]
+            c += g.relations.cols
+        return SparseIntMatrix(self.total, c, rows)
 
     def invariants(self):
         parts = [g.invariants() for g in self.blocks]
@@ -334,7 +339,8 @@ class PiMismatchError(ValueError):
 
 
 def dualize(d, source, target, module, monoid):
-    """Matrix of f |-> f . d from hom(source, A) to hom(target, A).
+    """Matrix of f |-> f . d from hom(source, A) to hom(target, A), as
+    a SparseIntMatrix (one dict col -> value per row, no zeros stored).
 
     d maps each target generator to a formal combination (a dict
     (u, source_generator) -> coefficient) with u * pi(source_generator)
@@ -343,7 +349,7 @@ def dualize(d, source, target, module, monoid):
     src = CochainGroup(source, module)
     tgt = CochainGroup(target, module)
     src_index = {g: i for i, g in enumerate(source.generators)}
-    mat = IntMatrix(tgt.total, src.total)
+    rows = [{} for _ in range(tgt.total)]
     for ti, tgen in enumerate(target.generators):
         chain = d.get(tgen, {})
         toff = tgt.offsets[ti]
@@ -360,12 +366,15 @@ def dualize(d, source, target, module, monoid):
             act = module.action(spi, u)
             soff = src.offsets[si]
             for i in range(act.rows):
-                row = mat.data[toff + i]
-                arow = act.data[i]
-                for j in range(act.cols):
-                    if arow[j]:
-                        row[soff + j] += coeff * arow[j]
-    return mat
+                row = rows[toff + i]
+                for j, a in enumerate(act.data[i]):
+                    if a:
+                        v = row.get(soff + j, 0) + coeff * a
+                        if v:
+                            row[soff + j] = v
+                        else:
+                            del row[soff + j]
+    return SparseIntMatrix(tgt.total, src.total, rows)
 
 
 # -- descriptors -------------------------------------------------------------

@@ -5,6 +5,14 @@ form with unimodular transforms, kernel and preimage lattices (column
 Hermite echelon), and invariant factors of lattice subquotients.  These
 are the substrate for every cohomology-group extraction in the package.
 
+Two matrix types share one interface.  IntMatrix is dense, for the small
+matrices: module actions, group relations, SNF transforms.
+SparseIntMatrix holds one dict col -> value per row with no zeros
+stored, for the coboundaries, which are about 1% nonzero, and the
+block-diagonal relations of a cochain group; the +-1 unit sweep behind
+snf_diagonal and kernel_basis reads either through row_dicts(), and a
+dense view of a sparse matrix is built only when a caller reads .data.
+
 Lattices are always given by matrices whose *columns* span them.
 """
 
@@ -20,7 +28,8 @@ class IntMatrix:
         if data is None:
             self.data = [[0] * cols for _ in range(rows)]
         else:
-            assert len(data) == rows and all(len(r) == cols for r in data)
+            if len(data) != rows or any(len(r) != cols for r in data):
+                raise ValueError("data does not have the shape %dx%d" % (rows, cols))
             self.data = [list(r) for r in data]
 
     @classmethod
@@ -61,8 +70,12 @@ class IntMatrix:
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
+    def row_dicts(self):
+        """One fresh dict col -> value per row, zeros left out."""
+        return [{j: v for j, v in enumerate(row) if v} for row in self.data]
+
     def mul(self, other):
-        assert self.cols == other.rows
+        _check_shape(self.cols == other.rows, "mul", self, other)
         out = IntMatrix(self.rows, other.cols)
         for i in range(self.rows):
             arow = self.data[i]
@@ -77,7 +90,9 @@ class IntMatrix:
         return out
 
     def mul_vector(self, vec):
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise ValueError("mul_vector: vector of length %d against %d columns"
+                             % (len(vec), self.cols))
         out = []
         for row in self.data:
             s = 0
@@ -88,12 +103,12 @@ class IntMatrix:
         return out
 
     def hstack(self, other):
-        assert self.rows == other.rows
+        _check_shape(self.rows == other.rows, "hstack", self, other)
         return IntMatrix(self.rows, self.cols + other.cols,
                          [self.data[i] + other.data[i] for i in range(self.rows)])
 
     def vstack(self, other):
-        assert self.cols == other.cols
+        _check_shape(self.cols == other.cols, "vstack", self, other)
         return IntMatrix(self.rows + other.rows, self.cols, self.data + other.data)
 
     def scaled(self, c):
@@ -112,6 +127,74 @@ class IntMatrix:
 
     def __repr__(self):
         return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
+
+
+def _check_shape(ok, op, a, b):
+    if not ok:
+        raise ValueError("%s: shapes %dx%d and %dx%d do not match"
+                         % (op, a.rows, a.cols, b.rows, b.cols))
+
+
+class SparseIntMatrix(IntMatrix):
+    """Row-sparse integer matrix: one dict col -> value per row, no
+    zeros stored.  The constructor keeps the dicts it is given, and no
+    method mutates them.  Reading .data builds a dense view once and
+    keeps it; the view is read-only, since the rows are not updated
+    from it."""
+
+    __slots__ = ("_rows", "_dense")
+
+    def __init__(self, rows, cols, row_dicts):
+        if len(row_dicts) != rows:
+            raise ValueError("%d row dicts for %d rows" % (len(row_dicts), rows))
+        for r in row_dicts:
+            if r and (min(r) < 0 or max(r) >= cols or 0 in r.values()):
+                raise ValueError("row %r outside %d columns or storing a zero"
+                                 % (r, cols))
+        self.rows = rows
+        self.cols = cols
+        self._rows = row_dicts
+        self._dense = None
+
+    @property
+    def data(self):
+        if self._dense is None:
+            self._dense = self._densify()
+        return self._dense
+
+    def _densify(self):
+        out = []
+        for r in self._rows:
+            row = [0] * self.cols
+            for j, v in r.items():
+                row[j] = v
+            out.append(row)
+        return out
+
+    def row_dicts(self):
+        return [dict(r) for r in self._rows]
+
+    def column(self, j):
+        return [r.get(j, 0) for r in self._rows]
+
+    def hstack(self, other):
+        _check_shape(self.rows == other.rows, "hstack", self, other)
+        out = []
+        for r, o in zip(self.row_dicts(), other.row_dicts()):
+            for j, v in o.items():
+                r[self.cols + j] = v
+            out.append(r)
+        return SparseIntMatrix(self.rows, self.cols + other.cols, out)
+
+    def scaled(self, c):
+        return SparseIntMatrix(self.rows, self.cols,
+                               [{j: c * v for j, v in r.items() if c} for r in self._rows])
+
+    def is_zero(self):
+        return not any(self._rows)
+
+    def __repr__(self):
+        return "SparseIntMatrix(%d, %d, %r)" % (self.rows, self.cols, self._rows)
 
 
 class AbGroupInvariants:
@@ -331,16 +414,17 @@ def _unit_sweep(A):
     """Eliminate +-1 pivots of A with row operations.
 
     Pivots in short rows and thin columns go first (Markowitz-style) to
-    limit fill-in.  Returns (rows, eliminated): the surviving rows as
-    dicts col -> value, none of which touches an eliminated column, and
-    the (pivot_row, pivot_col, pivot_val) triples in sweep order.
+    limit fill-in.  A is read through row_dicts(), whose dicts are fresh
+    copies, so it is left unchanged.  Returns (rows, eliminated): the
+    surviving rows as dicts col -> value, none of which touches an
+    eliminated column, and the (pivot_row, pivot_col, pivot_val) triples
+    in sweep order.
     """
     from heapq import heappush, heappop
 
     rows = {}
     col_index = {}
-    for i, row in enumerate(A.data):
-        r = {j: v for j, v in enumerate(row) if v}
+    for i, r in enumerate(A.row_dicts()):
         if r:
             rows[i] = r
             for j in r:
@@ -604,7 +688,7 @@ def preimage_lattice(A, L=None):
     """
     if L is None:
         L = IntMatrix(A.rows, 0)
-    assert L.rows == A.rows
+    _check_shape(L.rows == A.rows, "preimage_lattice", A, L)
     if A.rows == 0 or A.is_zero():
         return IntMatrix.identity(A.cols)
     stacked = A.hstack(L.scaled(-1))
@@ -625,7 +709,9 @@ def preimage_lattice_multi(pairs, ncols):
     L_all = IntMatrix(total_rows, lcols)
     roff = coff = 0
     for A, L in blocks:
-        assert A.cols == ncols
+        if A.cols != ncols:
+            raise ValueError("preimage_lattice_multi: %d columns, expected %d"
+                             % (A.cols, ncols))
         for i in range(A.rows):
             A_all.data[roff + i] = list(A.data[i])
             for j in range(L.cols):
@@ -649,7 +735,7 @@ def subquotient_invariants(K, I):
     Requires lattice(I) <= lattice(K); a violation raises
     LatticeContainmentError naming a witness column of I.
     """
-    assert K.rows == I.rows
+    _check_shape(K.rows == I.rows, "subquotient_invariants", K, I)
     Kb = lattice_basis(K)
     pivots = staircase_pivots(Kb)
     X = IntMatrix(Kb.cols, I.cols)
@@ -666,7 +752,8 @@ def subquotient_invariants(K, I):
 
 def determinant(A):
     """Integer determinant via Bareiss fraction-free elimination."""
-    assert A.rows == A.cols
+    if A.rows != A.cols:
+        raise ValueError("determinant of a %dx%d matrix" % (A.rows, A.cols))
     n = A.rows
     if n == 0:
         return 1

@@ -10,7 +10,7 @@ from monoid_cohomology.cohomology import (BruteForceCapError, TruncationError,
 from monoid_cohomology.hmod import (FGAbelianGroup, HModule, constant_module, dualize,
                                     parse_group_shorthand, zm_as_hmodule)
 from monoid_cohomology.monoid import make_cyclic, validate_table
-from monoid_cohomology.zlinalg import AbGroupInvariants, IntMatrix
+from monoid_cohomology.zlinalg import AbGroupInvariants, IntMatrix, SparseIntMatrix
 
 Z2 = make_cyclic(0, 2)
 C11 = make_cyclic(1, 1)
@@ -43,6 +43,26 @@ def test_level1_z2_mod2_coboundaries_alternate():
     for n in range(4):
         assert cohomology_group(Z2, 1, n, constant_module(zmod(2), Z2)) == \
             AbGroupInvariants(0, (2,))
+
+
+def test_cohomology_never_builds_a_dense_coboundary(monkeypatch):
+    def refuse(mat):
+        raise AssertionError("dense view of a %dx%d sparse matrix" % (mat.rows, mat.cols))
+    monkeypatch.setattr(SparseIntMatrix, "_densify", refuse)
+    # one query per route: universal coefficients, then the lattice
+    assert cohomology_group(C12, 2, 4, constant_module(zmod(4), C12)) == \
+        AbGroupInvariants(0, (4,))
+    assert cohomology_group(C12, 2, 3, zm_as_hmodule(C12)) == \
+        AbGroupInvariants(0, (2, 2, 2))
+
+
+def test_cohomology_leaves_the_complex_unchanged():
+    for module in (constant_module(zmod(4), C12), zm_as_hmodule(C12)):
+        cx = cochain_complex(C12, 2, module, 5)
+        before = {n: d.row_dicts() for n, d in cx.coboundaries.items()}
+        first = [cx.cohomology(n) for n in range(5)]
+        assert [cx.cohomology(n) for n in range(5)] == first
+        assert {n: d.row_dicts() for n, d in cx.coboundaries.items()} == before
 
 
 def test_degree_zero_is_value_at_unit():

@@ -11,7 +11,7 @@ from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, FreeBasis,
                                     parse_group_shorthand, validate_module,
                                     zm_as_hmodule)
 from monoid_cohomology.monoid import make_cyclic
-from monoid_cohomology.zlinalg import AbGroupInvariants, IntMatrix
+from monoid_cohomology.zlinalg import AbGroupInvariants, IntMatrix, SparseIntMatrix
 
 Z2 = make_cyclic(0, 2)
 C23 = make_cyclic(2, 3)
@@ -83,14 +83,24 @@ def _one_gen_bases(M, pis):
     return FreeBasis(cells, dict(zip(cells, pis))), cells
 
 
+def assert_sparse_rows(mat):
+    # the row dicts store no zeros and agree with the dense view
+    assert isinstance(mat, SparseIntMatrix)
+    rows = mat.row_dicts()
+    assert all(0 not in r.values() for r in rows)
+    assert rows == [{j: v for j, v in enumerate(row) if v} for row in mat.data]
+
+
 def test_dualize_examples():
     A = constant_module(FGAbelianGroup.free(1), Z2)
     src, (s,) = _one_gen_bases(Z2, [0])
     tgt, (t,) = _one_gen_bases(Z2, [0])
     zero = dualize({t: {}}, src, tgt, A, Z2)
     assert zero == IntMatrix(1, 1, [[0]])
+    assert_sparse_rows(zero)
     two = dualize({t: {(0, s): 2}}, src, tgt, A, Z2)
     assert two == IntMatrix(1, 1, [[2]])
+    assert_sparse_rows(two)
     # (1,s) - (e,s) with constant coefficients: identity actions cancel.
     # Both terms must sit over the same fiber, which forces 1*pi(s) =
     # pi(s); that holds in the idempotent monoid C_{1,1}.
@@ -99,6 +109,7 @@ def test_dualize_examples():
     diff = dualize({tI: {(1, sI): 1, (0, sI): -1}}, srcI, tgtI,
                    constant_module(FGAbelianGroup.cyclic(2), C11), C11)
     assert diff == IntMatrix(1, 1, [[0]])
+    assert_sparse_rows(diff)
 
 
 def test_dualize_pi_mismatch():
@@ -160,6 +171,7 @@ def test_dualize_functorial_on_random_composites():
         lhs = dualize(composite, b0, b2, A, M)
         rhs = dualize(d2, b1, b2, A, M).mul(dualize(d1, b0, b1, A, M))
         assert lhs == rhs
+        assert_sparse_rows(lhs)
 
 
 def test_module_descriptors():

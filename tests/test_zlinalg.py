@@ -8,7 +8,8 @@ import pytest
 
 import monoid_cohomology
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
-                                       LatticeContainmentError, determinant,
+                                       LatticeContainmentError, SparseIntMatrix,
+                                       determinant,
                                        kernel_basis, lattice_basis,
                                        lattice_contains, preimage_lattice,
                                        smith_normal_form, snf_diagonal,
@@ -33,6 +34,10 @@ def test_snf_zero_matrix():
     D, U, V = smith_normal_form(IntMatrix(2, 3))
     assert D.is_zero()
     assert U == IntMatrix.identity(2) and V == IntMatrix.identity(3)
+
+
+def as_sparse(A):
+    return SparseIntMatrix(A.rows, A.cols, A.row_dicts())
 
 
 def sparse_unit_matrices(count, max_dim=12):
@@ -64,6 +69,7 @@ def test_snf_random_properties():
         assert abs(determinant(U)) == 1
         assert abs(determinant(V)) == 1
         assert snf_diagonal(A) == nz
+        assert snf_diagonal(as_sparse(A)) == nz
 
 
 def test_kernel_worked_examples():
@@ -81,6 +87,9 @@ def test_kernel_random_saturated():
                           for _ in range(300))]
     for A in dense + sparse_unit_matrices(60):
         K = kernel_basis(A)
+        S = as_sparse(A)
+        assert kernel_basis(S) == K
+        assert S.row_dicts() == A.row_dicts()  # the sweep works on copies
         assert A.mul(K).is_zero()
         assert K.cols == A.cols - len(snf_diagonal(A))
         if K.cols:
@@ -224,6 +233,7 @@ def test_large_entry_exactness():
 OPTIMIZED_SELF_CHECKS = """
 import sys
 from monoid_cohomology import zlinalg
+from monoid_cohomology.hmod import FGAbelianGroup
 
 def raises(exc, fn, *args):
     try:
@@ -233,6 +243,26 @@ def raises(exc, fn, *args):
     return False
 
 failures = [] if sys.flags.optimize else ["asserts are not stripped"]
+M = zlinalg.IntMatrix
+shape_checks = {
+    "IntMatrix": (M, 2, 2, [[1]]),
+    "mul": (M(1, 2).mul, M(1, 2)),
+    "mul_vector": (M(1, 2).mul_vector, [1]),
+    "hstack": (M(1, 2).hstack, M(2, 2)),
+    "vstack": (M(1, 2).vstack, M(1, 3)),
+    "sparse hstack": (zlinalg.SparseIntMatrix(1, 1, [{}]).hstack, M(2, 1)),
+    "SparseIntMatrix rows": (zlinalg.SparseIntMatrix, 2, 2, [{}]),
+    "SparseIntMatrix column": (zlinalg.SparseIntMatrix, 1, 2, [{2: 1}]),
+    "SparseIntMatrix zero": (zlinalg.SparseIntMatrix, 1, 2, [{0: 0}]),
+    "preimage_lattice": (zlinalg.preimage_lattice, M(2, 1), M(3, 1)),
+    "preimage_lattice_multi": (zlinalg.preimage_lattice_multi, [(M(1, 2), None)], 3),
+    "subquotient_invariants": (zlinalg.subquotient_invariants, M(2, 1), M(3, 1)),
+    "determinant": (zlinalg.determinant, M(1, 2)),
+    "FGAbelianGroup": (FGAbelianGroup, 2, M(3, 0)),
+}
+for name, (fn, *args) in shape_checks.items():
+    if not raises(ValueError, fn, *args):
+        failures.append(name)
 for bad in ((-1, ()), (0, (1,)), (0, (2, 3))):
     if not raises(ValueError, zlinalg.AbGroupInvariants, *bad):
         failures.append("AbGroupInvariants%r" % (bad,))
