@@ -110,11 +110,12 @@ def _formula_d3_level2(M, t):
         add_cell_term(M, out, e, (M.op(x, y), z), (1,), 2, 1)
         add_cell_term(M, out, e, (x, M.op(y, z)), (1,), 2, -1)
         add_cell_term(M, out, z, (x, y), (1,), 2, 1)
-    else:
-        assert t.seps == (2,)
+    elif t.seps == (2,):
         x, y = t.letters
         add_cell_term(M, out, e, (x, y), (1,), 2, 1)
         add_cell_term(M, out, e, (y, x), (1,), 2, -1)
+    else:
+        raise ValueError("no level-2 d^3 formula for separators %r" % (t.seps,))
     return out
 
 
@@ -136,8 +137,7 @@ def _formula_d4_level2(M, t):
         add_cell_term(M, out, e, (x, y, z), (1, 1), 2, 1)
         add_cell_term(M, out, e, (y, x, z), (1, 1), 2, -1)
         add_cell_term(M, out, e, (y, z, x), (1, 1), 2, 1)
-    else:
-        assert t.seps == (1, 2)
+    elif t.seps == (1, 2):
         x, y, z = t.letters
         add_cell_term(M, out, x, (y, z), (2,), 2, -1)
         add_cell_term(M, out, e, (M.op(x, y), z), (2,), 2, 1)
@@ -145,6 +145,8 @@ def _formula_d4_level2(M, t):
         add_cell_term(M, out, e, (x, y, z), (1, 1), 2, -1)
         add_cell_term(M, out, e, (x, z, y), (1, 1), 2, 1)
         add_cell_term(M, out, e, (z, x, y), (1, 1), 2, -1)
+    else:
+        raise ValueError("no level-2 d^4 formula for separators %r" % (t.seps,))
     return out
 
 

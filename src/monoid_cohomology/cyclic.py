@@ -171,8 +171,9 @@ class CyclicContraction:
             out = {}
             for (u, w), c in self.g_gen(("v", k)).items():
                 chain_add_term(out, (u, _word(w.letters + (1,))), c)
+        elif self.infinite:
+            raise ValueError("the infinite resolution stops at w_0")
         else:
-            assert not self.infinite, "the infinite resolution stops at w_0"
             m, q = self.m, self.q
             out = {}
             gw = self.g_gen(("w", k - 1))
@@ -235,9 +236,11 @@ def gf_closed_form(m, q, x, y):
     compositional route."""
     M = make_cyclic(m, q)
     s = cyclic_s(m, q, x, y)
-    assert s >= 1
+    if s < 1:
+        raise ValueError("gf_closed_form needs s(x, y) >= 1, got %d" % s)
     r = (x + y - m) % q
-    assert x + y == m + s * q + r
+    if x + y != m + s * q + r:
+        raise ArithmeticError("x + y != m + s*q + r for x=%d, y=%d" % (x, y))
     out = {}
 
     def add(u, a, b, c=1):

@@ -289,10 +289,12 @@ class FreeBasis:
 
     def __init__(self, generators, pi):
         self.generators = tuple(generators)
-        assert len(set(self.generators)) == len(self.generators), "duplicate generators"
+        if len(set(self.generators)) != len(self.generators):
+            raise ValueError("duplicate generators")
         self.pi = dict(pi)
         for g in self.generators:
-            assert g in self.pi
+            if g not in self.pi:
+                raise ValueError("generator %r has no pi value" % (g,))
 
     def __len__(self):
         return len(self.generators)

@@ -9,9 +9,16 @@ Two matrix types share one interface.  IntMatrix is dense, for the small
 matrices: module actions, group relations, SNF transforms.
 SparseIntMatrix holds one dict col -> value per row with no zeros
 stored, for the coboundaries, which are about 1% nonzero, and the
-block-diagonal relations of a cochain group; the +-1 unit sweep behind
-snf_diagonal and kernel_basis reads either through row_dicts(), and a
-dense view of a sparse matrix is built only when a caller reads .data.
+block-diagonal relations of a cochain group.  Both hand out fresh dicts
+per row (row_dicts()) or per column (col_dicts()); a dense view of a
+sparse matrix is built only when a caller reads .data.
+
+The +-1 unit sweep in front of snf_diagonal and kernel_basis consumes
+such dicts.  kernel_basis sweeps rows, since only row operations keep
+the kernel.  snf_diagonal sweeps whichever side has fewer lines: A and
+its transpose have the same Smith diagonal, and the coboundaries are
+tall (degree n+1 has several times the cells of degree n), so their
+columns are the short side.
 
 Lattices are always given by matrices whose *columns* span them.
 """
@@ -73,6 +80,15 @@ class IntMatrix:
     def row_dicts(self):
         """One fresh dict col -> value per row, zeros left out."""
         return [{j: v for j, v in enumerate(row) if v} for row in self.data]
+
+    def col_dicts(self):
+        """One fresh dict row -> value per column, zeros left out."""
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, v in enumerate(row):
+                if v:
+                    cols[j][i] = v
+        return cols
 
     def mul(self, other):
         _check_shape(self.cols == other.rows, "mul", self, other)
@@ -173,6 +189,13 @@ class SparseIntMatrix(IntMatrix):
 
     def row_dicts(self):
         return [dict(r) for r in self._rows]
+
+    def col_dicts(self):
+        cols = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for j, v in r.items():
+                cols[j][i] = v
+        return cols
 
     def column(self, j):
         return [r.get(j, 0) for r in self._rows]
@@ -410,30 +433,31 @@ def _rediagonalize_2x2(D, i, row_op, col_op):
                 row_op(i, i + 1, x, y, -(c // g), a // g)
 
 
-def _unit_sweep(A):
-    """Eliminate +-1 pivots of A with row operations.
+def _unit_sweep(lines):
+    """Eliminate +-1 pivots from a list of fresh sparse lines (dicts
+    index -> value, which the sweep consumes) by adding multiples of one
+    line to another.  Fed row_dicts() these are row operations, fed
+    col_dicts() column operations.
 
-    Pivots in short rows and thin columns go first (Markowitz-style) to
-    limit fill-in.  A is read through row_dicts(), whose dicts are fresh
-    copies, so it is left unchanged.  Returns (rows, eliminated): the
-    surviving rows as dicts col -> value, none of which touches an
-    eliminated column, and the (pivot_row, pivot_col, pivot_val) triples
-    in sweep order.
+    Pivots in short lines and thin columns go first (Markowitz-style) to
+    limit fill-in: the shortest line with a unit entry, then among its
+    unit entries the one whose index meets the fewest lines, then the
+    lowest index.  Returns (rows, eliminated): the surviving lines as a
+    dict position -> line, none of which touches an eliminated index,
+    and the (pivot_line, pivot_index, pivot_val) triples in sweep order.
     """
-    from heapq import heappush, heappop
+    from heapq import heapify, heappush, heappop
 
-    rows = {}
+    rows = {i: r for i, r in enumerate(lines) if r}
+    # col_index[j] holds exactly the live lines with an entry at j
     col_index = {}
-    for i, r in enumerate(A.row_dicts()):
-        if r:
-            rows[i] = r
-            for j in r:
-                col_index.setdefault(j, set()).add(i)
-    eliminated = []
-    heap = []
     for i, r in rows.items():
-        if any(abs(v) == 1 for v in r.values()):
-            heappush(heap, (len(r), i))
+        for j in r:
+            col_index.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in rows.items()
+            if 1 in r.values() or -1 in r.values()]
+    heapify(heap)
+    eliminated = []
     while heap:
         rlen, pi = heappop(heap)
         prow = rows.get(pi)
@@ -442,45 +466,47 @@ def _unit_sweep(A):
         if len(prow) != rlen:
             heappush(heap, (len(prow), pi))  # stale entry, re-queue
             continue
-        unit_cols = [j for j, v in prow.items() if abs(v) == 1]
-        if not unit_cols:
+        pj = None
+        for j, v in prow.items():
+            if v == 1 or v == -1:
+                n = len(col_index[j])
+                if pj is None or n < best or (n == best and j < pj):
+                    pj, best = j, n
+        if pj is None:
             continue
-        pj = min(unit_cols, key=lambda j: (len(col_index.get(j, ())), j))
         pval = prow[pj]
+        rest = [(j, v) for j, v in prow.items() if j != pj]
+        del rows[pi]
         touched = []
-        for i in list(col_index.get(pj, ())):
-            if i == pi or i not in rows:
+        for i in col_index.pop(pj):
+            if i == pi:
                 continue
             r = rows[i]
-            c = r.get(pj)
-            if not c:
-                continue
-            q = c * pval  # == c / pval since pval is +-1
-            for j, v in prow.items():
-                nv = r.get(j, 0) - q * v
-                if nv:
-                    r[j] = nv
-                    col_index.setdefault(j, set()).add(i)
+            q = r.pop(pj) * pval  # the entry at pj over pval, which is +-1
+            for j, v in rest:
+                old = r.get(j)
+                if old is None:  # fill-in
+                    r[j] = -q * v
+                    col_index[j].add(i)
                 else:
-                    r.pop(j, None)
-                    s = col_index.get(j)
-                    if s:
-                        s.discard(i)
-            if not r:
-                del rows[i]
-            else:
+                    nv = old - q * v
+                    if nv:
+                        r[j] = nv
+                    else:
+                        del r[j]
+                        col_index[j].discard(i)
+            if r:
                 touched.append(i)
-        # the pivot column is now zero outside the pivot row, so the row
+            else:
+                del rows[i]
+        # the pivot index is now zero outside the pivot line, so the line
         # leaves the system
-        for j in prow:
-            s = col_index.get(j)
-            if s:
-                s.discard(pi)
-        del rows[pi]
+        for j, _ in rest:
+            col_index[j].discard(pi)
         eliminated.append((prow, pj, pval))
         for i in touched:
-            r = rows.get(i)
-            if r and any(abs(v) == 1 for v in r.values()):
+            r = rows[i]
+            if 1 in r.values() or -1 in r.values():
                 heappush(heap, (len(r), i))
     return rows, eliminated
 
@@ -488,12 +514,16 @@ def _unit_sweep(A):
 def snf_diagonal(A):
     """Nonzero invariant factors of A (chained), without transforms.
 
-    Sparse-friendly: +-1 entries are swept first (_unit_sweep); clearing
-    a swept pivot row afterwards would be column operations touching only
-    that row, so each sweep contributes one factor 1, and the dense
-    leftover goes through the full algorithm.
+    Sparse-friendly: +-1 entries are swept first (_unit_sweep), on the
+    columns when A has more rows than columns and on the rows otherwise;
+    A and its transpose have the same Smith diagonal, and the short side
+    leaves the smaller dense leftover.  Clearing a swept pivot line
+    afterwards would be operations of the other kind touching only that
+    line, so each sweep contributes one factor 1, and the dense leftover
+    goes through the full algorithm.
     """
-    rows, eliminated = _unit_sweep(A)
+    rows, eliminated = _unit_sweep(A.col_dicts() if A.rows > A.cols
+                                   else A.row_dicts())
     ones = len(eliminated)
     if not rows:
         return [1] * ones
@@ -576,24 +606,16 @@ def _dict_submul(d, src, q):
             d.pop(k, None)
 
 
-def _matrix_to_coldicts(A):
-    cols = [dict() for _ in range(A.cols)]
-    for i, row in enumerate(A.data):
-        for j in range(A.cols):
-            if row[j]:
-                cols[j][i] = row[j]
-    return cols
-
-
 def kernel_basis(A):
     """Basis matrix (columns) of {v : A v = 0}.
 
-    Row operations preserve the kernel, so +-1 pivots are swept first
-    (_unit_sweep), the small leftover goes through the tracked column
-    echelon, and the eliminated pivot coordinates are recovered by
-    back-substitution in reverse sweep order.
+    Row operations preserve the kernel (column operations do not), so
+    +-1 pivots are swept from the rows first (_unit_sweep), the small
+    leftover goes through the tracked column echelon, and the eliminated
+    pivot coordinates are recovered by back-substitution in reverse
+    sweep order.
     """
-    rows, eliminated = _unit_sweep(A)
+    rows, eliminated = _unit_sweep(A.row_dicts())
     pivot_cols = {pj for _, pj, _ in eliminated}
     free_cols = [j for j in range(A.cols) if j not in pivot_cols]
     fmap = {j: k for k, j in enumerate(free_cols)}
@@ -628,7 +650,7 @@ def lattice_basis(B):
     """Canonical column-Hermite basis of the column lattice of B:
     staircase with positive pivots, and at each pivot row the entries of
     the earlier basis columns reduced into [0, pivot)."""
-    cols = _matrix_to_coldicts(B)
+    cols = B.col_dicts()
     pivots, _, _ = _column_echelon(B.rows, B.cols, cols, track=False)
     basis = [cols[j] for _, j in pivots]
     for k, (r, _) in enumerate(pivots):

@@ -7,6 +7,9 @@ from itertools import product
 import pytest
 
 import monoid_cohomology
+from monoid_cohomology.cohomology import cochain_complex
+from monoid_cohomology.hmod import FGAbelianGroup, constant_module
+from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
                                        LatticeContainmentError, SparseIntMatrix,
                                        determinant,
@@ -14,6 +17,10 @@ from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
                                        lattice_contains, preimage_lattice,
                                        smith_normal_form, snf_diagonal,
                                        staircase_pivots, subquotient_invariants)
+
+
+C12 = make_cyclic(1, 2)
+Z = FGAbelianGroup.free(1)
 
 
 def diag_of(D):
@@ -54,13 +61,23 @@ def sparse_unit_matrices(count, max_dim=12):
     return out
 
 
-def test_snf_random_properties():
+def snf_draws():
+    """250 dense draws up to 5x5 with entries in [-9, 9], then 60 sparse
+    unit-heavy ones, from a fixed seed."""
     random.seed(20240817)
     dense = [IntMatrix(m, n, [[random.randint(-9, 9) for _ in range(n)]
                               for _ in range(m)])
              for m, n in ((random.randint(0, 5), random.randint(0, 5))
                           for _ in range(250))]
-    for A in dense + sparse_unit_matrices(60):
+    return dense + sparse_unit_matrices(60)
+
+
+def transpose(A):
+    return IntMatrix(A.cols, A.rows, [A.column(j) for j in range(A.cols)])
+
+
+def test_snf_random_properties():
+    for A in snf_draws():
         D, U, V = smith_normal_form(A)  # U A V == D re-verified internally
         nz = [d for d in diag_of(D) if d]
         assert all(d > 0 for d in nz)
@@ -70,6 +87,31 @@ def test_snf_random_properties():
         assert abs(determinant(V)) == 1
         assert snf_diagonal(A) == nz
         assert snf_diagonal(as_sparse(A)) == nz
+
+
+def test_snf_diagonal_matches_sympy_in_both_orientations():
+    # sympy's invariant factors as an independent Smith-form oracle; the
+    # transposes make snf_diagonal sweep the other side
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+    random.seed(31)
+    shaped = [IntMatrix(m, n, [[random.choice((0, 0, 0, 1, -1, 2, 3))
+                                for _ in range(n)] for _ in range(m)])
+              for m, n in ((9, 3), (3, 9), (16, 5), (5, 16), (0, 4), (4, 0), (0, 0))]
+    # the integer coboundaries d^0 .. d^4 of C(1,2) at levels 1, 2, 3
+    coboundaries = [d for r in (1, 2, 3)
+                    for d in cochain_complex(C12, r, constant_module(Z, C12),
+                                             5).coboundaries.values()]
+    for A in snf_draws() + shaped + coboundaries:
+        rows = A.row_dicts()
+        dense = Matrix(A.rows, A.cols, [rows[i].get(j, 0)
+                                        for i in range(A.rows) for j in range(A.cols)])
+        want = [abs(d) for d in invariant_factors(dense, domain=ZZ) if d]
+        for X in (A, as_sparse(A), transpose(A), as_sparse(transpose(A))):
+            before = [dict(r) for r in X.row_dicts()]
+            assert snf_diagonal(X) == want
+            assert X.row_dicts() == before  # the sweep works on copies
 
 
 def test_kernel_worked_examples():
@@ -201,7 +243,6 @@ def test_preimage_multi_stacks_conditions():
 
 
 def test_trivial_group_edge_cases():
-    from monoid_cohomology.hmod import FGAbelianGroup
     g = FGAbelianGroup(0)
     assert g.element_list() == [[]]
     assert g.invariants().is_trivial()
@@ -232,8 +273,10 @@ def test_large_entry_exactness():
 
 OPTIMIZED_SELF_CHECKS = """
 import sys
-from monoid_cohomology import zlinalg
-from monoid_cohomology.hmod import FGAbelianGroup
+from monoid_cohomology import cohomology, cyclic, zlinalg
+from monoid_cohomology.bar import BarWord
+from monoid_cohomology.hmod import FGAbelianGroup, FreeBasis
+from monoid_cohomology.monoid import make_cyclic
 
 def raises(exc, fn, *args):
     try:
@@ -244,7 +287,8 @@ def raises(exc, fn, *args):
 
 failures = [] if sys.flags.optimize else ["asserts are not stripped"]
 M = zlinalg.IntMatrix
-shape_checks = {
+C = make_cyclic(0, 2)
+value_checks = {
     "IntMatrix": (M, 2, 2, [[1]]),
     "mul": (M(1, 2).mul, M(1, 2)),
     "mul_vector": (M(1, 2).mul_vector, [1]),
@@ -259,13 +303,23 @@ shape_checks = {
     "subquotient_invariants": (zlinalg.subquotient_invariants, M(2, 1), M(3, 1)),
     "determinant": (zlinalg.determinant, M(1, 2)),
     "FGAbelianGroup": (FGAbelianGroup, 2, M(3, 0)),
+    "FreeBasis duplicates": (FreeBasis, ["a", "a"], {"a": 0}),
+    "FreeBasis pi": (FreeBasis, ["a"], {}),
+    "infinite g_gen": (cyclic.CyclicContraction(infinite=True).g_gen, ("v", 1)),
+    "gf_closed_form s": (cyclic.gf_closed_form, 1, 2, 1, 1),
+    "_formula_d3_level2": (cohomology._formula_d3_level2, C, BarWord((1,), (), 2)),
+    "_formula_d4_level2": (cohomology._formula_d4_level2, C, BarWord((1,), (), 2)),
 }
-for name, (fn, *args) in shape_checks.items():
+for name, (fn, *args) in value_checks.items():
     if not raises(ValueError, fn, *args):
         failures.append(name)
 for bad in ((-1, ()), (0, (1,)), (0, (2, 3))):
     if not raises(ValueError, zlinalg.AbGroupInvariants, *bad):
         failures.append("AbGroupInvariants%r" % (bad,))
+# a wrong wrap count breaks the identity x + y == m + s*q + r
+cyclic.cyclic_s = lambda m, q, x, y: 5
+if not raises(ArithmeticError, cyclic.gf_closed_form, 1, 2, 2, 2):
+    failures.append("gf_closed_form identity")
 # a broken product makes the self-check U A V == D fail
 zlinalg.IntMatrix.mul = lambda self, other: zlinalg.IntMatrix(self.rows, other.cols)
 if not raises(ArithmeticError, zlinalg.smith_normal_form,
