@@ -26,8 +26,10 @@ class BarWord:
     def __init__(self, letters, seps, level):
         letters = tuple(letters)
         seps = tuple(seps)
-        assert len(seps) == max(0, len(letters) - 1)
-        assert all(1 <= k <= level for k in seps)
+        if len(seps) != max(0, len(letters) - 1):
+            raise ValueError("%d separators for %d letters" % (len(seps), len(letters)))
+        if not all(1 <= k <= level for k in seps):
+            raise ValueError("separators %r outside 1..%d" % (seps, level))
         self.letters = letters
         self.seps = seps
         self.level = level
@@ -49,7 +51,9 @@ class BarWord:
 
     def suspend(self, level):
         """The same word seen at a higher level (iterated suspension)."""
-        assert level >= self.level or not self.letters
+        if level < self.level and self.letters:
+            raise ValueError("cannot suspend a level-%d word to level %d"
+                             % (self.level, level))
         return BarWord(self.letters, self.seps, level)
 
     def __eq__(self, other):

@@ -116,6 +116,8 @@ def cmd_verify(args):
         raise InputError("unknown verification target %r" % args.what)
     t0 = time.time()
     if args.index is None:
+        if args.period is not None:
+            raise InputError("--index required with --period")
         report = verify_contraction_inf(args.max_degree, args.entry_bound)
     else:
         if args.period is None:

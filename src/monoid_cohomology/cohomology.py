@@ -306,6 +306,8 @@ def brute_force_cohomology(M, r, n, module):
 
     Returns (cocycle_count, coboundary_count, AbGroupInvariants).
     """
+    if n < 0:
+        raise ValueError("negative degree")
     if r >= 2 and n > r + 2:
         raise TruncationError("degree beyond the truncated range")
     dga = iterated_bar(M, r, max(n + 1, r))

@@ -297,6 +297,8 @@ def _resolution_gens(R, degmax):
 
 
 def _verify(con, R, words_by_degree, degmax, report):
+    if degmax < 0:
+        raise ValueError("max degree must be >= 0, got %d" % degmax)
     M = con.M
     e = M.identity
 
@@ -413,6 +415,8 @@ def verify_contraction(m, q, degmax):
 
 def verify_contraction_inf(degmax, entry_bound):
     """Same for the infinite cyclic monoid, with cell entries bounded."""
+    if entry_bound < 1:
+        raise ValueError("entry bound must be >= 1, got %d" % entry_bound)
     con = CyclicContraction(infinite=True)
     R = small_resolution_inf(degmax + 1)
     words = _letter_words(list(range(1, entry_bound + 1)), degmax)

@@ -4,10 +4,20 @@ into the level-3 complex, and the comparison isomorphisms.
 Symmetric n-cochains are normalized functions on n-tuples of non-unit
 arguments, cut out inside the full cochain group by the symmetry
 identities (degree 2: f(x,y) = f(y,x); degree 3: the two
-alternating identities; degree 4: four identities).  The
-constraint solution sets are integer lattices in the free cover, so
-cohomology of the subcomplex runs through the same preimage-lattice
-pipeline as everything else.
+alternating identities; degree 4: four identities).  The identities are
+written as row dicts straight into a SparseIntMatrix, next to the
+block-diagonal relations of their value groups (zlinalg.block_diagonal),
+so each constraint solution set is a preimage lattice in the free cover,
+found on the same row-sparse path as everything else.
+
+Each entry point builds only what it reads:
+- grillet_cohomology(n): the symmetric lattices of degrees n and n - 1,
+  delta^n and delta^(n-1), and of degree n + 1 only the relations;
+- inclusion_matrices: one level-3 bar to degree 6 and i_1..i_4 on it;
+- inclusion_chainmap: the same bar and maps, and the symmetric lattices
+  of degrees 1-3;
+- injectivity_check: the symmetric lattices of degrees 3 and 2, the
+  degree-4 relations, one level-3 bar to degree 5 and i_3 on it.
 """
 
 from itertools import product
@@ -15,9 +25,9 @@ from itertools import product
 from .bar import BarWord, chain_add_term, iterated_bar
 from .cohomology import degree_basis
 from .hmod import CochainGroup, FreeBasis, dualize
-from .zlinalg import (IntMatrix, lattice_basis, lattice_contains,
-                      preimage_lattice_multi, staircase_pivots,
-                      subquotient_invariants)
+from .zlinalg import (SparseIntMatrix, block_diagonal, lattice_basis,
+                      lattice_contains, preimage_lattice_multi,
+                      staircase_pivots, subquotient_invariants)
 
 
 def _tuple_basis(M, n):
@@ -41,10 +51,9 @@ class SymmetricCochainLattice:
         self.lattice = lattice
 
 
-def _constraint_rows(M, n):
-    """The symmetry identities as formal chains: each row is a list of
-    (coefficient, argument tuple); rows with an identity argument or
-    that degenerate to 0 = 0 are dropped by the caller via cells."""
+def _symmetry_identities(M, n):
+    """The symmetry identities of degree n as formal chains: each is a
+    list of (coefficient, argument tuple), all tuples with one product."""
     tuples = list(product(M.nonunit(), repeat=n))
     rows = []
     if n == 2:
@@ -71,51 +80,29 @@ def _constraint_rows(M, n):
     return rows
 
 
-def _constraint_matrix(M, module, n):
-    """Stack the symmetry identities into one integer matrix on the
-    ambient cochain coordinates, rows blocked by the value groups."""
-    basis = _tuple_basis(M, n)
-    amb = CochainGroup(basis, module)
-    index = {c.letters: i for i, c in enumerate(basis.generators)}
-    rows = _constraint_rows(M, n)
-    blocks = []
-    rel_cols = []
-    for row in rows:
-        cell = BarWord(row[0][1], (1,) * (n - 1), 1)
-        grp = module.group(basis.pi[cell])
-        blk = IntMatrix(grp.ngens, amb.total)
-        for c, args in row:
-            cell_i = index[args]
-            off = amb.offsets[cell_i]
-            for i in range(grp.ngens):
-                blk.data[i][off + i] += c
-        blocks.append(blk)
-        rel_cols.append(grp.relations)
-    if not blocks:
-        return amb, IntMatrix(0, amb.total), IntMatrix(0, 0)
-    mat = blocks[0]
-    for b in blocks[1:]:
-        mat = mat.vstack(b)
-    total_rel_cols = sum(r.cols for r in rel_cols)
-    rel = IntMatrix(mat.rows, total_rel_cols)
-    roff = coff = 0
-    for blk, r in zip(blocks, rel_cols):
-        for i in range(r.rows):
-            for j in range(r.cols):
-                rel.data[roff + i][coff + j] = r.data[i][j]
-        roff += blk.rows
-        coff += r.cols
-    return amb, mat, rel
-
-
 def symmetric_cochains(M, module, n):
     """The lattice of symmetric n-cochains, 1 <= n <= 4 (degree 1 is
-    unconstrained)."""
+    unconstrained).  Each identity contributes one row per generator of
+    its value group, written straight into a SparseIntMatrix on the
+    ambient coordinates, and that group's relations as one block."""
     if not 1 <= n <= 4:
         raise ValueError("symmetric cochains are defined for degrees 1..4")
-    amb, mat, rel = _constraint_matrix(M, module, n)
-    lattice = preimage_lattice_multi([(mat, rel)], amb.total)
-    return SymmetricCochainLattice(n, amb, (mat, rel), lattice)
+    amb = CochainGroup(_tuple_basis(M, n), module)
+    index = {c.letters: i for i, c in enumerate(amb.basis.generators)}
+    rows = []
+    rels = []
+    for identity in _symmetry_identities(M, n):
+        grp = amb.blocks[index[identity[0][1]]]
+        for i in range(grp.ngens):
+            row = {}
+            for c, args in identity:
+                j = amb.offsets[index[args]] + i
+                row[j] = row.get(j, 0) + c
+            rows.append({j: v for j, v in row.items() if v})
+        rels.append(grp.relations)
+    constraints = (SparseIntMatrix(len(rows), amb.total, rows), block_diagonal(rels))
+    lattice = preimage_lattice_multi([constraints], amb.total)
+    return SymmetricCochainLattice(n, amb, constraints, lattice)
 
 
 def _grillet_formula(M, n, args):
@@ -175,48 +162,46 @@ def grillet_cohomology(M, module, n):
     if not 1 <= n <= 3:
         raise ValueError("Grillet cohomology is computed for degrees 1..3")
     cn = symmetric_cochains(M, module, n)
-    cnext = symmetric_cochains(M, module, n + 1)
     d_n = grillet_coboundary(M, module, n)
-    rel_next = cnext.ambient.relation_matrix()
-    sym_mat, sym_rel = cn.constraints
+    rel_next = CochainGroup(_tuple_basis(M, n + 1), module).relation_matrix()
     kernel = preimage_lattice_multi(
-        [(sym_mat, sym_rel), (d_n, rel_next)], cn.ambient.total)
-    if n == 1:
-        image_cols = IntMatrix(cn.ambient.total, 0)
-    else:
+        [cn.constraints, (d_n, rel_next)], cn.ambient.total)
+    image = cn.ambient.relation_matrix()
+    if n > 1:
         below = symmetric_cochains(M, module, n - 1)
-        d_prev = grillet_coboundary(M, module, n - 1)
-        image_cols = d_prev.mul(below.lattice)
-    image = image_cols.hstack(cn.ambient.relation_matrix())
+        image = grillet_coboundary(M, module, n - 1).mul(below.lattice).hstack(image)
     return subquotient_invariants(kernel, image)
 
 
 # -- the inclusion into the level-3 complex ----------------------------------
 
+def _inclusion(module, n, src, tgt):
+    """Matrix of i_n from the cochains on the n-tuples src into those on
+    the level-3 cells tgt of degree n + 2: (-1)^(n+1) f on the plain
+    words, 0 on the words with a higher separator."""
+    amb_src = CochainGroup(src, module)
+    amb_tgt = CochainGroup(tgt, module)
+    sign = 1 if n % 2 else -1
+    src_index = {c.letters: i for i, c in enumerate(src.generators)}
+    rows = [{} for _ in range(amb_tgt.total)]
+    for ti, cell in enumerate(tgt.generators):
+        if cell.seps != (1,) * (len(cell.letters) - 1):
+            continue  # only the plain-word component is hit
+        si = src_index[cell.letters]
+        goff = amb_tgt.offsets[ti]
+        soff = amb_src.offsets[si]
+        for i in range(amb_src.blocks[si].ngens):
+            rows[goff + i] = {soff + i: sign}
+    return SparseIntMatrix(amb_tgt.total, amb_src.total, rows)
+
+
 def inclusion_matrices(M, module):
     """Matrices of i_1..i_4 from the symmetric cochain groups into
     C^3..C^6(M, 3; A): i_1 = id, i_2 = -id, i_3 = (f, 0),
     i_4 = (-f, 0, 0, 0)."""
-    mats = {}
-    for n, sign in ((1, 1), (2, -1), (3, 1), (4, -1)):
-        src = _tuple_basis(M, n)
-        amb_src = CochainGroup(src, module)
-        dga = iterated_bar(M, 3, n + 3)
-        tgt = degree_basis(dga, n + 2)
-        amb_tgt = CochainGroup(tgt, module)
-        mat = IntMatrix(amb_tgt.total, amb_src.total)
-        src_index = {c.letters: i for i, c in enumerate(src.generators)}
-        for ti, cell in enumerate(tgt.generators):
-            if cell.seps != (1,) * (len(cell.letters) - 1):
-                continue  # only the plain-word component is hit
-            si = src_index[cell.letters]
-            goff = amb_tgt.offsets[ti]
-            soff = amb_src.offsets[si]
-            k = amb_src.blocks[si].ngens
-            for i in range(k):
-                mat.data[goff + i][soff + i] = sign
-        mats[n] = mat
-    return mats
+    dga = iterated_bar(M, 3, 6)
+    return {n: _inclusion(module, n, _tuple_basis(M, n), degree_basis(dga, n + 2))
+            for n in (1, 2, 3, 4)}
 
 
 class InclusionReport:
@@ -243,18 +228,19 @@ def inclusion_chainmap(M, module):
     d^(3) . i_n = i_{n+1} . delta^n on every generator of the symmetric
     lattices (the last square is the one that needs the symmetry
     identities)."""
-    mats = inclusion_matrices(M, module)
+    dga = iterated_bar(M, 3, 6)
+    mats = {n: _inclusion(module, n, _tuple_basis(M, n), degree_basis(dga, n + 2))
+            for n in (1, 2, 3, 4)}
     report = InclusionReport()
     for n in (1, 2, 3):
         lat = symmetric_cochains(M, module, n).lattice
         delta = grillet_coboundary(M, module, n)
-        dga = iterated_bar(M, 3, n + 4)
         src = degree_basis(dga, n + 2)
         tgt = degree_basis(dga, n + 3)
         d = {t: dga.differential(t) for t in tgt.generators}
         level3_d = dualize(d, src, tgt, module, M)
-        lhs = level3_d.mul(mats[n]).mul(lat)
-        rhs = mats[n + 1].mul(delta).mul(lat)
+        lhs = level3_d.mul(mats[n].mul(lat))
+        rhs = mats[n + 1].mul(delta.mul(lat))
         tgt_amb = CochainGroup(tgt, module)
         rel = lattice_basis(tgt_amb.relation_matrix())
         pivots = staircase_pivots(rel)
@@ -313,26 +299,21 @@ def injectivity_check(M, module):
     """Verify that H^3_G -> H^5(M,3;A) is injective: every symmetric
     3-cocycle whose inclusion image is a level-3 coboundary is itself a
     symmetric 2-coboundary.  Returns (ok, witness)."""
-    mats = inclusion_matrices(M, module)
     sym3 = symmetric_cochains(M, module, 3)
-    sym_mat, sym_rel = sym3.constraints
     delta3 = grillet_coboundary(M, module, 3)
-    c4 = symmetric_cochains(M, module, 4)
-    rel4 = c4.ambient.relation_matrix()
+    rel4 = CochainGroup(_tuple_basis(M, 4), module).relation_matrix()
 
-    dga = iterated_bar(M, 3, 6)
+    dga = iterated_bar(M, 3, 5)
     src4 = degree_basis(dga, 4)
     src5 = degree_basis(dga, 5)
-    tgt6 = degree_basis(dga, 6)
     d4 = dualize({t: dga.differential(t) for t in src5.generators},
                  src4, src5, module, M)
-    amb5 = CochainGroup(src5, module)
-    image5 = d4.hstack(amb5.relation_matrix())
+    image5 = d4.hstack(CochainGroup(src5, module).relation_matrix())
+    i3 = _inclusion(module, 3, sym3.ambient.basis, src5)
 
     # {f : f symmetric, delta^3 f ~ 0, i_3 f in im d^4 + rel}
     problem = preimage_lattice_multi(
-        [(sym_mat, sym_rel), (delta3, rel4), (mats[3], image5)],
-        sym3.ambient.total)
+        [sym3.constraints, (delta3, rel4), (i3, image5)], sym3.ambient.total)
 
     # delta^2(C^2_G) + relations, the symmetric coboundaries
     sym2 = symmetric_cochains(M, module, 2)

@@ -16,8 +16,9 @@ nonzero, and it stays sparse through the linear algebra.
 import json
 
 from .monoid import FiniteCommutativeMonoid
-from .zlinalg import (IntMatrix, AbGroupInvariants, SparseIntMatrix, lattice_basis,
-                      lattice_contains, snf_diagonal, staircase_pivots)
+from .zlinalg import (IntMatrix, AbGroupInvariants, SparseIntMatrix, block_diagonal,
+                      lattice_basis, lattice_contains, snf_diagonal,
+                      staircase_pivots)
 
 
 class FGAbelianGroup:
@@ -322,12 +323,7 @@ class CochainGroup:
 
     def relation_matrix(self):
         """The block-diagonal relations of the value groups, row-sparse."""
-        rows = []
-        c = 0
-        for g in self.blocks:
-            rows += [{c + j: v for j, v in r.items()} for r in g.relations.row_dicts()]
-            c += g.relations.cols
-        return SparseIntMatrix(self.total, c, rows)
+        return block_diagonal([g.relations for g in self.blocks])
 
     def invariants(self):
         parts = [g.invariants() for g in self.blocks]

@@ -8,10 +8,12 @@ are the substrate for every cohomology-group extraction in the package.
 Two matrix types share one interface.  IntMatrix is dense, for the small
 matrices: module actions, group relations, SNF transforms.
 SparseIntMatrix holds one dict col -> value per row with no zeros
-stored, for the coboundaries, which are about 1% nonzero, and the
-block-diagonal relations of a cochain group.  Both hand out fresh dicts
-per row (row_dicts()) or per column (col_dicts()); a dense view of a
-sparse matrix is built only when a caller reads .data.
+stored, for the coboundaries, which are about 1% nonzero, and for
+block-diagonal relations, which block_diagonal alone assembles (for
+cochain groups, symmetry identities and stacked preimage conditions).
+Both hand out fresh dicts per row (row_dicts()) or per column
+(col_dicts()); a dense view of a sparse matrix is built only when a
+caller reads .data.
 
 The +-1 unit sweep in front of snf_diagonal and kernel_basis consumes
 such dicts.  kernel_basis sweeps rows, since only row operations keep
@@ -122,10 +124,6 @@ class IntMatrix:
         _check_shape(self.rows == other.rows, "hstack", self, other)
         return IntMatrix(self.rows, self.cols + other.cols,
                          [self.data[i] + other.data[i] for i in range(self.rows)])
-
-    def vstack(self, other):
-        _check_shape(self.cols == other.cols, "vstack", self, other)
-        return IntMatrix(self.rows + other.rows, self.cols, self.data + other.data)
 
     def scaled(self, c):
         return IntMatrix(self.rows, self.cols,
@@ -720,27 +718,33 @@ def preimage_lattice(A, L=None):
 
 
 def preimage_lattice_multi(pairs, ncols):
-    """{v : A_i v in lattice(L_i) for every (A_i, L_i)}; L_i may be None."""
-    blocks = [(A, L if L is not None else IntMatrix(A.rows, 0)) for A, L in pairs]
-    blocks = [(A, L) for A, L in blocks if A.rows]
-    if not blocks:
+    """{v : A_i v in lattice(L_i) for every (A_i, L_i)}; L_i may be None.
+    The conditions are stacked row-sparse: the A_i one above the other,
+    the L_i block-diagonally."""
+    pairs = [(A, L if L is not None else IntMatrix(A.rows, 0))
+             for A, L in pairs if A.rows]
+    if not pairs:
         return IntMatrix.identity(ncols)
-    total_rows = sum(A.rows for A, _ in blocks)
-    A_all = IntMatrix(total_rows, ncols)
-    lcols = sum(L.cols for _, L in blocks)
-    L_all = IntMatrix(total_rows, lcols)
-    roff = coff = 0
-    for A, L in blocks:
+    rows = []
+    for A, L in pairs:
         if A.cols != ncols:
             raise ValueError("preimage_lattice_multi: %d columns, expected %d"
                              % (A.cols, ncols))
-        for i in range(A.rows):
-            A_all.data[roff + i] = list(A.data[i])
-            for j in range(L.cols):
-                L_all.data[roff + i][coff + j] = L.data[i][j]
-        roff += A.rows
-        coff += L.cols
-    return preimage_lattice(A_all, L_all)
+        _check_shape(L.rows == A.rows, "preimage_lattice_multi", A, L)
+        rows += A.row_dicts()
+    return preimage_lattice(SparseIntMatrix(len(rows), ncols, rows),
+                            block_diagonal([L for _, L in pairs]))
+
+
+def block_diagonal(mats):
+    """The row-sparse block-diagonal matrix with the given blocks in
+    order; blocks may have no rows or no columns."""
+    rows = []
+    c = 0
+    for m in mats:
+        rows += [{c + j: v for j, v in r.items()} for r in m.row_dicts()]
+        c += m.cols
+    return SparseIntMatrix(len(rows), c, rows)
 
 
 class LatticeContainmentError(ValueError):

@@ -183,3 +183,14 @@ def test_malformed_inputs_exit_2(tmp_path):
     cocycle_exits_2({"g": []})
     cocycle_exits_2({"g": {"7,7,7": [1]}})
     cocycle_exits_2({"mu": {"1,1": ["a"]}})
+
+    # a negative degree or bound, and a period without an index, would
+    # otherwise print an answer or a vacuous pass
+    for argv in (["oracle", "--monoid", "cyclic:0,2", "--level", "1",
+                  "--degree", "-1", "--coeff", "Z/2"],
+                 ["verify", "contraction", "--max-degree", "-2"],
+                 ["verify", "contraction", "--entry-bound", "0"],
+                 ["verify", "contraction", "--period", "2"]):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err

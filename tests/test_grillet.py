@@ -6,9 +6,11 @@ from monoid_cohomology.cohomology import cohomology_group
 from monoid_cohomology.grillet import (eleob_equivalent, grillet_cohomology,
                                        inclusion_chainmap, injectivity_check,
                                        symmetric_cochains)
-from monoid_cohomology.hmod import FGAbelianGroup, constant_module
+from monoid_cohomology.hmod import FGAbelianGroup, constant_module, zm_as_hmodule
 from monoid_cohomology.monoid import make_cyclic
-from monoid_cohomology.zlinalg import AbGroupInvariants, subquotient_invariants
+from monoid_cohomology.zlinalg import (AbGroupInvariants, SparseIntMatrix,
+                                       subquotient_invariants)
+from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
 C11 = make_cyclic(1, 1)
@@ -66,6 +68,53 @@ def test_h2_grillet_is_h3_level2():
         for G in (Z, zmod(2), zmod(4), zmod(6)):
             A = constant_module(G, M)
             assert grillet_cohomology(M, A, 2) == cohomology_group(M, 2, 3, A)
+
+
+def test_grillet_comparisons_on_the_census():
+    # every commutative monoid of order 2-4 up to isomorphism
+    for M in census():
+        for G in (Z, zmod(2), zmod(4), zmod(6)):
+            A = constant_module(G, M)
+            assert grillet_cohomology(M, A, 1) == cohomology_group(M, 1, 1, A), (M, G)
+            assert grillet_cohomology(M, A, 2) == cohomology_group(M, 2, 3, A), (M, G)
+            ok, witness = injectivity_check(M, A)
+            assert ok, (M, G, witness)
+
+
+def test_symmetric_cochains_never_build_a_dense_matrix(monkeypatch):
+    cases = [(C12, A, n) for A in (constant_module(zmod(6), C12), zm_as_hmodule(C12))
+             for n in (1, 2, 3, 4)]
+    lattices = [symmetric_cochains(*case).lattice for case in cases]
+
+    def refuse(mat):
+        raise AssertionError("dense view of a %dx%d sparse matrix" % (mat.rows, mat.cols))
+    monkeypatch.setattr(SparseIntMatrix, "_densify", refuse)
+    assert [symmetric_cochains(*case).lattice for case in cases] == lattices
+
+
+def test_entry_points_build_only_what_they_read(monkeypatch):
+    from monoid_cohomology import grillet
+    calls = []
+
+    def recording(name, fn, degree_arg):
+        def wrapped(*args):
+            calls.append((name, args[degree_arg]))
+            return fn(*args)
+        monkeypatch.setattr(grillet, name, wrapped)
+    recording("symmetric_cochains", grillet.symmetric_cochains, 2)
+    recording("iterated_bar", grillet.iterated_bar, 2)
+    A = constant_module(zmod(2), C12)
+    for n in (1, 2, 3):
+        calls.clear()
+        grillet_cohomology(C12, A, n)
+        assert sorted(calls) == [("symmetric_cochains", k) for k in range(max(n - 1, 1), n + 1)]
+    calls.clear()
+    injectivity_check(C12, A)
+    assert sorted(calls) == [("iterated_bar", 5), ("symmetric_cochains", 2),
+                             ("symmetric_cochains", 3)]
+    calls.clear()
+    inclusion_chainmap(C12, A)
+    assert [c for c in calls if c[0] == "iterated_bar"] == [("iterated_bar", 6)]
 
 
 def test_inclusion_squares_commute():

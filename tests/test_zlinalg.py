@@ -12,9 +12,10 @@ from monoid_cohomology.hmod import FGAbelianGroup, constant_module
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
                                        LatticeContainmentError, SparseIntMatrix,
-                                       determinant,
+                                       block_diagonal, determinant,
                                        kernel_basis, lattice_basis,
                                        lattice_contains, preimage_lattice,
+                                       preimage_lattice_multi,
                                        smith_normal_form, snf_diagonal,
                                        staircase_pivots, subquotient_invariants)
 
@@ -230,16 +231,43 @@ def test_lattice_basis_is_canonical():
     assert L1.data == [[2]]
 
 
-def test_preimage_multi_stacks_conditions():
-    from monoid_cohomology.zlinalg import preimage_lattice_multi
+def test_preimage_multi_stacks_conditions(monkeypatch):
     # v with 2v in 4Z and v in 3Z simultaneously: lattice 6Z
     A1 = IntMatrix.from_rows([[2]])
     L1 = IntMatrix.from_rows([[4]])
     A2 = IntMatrix.from_rows([[1]])
     L2 = IntMatrix.from_rows([[3]])
-    P = preimage_lattice_multi([(A1, L1), (A2, L2)], 1)
-    assert P.data == [[6]]
+    # (v1, v2) with v1 + v2 in 2Z, v1 - v2 = 0 and no condition from a
+    # block without rows: lattice spanned by (1, 1)
+    A3 = IntMatrix.from_rows([[1, 1], [1, -1]])
+    L3 = IntMatrix.from_rows([[2], [0]])
+    empty = IntMatrix(0, 2)
+    dense = [preimage_lattice_multi([(A1, L1), (A2, L2)], 1),
+             preimage_lattice_multi([(A3, L3), (empty, None)], 2)]
+    assert [P.data for P in dense] == [[[6]], [[1], [1]]]
     assert preimage_lattice_multi([], 2) == IntMatrix.identity(2)
+    # the same conditions row-sparse, stacked without a dense view
+    monkeypatch.setattr(SparseIntMatrix, "_densify", _refuse_dense)
+    assert [preimage_lattice_multi([(as_sparse(A1), as_sparse(L1)),
+                                    (as_sparse(A2), L2)], 1),
+            preimage_lattice_multi([(as_sparse(A3), as_sparse(L3)),
+                                    (as_sparse(empty), None)], 2)] == dense
+
+
+def _refuse_dense(mat):
+    raise AssertionError("dense view of a %dx%d sparse matrix" % (mat.rows, mat.cols))
+
+
+def test_block_diagonal_places_blocks_by_offset():
+    assert block_diagonal([]) == IntMatrix(0, 0)
+    B = IntMatrix.from_rows([[1, 2], [3, 4]])
+    no_cols = IntMatrix(2, 0)
+    no_rows = IntMatrix(0, 3)
+    D = block_diagonal([no_cols, B, no_rows, as_sparse(IntMatrix.from_rows([[5]]))])
+    assert isinstance(D, SparseIntMatrix)
+    assert (D.rows, D.cols) == (5, 6)
+    assert D.row_dicts() == [{}, {}, {0: 1, 1: 2}, {0: 3, 1: 4}, {5: 5}]
+    assert block_diagonal([no_cols, no_cols]).row_dicts() == [{}] * 4
 
 
 def test_trivial_group_edge_cases():
@@ -293,16 +321,19 @@ value_checks = {
     "mul": (M(1, 2).mul, M(1, 2)),
     "mul_vector": (M(1, 2).mul_vector, [1]),
     "hstack": (M(1, 2).hstack, M(2, 2)),
-    "vstack": (M(1, 2).vstack, M(1, 3)),
     "sparse hstack": (zlinalg.SparseIntMatrix(1, 1, [{}]).hstack, M(2, 1)),
     "SparseIntMatrix rows": (zlinalg.SparseIntMatrix, 2, 2, [{}]),
     "SparseIntMatrix column": (zlinalg.SparseIntMatrix, 1, 2, [{2: 1}]),
     "SparseIntMatrix zero": (zlinalg.SparseIntMatrix, 1, 2, [{0: 0}]),
     "preimage_lattice": (zlinalg.preimage_lattice, M(2, 1), M(3, 1)),
     "preimage_lattice_multi": (zlinalg.preimage_lattice_multi, [(M(1, 2), None)], 3),
+    "preimage_lattice_multi L": (zlinalg.preimage_lattice_multi, [(M(1, 2), M(2, 1))], 2),
     "subquotient_invariants": (zlinalg.subquotient_invariants, M(2, 1), M(3, 1)),
     "determinant": (zlinalg.determinant, M(1, 2)),
     "FGAbelianGroup": (FGAbelianGroup, 2, M(3, 0)),
+    "BarWord separator count": (BarWord, (1, 1), (), 1),
+    "BarWord separator range": (BarWord, (1, 1), (3,), 2),
+    "BarWord suspend": (BarWord((1, 1), (2,), 2).suspend, 1),
     "FreeBasis duplicates": (FreeBasis, ["a", "a"], {"a": 0}),
     "FreeBasis pi": (FreeBasis, ["a"], {}),
     "infinite g_gen": (cyclic.CyclicContraction(infinite=True).g_gen, ("v", 1)),
