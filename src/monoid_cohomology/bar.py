@@ -13,15 +13,28 @@ degree 0) and projection x1...xm.  Splitting at the separators equal to
 r recovers the top tensor factors, each a level-(r-1) word; a word with
 no top separator is the suspension of its single factor, which is why
 the flat form is stable under suspension.
+
+bar_word_diff is the one differential.  iterated_bar runs it once per
+separator shape (level, seps), on the generic word whose letter i is the
+position (i,) of POSITIONS, the free commutative monoid on the letter
+positions; each cell of that shape takes this template with its letters
+put in.  That is exact: putting letters in is a monoid map, so it
+commutes with every product the recursion forms, and the recursion
+tests for the identity only on products of letters, so a product equal
+to e in M leaves a term with a unit letter, which the instantiation
+drops just as bar_word_diff drops it.  Templates live for one
+iterated_bar call and are not cached across calls.
 """
 
 from itertools import combinations, product
+from operator import itemgetter
+from types import SimpleNamespace
 
 from .monoid import FiniteCommutativeMonoid
 
 
 class BarWord:
-    __slots__ = ("letters", "seps", "level")
+    __slots__ = ("letters", "seps", "level", "_hash")
 
     def __init__(self, letters, seps, level):
         letters = tuple(letters)
@@ -33,6 +46,7 @@ class BarWord:
         self.letters = letters
         self.seps = seps
         self.level = level
+        self._hash = hash((letters, seps, level))
 
     @property
     def degree(self):
@@ -61,7 +75,7 @@ class BarWord:
                 and self.seps == other.seps and self.level == other.level)
 
     def __hash__(self):
-        return hash((self.letters, self.seps, self.level))
+        return self._hash
 
     def __repr__(self):
         return "BarWord(%r, %r, level=%d)" % (self.letters, self.seps, self.level)
@@ -527,18 +541,72 @@ def _compositions(total, parts, maxpart):
             yield (first,) + rest
 
 
+# The free commutative monoid on letter positions: sorted tuples of
+# positions, multiplied by merging.
+POSITIONS = SimpleNamespace(identity=(), op=lambda a, b: tuple(sorted(a + b)))
+
+
+def generic_word(seps, level):
+    """The word of the given shape whose letter i is the position (i,)
+    of POSITIONS."""
+    return BarWord([(i,) for i in range(len(seps) + 1)], seps, level)
+
+
+def _diff_template(seps, level):
+    """The differential of every cell of one shape, read off the generic
+    word over POSITIONS.
+
+    A cell's values sit in slots: slot 0 holds the identity, slot i + 1
+    letter i, and slot m + 1 + j the product of the letters at the
+    positions products[j].  Returns (products, terms), each term being
+    (translate slot, gather, separators, coefficient), where gather picks
+    the letters of the output word out of the slot list.
+    """
+    m = len(seps) + 1
+    slot = {(): 0}
+    for i in range(m):
+        slot[(i,)] = i + 1
+    products = []
+
+    def slot_of(t):
+        if t not in slot:
+            slot[t] = m + 1 + len(products)
+            products.append(t)
+        return slot[t]
+
+    def gatherer(slots):
+        if len(slots) > 1:
+            return itemgetter(*slots)
+        return lambda vals: tuple([vals[i] for i in slots])  # itemgetter(i) is no tuple
+
+    terms = [(slot_of(u), gatherer(tuple(slot_of(t) for t in w.letters)), w.seps, c)
+             for (u, w), c in bar_word_diff(POSITIONS, generic_word(seps, level)).items()]
+    return products, terms
+
+
 def iterated_bar(M, r, degmax):
     """The r-fold bar construction on the monoid algebra, with cells
-    stored as flat separator words."""
+    stored as flat separator words.
+
+    The differential of each cell is its shape's template (see the
+    module docstring) with the letters put in: position products are
+    multiplied out in M once per cell, terms holding a letter equal to
+    the identity are dropped, and each output word is the basis cell
+    itself, found by its letters and separators.  The templates live
+    for this call only.
+    """
     if not isinstance(M, FiniteCommutativeMonoid):
         raise DGAError("iterated_bar needs a finite monoid")
     if r < 1:
         raise DGAError("level must be >= 1")
     if degmax < r:
         raise DGAError("degmax %d below the lowest positive cell degree %d" % (degmax, r))
+    e = M.identity
     nonunit = M.nonunit()
     empty = BarWord((), (), r)
     basis = {0: (empty,)}
+    diff = {empty: {}}
+    cells_by_seps = {(): {(): empty}}
     for n in range(r, degmax + 1):
         cells = []
         total = n - r
@@ -546,12 +614,28 @@ def iterated_bar(M, r, degmax):
             if m - 1 > total or total > (m - 1) * r:
                 continue
             for seps in _compositions(total, m - 1, r):
+                products, template = _diff_template(seps, r)
+                terms = [(u, gather, cells_by_seps[tseps], c)
+                         for u, gather, tseps, c in template]
+                found = cells_by_seps.setdefault(seps, {})
                 for letters in product(nonunit, repeat=m):
-                    cells.append(BarWord(letters, seps, r))
+                    vals = [e, *letters]
+                    for t in products:
+                        x = letters[t[0]]
+                        for i in t[1:]:
+                            x = M.op(x, letters[i])
+                        vals.append(x)
+                    chain = {}
+                    for u, gather, targets, c in terms:
+                        out = gather(vals)
+                        if e not in out:
+                            chain_add_term(chain, (vals[u], targets[out]), c)
+                    word = found[letters] = BarWord(letters, seps, r)
+                    cells.append(word)
+                    diff[word] = chain
         if cells:
             basis[n] = tuple(cells)
     pi = {w: w.pi(M) for ws in basis.values() for w in ws}
-    diff = {w: bar_word_diff(M, w) for ws in basis.values() for w in ws}
 
     def shuffle(a, b):
         return bar_word_shuffle(M, a, b)

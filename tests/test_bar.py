@@ -1,10 +1,13 @@
+from itertools import product
+
 import pytest
 
-from monoid_cohomology.bar import (BarWord, DGAError, bar, bar_word_diff,
+from monoid_cohomology.bar import (POSITIONS, BarWord, DGAError, bar, bar_word_diff,
                                    bar_word_shuffle, explicit_low_degree_differential,
-                                   iterated_bar, render_word,
-                                   validate_dga, zm_dga)
-from monoid_cohomology.monoid import make_cyclic
+                                   extend_linear, generic_word, iterated_bar,
+                                   render_word, validate_dga, zm_dga)
+from monoid_cohomology.monoid import make_cyclic, validate_table
+from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
 C11 = make_cyclic(1, 1)
@@ -131,6 +134,42 @@ def test_dd_zero_all_levels():
             for gens in D.basis.values():
                 for g in gens:
                     assert D.diff_chain(D.differential(g)) == {}
+
+
+def test_dd_zero_on_generic_words():
+    # d d = 0 over the free commutative monoid on the letter positions
+    # holds for every monoid at once, being preserved by instantiation;
+    # only the one-letter words have no generic boundary
+    for r in (1, 2, 3, 4):
+        for k in range(4):
+            for seps in product(range(1, r + 1), repeat=k):
+                if sum(seps) > 3:
+                    continue
+                d = bar_word_diff(POSITIONS, generic_word(seps, r))
+                assert bool(d) == bool(seps), (r, seps)
+                dd = extend_linear(POSITIONS, lambda g: bar_word_diff(POSITIONS, g), d)
+                assert dd == {}, (r, seps)
+
+
+def _identity_at_2(M):
+    # the same monoid with every element x relabelled x + 2 mod size
+    n = M.size
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[(x + 2) % n][(y + 2) % n] = (M.op(x, y) + 2) % n
+    return validate_table(n, (M.identity + 2) % n, table)
+
+
+def test_templated_differential_matches_per_cell_recursion():
+    monoids = census() + [_identity_at_2(C23)]
+    assert monoids[-1].identity == 2
+    for M in monoids:
+        for r, degmax in ((1, 5), (2, 5), (3, 6)):
+            D = iterated_bar(M, r, degmax)
+            for cells in D.basis.values():
+                for cell in cells:
+                    assert D.diff[cell] == bar_word_diff(M, cell), (M, cell)
 
 
 def test_dga_axioms_small_monoids():
