@@ -1,20 +1,45 @@
 """Cochain complexes of the iterated bar construction and their
-cohomology, extracted with exact integer lattice algebra.
+cohomology, read off Smith diagonals of sparse integer matrices.
 
 The degree-n cochain group of Hom(B^r(ZM), A) is the direct sum of the
 A(pi(cell)) over the generic n-cells; the coboundary is precomposition
-with the bar differential.  For a constant module the complex is K (x) A,
-with K the integer cochain complex, and H^n follows from the Smith
-diagonals of K by the universal coefficient theorem.  Other modules go
-through preimage lattices in the free cover, with the coefficient
-relations adjoined to the image lattice.
+with the bar differential.  A(x) = Z^k / L_x is presented, and the
+stored coboundary d_F is that of the free cover F (the same translation
+matrices, no relations).
+
+For a constant module the complex is K (x) A, with K the integer
+cochain complex, and H^n follows from the Smith diagonals of K by the
+universal coefficient theorem.
+
+Any other module goes through the mapping cone of the relations
+(Weibel, An Introduction to Homological Algebra, 1.5).  The relation
+module R has R(x) = L_x on its independent basis B_x, and 0 -> C(R) ->
+C(F) -> C(A) -> 0 is exact, with I the block-diagonal inclusion of the
+B_x.  The translations need to satisfy the module laws only modulo the
+relations, so d_F d_F need not vanish; it lands in I C(R), and the
+curvature K^n = I^-1 (d_F^n d_F^(n-1)) corrects the cone:
+D(r, f) = (-d_R r - K f, I r + d_F f) on C^(n+1)(R) + C^n(F) squares
+to zero and is quasi-isomorphic to C(A).  The torsion of H^n is the
+Smith factors above 1 of the one row-sparse matrix
+
+    psi = [[-d_R^n, -K^n], [I_n, d_F^(n-1)]]
+        : C^n(R) + C^(n-1)(F) -> C^(n+1)(R) + C^n(F),
+
+and the free rank is that of H^n of the torsion-free quotient A/tors,
+whose translations satisfy the laws exactly.  Without K the answer is
+wrong whenever d_F d_F does not vanish: on C(0,4) with A(x) = Z + Z/2
+and y acting by (a, b) -> (a, b + (y mod 2) a), H^3(M,1) would read
+(Z/2)^3 instead of Z/2.  For constant A the cone reduces to the
+universal coefficient theorem, which stays as its closed form: it needs
+only the two Smith diagonals of K and is the faster of the two there.
 """
 
 from .bar import BarWord, add_cell_term, bar_word_diff, iterated_bar
-from .hmod import CochainGroup, FGAbelianGroup, FreeBasis, constant_module, dualize
+from .hmod import (CochainGroup, FGAbelianGroup, FreeBasis, ModuleError,
+                   constant_module, dualize, relation_module, torsion_free_quotient)
 from .monoid import FiniteCommutativeMonoid
-from .zlinalg import (AbGroupInvariants, IntMatrix, gcd, preimage_lattice,
-                      snf_diagonal, subquotient_invariants)
+from .zlinalg import (AbGroupInvariants, IntMatrix, SparseIntMatrix, block_diagonal,
+                      gcd, snf_diagonal)
 
 
 class TruncationError(ValueError):
@@ -29,9 +54,17 @@ def degree_basis(dga, n):
 class CochainComplex:
     """Groups C^0..C^nmax and coboundaries d^0..d^{nmax-1} of
     Hom(D, A) for a free-based DGA D.  For a constant module the stored
-    coboundaries are those of the integer complex K = Hom(D, Z)."""
+    coboundaries are those of the integer complex K = Hom(D, Z); for
+    any other module those of its free cover.  cohomology(n) reads
+    H^n from Smith diagonals: the universal coefficient theorem for
+    constant A, the mapping cone of the relations otherwise (see the
+    module docstring).  The relation module and A/tors are built on
+    first use and kept.  On the cone route a translation that d^{n-1}
+    or d^n applies and that does not keep the relations, or a d_F d_F
+    outside them, raises ModuleError: the module breaks its laws
+    there."""
 
-    __slots__ = ("dga", "module", "nmax", "groups", "coboundaries")
+    __slots__ = ("dga", "module", "nmax", "groups", "coboundaries", "_derived")
 
     def __init__(self, dga, module, nmax):
         self.dga = dga
@@ -39,15 +72,19 @@ class CochainComplex:
         self.nmax = nmax
         self.groups = {}
         self.coboundaries = {}
+        self._derived = None
         M = dga.monoid
         coeffs = constant_module(FGAbelianGroup.free(1), M) if module.constant else module
         for n in range(nmax + 1):
             self.groups[n] = CochainGroup(degree_basis(dga, n), module)
         for n in range(nmax):
-            target = degree_basis(dga, n + 1)
-            d = {t: dga.differential(t) for t in target.generators}
-            self.coboundaries[n] = dualize(
-                d, self.groups[n].basis, target, coeffs, M)
+            self.coboundaries[n] = self._dualize(n, coeffs)
+
+    def _dualize(self, n, module):
+        """d^n of Hom(D, module) on this complex's cells."""
+        target = self.groups[n + 1].basis
+        d = {t: self.dga.differential(t) for t in target.generators}
+        return dualize(d, self.groups[n].basis, target, module, self.dga.monoid)
 
     def cohomology(self, n):
         """ker d^n / im d^{n-1} as invariant factors."""
@@ -56,21 +93,110 @@ class CochainComplex:
         d_n = self.coboundaries[n]
         d_prev = self.coboundaries[n - 1] if n > 0 else IntMatrix(d_n.cols, 0)
         if self.module.constant:
-            # universal coefficients (Mac Lane, Homology, III): H^n =
-            # H^n(K) (x) A + Tor(H^{n+1}(K), A) = A^free (free = rank of
-            # H^n(K)) + A/dA per factor d of d^{n-1} + A[d] per factor d
-            # of d^n; for A = Z^a + (+)_t Z/t, A/dA = (Z/d)^a + (+) Z/gcd(d, t)
-            # and A[d] = (+) Z/gcd(d, t)
             A = self.module.group(0).invariants()
-            diag_prev = snf_diagonal(d_prev)
-            diag_n = snf_diagonal(d_n)
-            free = d_n.cols - len(diag_n) - len(diag_prev)
-            tors = list(A.torsion) * free + [d for d in diag_prev if d > 1] * A.free_rank
-            tors += [gcd(d, t) for d in diag_prev + diag_n if d > 1 for t in A.torsion]
-            return AbGroupInvariants.from_diagonal(tors, free_rank=A.free_rank * free)
-        kernel = preimage_lattice(d_n, self.groups[n + 1].relation_matrix())
-        image = d_prev.hstack(self.groups[n].relation_matrix())
-        return subquotient_invariants(kernel, image)
+        elif any(g.relation_basis.cols for k in (n - 1, n, n + 1) if k >= 0
+                 for g in self.groups[k].blocks):
+            self._check_translations(n)
+            return AbGroupInvariants.from_diagonal(self._cone_diagonal(n, d_prev),
+                                                   free_rank=self._free_rank(n))
+        else:
+            # no relations in degrees n-1..n+1: A is its own free cover
+            # and A/tors there, psi is d^{n-1}, and H^n is that of the
+            # stored integer complex, the case A = Z below
+            A = AbGroupInvariants(1)
+        # universal coefficients (Mac Lane, Homology, III): H^n =
+        # H^n(K) (x) A + Tor(H^{n+1}(K), A) = A^free (free = rank of
+        # H^n(K)) + A/dA per factor d of d^{n-1} + A[d] per factor d
+        # of d^n; for A = Z^a + (+)_t Z/t, A/dA = (Z/d)^a + (+) Z/gcd(d, t)
+        # and A[d] = (+) Z/gcd(d, t)
+        diag_prev = snf_diagonal(d_prev)
+        diag_n = snf_diagonal(d_n)
+        free = d_n.cols - len(diag_n) - len(diag_prev)
+        tors = list(A.torsion) * free + [d for d in diag_prev if d > 1] * A.free_rank
+        tors += [gcd(d, t) for d in diag_prev + diag_n if d > 1 for t in A.torsion]
+        return AbGroupInvariants.from_diagonal(tors, free_rank=A.free_rank * free)
+
+    def _derived_modules(self):
+        if self._derived is None:
+            M = self.dga.monoid
+            self._derived = (relation_module(self.module, M),
+                             torsion_free_quotient(self.module, M))
+        return self._derived
+
+    def _check_translations(self, n):
+        """Every translation that d^{n-1} or d^n applies keeps the
+        relations; the relation module raises ModuleError naming the
+        first pair that does not."""
+        relations, pi = self._derived_modules()[0], self.dga.pi
+        pairs = {(pi[s], u) for k in (n, n + 1) for t in self.groups[k].basis.generators
+                 for u, s in self.dga.differential(t)}
+        for x, y in sorted(pairs):
+            relations.action(x, y)
+
+    def _cone_diagonal(self, n, d_prev):
+        """Smith diagonal of psi with its top rows negated, which leaves
+        the diagonal unchanged: [[d_R^n, K^n], [I_n, d_F^(n-1)]]."""
+        inclusion = block_diagonal([g.relation_basis for g in self.groups[n].blocks])
+        bottom = inclusion.hstack(d_prev)
+        top = []
+        if any(g.relation_basis.cols for g in self.groups[n + 1].blocks):
+            d_R = self._dualize(n, self._derived_modules()[0])
+            top = d_R.hstack(self._curvature(n, d_prev)).row_dicts()
+        psi = SparseIntMatrix(len(top) + bottom.rows, bottom.cols, top + bottom.row_dicts())
+        return snf_diagonal(psi)
+
+    def _curvature(self, n, d_prev):
+        """K^n = I_{n+1}^-1 (d_F^n d_F^(n-1)), row-sparse over C^(n+1)(R);
+        a column of d_F d_F outside the relations, which a module that
+        keeps its laws modulo the relations never has, raises
+        ModuleError."""
+        target = self.groups[n + 1]
+        d_n = self.coboundaries[n].row_dicts()
+        prev = d_prev.row_dicts()
+        rows = []
+        for g, off, cell in zip(target.blocks, target.offsets, target.basis.generators):
+            block = [{} for _ in range(g.relation_basis.cols)]
+            rows += block
+            if not block:
+                continue
+            dd = []
+            for i in range(off, off + g.ngens):
+                acc = {}
+                for k, a in d_n[i].items():
+                    for j, b in prev[k].items():
+                        acc[j] = acc.get(j, 0) + a * b
+                dd.append({j: v for j, v in acc.items() if v})
+            for j in sorted(set().union(*dd)):
+                c = g.relation_coordinates([r.get(j, 0) for r in dd])
+                if c is None:
+                    raise ModuleError(
+                        "d d of a cochain on a cell over %r leaves the relations of A(%r): "
+                        "the translations break the module laws modulo the relations"
+                        % (self._source_element(n - 1, j), target.basis.pi[cell]))
+                for i, v in enumerate(c):
+                    if v:
+                        block[i][j] = v
+        return SparseIntMatrix(len(rows), d_prev.cols, rows)
+
+    def _source_element(self, n, col):
+        """pi of the degree-n cell whose block holds column col."""
+        group = self.groups[n]
+        for g, off, cell in zip(group.blocks, group.offsets, group.basis.generators):
+            if off <= col < off + g.ngens:
+                return group.basis.pi[cell]
+        raise IndexError(col)
+
+    def _free_rank(self, n):
+        """rank H^n(A) = rank H^n(A/tors); 0 when every A(x) of degree n
+        is finite, since then C^n(A/tors) = 0."""
+        if all(g.relation_basis.cols == g.ngens for g in self.groups[n].blocks):
+            return 0
+        quotient = self._derived_modules()[1]
+        d_n = self._dualize(n, quotient)
+        free = d_n.cols - len(snf_diagonal(d_n))
+        if n:
+            free -= len(snf_diagonal(self._dualize(n - 1, quotient)))
+        return free
 
 
 def cochain_complex(M, r, module, nmax):

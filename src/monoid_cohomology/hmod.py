@@ -17,14 +17,16 @@ import json
 
 from .monoid import FiniteCommutativeMonoid
 from .zlinalg import (IntMatrix, AbGroupInvariants, SparseIntMatrix, block_diagonal,
-                      lattice_basis, lattice_contains, snf_diagonal,
-                      staircase_pivots)
+                      lattice_basis, lattice_contains, lattice_solve,
+                      smith_normal_form, snf_diagonal, staircase_pivots)
 
 
 class FGAbelianGroup:
-    """Z^ngens modulo the column lattice of `relations`."""
+    """Z^ngens modulo the column lattice of `relations`; relation_basis
+    is that lattice's canonical staircase basis (lattice_basis), whose
+    columns are independent."""
 
-    __slots__ = ("ngens", "relations", "_rel_lattice", "_pivots")
+    __slots__ = ("ngens", "relations", "relation_basis", "_pivots")
 
     def __init__(self, ngens, relations=None):
         self.ngens = ngens
@@ -34,8 +36,8 @@ class FGAbelianGroup:
             raise ValueError("relations have %d rows for %d generators"
                              % (relations.rows, ngens))
         self.relations = relations
-        self._rel_lattice = lattice_basis(relations)
-        self._pivots = staircase_pivots(self._rel_lattice)
+        self.relation_basis = lattice_basis(relations)
+        self._pivots = staircase_pivots(self.relation_basis)
 
     @classmethod
     def free(cls, rank):
@@ -68,7 +70,12 @@ class FGAbelianGroup:
     def is_zero_element(self, vec):
         if all(v == 0 for v in vec):
             return True
-        return lattice_contains(self._rel_lattice, vec, self._pivots)
+        return lattice_contains(self.relation_basis, vec, self._pivots)
+
+    def relation_coordinates(self, vec):
+        """x with relation_basis * x == vec, or None when vec is not a
+        relation."""
+        return lattice_solve(self.relation_basis, vec, self._pivots)
 
     def elements_equal(self, a, b):
         return self.is_zero_element([x - y for x, y in zip(a, b)])
@@ -76,7 +83,7 @@ class FGAbelianGroup:
     def element_list(self):
         """All elements as canonical coset representatives; requires a
         finite group."""
-        H = self._rel_lattice
+        H = self.relation_basis
         if H.cols < self.ngens:
             raise ValueError("group is infinite")
         # H is a square staircase; box of representatives below the pivots
@@ -90,7 +97,7 @@ class FGAbelianGroup:
 
     def reduce(self, vec):
         """Canonical representative of vec modulo the relation lattice."""
-        H = self._rel_lattice
+        H = self.relation_basis
         v = list(vec)
         for r, j in self._pivots:
             q = v[r] // H.data[r][j]
@@ -190,6 +197,88 @@ class SampledModule:
         if y == 0:
             return list(vec)
         raise ModuleError("sampled modules carry no non-identity translations")
+
+
+class DerivedModule:
+    """A module computed from another one on demand: each value group
+    and each translation is built on first use and kept.  Only what a
+    complex reaches is ever built, so a base module known at finitely
+    many elements (SampledModule) works too."""
+
+    __slots__ = ("monoid", "_group_fn", "_action_fn", "_groups", "_actions")
+
+    def __init__(self, monoid, group_fn, action_fn):
+        self.monoid = monoid
+        self._group_fn = group_fn
+        self._action_fn = action_fn
+        self._groups = {}
+        self._actions = {}
+
+    def group(self, x):
+        g = self._groups.get(x)
+        if g is None:
+            g = self._groups[x] = self._group_fn(x)
+        return g
+
+    def action(self, x, y):
+        a = self._actions.get((x, y))
+        if a is None:
+            a = self._actions[(x, y)] = self._action_fn(x, y)
+        return a
+
+
+def relation_module(module, monoid):
+    """R(x) = the relations of A(x), free on the columns B_x of its
+    relation_basis; y_* restricted to them, solved in B_xy.  A
+    translation that does not keep the relations raises ModuleError."""
+    def action(x, y):
+        src = module.group(x).relation_basis
+        tgt = module.group(monoid.op(x, y))
+        image = module.action(x, y).mul(src)
+        cols = []
+        for j in range(src.cols):
+            c = tgt.relation_coordinates(image.column(j))
+            if c is None:
+                raise ModuleError("translation by %r maps a relation of A(%r) outside "
+                                  "the relations of A(%r)" % (y, x, monoid.op(x, y)))
+            cols.append(c)
+        return IntMatrix.from_columns(cols, tgt.relation_basis.cols)
+
+    return DerivedModule(
+        monoid, lambda x: FGAbelianGroup.free(module.group(x).relation_basis.cols), action)
+
+
+def torsion_free_quotient(module, monoid):
+    """A/tors: A(x) modulo its torsion, free of rank f_x.  With
+    U rel V = D the Smith form of A(x)'s relations (rank k), the last
+    f_x rows P_x of U project onto it, and the last f_x columns S_x of
+    U^-1 are a section.  y_* induces P_xy y_* S_x, which satisfies the
+    module laws exactly since A/tors has no torsion; a translation that
+    maps a relation to a non-torsion element raises ModuleError."""
+    split = {}
+
+    def parts(x):
+        if x not in split:
+            rel = module.group(x).relations
+            D, U, _ = smith_normal_form(rel)
+            k = sum(1 for i in range(min(D.rows, D.cols)) if D.data[i][i])
+            _, U2, V2 = smith_normal_form(U)  # U2 U V2 = 1, so U^-1 = V2 U2
+            Uinv = V2.mul(U2)
+            P = IntMatrix(U.rows - k, U.cols, U.data[k:])
+            S = IntMatrix(Uinv.rows, Uinv.cols - k, [row[k:] for row in Uinv.data])
+            split[x] = (P, S)
+        return split[x]
+
+    def action(x, y):
+        xy = monoid.op(x, y)
+        P = parts(xy)[0]
+        mat = P.mul(module.action(x, y))
+        if not mat.mul(module.group(x).relation_basis).is_zero():
+            raise ModuleError("translation by %r maps a relation of A(%r) to an element "
+                              "of infinite order in A(%r)" % (y, x, xy))
+        return mat.mul(parts(x)[1])
+
+    return DerivedModule(monoid, lambda x: FGAbelianGroup.free(parts(x)[0].rows), action)
 
 
 def constant_module(group, monoid=None):

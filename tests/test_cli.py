@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -24,6 +25,23 @@ def test_cohomology_worked_example():
                            "--level", "2", "--degree", "4", "--coeff", "Z/4"])
     assert code == 0
     assert json.loads(out) == {"free_rank": 0, "torsion": [4]}
+
+
+TWISTED = os.path.join(os.path.dirname(__file__), "data", "twisted_z_z2_c04.json")
+
+
+@pytest.mark.parametrize("degree, expected", [
+    # the cone without its curvature block would print torsion [2, 2, 2]
+    (3, {"free_rank": 0, "torsion": [2]}),
+    # the free rank comes from the torsion-free quotient A/tors
+    (0, {"free_rank": 1, "torsion": [2]}),
+])
+def test_mixed_tabular_module_pins(degree, expected):
+    # A(x) = Z + Z/2 on cyclic:0,4, y acting by (a, b) -> (a, b + (y mod 2) a)
+    code, out, _ = invoke(["--json", "cohomology", "--monoid", "cyclic:0,4", "--level", "1",
+                           "--degree", str(degree), "--coeff", "@" + TWISTED])
+    assert code == 0
+    assert json.loads(out) == expected
 
 
 def test_vanishing_band_example():

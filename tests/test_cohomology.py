@@ -1,5 +1,9 @@
+import re
+from itertools import product
+
 import pytest
 
+from monoid_cohomology import cohomology, zlinalg
 from monoid_cohomology.bar import bar_word_diff, explicit_low_degree_differential, iterated_bar
 from monoid_cohomology.cohomology import (BruteForceCapError, TruncationError,
                                           brute_force_cohomology,
@@ -7,10 +11,15 @@ from monoid_cohomology.cohomology import (BruteForceCapError, TruncationError,
                                           degree_basis,
                                           truncated_coboundaries,
                                           truncated_formula_chain)
-from monoid_cohomology.hmod import (FGAbelianGroup, HModule, constant_module, dualize,
-                                    parse_group_shorthand, zm_as_hmodule)
+from monoid_cohomology.cyclic import leech_groups_cyclic
+from monoid_cohomology.hmod import (FGAbelianGroup, HModule, ModuleError, constant_module,
+                                    dualize, parse_group_shorthand, validate_module,
+                                    zm_as_hmodule)
 from monoid_cohomology.monoid import make_cyclic, validate_table
-from monoid_cohomology.zlinalg import AbGroupInvariants, IntMatrix, SparseIntMatrix
+from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix, SparseIntMatrix,
+                                       preimage_lattice, subquotient_invariants)
+
+from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
 C11 = make_cyclic(1, 1)
@@ -45,15 +54,67 @@ def test_level1_z2_mod2_coboundaries_alternate():
             AbGroupInvariants(0, (2,))
 
 
+def zm_mod2(M):
+    """ZM with every value group reduced mod 2."""
+    zm = zm_as_hmodule(M)
+    groups = [FGAbelianGroup(g.ngens, IntMatrix.diagonal([2] * g.ngens)) for g in zm.groups]
+    return HModule(M, groups, zm.actions)
+
+
+def parity_characters(M):
+    """The nonzero monoid maps M -> Z/2, as value lists."""
+    return [chi for chi in product((0, 1), repeat=M.size)
+            if any(chi) and chi[M.identity] == 0
+            and all(chi[M.op(x, y)] == (chi[x] + chi[y]) % 2
+                    for x in range(M.size) for y in range(M.size))]
+
+
+def twisted_z_z2(M, chi):
+    """A(x) = Z + Z/2 with y acting by (a, b) -> (a, b + chi(y) a).  The
+    integer matrices compose only modulo the relation, so the free
+    cover's d d does not vanish."""
+    G = parse_group_shorthand("Z+Z/2")
+    return HModule(M, [G] * M.size, {(x, y): IntMatrix.from_rows([[1, 0], [chi[y], 1]])
+                                     for x in range(M.size) for y in range(M.size)})
+
+
+def mixed_modules(M):
+    mods = [("ZM", zm_as_hmodule(M)), ("ZM/2", zm_mod2(M))]
+    chis = parity_characters(M)
+    if chis:
+        mods.append(("Z+Z/2 twisted", twisted_z_z2(M, chis[0])))
+    return mods
+
+
+def lattice_route(cx, n):
+    """The oracle: ker d^n / im d^{n-1} as preimage and subquotient
+    lattices on the stored coboundaries, the relations adjoined."""
+    d_n = cx.coboundaries[n]
+    d_prev = cx.coboundaries[n - 1] if n else IntMatrix(d_n.cols, 0)
+    kernel = preimage_lattice(d_n, cx.groups[n + 1].relation_matrix())
+    return subquotient_invariants(kernel, d_prev.hstack(cx.groups[n].relation_matrix()))
+
+
 def test_cohomology_never_builds_a_dense_coboundary(monkeypatch):
     def refuse(mat):
         raise AssertionError("dense view of a %dx%d sparse matrix" % (mat.rows, mat.cols))
+
+    def no_lattice_algebra(*args):
+        raise AssertionError("lattice algebra on the cohomology route")
     monkeypatch.setattr(SparseIntMatrix, "_densify", refuse)
-    # one query per route: universal coefficients, then the lattice
-    assert cohomology_group(C12, 2, 4, constant_module(zmod(4), C12)) == \
-        AbGroupInvariants(0, (4,))
-    assert cohomology_group(C12, 2, 3, zm_as_hmodule(C12)) == \
-        AbGroupInvariants(0, (2, 2, 2))
+    for name in ("preimage_lattice", "kernel_basis", "subquotient_invariants"):
+        monkeypatch.setattr(zlinalg, name, no_lattice_algebra)
+        monkeypatch.setattr(cohomology, name, no_lattice_algebra, raising=False)
+    # universal coefficients, then the cone with no relations (ZM), with
+    # finite values (ZM/2) and with mixed values (A/tors and curvature)
+    C04 = make_cyclic(0, 4)
+    for M, r, n, A, expect in (
+            (C12, 2, 4, constant_module(zmod(4), C12), AbGroupInvariants(0, (4,))),
+            (C12, 2, 3, zm_as_hmodule(C12), AbGroupInvariants(0, (2, 2, 2))),
+            (C12, 2, 3, zm_mod2(C12), AbGroupInvariants(0, (2, 2, 2))),
+            (C04, 1, 3, twisted_z_z2(C04, (0, 1, 0, 1)), AbGroupInvariants(0, (2,))),
+            (C04, 1, 0, twisted_z_z2(C04, (0, 1, 0, 1)), AbGroupInvariants(1, (2,)))):
+        assert cohomology_group(M, r, n, A) == expect, (M, r, n)
 
 
 def test_cohomology_leaves_the_complex_unchanged():
@@ -200,7 +261,8 @@ def test_stability_isomorphisms():
 def test_uct_matches_lattice_census():
     # constant coefficients take the universal coefficient route; the
     # same group presented as a tabular module whose constant flag is
-    # False takes the preimage-lattice route, the oracle here
+    # False takes the mapping cone, and the preimage-lattice route on
+    # that module's complex is the oracle of both
     monoids = [make_cyclic(m, k - m) for k in (2, 3, 4) for m in range(k)]
     monoids += [validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)]),
                 validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])]
@@ -211,5 +273,51 @@ def test_uct_matches_lattice_census():
             tabular = HModule(M, [G] * M.size, {(x, y): ident for x in range(M.size)
                                                 for y in range(M.size)})
             for r, n in ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)):
+                cx = cochain_complex(M, r, tabular, n + 1)
                 assert cohomology_group(M, r, n, constant_module(G, M)) == \
-                    cohomology_group(M, r, n, tabular), (M, text, r, n)
+                    cx.cohomology(n) == lattice_route(cx, n), (M, text, r, n)
+
+
+def test_cone_matches_lattice_census():
+    # non-constant modules take the mapping cone of their relations; the
+    # lattice route on the same stored coboundaries is the oracle, and on
+    # cyclic monoids at level 1 so are Leech's two-term groups.  Degree
+    # r + 2 runs on orders 2 and 3 only: on order 4 the oracle alone
+    # takes about 8 s there
+    for M in census():
+        for name, A in mixed_modules(M):
+            for r in (1, 2):
+                top = r + 2 if M.size < 4 else r + 1
+                cx = cochain_complex(M, r, A, top + 1)
+                for n in [0] + list(range(r, top + 1)):
+                    assert cx.cohomology(n) == lattice_route(cx, n), (M.table, name, r, n)
+    for m, q in ((0, 2), (1, 1), (0, 3), (1, 2), (2, 1), (0, 4), (1, 3), (2, 2), (3, 1)):
+        C = make_cyclic(m, q)
+        for name, A in mixed_modules(C):
+            cx = cochain_complex(C, 1, A, 5)
+            for k in (0, 1):
+                assert leech_groups_cyclic(m, q, k, A) == \
+                    (cx.cohomology(2 * k + 1), cx.cohomology(2 * k + 2)), (m, q, name, k)
+
+
+def test_modules_breaking_their_laws_raise():
+    # validate_module rejects both; the cone names the elements where the
+    # differential meets the fault
+    C02, C03 = make_cyclic(0, 2), make_cyclic(0, 3)
+    one = IntMatrix.from_rows([[1]])
+    # 1_*: A(1) = Z/2 -> A(0) = Z/4 maps the relation 2 to 2, outside 4Z;
+    # d^1 applies it, which H^2 reads as its d^{n-1}
+    keeps_no_relations = HModule(C02, [zmod(4), zmod(2)],
+                                 {(x, y): one for x in range(2) for y in range(2)})
+    # every non-identity element acts on Z/4 by 2, so 1_* 1_* = 4 = 0 but
+    # (1 + 1)_* = 2: d_F d_F leaves the relations and K has no solution
+    breaks_composition = HModule(C03, [zmod(4)] * 3, {
+        (x, y): IntMatrix.from_rows([[1 if y == 0 else 2]]) for x in range(3) for y in range(3)})
+    leaves = "translation by 1 maps a relation of A(1) outside the relations of A(0)"
+    for A, n, message in (
+            (keeps_no_relations, 1, leaves),
+            (keeps_no_relations, 2, leaves),
+            (breaks_composition, 2, "on a cell over 1 leaves the relations of A(1)")):
+        assert validate_module(A)
+        with pytest.raises(ModuleError, match=re.escape(message)):
+            cohomology_group(A.monoid, 1, n, A)

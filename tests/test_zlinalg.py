@@ -303,7 +303,7 @@ OPTIMIZED_SELF_CHECKS = """
 import sys
 from monoid_cohomology import cohomology, cyclic, zlinalg
 from monoid_cohomology.bar import BarWord
-from monoid_cohomology.hmod import FGAbelianGroup, FreeBasis
+from monoid_cohomology.hmod import FGAbelianGroup, FreeBasis, HModule, ModuleError
 from monoid_cohomology.monoid import make_cyclic
 
 def raises(exc, fn, *args):
@@ -343,6 +343,16 @@ value_checks = {
 }
 for name, (fn, *args) in value_checks.items():
     if not raises(ValueError, fn, *args):
+        failures.append(name)
+# modules that validate_module rejects: on the cone route a translation
+# that leaves the relations, and a d d outside them (no curvature K)
+one, C3 = M.from_rows([[1]]), make_cyclic(0, 3)
+leaves = HModule(C, [FGAbelianGroup.cyclic(4), FGAbelianGroup.cyclic(2)],
+                 {(x, y): one for x in range(2) for y in range(2)})
+curved = HModule(C3, [FGAbelianGroup.cyclic(4)] * 3,
+                 {(x, y): M.from_rows([[2 if y else 1]]) for x in range(3) for y in range(3)})
+for name, A, n in (("cone relations", leaves, 1), ("cone curvature", curved, 2)):
+    if not raises(ModuleError, cohomology.cohomology_group, A.monoid, 1, n, A):
         failures.append(name)
 for bad in ((-1, ()), (0, (1,)), (0, (2, 3))):
     if not raises(ValueError, zlinalg.AbGroupInvariants, *bad):
