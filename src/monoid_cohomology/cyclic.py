@@ -107,7 +107,11 @@ def _word(letters):
 
 class CyclicContraction:
     """The maps f, g, Phi between B(ZC) and the small resolution for a
-    finite or infinite cyclic monoid, with g memoized on generators."""
+    finite or infinite cyclic monoid.  f and Phi are memoized per letters
+    tuple and g per generator, on the instance: the recursions reach the
+    same tails again and again, and the memo lives as long as the
+    instance (one verification), never across queries.  The returned
+    chains are the cached ones, so callers must not mutate them."""
 
     def __init__(self, m=None, q=None, infinite=False):
         self.infinite = infinite
@@ -118,15 +122,23 @@ class CyclicContraction:
             self.M = make_cyclic(m, q)
             self.m = m
             self.q = q
+        self._f_cache = {}
         self._g_cache = {}
+        self._phi_cache = {}
 
     # -- f ------------------------------------------------------------------
 
     def f_word(self, letters):
         """f of the bar cell with the given letters, as a chain over the
         resolution generators."""
-        M = self.M
         letters = tuple(letters)
+        out = self._f_cache.get(letters)
+        if out is None:
+            out = self._f_cache[letters] = self._f_uncached(letters)
+        return out
+
+    def _f_uncached(self, letters):
+        M = self.M
         if any(x == M.identity for x in letters):
             return {}
         n = len(letters)
@@ -202,8 +214,14 @@ class CyclicContraction:
 
     def phi_word(self, letters):
         """The contracting homotopy on one bar cell."""
-        M = self.M
         letters = tuple(letters)
+        out = self._phi_cache.get(letters)
+        if out is None:
+            out = self._phi_cache[letters] = self._phi_uncached(letters)
+        return out
+
+    def _phi_uncached(self, letters):
+        M = self.M
         if any(x == M.identity for x in letters):
             return {}
         n = len(letters)
@@ -311,7 +329,8 @@ def _verify(con, R, words_by_degree, degmax, report):
         return bar_word_shuffle(M, a, b)
 
     gens = _resolution_gens(R, degmax)
-    all_words = [w for d in sorted(words_by_degree) for w in words_by_degree[d]]
+    degrees = sorted(words_by_degree)
+    all_words = [w for d in degrees for w in words_by_degree[d]]
 
     wit = []
     for gen in gens:
@@ -342,15 +361,19 @@ def _verify(con, R, words_by_degree, degmax, report):
         wit.append("g v0 != []")
     report.record("units", wit)
 
+    # b ranges over the buckets that fit next to a, in the order of
+    # all_words, so the pairs and witnesses come out as over all pairs
     wit = []
     for a in all_words:
-        for b in all_words:
-            if a.degree + b.degree > degmax:
-                continue
-            lhs = con.f_chain(bar_word_shuffle(M, a, b))
-            rhs = R.product(con.f_word(a.letters), con.f_word(b.letters))
-            if lhs != rhs:
-                wit.append((a, b))
+        room = degmax - a.degree
+        for d in degrees:
+            if d > room:
+                break
+            for b in words_by_degree[d]:
+                lhs = con.f_chain(bar_word_shuffle(M, a, b))
+                rhs = R.product(con.f_word(a.letters), con.f_word(b.letters))
+                if lhs != rhs:
+                    wit.append((a, b))
     report.record("f is multiplicative", wit)
 
     wit = []

@@ -8,10 +8,19 @@ normalized to vanish on the unit.
 A crossed product of a 5-cocycle is coherent; conversely coherence of
 the tables is exactly the 5-cocycle condition, which is how the
 classification by the top truncated cohomology group is exercised.
+
+cocycle_check tests the pentagon component over M^4 first, then the
+components that read mu.  The pentagon reads g alone, so its verdict is
+the same for every mu; iso_classes therefore runs it once per g table
+and pairs only the g tables that pass with the mu tables, and lists
+exactly the pairs the per-pair check accepts, in the same order.  The
+search stays brute force, as the independent check of the class count
+against |H^5(M,3;A)|, and is capped at BRUTE_FORCE_CAP table pairs.
 """
 
 from itertools import product
 
+from .cohomology import BRUTE_FORCE_CAP
 from .hmod import HModule, IntMatrix, validate_module
 from .monoid import validate_table
 
@@ -170,30 +179,25 @@ def check_coherence(G):
     return report
 
 
-def cocycle_check(M, module, g_table, mu_table):
-    """True iff the pair is a 5-cocycle of the level-3 truncated
-    complex: the (h, gamma, delta, xi) components of the coboundary
-    all vanish."""
-    G = crossed_product(M, module, g_table, mu_table)
-    mod = module
-    e = M.identity
+def _combo_zero(module, obj, combo):
+    """sum(sign * vec) over combo vanishes in A(obj)."""
+    grp = module.group(obj)
+    acc = [0] * grp.ngens
+    for sign, vec in combo:
+        for i, v in enumerate(vec):
+            acc[i] += sign * v
+    return grp.is_zero_element(acc)
 
-    def g(x, y, z):
-        return G.assoc(x, y, z)
 
-    def mu(x, y):
-        return G.symm(x, y)
+def _pentagon_ok(G):
+    """The h component of the coboundary, over M^4: the pentagon, which
+    reads the associativity table alone."""
+    M = G.monoid
+    mod = G.module
+    g = G.assoc
 
     def tr(x, y, vec):
         return mod.translate(x, y, list(vec))
-
-    def zero(obj, combo):
-        grp = mod.group(obj)
-        acc = [0] * grp.ngens
-        for sign, vec in combo:
-            for i, v in enumerate(vec):
-                acc[i] += sign * v
-        return grp.is_zero_element(acc)
 
     els = list(M.elements())
     for x in els:
@@ -206,8 +210,23 @@ def cocycle_check(M, module, g_table, mu_table):
                              (1, g(x, M.op(y, z), t)),
                              (-1, g(x, y, M.op(z, t))),
                              (1, tr(M.op(x, M.op(y, z)), t, g(x, y, z)))]
-                    if not zero(obj, combo):
+                    if not _combo_zero(mod, obj, combo):
                         return False
+    return True
+
+
+def _symmetry_ok(G):
+    """The components of the coboundary that read mu: gamma and delta
+    (the hexagons, over M^3) and xi (the involution of mu, over M^2)."""
+    M = G.monoid
+    mod = G.module
+    g = G.assoc
+    mu = G.symm
+
+    def tr(x, y, vec):
+        return mod.translate(x, y, list(vec))
+
+    els = list(M.elements())
     for x in els:
         for y in els:
             for z in els:
@@ -218,7 +237,7 @@ def cocycle_check(M, module, g_table, mu_table):
                          (-1, g(x, y, z)),
                          (1, g(y, x, z)),
                          (-1, g(y, z, x))]
-                if not zero(obj, gamma):
+                if not _combo_zero(mod, obj, gamma):
                     return False
                 delta = [(1, tr(M.op(y, z), x, mu(y, z))),
                          (-1, mu(M.op(x, y), z)),
@@ -226,14 +245,23 @@ def cocycle_check(M, module, g_table, mu_table):
                          (1, g(x, y, z)),
                          (-1, g(x, z, y)),
                          (1, g(z, x, y))]
-                if not zero(obj, delta):
+                if not _combo_zero(mod, obj, delta):
                     return False
     for x in els:
         for y in els:
-            obj = M.op(x, y)
-            if not zero(obj, [(-1, mu(x, y)), (-1, mu(y, x))]):
+            if not _combo_zero(mod, M.op(x, y), [(-1, mu(x, y)), (-1, mu(y, x))]):
                 return False
     return True
+
+
+def cocycle_check(M, module, g_table, mu_table):
+    """True iff the pair is a 5-cocycle of the level-3 truncated
+    complex: the (h, gamma, delta, xi) components of the coboundary
+    all vanish.  The pentagon h comes first; it reads g alone, so
+    iso_classes runs it once per g and the rest once per (g, mu)
+    whose g passed, which gives the same answer for every pair."""
+    G = crossed_product(M, module, g_table, mu_table)
+    return _pentagon_ok(G) and _symmetry_ok(G)
 
 
 def extract_triple(G):
@@ -450,13 +478,42 @@ def monoid_automorphisms(M):
     return out
 
 
+def _check_search_size(M, module):
+    """Raise GroupoidError when |g tables| * |mu tables| exceeds
+    BRUTE_FORCE_CAP, counted from the group orders before any table is
+    listed."""
+    orders = {}
+    total = 1
+    for arity in (3, 2):
+        for key in product(M.nonunit(), repeat=arity):
+            pi = M.identity
+            for x in key:
+                pi = M.op(pi, x)
+            if pi not in orders:
+                orders[pi] = module.group(pi).order()
+                if orders[pi] is None:
+                    raise GroupoidError("classification needs finite coefficient "
+                                        "groups; A(%d) is infinite" % pi)
+            total *= orders[pi]
+            if total > BRUTE_FORCE_CAP:
+                raise GroupoidError("classification would search more than %d "
+                                    "(g, mu) table pairs" % BRUTE_FORCE_CAP)
+
+
 def iso_classes(M, module, search_automorphisms=False):
     """Partition the 5-cocycles over (M, A) into isomorphism classes.
 
     By default only isomorphisms with identity monoid and coefficient
     components are searched; with search_automorphisms the monoid
     component ranges over Aut(M) (kept to |M| <= 4, and to constant
-    coefficients so the identity family is natural for every i).
+    coefficients so the identity family is natural for every i).  The
+    search is capped: more than BRUTE_FORCE_CAP (g, mu) table pairs
+    raise GroupoidError.
+
+    The cocycles are [(g, mu) for g in gs for mu in mus if
+    cocycle_check(M, module, g, mu)], in that order; each table is
+    normalized once, each g's pentagon runs once, and only a g that
+    passes meets the mu tables.
     """
     if search_automorphisms:
         if M.size > 4:
@@ -466,31 +523,33 @@ def iso_classes(M, module, search_automorphisms=False):
         isos = monoid_automorphisms(M)
     else:
         isos = [tuple(range(M.size))]
+    _check_search_size(M, module)
     gs = enumerate_cochain_tables(M, module, 3)
     mus = enumerate_cochain_tables(M, module, 2)
-    cocycles = [(g, mu) for g in gs for mu in mus
-                if cocycle_check(M, module, g, mu)]
+    normal_mus = [_normalized_table(M, module, mu, 2, "mu") for mu in mus]
+    cocycles = []
+    groupoids = []
+    for g in gs:
+        normal_g = _normalized_table(M, module, g, 3, "g")
+        if not _pentagon_ok(SMAGroupoid(M, module, normal_g, {})):
+            continue
+        for mu, normal_mu in zip(mus, normal_mus):
+            G = SMAGroupoid(M, module, normal_g, normal_mu)
+            if _symmetry_ok(G):
+                cocycles.append((g, mu))
+                groupoids.append(G)
+    # psi is the identity family; f ranges over the binary tables, the
+    # same list as mu
     psi = {x: IntMatrix.identity(module.group(x).ngens) for x in M.elements()}
-    fs = enumerate_cochain_tables(M, module, 2)
     classes = []
-    for g, mu in cocycles:
-        src = crossed_product(M, module, g, mu)
-        placed = False
-        for cls in classes:
-            rep = cls[0]
-            tgt = crossed_product(M, module, rep[0], rep[1])
-            for i in isos:
-                for f in fs:
-                    ok, _ = verify_monoidal_iso(
-                        src, tgt, MonoidalFunctorData(i, psi, f))
-                    if ok:
-                        cls.append((g, mu))
-                        placed = True
-                        break
-                if placed:
-                    break
-            if placed:
+    representatives = []
+    for pair, src in zip(cocycles, groupoids):
+        for cls, tgt in zip(classes, representatives):
+            if any(verify_monoidal_iso(src, tgt, MonoidalFunctorData(i, psi, f))[0]
+                   for i in isos for f in mus):
+                cls.append(pair)
                 break
-        if not placed:
-            classes.append([(g, mu)])
+        else:
+            classes.append([pair])
+            representatives.append(src)
     return cocycles, classes

@@ -129,6 +129,18 @@ def test_groupoid_check_subcommand(tmp_path):
     assert data["coherent"] is False
 
 
+def test_groupoid_classify_output_and_search_cap():
+    code, out, _ = invoke(["--json", "groupoid", "classify", "--monoid",
+                           "cyclic:1,2", "--coeff", "Z/2"])
+    assert code == 0
+    assert out == '{"automorphism_search":false,"classes":2,"cocycles":8}\n'
+    # 2^125 g tables on C(3,3): refused before any table is listed
+    code, out, err = invoke(["groupoid", "classify", "--monoid", "cyclic:3,3",
+                             "--coeff", "Z/2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_torsion_one_descriptor_is_the_trivial_group():
     argv = ["--json", "cohomology", "--monoid", "cyclic:0,2", "--level", "2",
             "--degree", "2", "--coeff"]

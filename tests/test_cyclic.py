@@ -3,7 +3,8 @@ import pytest
 from monoid_cohomology.bar import (BarWord, bar, bar_word_shuffle,
                                    validate_dga)
 from monoid_cohomology.cohomology import CochainComplex, cohomology_group
-from monoid_cohomology.cyclic import (CyclicContraction, bullet,
+from monoid_cohomology.cyclic import (ContractionReport, CyclicContraction,
+                                      _letter_words, _verify, bullet,
                                       closed_form_top, gf_closed_form,
                                       infinite_cyclic_groups,
                                       leech_groups_cyclic,
@@ -290,6 +291,40 @@ def test_contraction_maps_on_chains():
         (1, w1((1,))): 3, (0, w1((1, 1))): 1}
     assert CyclicContraction(0, 3).phi_chain({(1, w1((2,))): 2}) == {
         (1, w1((1, 1))): 2}
+
+
+def _run_verify(con, degmax):
+    # what verify_contraction does, on a given contraction instance
+    m, q = con.m, con.q
+    report = ContractionReport({"index": m, "period": q, "max_degree": degmax})
+    words = _letter_words([x for x in range(m + q) if x != 0], degmax)
+    return _verify(con, small_resolution(m, q, degmax + 1), words, degmax, report)
+
+
+def test_memoized_contraction_reports_a_wrong_homotopy_cell():
+    bad = w1((1, 2))
+
+    class WrongPhi(CyclicContraction):
+        def phi_word(self, letters):
+            out = super().phi_word(letters)
+            if tuple(letters) == bad.letters:
+                out = dict(out)
+                out[(0, w1((1, 1, 2)))] = 1
+            return out
+
+    report = _run_verify(WrongPhi(1, 2), 3)
+    failures = report.failures()
+    assert bad in failures["d.Phi + Phi.d = g.f - id"], failures
+    assert "f is multiplicative" not in failures
+
+
+def test_verifying_twice_on_one_instance_gives_the_same_report():
+    # a caller that mutated a cached chain would change the second run
+    for m, q in ((1, 2), (0, 3), (2, 2)):
+        con = CyclicContraction(m, q)
+        first = _run_verify(con, 3).to_json()
+        assert _run_verify(con, 3).to_json() == first
+        assert first == verify_contraction(m, q, 3).to_json()
 
 
 def test_small_complexes_match_generic_with_tabular_module():

@@ -175,6 +175,55 @@ def test_class_count_matches_h5_on_enumeration_grid():
             assert len(classes) == h5.order(), (M, G, len(classes), h5)
 
 
+def _per_pair_cocycles(M, A, gs):
+    return [(g, mu) for g in gs for mu in enumerate_cochain_tables(M, A, 2)
+            if cocycle_check(M, A, g, mu)]
+
+
+def test_iso_classes_lists_the_per_pair_cocycles_in_order():
+    # iso_classes runs each g's pentagon once and the mu components only
+    # for a g that passes; its list is the per-pair filter, in order
+    for M, n in ((Z2, 2), (Z2, 3), (C11, 2), (C11, 3), (make_cyclic(0, 3), 2),
+                 (C12, 2)):
+        A = constant_module(zmod(n), M)
+        cocycles, _ = iso_classes(M, A)
+        assert cocycles == _per_pair_cocycles(
+            M, A, enumerate_cochain_tables(M, A, 3)), (M, n)
+
+
+def test_iso_classes_cocycles_on_sampled_g_tables_c03_z3():
+    # C(0,3) with Z/3 has 3^12 pairs, and the per-pair filter over all
+    # of them takes minutes; compare it on the g tables of the listed
+    # cocycles and on every 243rd g table
+    M = make_cyclic(0, 3)
+    A = constant_module(zmod(3), M)
+    cocycles, classes = iso_classes(M, A)
+    assert (len(cocycles), len(classes)) == (9, 1)
+    gs = enumerate_cochain_tables(M, A, 3)
+    listed = [g for g, _ in cocycles]
+    sample = [g for k, g in enumerate(gs) if k % 243 == 0 or g in listed]
+    assert len(sample) > 27
+    assert [(g, mu) for g, mu in cocycles if g in sample] == \
+        _per_pair_cocycles(M, A, sample)
+
+
+def test_classification_search_is_capped(monkeypatch):
+    # |g tables| * |mu tables| is counted from the group orders before
+    # anything is listed: C(3,3) with Z/2 has 2^125 * 2^25 pairs
+    import monoid_cohomology.groupoid as groupoid
+
+    def no_listing(*args):
+        raise AssertionError("tables listed before the size check")
+
+    monkeypatch.setattr(groupoid, "enumerate_cochain_tables", no_listing)
+    big = make_cyclic(3, 3)
+    for M, A in ((big, constant_module(zmod(2), big)),
+                 (C12, constant_module(zmod(4), C12)),  # 4^12 = 2^24 pairs
+                 (Z2, constant_module(FGAbelianGroup.free(1), Z2))):
+        with pytest.raises(GroupoidError):
+            iso_classes(M, A)
+
+
 def test_automorphism_search_runs():
     from monoid_cohomology.groupoid import monoid_automorphisms
     assert monoid_automorphisms(Z2) == [(0, 1)]
