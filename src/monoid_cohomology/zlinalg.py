@@ -22,6 +22,10 @@ its transpose have the same Smith diagonal, and the coboundaries are
 tall (degree n+1 has several times the cells of degree n), so their
 columns are the short side.
 
+What the sweep leaves of a coboundary is short and wide; snf_diagonal
+replaces it by a certified basis of its column lattice before the dense
+Smith form (see _column_lattice_basis).
+
 Lattices are always given by matrices whose *columns* span them.
 """
 
@@ -515,26 +519,64 @@ def snf_diagonal(A):
     Sparse-friendly: +-1 entries are swept first (_unit_sweep), on the
     columns when A has more rows than columns and on the rows otherwise;
     A and its transpose have the same Smith diagonal, and the short side
-    leaves the smaller dense leftover.  Clearing a swept pivot line
-    afterwards would be operations of the other kind touching only that
-    line, so each sweep contributes one factor 1, and the dense leftover
-    goes through the full algorithm.
+    leaves the smaller leftover.  Clearing a swept pivot line afterwards
+    would be operations of the other kind touching only that line, so
+    each sweep contributes one factor 1.
+
+    The leftover (one row per surviving line) goes to smith_normal_form
+    only as a certified basis of its column lattice, which has the same
+    nonzero Smith factors (_column_lattice_basis).
     """
     rows, eliminated = _unit_sweep(A.col_dicts() if A.rows > A.cols
                                    else A.row_dicts())
     ones = len(eliminated)
     if not rows:
         return [1] * ones
-    live_rows = sorted(rows)
-    live_cols = sorted({j for r in rows.values() for j in r})
-    cmap = {j: k for k, j in enumerate(live_cols)}
-    dense = IntMatrix(len(live_rows), len(live_cols))
-    for a, i in enumerate(live_rows):
-        for j, v in rows[i].items():
-            dense.data[a][cmap[j]] = v
-    Dm, _, _ = smith_normal_form(dense)
+    Dm, _, _ = smith_normal_form(_column_lattice_basis(list(rows.values())))
     diag = [Dm.data[i][i] for i in range(min(Dm.rows, Dm.cols))]
     return [1] * ones + [d for d in diag if d]
+
+
+def _column_lattice_basis(lines):
+    """Dense r x k basis, as a column staircase, of the column lattice of
+    the r x c matrix L whose rows are the sparse lines (k = rank <= r).
+
+    Column operations keep the column lattice, and the nonzero Smith
+    factors of L are those of Z^r modulo that lattice, so the basis has
+    the same Smith diagonal as L with a k x k column transform instead of
+    a c x c one (up to 8 x 448 on the coboundaries).  The tracked column
+    echelon need not be trusted: each basis column is checked to be L
+    times its tracked integer combination (so the basis lattice lies in
+    L's), and each column of L to solve over the basis (so L's lies in
+    the basis lattice).  Either failure raises ArithmeticError.
+    """
+    by_index = {}
+    for a, line in enumerate(lines):
+        for j, v in line.items():
+            by_index.setdefault(j, {})[a] = v
+    columns = [by_index[j] for j in sorted(by_index)]
+    originals = [dict(col) for col in columns]
+    pivots, V, _ = _column_echelon(len(lines), len(columns), columns, track=True)
+    H = IntMatrix(len(lines), len(pivots))
+    for k, (_, j) in enumerate(pivots):
+        combo = {}
+        for src, q in V[j].items():
+            _dict_submul(combo, originals[src], -q)
+        if combo != columns[j]:
+            raise ArithmeticError("basis column %d is not its tracked combination" % k)
+        for i, v in columns[j].items():
+            H.data[i][k] = v
+    # read off H rather than taken from the echelon, so that a solution
+    # found is one whatever the echelon got wrong
+    staircase = staircase_pivots(H)
+    for col in originals:
+        b = [0] * len(lines)
+        for i, v in col.items():
+            b[i] = v
+        if _staircase_solve(H, b, staircase) is None:
+            raise ArithmeticError("leftover column %r lies outside its echelon basis"
+                                  % (col,))
+    return H
 
 
 def _column_echelon(nrows, ncols, columns, track):
@@ -680,6 +722,12 @@ def lattice_solve(H, b, pivots):
     """Solve H x = b over Z, H a column staircase (lattice_basis
     output) with pivots staircase_pivots(H).  Returns the coefficient
     list or None."""
+    return _staircase_solve(H, b, pivots)
+
+
+def _staircase_solve(H, b, pivots):
+    """lattice_solve, for the callers inside this module that are not
+    lattice-route solves (snf_diagonal's basis certification)."""
     b = list(b)
     x = [0] * H.cols
     for r, j in pivots:

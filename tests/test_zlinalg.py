@@ -94,25 +94,46 @@ def test_snf_diagonal_matches_sympy_in_both_orientations():
     # sympy's invariant factors as an independent Smith-form oracle; the
     # transposes make snf_diagonal sweep the other side
     pytest.importorskip("sympy")
-    from sympy import ZZ, Matrix
-    from sympy.matrices.normalforms import invariant_factors
     random.seed(31)
     shaped = [IntMatrix(m, n, [[random.choice((0, 0, 0, 1, -1, 2, 3))
                                 for _ in range(n)] for _ in range(m)])
               for m, n in ((9, 3), (3, 9), (16, 5), (5, 16), (0, 4), (4, 0), (0, 0))]
+    # wide draws with no unit entry, which the sweep leaves whole for the
+    # column-lattice basis; the even ones keep factors above 1, and the
+    # last has a row equal to the sum of two others
+    wide = [IntMatrix(m, n, [[random.choice(entries) for _ in range(n)]
+                             for _ in range(m)])
+            for m, n in ((1, 40), (4, 30), (6, 60), (8, 90))
+            for entries in ((0, 0, 2, -2, 3, -3, 4, 6), (0, 0, 2, -2, 4, 6))]
+    deficient = wide[-1].copy()
+    deficient.data[5] = [a + b for a, b in zip(deficient.data[0], deficient.data[1])]
+    # small shapes up to 6x40 with entries mostly, not always, off +-1
+    biased = []
+    for _ in range(40):
+        m, n = random.randint(1, 6), random.randint(1, 40)
+        biased.append(IntMatrix(m, n, [[random.choice((0, 0, 0, 2, -2, 3, -3, 4, 6,
+                                                       -6, 9, 1, -1))
+                                        for _ in range(n)] for _ in range(m)]))
     # the integer coboundaries d^0 .. d^4 of C(1,2) at levels 1, 2, 3
     coboundaries = [d for r in (1, 2, 3)
                     for d in cochain_complex(C12, r, constant_module(Z, C12),
                                              5).coboundaries.values()]
-    for A in snf_draws() + shaped + coboundaries:
-        rows = A.row_dicts()
-        dense = Matrix(A.rows, A.cols, [rows[i].get(j, 0)
-                                        for i in range(A.rows) for j in range(A.cols)])
-        want = [abs(d) for d in invariant_factors(dense, domain=ZZ) if d]
+    for A in snf_draws() + shaped + wide + [deficient] + biased + coboundaries:
+        want = sympy_invariant_factors(A)
         for X in (A, as_sparse(A), transpose(A), as_sparse(transpose(A))):
             before = [dict(r) for r in X.row_dicts()]
             assert snf_diagonal(X) == want
             assert X.row_dicts() == before  # the sweep works on copies
+    assert len(sympy_invariant_factors(deficient)) == 7
+
+
+def sympy_invariant_factors(A):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+    rows = A.row_dicts()
+    dense = Matrix(A.rows, A.cols, [rows[i].get(j, 0)
+                                    for i in range(A.rows) for j in range(A.cols)])
+    return [abs(d) for d in invariant_factors(dense, domain=ZZ) if d]
 
 
 def test_kernel_worked_examples():
@@ -361,6 +382,23 @@ for bad in ((-1, ()), (0, (1,)), (0, (2, 3))):
 cyclic.cyclic_s = lambda m, q, x, y: 5
 if not raises(ArithmeticError, cyclic.gf_closed_form, 1, 2, 2, 2):
     failures.append("gf_closed_form identity")
+# snf_diagonal certifies the echelon basis of its leftover: a wrong
+# tracked combination, and a dropped basis column that leaves a leftover
+# column outside the basis lattice
+echelon = zlinalg._column_echelon
+def wrong_combination(*args, **kwargs):
+    pivots, V, active = echelon(*args, **kwargs)
+    V[pivots[0][1]] = {k: 2 * v for k, v in V[pivots[0][1]].items()}
+    return pivots, V, active
+def dropped_column(*args, **kwargs):
+    pivots, V, active = echelon(*args, **kwargs)
+    return pivots[:-1], V, active
+for name, broken in (("echelon combination", wrong_combination),
+                     ("echelon containment", dropped_column)):
+    zlinalg._column_echelon = broken
+    if not raises(ArithmeticError, zlinalg.snf_diagonal, M.from_rows([[2, 0], [0, 2]])):
+        failures.append(name)
+zlinalg._column_echelon = echelon
 # a broken product makes the self-check U A V == D fail
 zlinalg.IntMatrix.mul = lambda self, other: zlinalg.IntMatrix(self.rows, other.cols)
 if not raises(ArithmeticError, zlinalg.smith_normal_form,
