@@ -317,9 +317,16 @@ def bar_word_shuffle(M, a, b):
 
 def explicit_low_degree_differential(M, word):
     """Hardcoded low-degree differential formulas, used purely as an
-    oracle against the recursive one.  Supports the five classical
-    shapes: level-1 cells, [x|^2 y], [x|^2 y|z], [x|y|^2 z], [x|^3 y].
+    oracle against the recursive one: the level-1 alternating sum, the
+    top shapes [x|^2 y], [x|^2 y|z], [x|y|^2 z] and [x|^3 y], and the
+    suspension rule: a level-r word with no separator r is the
+    level-(r-1) word suspended, and its differential is minus that
+    one's.  Any other shape raises ValueError.
     """
+    if word.level >= 2 and word.letters and word.level not in word.seps:
+        below = BarWord(word.letters, word.seps, word.level - 1)
+        return {(u, w.suspend(word.level)): -c
+                for (u, w), c in explicit_low_degree_differential(M, below).items()}
     e = M.identity
 
     out = {}

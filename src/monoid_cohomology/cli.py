@@ -23,7 +23,7 @@ from .grillet import grillet_cohomology, inclusion_chainmap
 from .groupoid import (check_coherence, cocycle_check, crossed_product,
                        iso_classes)
 from .hmod import constant_module, module_from_descriptor, parse_group_shorthand
-from .monoid import (INFINITE_CYCLIC, FiniteCommutativeMonoid,
+from .monoid import (INFINITE_CYCLIC, FiniteCommutativeMonoid, is_integer,
                      monoid_from_descriptor)
 
 
@@ -189,7 +189,7 @@ def _parse_cocycle_file(path):
             except ValueError:
                 raise InputError("cocycle key %s[%s] must list integers" % (name, key))
             if (not isinstance(coeffs, list)
-                    or not all(isinstance(v, int) for v in coeffs)):
+                    or not all(is_integer(v) for v in coeffs)):
                 raise InputError("cocycle value %s[%s] must be a list of integers, "
                                  "got %r" % (name, key, coeffs))
             table[args] = tuple(coeffs)

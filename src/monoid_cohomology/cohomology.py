@@ -25,18 +25,23 @@ Smith factors above 1 of the one row-sparse matrix
     psi = [[-d_R^n, -K^n], [I_n, d_F^(n-1)]]
         : C^n(R) + C^(n-1)(F) -> C^(n+1)(R) + C^n(F),
 
-and the free rank is that of H^n of the torsion-free quotient A/tors,
-whose translations satisfy the laws exactly.  Without K the answer is
-wrong whenever d_F d_F does not vanish: on C(0,4) with A(x) = Z + Z/2
-and y acting by (a, b) -> (a, b + (y mod 2) a), H^3(M,1) would read
-(Z/2)^3 instead of Z/2.  For constant A the cone reduces to the
-universal coefficient theorem, which stays as its closed form: it needs
-only the two Smith diagonals of K and is the faster of the two there.
+which is the cone's D^(n-1).  The free rank is dim cone^n - rank D^n -
+rank psi.  The top rows of D^n are -I^-1 d_F^(n+1) times its bottom
+rows, since d_F I = I d_R and d_F d_F = I K, so D^n has the rank of
+its bottom block [I_(n+1) | d_F^n], and no second module is needed.
+Without K the answer is wrong whenever d_F d_F does not vanish: on
+C(0,4) with A(x) = Z + Z/2 and y acting by (a, b) -> (a, b + (y mod 2)
+a), H^3(M,1) would read (Z/2)^3 instead of Z/2.  A module without
+relations (ZM) is its own free cover: psi is d_F^(n-1) and the bottom
+block is d_F^n, the stored complex read as is.  For constant A the cone
+reduces to the universal coefficient theorem, which stays as its closed
+form: it needs only the two Smith diagonals of K and is the faster of
+the two there.
 """
 
-from .bar import BarWord, add_cell_term, bar_word_diff, iterated_bar
+from .bar import bar_word_diff, explicit_low_degree_differential, iterated_bar
 from .hmod import (CochainGroup, FGAbelianGroup, FreeBasis, ModuleError,
-                   constant_module, dualize, relation_module, torsion_free_quotient)
+                   constant_module, dualize, relation_module)
 from .monoid import FiniteCommutativeMonoid
 from .zlinalg import (AbGroupInvariants, IntMatrix, SparseIntMatrix, block_diagonal,
                       gcd, snf_diagonal)
@@ -58,13 +63,12 @@ class CochainComplex:
     any other module those of its free cover.  cohomology(n) reads
     H^n from Smith diagonals: the universal coefficient theorem for
     constant A, the mapping cone of the relations otherwise (see the
-    module docstring).  The relation module and A/tors are built on
-    first use and kept.  On the cone route a translation that d^{n-1}
-    or d^n applies and that does not keep the relations, or a d_F d_F
-    outside them, raises ModuleError: the module breaks its laws
-    there."""
+    module docstring).  The relation module is built on first use and
+    kept.  On the cone route a translation that d^{n-1} or d^n applies
+    and that does not keep the relations, or a d_F d_F outside them,
+    raises ModuleError: the module breaks its laws there."""
 
-    __slots__ = ("dga", "module", "nmax", "groups", "coboundaries", "_derived")
+    __slots__ = ("dga", "module", "nmax", "groups", "coboundaries", "_relation_module")
 
     def __init__(self, dga, module, nmax):
         self.dga = dga
@@ -72,7 +76,7 @@ class CochainComplex:
         self.nmax = nmax
         self.groups = {}
         self.coboundaries = {}
-        self._derived = None
+        self._relation_module = None
         M = dga.monoid
         coeffs = constant_module(FGAbelianGroup.free(1), M) if module.constant else module
         for n in range(nmax + 1):
@@ -92,23 +96,17 @@ class CochainComplex:
             raise ValueError("degree %d outside the built range" % n)
         d_n = self.coboundaries[n]
         d_prev = self.coboundaries[n - 1] if n > 0 else IntMatrix(d_n.cols, 0)
-        if self.module.constant:
-            A = self.module.group(0).invariants()
-        elif any(g.relation_basis.cols for k in (n - 1, n, n + 1) if k >= 0
-                 for g in self.groups[k].blocks):
+        if not self.module.constant:
             self._check_translations(n)
-            return AbGroupInvariants.from_diagonal(self._cone_diagonal(n, d_prev),
-                                                   free_rank=self._free_rank(n))
-        else:
-            # no relations in degrees n-1..n+1: A is its own free cover
-            # and A/tors there, psi is d^{n-1}, and H^n is that of the
-            # stored integer complex, the case A = Z below
-            A = AbGroupInvariants(1)
+            diag = self._cone_diagonal(n, d_prev)
+            return AbGroupInvariants.from_diagonal(
+                diag, free_rank=self._free_rank(n, d_n, len(diag)))
         # universal coefficients (Mac Lane, Homology, III): H^n =
         # H^n(K) (x) A + Tor(H^{n+1}(K), A) = A^free (free = rank of
         # H^n(K)) + A/dA per factor d of d^{n-1} + A[d] per factor d
         # of d^n; for A = Z^a + (+)_t Z/t, A/dA = (Z/d)^a + (+) Z/gcd(d, t)
         # and A[d] = (+) Z/gcd(d, t)
+        A = self.module.group(0).invariants()
         diag_prev = snf_diagonal(d_prev)
         diag_n = snf_diagonal(d_n)
         free = d_n.cols - len(diag_n) - len(diag_prev)
@@ -116,34 +114,46 @@ class CochainComplex:
         tors += [gcd(d, t) for d in diag_prev + diag_n if d > 1 for t in A.torsion]
         return AbGroupInvariants.from_diagonal(tors, free_rank=A.free_rank * free)
 
-    def _derived_modules(self):
-        if self._derived is None:
-            M = self.dga.monoid
-            self._derived = (relation_module(self.module, M),
-                             torsion_free_quotient(self.module, M))
-        return self._derived
+    def _relations(self):
+        if self._relation_module is None:
+            self._relation_module = relation_module(self.module, self.dga.monoid)
+        return self._relation_module
+
+    def _has_relations(self, n):
+        return any(g.relation_basis.cols for g in self.groups[n].blocks)
 
     def _check_translations(self, n):
         """Every translation that d^{n-1} or d^n applies keeps the
         relations; the relation module raises ModuleError naming the
-        first pair that does not."""
-        relations, pi = self._derived_modules()[0], self.dga.pi
+        first pair that does not.  Those translations start in degrees
+        n-1 and n, so without relations there nothing can break."""
+        if not any(self._has_relations(k) for k in (n - 1, n) if k >= 0):
+            return
+        relations, pi = self._relations(), self.dga.pi
         pairs = {(pi[s], u) for k in (n, n + 1) for t in self.groups[k].basis.generators
                  for u, s in self.dga.differential(t)}
         for x, y in sorted(pairs):
             relations.action(x, y)
 
+    def _with_inclusion(self, n, d):
+        """[I_n | d], I_n the block-diagonal inclusion of the degree-n
+        relations; d itself when degree n has none."""
+        if not self._has_relations(n):
+            return d
+        return block_diagonal([g.relation_basis for g in self.groups[n].blocks]).hstack(d)
+
     def _cone_diagonal(self, n, d_prev):
         """Smith diagonal of psi with its top rows negated, which leaves
-        the diagonal unchanged: [[d_R^n, K^n], [I_n, d_F^(n-1)]]."""
-        inclusion = block_diagonal([g.relation_basis for g in self.groups[n].blocks])
-        bottom = inclusion.hstack(d_prev)
-        top = []
-        if any(g.relation_basis.cols for g in self.groups[n + 1].blocks):
-            d_R = self._dualize(n, self._derived_modules()[0])
-            top = d_R.hstack(self._curvature(n, d_prev)).row_dicts()
-        psi = SparseIntMatrix(len(top) + bottom.rows, bottom.cols, top + bottom.row_dicts())
-        return snf_diagonal(psi)
+        the diagonal unchanged: [[d_R^n, K^n], [I_n, d_F^(n-1)]]; with no
+        relations in degree n+1 there are no top rows and psi is its
+        bottom block."""
+        bottom = self._with_inclusion(n, d_prev)
+        if not self._has_relations(n + 1):
+            return snf_diagonal(bottom)
+        d_R = self._dualize(n, self._relations())
+        top = d_R.hstack(self._curvature(n, d_prev)).row_dicts()
+        return snf_diagonal(SparseIntMatrix(len(top) + bottom.rows, bottom.cols,
+                                            top + bottom.row_dicts()))
 
     def _curvature(self, n, d_prev):
         """K^n = I_{n+1}^-1 (d_F^n d_F^(n-1)), row-sparse over C^(n+1)(R);
@@ -186,17 +196,15 @@ class CochainComplex:
                 return group.basis.pi[cell]
         raise IndexError(col)
 
-    def _free_rank(self, n):
-        """rank H^n(A) = rank H^n(A/tors); 0 when every A(x) of degree n
-        is finite, since then C^n(A/tors) = 0."""
+    def _free_rank(self, n, d_n, rank_psi):
+        """rank H^n = dim cone^n - rank D^n - rank psi.  The top rows of
+        D^n are -I_{n+2}^-1 d_F^(n+1) times its bottom block [I_{n+1} |
+        d_F^n], a map on all of cone^n, so D^n has that block's rank.
+        0 at once when every A(x) of degree n is finite."""
         if all(g.relation_basis.cols == g.ngens for g in self.groups[n].blocks):
             return 0
-        quotient = self._derived_modules()[1]
-        d_n = self._dualize(n, quotient)
-        free = d_n.cols - len(snf_diagonal(d_n))
-        if n:
-            free -= len(snf_diagonal(self._dualize(n - 1, quotient)))
-        return free
+        bottom = self._with_inclusion(n + 1, d_n)
+        return bottom.cols - len(snf_diagonal(bottom)) - rank_psi
 
 
 def cochain_complex(M, r, module, nmax):
@@ -226,111 +234,20 @@ def cohomology_group(M, r, n, module):
 
 # -- closed-form truncated coboundaries ---------------------------------------
 
-def _formula_d3_level2(M, t):
-    # target [x|^2 y] pairs with mu; targets [x|y|z] with g
-    e = M.identity
-    out = {}
-    if t.seps == (1, 1):
-        x, y, z = t.letters
-        add_cell_term(M, out, x, (y, z), (1,), 2, -1)
-        add_cell_term(M, out, e, (M.op(x, y), z), (1,), 2, 1)
-        add_cell_term(M, out, e, (x, M.op(y, z)), (1,), 2, -1)
-        add_cell_term(M, out, z, (x, y), (1,), 2, 1)
-    elif t.seps == (2,):
-        x, y = t.letters
-        add_cell_term(M, out, e, (x, y), (1,), 2, 1)
-        add_cell_term(M, out, e, (y, x), (1,), 2, -1)
-    else:
-        raise ValueError("no level-2 d^3 formula for separators %r" % (t.seps,))
-    return out
-
-
-def _formula_d4_level2(M, t):
-    e = M.identity
-    out = {}
-    if t.seps == (1, 1, 1):
-        x, y, z, w = t.letters
-        add_cell_term(M, out, x, (y, z, w), (1, 1), 2, -1)
-        add_cell_term(M, out, e, (M.op(x, y), z, w), (1, 1), 2, 1)
-        add_cell_term(M, out, e, (x, M.op(y, z), w), (1, 1), 2, -1)
-        add_cell_term(M, out, e, (x, y, M.op(z, w)), (1, 1), 2, 1)
-        add_cell_term(M, out, w, (x, y, z), (1, 1), 2, -1)
-    elif t.seps == (2, 1):
-        x, y, z = t.letters
-        add_cell_term(M, out, y, (x, z), (2,), 2, -1)
-        add_cell_term(M, out, e, (x, M.op(y, z)), (2,), 2, 1)
-        add_cell_term(M, out, z, (x, y), (2,), 2, -1)
-        add_cell_term(M, out, e, (x, y, z), (1, 1), 2, 1)
-        add_cell_term(M, out, e, (y, x, z), (1, 1), 2, -1)
-        add_cell_term(M, out, e, (y, z, x), (1, 1), 2, 1)
-    elif t.seps == (1, 2):
-        x, y, z = t.letters
-        add_cell_term(M, out, x, (y, z), (2,), 2, -1)
-        add_cell_term(M, out, e, (M.op(x, y), z), (2,), 2, 1)
-        add_cell_term(M, out, y, (x, z), (2,), 2, -1)
-        add_cell_term(M, out, e, (x, y, z), (1, 1), 2, -1)
-        add_cell_term(M, out, e, (x, z, y), (1, 1), 2, 1)
-        add_cell_term(M, out, e, (z, x, y), (1, 1), 2, -1)
-    else:
-        raise ValueError("no level-2 d^4 formula for separators %r" % (t.seps,))
-    return out
-
-
-def _negated(d):
-    return {k: -v for k, v in d.items()}
-
-
-def _formula_d3_level3(M, t):
-    # C^3(M,3) = C^1(M,1): target [x|y], source [x]
-    e = M.identity
-    x, y = t.letters
-    out = {}
-    add_cell_term(M, out, x, (y,), (), 3, 1)
-    add_cell_term(M, out, e, (M.op(x, y),), (), 3, -1)
-    add_cell_term(M, out, y, (x,), (), 3, 1)
-    return out
-
-
-def _relevel(chain, level):
-    return {(u, BarWord(c.letters, c.seps, level)): v for (u, c), v in chain.items()}
-
-
-def _formula_d4_level3(M, t):
-    # the (h, gamma, delta) blocks are the level-2 d3 ones negated
-    t2 = BarWord(t.letters, t.seps, 2)
-    return _relevel(_negated(_formula_d3_level2(M, t2)), 3)
-
-
-def _formula_d5_level3(M, t):
-    e = M.identity
-    if t.seps == (3,):
-        x, y = t.letters
-        out = {}
-        add_cell_term(M, out, e, (x, y), (2,), 3, -1)
-        add_cell_term(M, out, e, (y, x), (2,), 3, -1)
-        return out
-    t2 = BarWord(t.letters, t.seps, 2)
-    return _relevel(_negated(_formula_d4_level2(M, t2)), 3)
-
-
-_FORMULAS = {
-    (2, 3): _formula_d3_level2,
-    (2, 4): _formula_d4_level2,
-    (3, 3): _formula_d3_level3,
-    (3, 4): _formula_d4_level3,
-    (3, 5): _formula_d5_level3,
-}
+# (level, n) of the paper's closed coboundaries d^n: d^3 and d^4 at
+# level 2, d^3, d^4 and d^5 at level 3
+_TRUNCATED = ((2, 3), (2, 4), (3, 3), (3, 4), (3, 5))
 
 
 def truncated_formula_chain(M, level, cell):
     """Closed formula for the coboundary d^{deg-1} applied to one
-    generic cell of the target degree, as a formal chain; an oracle
-    against the recursive bar differential."""
-    fn = _FORMULAS.get((level, cell.degree - 1))
-    if fn is None:
+    generic cell of the target degree, as a formal chain (the oracle
+    explicit_low_degree_differential); an oracle against the recursive
+    bar differential."""
+    if cell.level != level or (level, cell.degree - 1) not in _TRUNCATED:
         raise ValueError("no closed formula for level %d target degree %d"
                          % (level, cell.degree))
-    return fn(M, cell)
+    return explicit_low_degree_differential(M, cell)
 
 
 def truncated_coboundaries(M, module):
@@ -338,11 +255,11 @@ def truncated_coboundaries(M, module):
     level 2 and d^3, d^4, d^5 at level 3, assembled directly from the
     formulas over the generic-cell bases."""
     out = {}
-    for (level, n), fn in _FORMULAS.items():
+    for level, n in _TRUNCATED:
         dga = iterated_bar(M, level, n + 1)
         source = degree_basis(dga, n)
         target = degree_basis(dga, n + 1)
-        d = {t: fn(M, t) for t in target.generators}
+        d = {t: explicit_low_degree_differential(M, t) for t in target.generators}
         out[(level, n)] = dualize(d, source, target, module, M)
     return out
 
@@ -357,19 +274,18 @@ class BruteForceCapError(ValueError):
 
 
 def _cochain_space(M, basis, module):
-    """Element lists for each cell's coefficient group, plus total size."""
-    lists = []
+    """Element lists for each cell's coefficient group, plus total size;
+    the size is checked against the cap before any list is built."""
+    groups = [module.group(basis.pi[g]) for g in basis.generators]
     total = 1
-    for g in basis.generators:
-        grp = module.group(basis.pi[g])
-        if grp.invariants().free_rank:
+    for grp in groups:
+        inv = grp.invariants()
+        if inv.free_rank:
             raise BruteForceCapError("infinite coefficient group")
-        elems = grp.element_list()
-        lists.append(elems)
-        total *= len(elems)
+        total *= inv.order()
         if total > BRUTE_FORCE_CAP:
             raise BruteForceCapError("cochain space above 2^20 elements")
-    return lists, total
+    return [grp.element_list() for grp in groups], total
 
 
 def _all_cochains(lists):

@@ -20,8 +20,7 @@ from .bar import (BarWord, FreeBasedDGA, bar, bar_word_diff, bar_word_shuffle,
 from .cohomology import CochainComplex
 from .monoid import (INFINITE_CYCLIC, MonoidError, cyclic_p, cyclic_s,
                      make_cyclic)
-from .zlinalg import (AbGroupInvariants, IntMatrix, gcd, preimage_lattice,
-                      subquotient_invariants)
+from .zlinalg import AbGroupInvariants, gcd
 
 
 def small_resolution(m, q, degmax):
@@ -450,41 +449,20 @@ def verify_contraction_inf(degmax, entry_bound):
 
 # -- cohomology of cyclic monoids ---------------------------------------------
 
-def _two_term_map(m, q, module, src, tgt):
-    """(m+q)(m+q-1)_* - m(m-1)_* as a matrix A(src) -> A(tgt); the
-    m-term is dropped when m = 0 since m-1 is not an element."""
-    big = module.action(src, cyclic_p(m, q, m + q - 1)).scaled(m + q)
-    if m == 0:
-        return big
-    small = module.action(src, m - 1).scaled(m)
-    return IntMatrix(big.rows, big.cols, [[x - y for x, y in zip(rb, rs)]
-                                          for rb, rs in zip(big.data, small.data)])
+def _cyclic_bar_complex(m, q, iterations, degmax, module):
+    D = small_resolution(m, q, degmax)
+    for _ in range(iterations):
+        D = bar(D, degmax)
+    return CochainComplex(D, module, degmax)
 
 
 def leech_groups_cyclic(m, q, k, module):
     """(H^{2k+1}, H^{2k+2}) of the level-1 (Leech) cohomology of
-    C_{m,q}, from the two-term map A(p(km+1)) -> A(p(km+m))."""
-    src = cyclic_p(m, q, k * m + 1)
-    tgt = cyclic_p(m, q, k * m + m)
-    D = _two_term_map(m, q, module, src, tgt)
-    gsrc = module.group(src)
-    gtgt = module.group(tgt)
-    kernel = preimage_lattice(D, gtgt.relations)
-    odd = subquotient_invariants(kernel, gsrc.relations)
-    out_rel = D.hstack(gtgt.relations)
-    even = subquotient_invariants(IntMatrix.identity(gtgt.ngens), out_rel)
-    return odd, even
-
-
-def _cyclic_bar_complex(m, q, iterations, degmax, module):
-    if m is None:
-        R = small_resolution_inf(degmax)
-    else:
-        R = small_resolution(m, q, degmax)
-    D = R
-    for _ in range(iterations):
-        D = bar(D, degmax)
-    return CochainComplex(D, module, degmax)
+    C_{m,q}, read from Hom(R, A) for the small resolution R.  Around
+    those degrees it is 0 -> A(p(km+1)) -> A(p(km+m)) -> 0, the middle
+    map (m+q)(m+q-1)_* - m(m-1)_*."""
+    cx = _cyclic_bar_complex(m, q, 0, 2 * k + 3, module)
+    return cx.cohomology(2 * k + 1), cx.cohomology(2 * k + 2)
 
 
 def level2_groups_cyclic(m, q, module):

@@ -22,7 +22,7 @@ from itertools import product
 
 from .cohomology import BRUTE_FORCE_CAP
 from .hmod import HModule, IntMatrix, validate_module
-from .monoid import validate_table
+from .monoid import is_integer, validate_table
 
 
 class GroupoidError(ValueError):
@@ -65,7 +65,7 @@ def _normalized_table(M, module, table, arity, name):
     for key, val in table.items():
         if len(key) != arity:
             raise GroupoidError("%s table key %r has arity %d" % (name, key, arity))
-        if not all(isinstance(x, int) and 0 <= x < M.size for x in key):
+        if not all(is_integer(x) and 0 <= x < M.size for x in key):
             raise GroupoidError("%s table key %r names a non-element of the monoid"
                                 % (name, key))
         pi = e

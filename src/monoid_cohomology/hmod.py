@@ -15,10 +15,10 @@ nonzero, and it stays sparse through the linear algebra.
 
 import json
 
-from .monoid import FiniteCommutativeMonoid
+from .monoid import FiniteCommutativeMonoid, is_integer
 from .zlinalg import (IntMatrix, AbGroupInvariants, SparseIntMatrix, block_diagonal,
                       lattice_basis, lattice_contains, lattice_solve,
-                      smith_normal_form, snf_diagonal, staircase_pivots)
+                      snf_diagonal, staircase_pivots)
 
 
 class FGAbelianGroup:
@@ -248,39 +248,6 @@ def relation_module(module, monoid):
         monoid, lambda x: FGAbelianGroup.free(module.group(x).relation_basis.cols), action)
 
 
-def torsion_free_quotient(module, monoid):
-    """A/tors: A(x) modulo its torsion, free of rank f_x.  With
-    U rel V = D the Smith form of A(x)'s relations (rank k), the last
-    f_x rows P_x of U project onto it, and the last f_x columns S_x of
-    U^-1 are a section.  y_* induces P_xy y_* S_x, which satisfies the
-    module laws exactly since A/tors has no torsion; a translation that
-    maps a relation to a non-torsion element raises ModuleError."""
-    split = {}
-
-    def parts(x):
-        if x not in split:
-            rel = module.group(x).relations
-            D, U, _ = smith_normal_form(rel)
-            k = sum(1 for i in range(min(D.rows, D.cols)) if D.data[i][i])
-            _, U2, V2 = smith_normal_form(U)  # U2 U V2 = 1, so U^-1 = V2 U2
-            Uinv = V2.mul(U2)
-            P = IntMatrix(U.rows - k, U.cols, U.data[k:])
-            S = IntMatrix(Uinv.rows, Uinv.cols - k, [row[k:] for row in Uinv.data])
-            split[x] = (P, S)
-        return split[x]
-
-    def action(x, y):
-        xy = monoid.op(x, y)
-        P = parts(xy)[0]
-        mat = P.mul(module.action(x, y))
-        if not mat.mul(module.group(x).relation_basis).is_zero():
-            raise ModuleError("translation by %r maps a relation of A(%r) to an element "
-                              "of infinite order in A(%r)" % (y, x, xy))
-        return mat.mul(parts(x)[1])
-
-    return DerivedModule(monoid, lambda x: FGAbelianGroup.free(parts(x)[0].rows), action)
-
-
 def constant_module(group, monoid=None):
     """The constant module: A(x) = group, all translations the identity."""
     return ConstantModule(group, monoid)
@@ -469,10 +436,10 @@ def dualize(d, source, target, module, monoid):
 def _group_from_orders(free_rank, torsion):
     """Z^free_rank + (+) Z/d for d in torsion; orders below 1 are
     rejected, orders 1 vanish."""
-    if not isinstance(free_rank, int) or free_rank < 0:
+    if not is_integer(free_rank) or free_rank < 0:
         raise ModuleError("free rank must be a non-negative integer, got %r"
                           % (free_rank,))
-    if not all(isinstance(d, int) and d >= 1 for d in torsion):
+    if not all(is_integer(d) and d >= 1 for d in torsion):
         raise ModuleError("torsion orders must be integers >= 1, got %r" % (torsion,))
     inv = AbGroupInvariants.from_diagonal(torsion, free_rank=free_rank)
     return FGAbelianGroup.from_invariants(inv)
@@ -501,6 +468,9 @@ def module_from_descriptor(desc, monoid):
         n = monoid.size
         group_descs = desc.get("groups", {})
         action_descs = desc.get("actions", {})
+        for name, descs in (("groups", group_descs), ("actions", action_descs)):
+            if not isinstance(descs, dict):
+                raise ModuleError("tabular %s must be a JSON object, got %r" % (name, descs))
         groups = []
         for x in range(n):
             key = str(x)
@@ -518,7 +488,7 @@ def module_from_descriptor(desc, monoid):
                 src = groups[x]
                 if (not isinstance(rows, list) or len(rows) != tgt.ngens
                         or any(not isinstance(row, list) or len(row) != src.ngens
-                               or not all(isinstance(v, int) for v in row)
+                               or not all(is_integer(v) for v in row)
                                for row in rows)):
                     raise ModuleError("action %s must be an integer %dx%d matrix, got %r"
                                       % (key, tgt.ngens, src.ngens, rows))

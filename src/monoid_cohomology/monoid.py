@@ -13,6 +13,12 @@ class MonoidError(ValueError):
     pass
 
 
+def is_integer(v):
+    """An integer of a JSON descriptor: an int that is not a bool, since
+    true and false are ints to Python."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class FiniteCommutativeMonoid:
     """Immutable multiplication table with a two-sided identity."""
 
@@ -71,18 +77,18 @@ def validate_table(size, identity, table):
     """Build a FiniteCommutativeMonoid, checking the unit, commutativity
     and associativity laws.  Raises MonoidError with a witness for the
     first violated law."""
-    if not isinstance(size, int) or size <= 0:
+    if not is_integer(size) or size <= 0:
         raise MonoidError("size must be a positive integer, got %r" % (size,))
     if (not isinstance(table, (list, tuple)) or len(table) != size
             or any(not isinstance(row, (list, tuple)) or len(row) != size
                    for row in table)):
         raise MonoidError("table must be %dx%d" % (size, size))
-    if not (isinstance(identity, int) and 0 <= identity < size):
+    if not (is_integer(identity) and 0 <= identity < size):
         raise MonoidError("identity %r out of range" % (identity,))
     for x in range(size):
         for y in range(size):
             v = table[x][y]
-            if not (isinstance(v, int) and 0 <= v < size):
+            if not (is_integer(v) and 0 <= v < size):
                 raise MonoidError("entry table[%d][%d]=%r out of range" % (x, y, v))
     e = identity
     for x in range(size):
@@ -145,7 +151,7 @@ def monoid_from_descriptor(desc):
         return validate_table(*fields("size", "identity", "table"))
     if kind == "cyclic":
         m, q = fields("index", "period")
-        if not (isinstance(m, int) and isinstance(q, int)):
+        if not (is_integer(m) and is_integer(q)):
             raise MonoidError("cyclic index and period must be integers")
         return make_cyclic(m, q)
     if kind == "infinite-cyclic":

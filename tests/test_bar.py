@@ -119,6 +119,15 @@ def test_explicit_formulas_match_recursion():
         for cell in shapes:
             assert explicit_low_degree_differential(M, cell) == \
                 bar_word_diff(M, cell), cell
+    # the top shapes and suspension reach every generic cell of levels
+    # 2-4 up to degree r+3
+    klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
+    for M in [make_cyclic(m, k - m) for k in (2, 3, 4) for m in range(k)] + [klein]:
+        for r in (2, 3, 4):
+            dga = iterated_bar(M, r, r + 3)
+            for cell in (c for n in range(r, r + 4) for c in dga.basis.get(n, ())):
+                assert explicit_low_degree_differential(M, cell) == \
+                    bar_word_diff(M, cell), cell
 
 
 def test_explicit_formula_rejects_unknown_shape():

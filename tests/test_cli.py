@@ -1,11 +1,14 @@
+import copy
 import io
 import json
 import os
+import random
 import sys
 
 import pytest
 
 from monoid_cohomology.cli import run
+from monoid_cohomology.monoid import make_cyclic, monoid_to_descriptor
 
 
 def invoke(argv):
@@ -33,7 +36,7 @@ TWISTED = os.path.join(os.path.dirname(__file__), "data", "twisted_z_z2_c04.json
 @pytest.mark.parametrize("degree, expected", [
     # the cone without its curvature block would print torsion [2, 2, 2]
     (3, {"free_rank": 0, "torsion": [2]}),
-    # the free rank comes from the torsion-free quotient A/tors
+    # the free rank comes from the ranks of the cone's differentials
     (0, {"free_rank": 1, "torsion": [2]}),
 ])
 def test_mixed_tabular_module_pins(degree, expected):
@@ -187,6 +190,22 @@ def test_malformed_inputs_exit_2(tmp_path):
     assert "action" in exits_2("cyclic:0,2", _tabular(
         {"0": {"free_rank": 1}, "1": {"free_rank": 1}},
         {"0,0": [[1, 0]], "0,1": [[1]], "1,0": [[1]], "1,1": [[1]]}))
+    # tabular groups or actions that are not JSON objects
+    assert "groups" in exits_2("cyclic:1,2", _tabular(-5, {}))
+    assert "actions" in exits_2("cyclic:1,2", _tabular(
+        {str(x): {"torsion": [2]} for x in range(3)}, 0))
+    # JSON true and false are ints to Python; every integer field of
+    # every descriptor kind refuses them
+    for table in ({"size": True, "identity": 0, "table": [[0]]},
+                  {"size": 2, "identity": False, "table": [[0, 1], [1, 0]]},
+                  {"size": 2, "identity": 0, "table": [[0, True], [True, 0]]}):
+        exits_2(json.dumps(dict(table, kind="table")))
+    exits_2('{"kind":"cyclic","index":true,"period":2}')
+    exits_2('{"kind":"cyclic","index":1,"period":true}')
+    exits_2("cyclic:1,2", '{"kind":"constant","group":{"torsion":[4],"free_rank":true}}')
+    exits_2("cyclic:1,2", '{"kind":"constant","group":{"torsion":[true]}}')
+    exits_2("cyclic:0,2", _z2_tabular({"torsion": [2]}, [[True]]))
+    exits_2("cyclic:0,2", _z2_tabular({"free_rank": True}, [[1]]))
 
     code, _, err = invoke(["cohomology", "--monoid", "cyclic:9", "--level", "1",
                            "--degree", "1", "--coeff", "Z"])
@@ -213,6 +232,7 @@ def test_malformed_inputs_exit_2(tmp_path):
     cocycle_exits_2({"g": []})
     cocycle_exits_2({"g": {"7,7,7": [1]}})
     cocycle_exits_2({"mu": {"1,1": ["a"]}})
+    cocycle_exits_2({"g": {"1,1,1": [True]}})
 
     # a negative degree or bound, and a period without an index, would
     # otherwise print an answer or a vacuous pass
@@ -224,3 +244,94 @@ def test_malformed_inputs_exit_2(tmp_path):
         code, out, err = invoke(argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+ODD_VALUES = [None, True, 1.5, "", [], {}, 2 ** 64, -1]
+
+
+def _fuzz_bases():
+    """Valid (monoid, module, cocycle) descriptors on C(0,2), C(1,1) and
+    C(1,2).  The cocycle entries sit at unit arguments, where a value
+    must vanish, so every mutation leaves a zero cocycle or malformed
+    input and exit 1 is wrong on every case.  Free ranks and cyclic
+    orders stay out: a huge one there is a valid request for unbounded
+    work, not malformed input."""
+    out = []
+    for m, q in ((0, 2), (1, 1), (1, 2)):
+        M = make_cyclic(m, q)
+        elements = range(M.size)
+
+        def tabular(torsion, action):
+            return {"kind": "tabular",
+                    "groups": {str(x): {"torsion": torsion} for x in elements},
+                    "actions": {"%d,%d" % (x, y): action(y) for x in elements
+                                for y in elements}}
+
+        modules = [{"kind": "constant", "group": {"torsion": [2]}},
+                   {"kind": "constant", "group": {"torsion": [2, 4]}},
+                   tabular([2], lambda y: [[1]])]
+        if m == 0:
+            modules.append(tabular([4], lambda y: [[(-1) ** y]]))
+        for module in modules:
+            zero = [0] * (len(module["group"]["torsion"]) if "group" in module else 1)
+            cocycle = {"g": {"0,1,1": zero, "1,0,1": zero}, "mu": {"1,0": zero}}
+            out.append((monoid_to_descriptor(M), module, cocycle))
+    return out
+
+
+def _mutate(doc, rng):
+    """doc with one entry deleted, duplicated (a list element repeated, a
+    key copied to a new name) or replaced by an odd value, at any depth."""
+    def paths(node, prefix):
+        yield prefix
+        children = (node.items() if isinstance(node, dict)
+                    else enumerate(node) if isinstance(node, list) else ())
+        for k, v in children:
+            yield from paths(v, prefix + (k,))
+
+    doc = copy.deepcopy(doc)
+    path = rng.choice(list(paths(doc, ()))[1:])
+    holder = doc
+    for k in path[:-1]:
+        holder = holder[k]
+    key = path[-1]
+    op = rng.choice(("delete", "duplicate", "replace", "replace"))
+    if op == "delete":
+        del holder[key]
+    elif op == "duplicate" and isinstance(holder, list):
+        holder.insert(key, copy.deepcopy(holder[key]))
+    elif op == "duplicate":
+        holder[key + "0"] = copy.deepcopy(holder[key])
+    else:
+        holder[key] = rng.choice(ODD_VALUES)
+    return doc
+
+
+def test_fuzzed_descriptors_exit_0_or_2(tmp_path):
+    # one mutation of one descriptor per case, through every subcommand
+    # that reads descriptors; a traceback propagates out of run
+    rng = random.Random(0)
+    bases = _fuzz_bases()
+    cocycle_path = tmp_path / "cocycle.json"
+    for case in range(400):
+        docs = list(rng.choice(bases))
+        which = rng.randrange(3)
+        docs[which] = _mutate(docs[which], rng)
+        monoid, coeff = json.dumps(docs[0]), json.dumps(docs[1])
+        command = rng.choice(("cohomology", "oracle", "grillet", "groupoid"))
+        if command == "groupoid":
+            cocycle_path.write_text(json.dumps(docs[2]))
+            argv = ["groupoid", "check", "--monoid", monoid, "--coeff", coeff,
+                    "--cocycle", str(cocycle_path)]
+        elif command == "grillet":
+            argv = ["grillet", "--monoid", monoid, "--coeff", coeff,
+                    "--degree", str(rng.choice((1, 2)))]
+        else:
+            level = 1 if command == "oracle" else rng.choice((1, 2))
+            argv = [command, "--monoid", monoid, "--level", str(level),
+                    "--degree", str(rng.choice((1, 2))), "--coeff", coeff]
+        code, out, err = invoke(["--json"] + argv)
+        assert code in (0, 2), (case, argv, err)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, \
+                (case, argv, err)

@@ -78,8 +78,21 @@ def twisted_z_z2(M, chi):
                                      for x in range(M.size) for y in range(M.size)})
 
 
+def zm_plus_z2(M):
+    """ZM(x) + Z/2, ZM's translations beside the identity on Z/2: free
+    and finite values in one module."""
+    zm = zm_as_hmodule(M)
+    groups = [FGAbelianGroup(g.ngens + 1, IntMatrix.from_columns([[0] * g.ngens + [2]],
+                                                                  g.ngens + 1))
+              for g in zm.groups]
+    actions = {key: IntMatrix(a.rows + 1, a.cols + 1,
+                              [row + [0] for row in a.data] + [[0] * a.cols + [1]])
+               for key, a in zm.actions.items()}
+    return HModule(M, groups, actions)
+
+
 def mixed_modules(M):
-    mods = [("ZM", zm_as_hmodule(M)), ("ZM/2", zm_mod2(M))]
+    mods = [("ZM", zm_as_hmodule(M)), ("ZM/2", zm_mod2(M)), ("ZM+Z/2", zm_plus_z2(M))]
     chis = parity_characters(M)
     if chis:
         mods.append(("Z+Z/2 twisted", twisted_z_z2(M, chis[0])))
@@ -106,7 +119,7 @@ def test_cohomology_never_builds_a_dense_coboundary(monkeypatch):
         monkeypatch.setattr(zlinalg, name, no_lattice_algebra)
         monkeypatch.setattr(cohomology, name, no_lattice_algebra, raising=False)
     # universal coefficients, then the cone with no relations (ZM), with
-    # finite values (ZM/2) and with mixed values (A/tors and curvature)
+    # finite values (ZM/2) and with mixed values (free rank and curvature)
     C04 = make_cyclic(0, 4)
     for M, r, n, A, expect in (
             (C12, 2, 4, constant_module(zmod(4), C12), AbGroupInvariants(0, (4,))),
@@ -301,7 +314,7 @@ def test_uct_matches_lattice_census():
 def test_cone_matches_lattice_census():
     # non-constant modules take the mapping cone of their relations; the
     # lattice route on the same stored coboundaries is the oracle, and on
-    # cyclic monoids at level 1 so are Leech's two-term groups.  Degree
+    # cyclic monoids at level 1 so are Leech's groups from Hom(R, A).  Degree
     # r + 2 runs on orders 2 and 3 only: on order 4 the oracle alone
     # takes about 8 s there
     for M in census():
@@ -318,6 +331,21 @@ def test_cone_matches_lattice_census():
             for k in (0, 1):
                 assert leech_groups_cyclic(m, q, k, A) == \
                     (cx.cohomology(2 * k + 1), cx.cohomology(2 * k + 2)), (m, q, name, k)
+
+
+def test_cone_free_rank_needs_no_second_module(monkeypatch):
+    # the free rank comes from ranks the cone already has: d_R is the
+    # one coboundary H^3 dualizes beyond the stored complex
+    C04 = make_cyclic(0, 4)
+    cx = cochain_complex(C04, 1, twisted_z_z2(C04, (0, 1, 0, 1)), 4)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3])
+        return dualize(*args)
+    monkeypatch.setattr(cohomology, "dualize", counting)
+    assert cx.cohomology(3) == AbGroupInvariants(0, (2,))
+    assert len(calls) == 1 and calls[0] is cx._relations()
 
 
 def test_modules_breaking_their_laws_raise():

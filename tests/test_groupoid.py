@@ -50,6 +50,8 @@ def test_construction_validates_values():
         crossed_product(Z2, A2, {(1, 1, 1): (1, 0)}, {})
     with pytest.raises(GroupoidError):
         crossed_product(Z2, A2, {(0, 1, 1): (1,)}, {})  # unit argument
+    with pytest.raises(GroupoidError):
+        crossed_product(Z2, A2, {}, {(True, 1): (1,)})  # a bool is no element
 
 
 def test_cocycle_iff_coherent_on_enumeration_grid():

@@ -323,7 +323,7 @@ def test_large_entry_exactness():
 OPTIMIZED_SELF_CHECKS = """
 import sys
 from monoid_cohomology import cohomology, cyclic, zlinalg
-from monoid_cohomology.bar import BarWord
+from monoid_cohomology.bar import BarWord, explicit_low_degree_differential
 from monoid_cohomology.hmod import FGAbelianGroup, FreeBasis, HModule, ModuleError
 from monoid_cohomology.monoid import make_cyclic
 
@@ -359,8 +359,8 @@ value_checks = {
     "FreeBasis pi": (FreeBasis, ["a"], {}),
     "infinite g_gen": (cyclic.CyclicContraction(infinite=True).g_gen, ("v", 1)),
     "gf_closed_form s": (cyclic.gf_closed_form, 1, 2, 1, 1),
-    "_formula_d3_level2": (cohomology._formula_d3_level2, C, BarWord((1,), (), 2)),
-    "_formula_d4_level2": (cohomology._formula_d4_level2, C, BarWord((1,), (), 2)),
+    "truncated_formula_chain": (cohomology.truncated_formula_chain, C, 2, BarWord((1,), (), 2)),
+    "explicit formula shape": (explicit_low_degree_differential, C, BarWord((1, 1, 1), (2, 2), 2)),
 }
 for name, (fn, *args) in value_checks.items():
     if not raises(ValueError, fn, *args):
