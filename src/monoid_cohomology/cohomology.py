@@ -13,9 +13,11 @@ universal coefficient theorem.
 
 Any other module goes through the mapping cone of the relations
 (Weibel, An Introduction to Homological Algebra, 1.5).  The relation
-module R has R(x) = L_x on its independent basis B_x, and 0 -> C(R) ->
+cochains C(R) are the lattice of F-cochains with values in the L_x,
+free on the independent bases B_x of the relations, and 0 -> C(R) ->
 C(F) -> C(A) -> 0 is exact, with I the block-diagonal inclusion of the
-B_x.  The translations need to satisfy the module laws only modulo the
+B_x.  No module is built for R: its coboundary is d_R = I^-1 d_F I.
+The translations need to satisfy the module laws only modulo the
 relations, so d_F d_F need not vanish; it lands in I C(R), and the
 curvature K^n = I^-1 (d_F^n d_F^(n-1)) corrects the cone:
 D(r, f) = (-d_R r - K f, I r + d_F f) on C^(n+1)(R) + C^n(F) squares
@@ -25,10 +27,11 @@ Smith factors above 1 of the one row-sparse matrix
     psi = [[-d_R^n, -K^n], [I_n, d_F^(n-1)]]
         : C^n(R) + C^(n-1)(F) -> C^(n+1)(R) + C^n(F),
 
-which is the cone's D^(n-1).  The free rank is dim cone^n - rank D^n -
-rank psi.  The top rows of D^n are -I^-1 d_F^(n+1) times its bottom
-rows, since d_F I = I d_R and d_F d_F = I K, so D^n has the rank of
-its bottom block [I_(n+1) | d_F^n], and no second module is needed.
+which is the cone's D^(n-1).  Since d_F I = I d_R and d_F d_F = I K,
+its top rows are -I_(n+1)^-1 d_F^n times its bottom block: one sparse
+product, solved in each target cell's relation basis.  The free rank
+is dim cone^n - rank D^n - rank psi, and by the same rule D^n has the
+rank of its bottom block [I_(n+1) | d_F^n].
 Without K the answer is wrong whenever d_F d_F does not vanish: on
 C(0,4) with A(x) = Z + Z/2 and y acting by (a, b) -> (a, b + (y mod 2)
 a), H^3(M,1) would read (Z/2)^3 instead of Z/2.  A module without
@@ -41,7 +44,7 @@ the two there.
 
 from .bar import bar_word_diff, explicit_low_degree_differential, iterated_bar
 from .hmod import (CochainGroup, FGAbelianGroup, FreeBasis, ModuleError,
-                   constant_module, dualize, relation_module)
+                   _matrix_maps_relations, constant_module, dualize)
 from .monoid import FiniteCommutativeMonoid
 from .zlinalg import (AbGroupInvariants, IntMatrix, SparseIntMatrix, block_diagonal,
                       gcd, snf_diagonal)
@@ -63,12 +66,13 @@ class CochainComplex:
     any other module those of its free cover.  cohomology(n) reads
     H^n from Smith diagonals: the universal coefficient theorem for
     constant A, the mapping cone of the relations otherwise (see the
-    module docstring).  The relation module is built on first use and
-    kept.  On the cone route a translation that d^{n-1} or d^n applies
-    and that does not keep the relations, or a d_F d_F outside them,
-    raises ModuleError: the module breaks its laws there."""
+    module docstring), whose blocks all come from the stored d_F and
+    the relation bases.  On the cone route a translation that d^{n-1}
+    or d^n applies and that does not keep the relations, or a d_F d_F
+    outside them, raises ModuleError: the module breaks its laws
+    there."""
 
-    __slots__ = ("dga", "module", "nmax", "groups", "coboundaries", "_relation_module")
+    __slots__ = ("dga", "module", "nmax", "groups", "coboundaries")
 
     def __init__(self, dga, module, nmax):
         self.dga = dga
@@ -76,7 +80,6 @@ class CochainComplex:
         self.nmax = nmax
         self.groups = {}
         self.coboundaries = {}
-        self._relation_module = None
         M = dga.monoid
         coeffs = constant_module(FGAbelianGroup.free(1), M) if module.constant else module
         for n in range(nmax + 1):
@@ -114,26 +117,25 @@ class CochainComplex:
         tors += [gcd(d, t) for d in diag_prev + diag_n if d > 1 for t in A.torsion]
         return AbGroupInvariants.from_diagonal(tors, free_rank=A.free_rank * free)
 
-    def _relations(self):
-        if self._relation_module is None:
-            self._relation_module = relation_module(self.module, self.dga.monoid)
-        return self._relation_module
-
     def _has_relations(self, n):
         return any(g.relation_basis.cols for g in self.groups[n].blocks)
 
     def _check_translations(self, n):
         """Every translation that d^{n-1} or d^n applies keeps the
-        relations; the relation module raises ModuleError naming the
-        first pair that does not.  Those translations start in degrees
-        n-1 and n, so without relations there nothing can break."""
+        relations, checked on the module's relations as validate_module
+        does; the first pair that does not raises ModuleError.  Those
+        translations start in degrees n-1 and n, so without relations
+        there nothing can break."""
         if not any(self._has_relations(k) for k in (n - 1, n) if k >= 0):
             return
-        relations, pi = self._relations(), self.dga.pi
+        M, pi = self.dga.monoid, self.dga.pi
         pairs = {(pi[s], u) for k in (n, n + 1) for t in self.groups[k].basis.generators
                  for u, s in self.dga.differential(t)}
         for x, y in sorted(pairs):
-            relations.action(x, y)
+            if not _matrix_maps_relations(self.module.action(x, y), self.module.group(x),
+                                          self.module.group(M.op(x, y))):
+                raise ModuleError("translation by %r maps a relation of A(%r) outside "
+                                  "the relations of A(%r)" % (y, x, M.op(x, y)))
 
     def _with_inclusion(self, n, d):
         """[I_n | d], I_n the block-diagonal inclusion of the degree-n
@@ -150,51 +152,51 @@ class CochainComplex:
         bottom = self._with_inclusion(n, d_prev)
         if not self._has_relations(n + 1):
             return snf_diagonal(bottom)
-        d_R = self._dualize(n, self._relations())
-        top = d_R.hstack(self._curvature(n, d_prev)).row_dicts()
+        top = self._curvature(n, bottom)
         return snf_diagonal(SparseIntMatrix(len(top) + bottom.rows, bottom.cols,
                                             top + bottom.row_dicts()))
 
-    def _curvature(self, n, d_prev):
-        """K^n = I_{n+1}^-1 (d_F^n d_F^(n-1)), row-sparse over C^(n+1)(R);
-        a column of d_F d_F outside the relations, which a module that
-        keeps its laws modulo the relations never has, raises
-        ModuleError."""
+    def _curvature(self, n, bottom):
+        """psi's top rows [d_R^n | K^n] = I_{n+1}^-1 (d_F^n [I_n | d_F^(n-1)]),
+        solved per target cell in its relation basis.  A product column
+        outside the relations, which a module that keeps its laws modulo
+        them never has, raises ModuleError naming the cell it starts from."""
         target = self.groups[n + 1]
         d_n = self.coboundaries[n].row_dicts()
-        prev = d_prev.row_dicts()
+        lower = bottom.row_dicts()
         rows = []
         for g, off, cell in zip(target.blocks, target.offsets, target.basis.generators):
-            block = [{} for _ in range(g.relation_basis.cols)]
-            rows += block
-            if not block:
+            if not g.relation_basis.cols:
                 continue
-            dd = []
+            product = []
             for i in range(off, off + g.ngens):
                 acc = {}
                 for k, a in d_n[i].items():
-                    for j, b in prev[k].items():
+                    for j, b in lower[k].items():
                         acc[j] = acc.get(j, 0) + a * b
-                dd.append({j: v for j, v in acc.items() if v})
-            for j in sorted(set().union(*dd)):
-                c = g.relation_coordinates([r.get(j, 0) for r in dd])
-                if c is None:
-                    raise ModuleError(
-                        "d d of a cochain on a cell over %r leaves the relations of A(%r): "
-                        "the translations break the module laws modulo the relations"
-                        % (self._source_element(n - 1, j), target.basis.pi[cell]))
-                for i, v in enumerate(c):
-                    if v:
-                        block[i][j] = v
-        return SparseIntMatrix(len(rows), d_prev.cols, rows)
+                product.append({j: v for j, v in acc.items() if v})
+            coords, outside = g.relation_coordinates(product)
+            if outside:
+                k, x = self._column_cell(n, outside[0])
+                raise ModuleError(
+                    "%s on a cell over %r leaves the relations of A(%r): "
+                    "the translations break the module laws modulo the relations"
+                    % ("d of a relation" if k == n else "d d of a cochain", x,
+                       target.basis.pi[cell]))
+            rows += coords
+        return rows
 
-    def _source_element(self, n, col):
-        """pi of the degree-n cell whose block holds column col."""
-        group = self.groups[n]
-        for g, off, cell in zip(group.blocks, group.offsets, group.basis.generators):
-            if off <= col < off + g.ngens:
-                return group.basis.pi[cell]
-        raise IndexError(col)
+    def _column_cell(self, n, col):
+        """(degree, pi) of the cell whose block of [I_n | d_F^(n-1)]
+        holds column col: a degree-n cell for the I_n columns, a
+        degree-(n-1) cell for the others."""
+        for k in (n, n - 1):
+            group = self.groups[k]
+            for g, cell in zip(group.blocks, group.basis.generators):
+                width = g.relation_basis.cols if k == n else g.ngens
+                if col < width:
+                    return k, group.basis.pi[cell]
+                col -= width
 
     def _free_rank(self, n, d_n, rank_psi):
         """rank H^n = dim cone^n - rank D^n - rank psi.  The top rows of

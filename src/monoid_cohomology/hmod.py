@@ -16,9 +16,9 @@ nonzero, and it stays sparse through the linear algebra.
 import json
 
 from .monoid import FiniteCommutativeMonoid, is_integer
-from .zlinalg import (IntMatrix, AbGroupInvariants, SparseIntMatrix, block_diagonal,
-                      lattice_basis, lattice_contains, lattice_solve,
-                      snf_diagonal, staircase_pivots)
+from .zlinalg import (IntMatrix, AbGroupInvariants, SparseIntMatrix, _dict_submul,
+                      block_diagonal, lattice_basis, lattice_contains, snf_diagonal,
+                      staircase_pivots)
 
 
 class FGAbelianGroup:
@@ -72,10 +72,22 @@ class FGAbelianGroup:
             return True
         return lattice_contains(self.relation_basis, vec, self._pivots)
 
-    def relation_coordinates(self, vec):
-        """x with relation_basis * x == vec, or None when vec is not a
-        relation."""
-        return lattice_solve(self.relation_basis, vec, self._pivots)
+    def relation_coordinates(self, rows):
+        """X with relation_basis * X = B for every column of B, by one
+        staircase elimination; B (a row per generator) and X (a row per
+        relation) are lists of sparse row dicts.  Also returns the sorted
+        columns of B outside the relations, where X means nothing: a
+        column that does not divide at a pivot stays behind in B."""
+        H = self.relation_basis
+        B = [dict(row) for row in rows]
+        X = [{} for _ in range(H.cols)]
+        for r, j in self._pivots:
+            p = H.data[r][j]
+            X[j] = quot = {c: v // p for c, v in B[r].items() if v % p == 0}
+            for i in range(r, H.rows):
+                if H.data[i][j]:
+                    _dict_submul(B[i], quot, H.data[i][j])
+        return X, sorted(set().union(*B))
 
     def elements_equal(self, a, b):
         return self.is_zero_element([x - y for x, y in zip(a, b)])
@@ -124,7 +136,9 @@ class ModuleError(ValueError):
 
 class HModule:
     """Tabular module over a finite commutative monoid: one presented
-    group per element plus all translation matrices."""
+    group per element plus all translation matrices.  The universal
+    coefficient route reads group(0) alone, so constant=True is refused
+    unless every A(x) is that group and every translation the identity."""
 
     __slots__ = ("monoid", "groups", "actions", "constant")
 
@@ -133,6 +147,14 @@ class HModule:
         self.groups = list(groups)
         self.actions = dict(actions)
         self.constant = constant
+        if constant and not self._is_constant():
+            raise ModuleError("a module flagged constant needs one value group and "
+                              "identity translations modulo its relations")
+
+    def _is_constant(self):
+        G = self.groups[0]
+        return (all(g == G for g in self.groups)
+                and all(_is_identity(a, G) for a in self.actions.values()))
 
     def group(self, x):
         return self.groups[x]
@@ -199,55 +221,6 @@ class SampledModule:
         raise ModuleError("sampled modules carry no non-identity translations")
 
 
-class DerivedModule:
-    """A module computed from another one on demand: each value group
-    and each translation is built on first use and kept.  Only what a
-    complex reaches is ever built, so a base module known at finitely
-    many elements (SampledModule) works too."""
-
-    __slots__ = ("monoid", "_group_fn", "_action_fn", "_groups", "_actions")
-
-    def __init__(self, monoid, group_fn, action_fn):
-        self.monoid = monoid
-        self._group_fn = group_fn
-        self._action_fn = action_fn
-        self._groups = {}
-        self._actions = {}
-
-    def group(self, x):
-        g = self._groups.get(x)
-        if g is None:
-            g = self._groups[x] = self._group_fn(x)
-        return g
-
-    def action(self, x, y):
-        a = self._actions.get((x, y))
-        if a is None:
-            a = self._actions[(x, y)] = self._action_fn(x, y)
-        return a
-
-
-def relation_module(module, monoid):
-    """R(x) = the relations of A(x), free on the columns B_x of its
-    relation_basis; y_* restricted to them, solved in B_xy.  A
-    translation that does not keep the relations raises ModuleError."""
-    def action(x, y):
-        src = module.group(x).relation_basis
-        tgt = module.group(monoid.op(x, y))
-        image = module.action(x, y).mul(src)
-        cols = []
-        for j in range(src.cols):
-            c = tgt.relation_coordinates(image.column(j))
-            if c is None:
-                raise ModuleError("translation by %r maps a relation of A(%r) outside "
-                                  "the relations of A(%r)" % (y, x, monoid.op(x, y)))
-            cols.append(c)
-        return IntMatrix.from_columns(cols, tgt.relation_basis.cols)
-
-    return DerivedModule(
-        monoid, lambda x: FGAbelianGroup.free(module.group(x).relation_basis.cols), action)
-
-
 def constant_module(group, monoid=None):
     """The constant module: A(x) = group, all translations the identity."""
     return ConstantModule(group, monoid)
@@ -271,6 +244,13 @@ def _matrix_maps_relations(mat, src, tgt):
     return True
 
 
+def _is_identity(mat, group):
+    """mat is the identity of group modulo its relations."""
+    return mat.rows == mat.cols == group.ngens and all(
+        group.is_zero_element([v - int(i == j) for i, v in enumerate(mat.column(j))])
+        for j in range(group.ngens))
+
+
 def validate_module(module):
     """Check the module laws exhaustively over M^2 (and M^3 for the
     composition law).  Returns a list of violations, empty when valid."""
@@ -290,14 +270,8 @@ def validate_module(module):
                 continue
             if not _matrix_maps_relations(mat, src, tgt):
                 bad.append(("relations", (x, y)))
-    for x in range(n):
-        mat = module.action(x, e)
-        g = module.group(x)
-        ident = IntMatrix.identity(g.ngens)
-        for j in range(g.ngens):
-            if not g.elements_equal(mat.column(j), ident.column(j)):
-                bad.append(("identity", (x,)))
-                break
+    bad += [("identity", (x,)) for x in range(n)
+            if not _is_identity(module.action(x, e), module.group(x))]
     for x in range(n):
         for y in range(n):
             for z in range(n):
@@ -433,6 +407,13 @@ def dualize(d, source, target, module, monoid):
 
 # -- descriptors -------------------------------------------------------------
 
+# a group on k generators gets a relation matrix of k rows, and a
+# constant module on it a k x k identity translation: above this count
+# that identity would need more than 2^32 entries, which no memory holds,
+# so such a group is refused before anything is allocated
+MAX_GENERATORS = 1 << 16
+
+
 def _group_from_orders(free_rank, torsion):
     """Z^free_rank + (+) Z/d for d in torsion; orders below 1 are
     rejected, orders 1 vanish."""
@@ -441,6 +422,10 @@ def _group_from_orders(free_rank, torsion):
                           % (free_rank,))
     if not all(is_integer(d) and d >= 1 for d in torsion):
         raise ModuleError("torsion orders must be integers >= 1, got %r" % (torsion,))
+    if free_rank + len(torsion) > MAX_GENERATORS:
+        raise ModuleError("%d generators are above %d, where a constant module's "
+                          "identity translation would not fit in memory"
+                          % (free_rank + len(torsion), MAX_GENERATORS))
     inv = AbGroupInvariants.from_diagonal(torsion, free_rank=free_rank)
     return FGAbelianGroup.from_invariants(inv)
 

@@ -117,12 +117,21 @@ def cyclic_p(m, q, x):
     return m + (x - m) % q
 
 
+# the table of C_{m,q} holds (m+q)^2 entries: above this order it would
+# need more than 2^32 of them, which no memory holds, so such an order is
+# refused before the table is allocated
+MAX_CYCLIC_ORDER = 1 << 16
+
+
 def make_cyclic(m, q):
     """The cyclic monoid C_{m,q} on {0,...,m+q-1} with x(+)y = p(x+y)."""
     if m < 0 or q < 1:
         raise MonoidError("need index m >= 0 and period q >= 1, got (%r, %r)" % (m, q))
     if m + q < 2:
         raise MonoidError("the zero monoid (m+q < 2) is excluded")
+    if m + q > MAX_CYCLIC_ORDER:
+        raise MonoidError("cyclic order m+q = %d is above %d, where the multiplication "
+                          "table would not fit in memory" % (m + q, MAX_CYCLIC_ORDER))
     n = m + q
     table = [[cyclic_p(m, q, x + y) for y in range(n)] for x in range(n)]
     return FiniteCommutativeMonoid(n, 0, table)

@@ -30,6 +30,8 @@ from monoid_cohomology.hmod import FGAbelianGroup, constant_module
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import AbGroupInvariants
 
+from monoid_census import census
+
 Z = FGAbelianGroup.free(1)
 
 
@@ -40,6 +42,9 @@ def zmod(n):
 GRID_MONOIDS = [make_cyclic(0, 2), make_cyclic(1, 1),
                 make_cyclic(1, 2), make_cyclic(2, 3)]
 GRID_COEFFS = [Z, zmod(2), zmod(4)]
+# the paper's theorems are checked on every monoid of order 2-4 and on C(2,3)
+THEOREM_MONOIDS = census() + [make_cyclic(2, 3)]
+THEOREM_COEFFS = GRID_COEFFS + [zmod(6)]
 
 
 def _report(num, ok, text):
@@ -49,13 +54,13 @@ def _report(num, ok, text):
 
 def test_criterion_1_unit_value_and_vanishing_band():
     checked = 0
-    for M in GRID_MONOIDS:
+    for M in THEOREM_MONOIDS:
         for r in (1, 2, 3):
-            for G in GRID_COEFFS:
+            for G in THEOREM_COEFFS:
                 A = constant_module(G, M)
-                assert cohomology_group(M, r, 0, A) == G.invariants()
+                assert cohomology_group(M, r, 0, A) == G.invariants(), (M.table, G, r)
                 for n in range(1, r):
-                    assert cohomology_group(M, r, n, A).is_trivial()
+                    assert cohomology_group(M, r, n, A).is_trivial(), (M.table, G, r, n)
                 checked += 1
     _report(1, True, "H^0 = A(e) and H^n = 0 for 0<n<r on %d instances" % checked)
 
@@ -80,14 +85,14 @@ def test_criterion_2_leech_level1_integral():
 
 def test_criterion_3_stability_isomorphisms():
     checked = 0
-    for M in GRID_MONOIDS:
-        for G in GRID_COEFFS:
+    for M in THEOREM_MONOIDS:
+        for G in THEOREM_COEFFS:
             A = constant_module(G, M)
             h1 = cohomology_group(M, 1, 1, A)
             h3 = cohomology_group(M, 2, 3, A)
             for r in (2, 3):
-                assert cohomology_group(M, r, r, A) == h1
-                assert cohomology_group(M, r, r + 1, A) == h3
+                assert cohomology_group(M, r, r, A) == h1, (M.table, G, r)
+                assert cohomology_group(M, r, r + 1, A) == h3, (M.table, G, r)
                 checked += 2
     _report(3, True, "H^r = H^1(M,1), H^{r+1} = H^3(M,2) for r in {2,3}: "
             "%d isomorphisms" % checked)

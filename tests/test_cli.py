@@ -206,6 +206,11 @@ def test_malformed_inputs_exit_2(tmp_path):
     exits_2("cyclic:1,2", '{"kind":"constant","group":{"torsion":[true]}}')
     exits_2("cyclic:0,2", _z2_tabular({"torsion": [2]}, [[True]]))
     exits_2("cyclic:0,2", _z2_tabular({"free_rank": True}, [[1]]))
+    # sizes no computation can reach are refused before any allocation
+    assert "cyclic order" in exits_2('{"kind":"cyclic","index":%d,"period":2}' % 2 ** 64)
+    assert "generators" in exits_2("cyclic:1,2", "Z^%d" % 2 ** 64)
+    assert "generators" in exits_2(
+        "cyclic:1,2", '{"kind":"constant","group":{"free_rank":%d}}' % 2 ** 64)
 
     code, _, err = invoke(["cohomology", "--monoid", "cyclic:9", "--level", "1",
                            "--degree", "1", "--coeff", "Z"])
@@ -246,16 +251,16 @@ def test_malformed_inputs_exit_2(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-ODD_VALUES = [None, True, 1.5, "", [], {}, 2 ** 64, -1]
+ODD_VALUES = [None, True, 1.5, "", [], {}, 2 ** 32, 2 ** 64, 10 ** 100, -1]
 
 
 def _fuzz_bases():
     """Valid (monoid, module, cocycle) descriptors on C(0,2), C(1,1) and
-    C(1,2).  The cocycle entries sit at unit arguments, where a value
-    must vanish, so every mutation leaves a zero cocycle or malformed
-    input and exit 1 is wrong on every case.  Free ranks and cyclic
-    orders stay out: a huge one there is a valid request for unbounded
-    work, not malformed input."""
+    C(1,2), each monoid as a table and as an index and period.  The
+    cocycle entries sit at unit arguments, where a value must vanish, so
+    every mutation leaves a zero cocycle or malformed input and exit 1 is
+    wrong on every case.  A huge free rank or cyclic order is refused
+    before anything is allocated, so the mutations reach both."""
     out = []
     for m, q in ((0, 2), (1, 1), (1, 2)):
         M = make_cyclic(m, q)
@@ -269,13 +274,17 @@ def _fuzz_bases():
 
         modules = [{"kind": "constant", "group": {"torsion": [2]}},
                    {"kind": "constant", "group": {"torsion": [2, 4]}},
+                   {"kind": "constant", "group": {"free_rank": 1, "torsion": [2]}},
                    tabular([2], lambda y: [[1]])]
         if m == 0:
             modules.append(tabular([4], lambda y: [[(-1) ** y]]))
         for module in modules:
-            zero = [0] * (len(module["group"]["torsion"]) if "group" in module else 1)
+            group = module.get("group", {"torsion": [2]})
+            zero = [0] * (group.get("free_rank", 0) + len(group["torsion"]))
             cocycle = {"g": {"0,1,1": zero, "1,0,1": zero}, "mu": {"1,0": zero}}
-            out.append((monoid_to_descriptor(M), module, cocycle))
+            for monoid in (monoid_to_descriptor(M),
+                           {"kind": "cyclic", "index": m, "period": q}):
+                out.append((monoid, module, cocycle))
     return out
 
 
