@@ -11,13 +11,15 @@ so each constraint solution set is a preimage lattice in the free cover,
 found on the same row-sparse path as everything else.
 
 Each entry point builds only what it reads:
-- grillet_cohomology(n): the symmetric lattices of degrees n and n - 1,
-  delta^n and delta^(n-1), and of degree n + 1 only the relations;
+- grillet_cohomology(n): the symmetry constraints of degree n, the
+  symmetric lattice of degree n - 1 (none for n = 1), delta^n and
+  delta^(n-1), and of degree n + 1 only the relations;
 - inclusion_matrices: one level-3 bar to degree 6 and i_1..i_4 on it;
 - inclusion_chainmap: the same bar and maps, and the symmetric lattices
   of degrees 1-3;
-- injectivity_check: the symmetric lattices of degrees 3 and 2, the
-  degree-4 relations, one level-3 bar to degree 5 and i_3 on it.
+- injectivity_check: the symmetry constraints of degree 3, the symmetric
+  lattice of degree 2, the degree-4 relations, one level-3 bar to degree
+  5 and i_3 on it.
 """
 
 from itertools import product
@@ -26,8 +28,8 @@ from .bar import BarWord, chain_add_term, iterated_bar
 from .cohomology import degree_basis
 from .hmod import CochainGroup, FreeBasis, dualize
 from .zlinalg import (SparseIntMatrix, block_diagonal, lattice_basis,
-                      lattice_contains, preimage_lattice_multi,
-                      staircase_pivots, subquotient_invariants)
+                      preimage_lattice_multi, staircase_pivots, staircase_solve,
+                      subquotient_invariants)
 
 
 def _tuple_basis(M, n):
@@ -80,11 +82,13 @@ def _symmetry_identities(M, n):
     return rows
 
 
-def symmetric_cochains(M, module, n):
-    """The lattice of symmetric n-cochains, 1 <= n <= 4 (degree 1 is
-    unconstrained).  Each identity contributes one row per generator of
-    its value group, written straight into a SparseIntMatrix on the
-    ambient coordinates, and that group's relations as one block."""
+def symmetry_constraints(M, module, n):
+    """(ambient, constraints) of the symmetric n-cochains, 1 <= n <= 4
+    (degree 1 is unconstrained): the full cochain group, and the pair
+    (identities, relations) whose preimage lattice they are.  Each
+    identity contributes one row per generator of its value group,
+    written straight into a SparseIntMatrix on the ambient coordinates,
+    and that group's relations as one block."""
     if not 1 <= n <= 4:
         raise ValueError("symmetric cochains are defined for degrees 1..4")
     amb = CochainGroup(_tuple_basis(M, n), module)
@@ -100,7 +104,13 @@ def symmetric_cochains(M, module, n):
                 row[j] = row.get(j, 0) + c
             rows.append({j: v for j, v in row.items() if v})
         rels.append(grp.relations)
-    constraints = (SparseIntMatrix(len(rows), amb.total, rows), block_diagonal(rels))
+    return amb, (SparseIntMatrix(len(rows), amb.total, rows), block_diagonal(rels))
+
+
+def symmetric_cochains(M, module, n):
+    """The lattice of symmetric n-cochains, 1 <= n <= 4: the preimage
+    lattice of symmetry_constraints."""
+    amb, constraints = symmetry_constraints(M, module, n)
     lattice = preimage_lattice_multi([constraints], amb.total)
     return SymmetricCochainLattice(n, amb, constraints, lattice)
 
@@ -161,12 +171,11 @@ def grillet_cohomology(M, module, n):
     (plus the coefficient relations)."""
     if not 1 <= n <= 3:
         raise ValueError("Grillet cohomology is computed for degrees 1..3")
-    cn = symmetric_cochains(M, module, n)
+    amb, constraints = symmetry_constraints(M, module, n)
     d_n = grillet_coboundary(M, module, n)
     rel_next = CochainGroup(_tuple_basis(M, n + 1), module).relation_matrix()
-    kernel = preimage_lattice_multi(
-        [cn.constraints, (d_n, rel_next)], cn.ambient.total)
-    image = cn.ambient.relation_matrix()
+    kernel = preimage_lattice_multi([constraints, (d_n, rel_next)], amb.total)
+    image = amb.relation_matrix()
     if n > 1:
         below = symmetric_cochains(M, module, n - 1)
         image = grillet_coboundary(M, module, n - 1).mul(below.lattice).hstack(image)
@@ -241,18 +250,12 @@ def inclusion_chainmap(M, module):
         level3_d = dualize(d, src, tgt, module, M)
         lhs = level3_d.mul(mats[n].mul(lat))
         rhs = mats[n + 1].mul(delta.mul(lat))
-        tgt_amb = CochainGroup(tgt, module)
-        rel = lattice_basis(tgt_amb.relation_matrix())
-        pivots = staircase_pivots(rel)
-        ok = True
-        witness = None
-        for j in range(lat.cols):
-            diffcol = [a - b for a, b in zip(lhs.column(j), rhs.column(j))]
-            if any(diffcol) and not lattice_contains(rel, diffcol, pivots):
-                ok = False
-                witness = ("lattice generator", j)
-                break
-        report.record("square d.i_%d = i_%d.delta" % (n, n + 1), ok, witness)
+        rel = lattice_basis(CochainGroup(tgt, module).relation_matrix())
+        diff = [{j: a - b for j, (a, b) in enumerate(zip(ra, rb)) if a != b}
+                for ra, rb in zip(lhs.data, rhs.data)]
+        _, outside = staircase_solve(rel, staircase_pivots(rel), diff)
+        report.record("square d.i_%d = i_%d.delta" % (n, n + 1), not outside,
+                      ("lattice generator", outside[0]) if outside else None)
     return mats, report
 
 
@@ -299,7 +302,7 @@ def injectivity_check(M, module):
     """Verify that H^3_G -> H^5(M,3;A) is injective: every symmetric
     3-cocycle whose inclusion image is a level-3 coboundary is itself a
     symmetric 2-coboundary.  Returns (ok, witness)."""
-    sym3 = symmetric_cochains(M, module, 3)
+    amb3, constraints3 = symmetry_constraints(M, module, 3)
     delta3 = grillet_coboundary(M, module, 3)
     rel4 = CochainGroup(_tuple_basis(M, 4), module).relation_matrix()
 
@@ -309,20 +312,18 @@ def injectivity_check(M, module):
     d4 = dualize({t: dga.differential(t) for t in src5.generators},
                  src4, src5, module, M)
     image5 = d4.hstack(CochainGroup(src5, module).relation_matrix())
-    i3 = _inclusion(module, 3, sym3.ambient.basis, src5)
+    i3 = _inclusion(module, 3, amb3.basis, src5)
 
     # {f : f symmetric, delta^3 f ~ 0, i_3 f in im d^4 + rel}
     problem = preimage_lattice_multi(
-        [sym3.constraints, (delta3, rel4), (i3, image5)], sym3.ambient.total)
+        [constraints3, (delta3, rel4), (i3, image5)], amb3.total)
 
     # delta^2(C^2_G) + relations, the symmetric coboundaries
     sym2 = symmetric_cochains(M, module, 2)
     delta2 = grillet_coboundary(M, module, 2)
     target = lattice_basis(
-        delta2.mul(sym2.lattice).hstack(sym3.ambient.relation_matrix()))
-    pivots = staircase_pivots(target)
-    for j in range(problem.cols):
-        col = problem.column(j)
-        if not lattice_contains(target, col, pivots):
-            return False, col
+        delta2.mul(sym2.lattice).hstack(amb3.relation_matrix()))
+    _, outside = staircase_solve(target, staircase_pivots(target), problem.row_dicts())
+    if outside:
+        return False, problem.column(outside[0])
     return True, None

@@ -21,8 +21,10 @@ against |H^5(M,3;A)|, and is capped at BRUTE_FORCE_CAP table pairs.
 from itertools import product
 
 from .cohomology import BRUTE_FORCE_CAP
-from .hmod import HModule, IntMatrix, validate_module
+from .hmod import (HModule, IntMatrix, _columns_equal_mod, _matrix_maps_relations,
+                   validate_module)
 from .monoid import is_integer, validate_table
+from .zlinalg import lattice_basis, preimage_lattice, staircase_pivots, staircase_solve
 
 
 class GroupoidError(ValueError):
@@ -327,35 +329,19 @@ def _is_monoid_iso(M, Mp, i):
     return True
 
 
-def _matrices_equal_mod(grp, a, b):
-    for j in range(a.cols):
-        if not grp.elements_equal(a.column(j), b.column(j)):
-            return False
-    return True
-
-
 def _is_group_iso(src, tgt, mat):
     """mat: src -> tgt is an isomorphism of the presented groups: it
     maps relations into relations and admits a two-sided inverse."""
-    from .hmod import _matrix_maps_relations
     if not _matrix_maps_relations(mat, src, tgt):
         return False
     # surjectivity: every target generator is reachable modulo relations
-    from .zlinalg import lattice_basis, lattice_solve, staircase_pivots
     H = lattice_basis(mat.hstack(tgt.relations))
-    pivots = staircase_pivots(H)
-    for i in range(tgt.ngens):
-        bvec = [0] * tgt.ngens
-        bvec[i] = 1
-        if lattice_solve(H, bvec, pivots) is None:
-            return False
+    generators = [{i: 1} for i in range(tgt.ngens)]
+    if staircase_solve(H, staircase_pivots(H), generators)[1]:
+        return False
     # injectivity: the kernel lattice sits inside the source relations
-    from .zlinalg import preimage_lattice
     ker = preimage_lattice(mat, tgt.relations)
-    for j in range(ker.cols):
-        if not src.is_zero_element(ker.column(j)):
-            return False
-    return True
+    return not src.relation_coordinates(ker.row_dicts())[1]
 
 
 def verify_monoidal_iso(src, tgt, data):
@@ -379,7 +365,7 @@ def verify_monoidal_iso(src, tgt, data):
             xy = M.op(x, y)
             lhs = data.psi[xy].mul(A.action(y, x))
             rhs = Ap.action(i[y], i[x]).mul(data.psi[y])
-            if not _matrices_equal_mod(Ap.group(i[xy]), lhs, rhs):
+            if not _columns_equal_mod(Ap.group(i[xy]), lhs, rhs):
                 return False, ("psi-naturality", (x, y))
 
     def f_val(x, y):

@@ -16,9 +16,8 @@ nonzero, and it stays sparse through the linear algebra.
 import json
 
 from .monoid import FiniteCommutativeMonoid, is_integer
-from .zlinalg import (IntMatrix, AbGroupInvariants, SparseIntMatrix, _dict_submul,
-                      block_diagonal, lattice_basis, lattice_contains, snf_diagonal,
-                      staircase_pivots)
+from .zlinalg import (IntMatrix, AbGroupInvariants, SparseIntMatrix, block_diagonal,
+                      lattice_basis, snf_diagonal, staircase_pivots, staircase_solve)
 
 
 class FGAbelianGroup:
@@ -68,29 +67,16 @@ class FGAbelianGroup:
         return [0] * self.ngens
 
     def is_zero_element(self, vec):
-        if all(v == 0 for v in vec):
-            return True
-        return lattice_contains(self.relation_basis, vec, self._pivots)
+        """vec lies in the relation lattice: it reduces to 0."""
+        return not any(self.reduce(vec))
 
     def relation_coordinates(self, rows):
-        """X with relation_basis * X = B for every column of B, by one
-        staircase elimination; B (a row per generator) and X (a row per
-        relation) are lists of sparse row dicts.  Also returns the sorted
-        columns of B outside the relations, where X means nothing: a
-        column that does not divide at a pivot stays behind in B."""
-        H = self.relation_basis
-        B = [dict(row) for row in rows]
-        X = [{} for _ in range(H.cols)]
-        for r, j in self._pivots:
-            p = H.data[r][j]
-            X[j] = quot = {c: v // p for c, v in B[r].items() if v % p == 0}
-            for i in range(r, H.rows):
-                if H.data[i][j]:
-                    _dict_submul(B[i], quot, H.data[i][j])
-        return X, sorted(set().union(*B))
-
-    def elements_equal(self, a, b):
-        return self.is_zero_element([x - y for x, y in zip(a, b)])
+        """X with relation_basis * X = B for every column of B, and the
+        sorted columns of B outside the relations, where X means nothing:
+        zlinalg.staircase_solve over the cached pivots.  B (a row per
+        generator) and X (a row per relation) are lists of sparse row
+        dicts."""
+        return staircase_solve(self.relation_basis, self._pivots, rows)
 
     def element_list(self):
         """All elements as canonical coset representatives; requires a
@@ -177,15 +163,18 @@ class ConstantModule:
     def __init__(self, group, monoid=None):
         self.monoid = monoid
         self._group = group
-        self._identity = IntMatrix.identity(group.ngens)
+        self._identity = None
         self.constant = True
 
     def group(self, x):
         return self._group
 
     def action(self, x, y):
-        """The identity matrix, one shared object: callers must not
-        mutate it."""
+        """The identity matrix, built on first read (the universal
+        coefficient route never reads it) and then one shared object:
+        callers must not mutate it."""
+        if self._identity is None:
+            self._identity = IntMatrix.identity(self._group.ngens)
         return self._identity
 
     def translate(self, x, y, vec):
@@ -236,19 +225,22 @@ def constant_as_tabular(group, monoid):
 
 
 def _matrix_maps_relations(mat, src, tgt):
-    # mat * rel_src must land in the relation lattice of tgt
-    for j in range(src.relations.cols):
-        img = mat.mul_vector(src.relations.column(j))
-        if not tgt.is_zero_element(img):
-            return False
-    return True
+    """mat * rel_src lands in the relation lattice of tgt."""
+    return not tgt.relation_coordinates(mat.mul(src.relations).row_dicts())[1]
+
+
+def _columns_equal_mod(group, a, b):
+    """Every column of a equals the same column of b modulo the
+    relations of group: one solve on the block a - b."""
+    diff = [{j: v - w for j, (v, w) in enumerate(zip(ra, rb)) if v != w}
+            for ra, rb in zip(a.data, b.data)]
+    return not group.relation_coordinates(diff)[1]
 
 
 def _is_identity(mat, group):
     """mat is the identity of group modulo its relations."""
-    return mat.rows == mat.cols == group.ngens and all(
-        group.is_zero_element([v - int(i == j) for i, v in enumerate(mat.column(j))])
-        for j in range(group.ngens))
+    return (mat.rows == mat.cols == group.ngens
+            and _columns_equal_mod(group, mat, IntMatrix.identity(group.ngens)))
 
 
 def validate_module(module):
@@ -278,14 +270,9 @@ def validate_module(module):
                 # z_* y_* = (yz)_* : A(x) -> A(xyz)
                 first = module.action(M.op(x, y), z).mul(module.action(x, y))
                 second = module.action(x, M.op(y, z))
-                tgt = module.group(M.op(M.op(x, y), z))
-                for j in range(first.cols):
-                    if not tgt.elements_equal(first.column(j), second.column(j)):
-                        bad.append(("composition", (x, y, z)))
-                        break
-                else:
-                    continue
-                break
+                if not _columns_equal_mod(module.group(M.op(M.op(x, y), z)), first, second):
+                    bad.append(("composition", (x, y, z)))
+                    break
     return bad
 
 
@@ -408,9 +395,10 @@ def dualize(d, source, target, module, monoid):
 # -- descriptors -------------------------------------------------------------
 
 # a group on k generators gets a relation matrix of k rows, and a
-# constant module on it a k x k identity translation: above this count
-# that identity would need more than 2^32 entries, which no memory holds,
-# so such a group is refused before anything is allocated
+# constant module on it a k x k identity translation on the routes that
+# read translations (Grillet, the brute-force oracle, groupoids): above
+# this count that identity would need more than 2^32 entries, which no
+# memory holds, so such a group is refused before anything is allocated
 MAX_GENERATORS = 1 << 16
 
 

@@ -26,7 +26,11 @@ What the sweep leaves of a coboundary is short and wide; snf_diagonal
 replaces it by a certified basis of its column lattice before the dense
 Smith form (see _column_lattice_basis).
 
-Lattices are always given by matrices whose *columns* span them.
+Lattices are always given by matrices whose *columns* span them.  Every
+question "do these columns lie in the lattice?" is answered by one
+elimination, staircase_solve, over the lattice's Hermite staircase
+(Cohen, A Course in Computational Algebraic Number Theory) and a whole
+block of columns at once; lattice_solve is that solve on one column.
 """
 
 
@@ -547,8 +551,9 @@ def _column_lattice_basis(lines):
     a c x c one (up to 8 x 448 on the coboundaries).  The tracked column
     echelon need not be trusted: each basis column is checked to be L
     times its tracked integer combination (so the basis lattice lies in
-    L's), and each column of L to solve over the basis (so L's lies in
-    the basis lattice).  Either failure raises ArithmeticError.
+    L's), and all columns of L to solve over the basis in one
+    staircase_solve (so L's lies in the basis lattice).  Either failure
+    raises ArithmeticError.
     """
     by_index = {}
     for a, line in enumerate(lines):
@@ -568,14 +573,10 @@ def _column_lattice_basis(lines):
             H.data[i][k] = v
     # read off H rather than taken from the echelon, so that a solution
     # found is one whatever the echelon got wrong
-    staircase = staircase_pivots(H)
-    for col in originals:
-        b = [0] * len(lines)
-        for i, v in col.items():
-            b[i] = v
-        if _staircase_solve(H, b, staircase) is None:
-            raise ArithmeticError("leftover column %r lies outside its echelon basis"
-                                  % (col,))
+    _, outside = staircase_solve(H, staircase_pivots(H), lines)
+    if outside:
+        raise ArithmeticError("leftover column %d lies outside its echelon basis"
+                              % outside[0])
     return H
 
 
@@ -718,35 +719,32 @@ def staircase_pivots(H):
     return pivots
 
 
-def lattice_solve(H, b, pivots):
-    """Solve H x = b over Z, H a column staircase (lattice_basis
-    output) with pivots staircase_pivots(H).  Returns the coefficient
-    list or None."""
-    return _staircase_solve(H, b, pivots)
-
-
-def _staircase_solve(H, b, pivots):
-    """lattice_solve, for the callers inside this module that are not
-    lattice-route solves (snf_diagonal's basis certification)."""
-    b = list(b)
-    x = [0] * H.cols
+def staircase_solve(H, pivots, rows):
+    """X with H X = B for every column of B in the column lattice of H,
+    by one elimination over all columns at once; H is a column staircase
+    (lattice_basis output) with pivots staircase_pivots(H).  B (one row
+    per row of H) and X (one row per column of H) are lists of sparse row
+    dicts.  Also returns the sorted columns of B outside the lattice,
+    where X means nothing: a column that does not divide at a pivot stays
+    behind in B, and so does one with an entry on a row without a pivot."""
+    B = [dict(row) for row in rows]
+    X = [{} for _ in range(H.cols)]
     for r, j in pivots:
         p = H.data[r][j]
-        q, rem = divmod(b[r], p)
-        if rem:
-            return None
-        if q:
-            x[j] = q
-            for i in range(r, H.rows):
-                if H.data[i][j]:
-                    b[i] -= q * H.data[i][j]
-    if any(b):
+        X[j] = quot = {c: v // p for c, v in B[r].items() if v % p == 0}
+        for i in range(r, H.rows):
+            if H.data[i][j]:
+                _dict_submul(B[i], quot, H.data[i][j])
+    return X, sorted(set().union(*B))
+
+
+def lattice_solve(H, b, pivots):
+    """Solve H x = b over Z for one vector b: staircase_solve on one
+    column.  Returns the coefficient list or None."""
+    X, outside = staircase_solve(H, pivots, [{0: v} if v else {} for v in b])
+    if outside:
         return None
-    return x
-
-
-def lattice_contains(H, vec, pivots):
-    return lattice_solve(H, vec, pivots) is not None
+    return [x.get(0, 0) for x in X]
 
 
 def preimage_lattice(A, L=None):

@@ -157,6 +157,24 @@ def test_criterion_6_oracle_equivalence():
     _report(6, True, "brute force == SNF pipeline on 9 instances; |H^5(Z/2,3;Z/2)| = 2")
 
 
+def test_criterion_6_oracle_on_the_census():
+    # brute force enumerates C^(n-1) and C^n, so it runs where their
+    # sizes multiply to at most 2^16: 387 cases
+    checked = 0
+    for M in census():
+        for d in (2, 4, 6):
+            A = constant_module(zmod(d), M)
+            for r, n in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4),
+                         (3, 3), (3, 4), (3, 5)):
+                basis = iterated_bar(M, r, max(n, r)).basis
+                if d ** (len(basis.get(n - 1, ())) + len(basis.get(n, ()))) > 1 << 16:
+                    continue
+                z, b, inv = brute_force_cohomology(M, r, n, A)
+                assert inv == cohomology_group(M, r, n, A), (M, d, r, n, inv)
+                checked += 1
+    _report(6, checked == 387, "brute force == SNF pipeline on %d census cases" % checked)
+
+
 def test_criterion_7_grillet_comparison():
     for M in GRID_MONOIDS:
         for G in GRID_COEFFS:

@@ -104,14 +104,16 @@ def test_entry_points_build_only_what_they_read(monkeypatch):
     recording("symmetric_cochains", grillet.symmetric_cochains, 2)
     recording("iterated_bar", grillet.iterated_bar, 2)
     A = constant_module(zmod(2), C12)
+    # symmetric_cochains is where a symmetric lattice is built; degree n
+    # of H^n_G and degree 3 of the injectivity problem read only the
+    # constraints
     for n in (1, 2, 3):
         calls.clear()
         grillet_cohomology(C12, A, n)
-        assert sorted(calls) == [("symmetric_cochains", k) for k in range(max(n - 1, 1), n + 1)]
+        assert calls == ([] if n == 1 else [("symmetric_cochains", n - 1)])
     calls.clear()
     injectivity_check(C12, A)
-    assert sorted(calls) == [("iterated_bar", 5), ("symmetric_cochains", 2),
-                             ("symmetric_cochains", 3)]
+    assert sorted(calls) == [("iterated_bar", 5), ("symmetric_cochains", 2)]
     calls.clear()
     inclusion_chainmap(C12, A)
     assert [c for c in calls if c[0] == "iterated_bar"] == [("iterated_bar", 6)]

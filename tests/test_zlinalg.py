@@ -14,10 +14,11 @@ from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
                                        LatticeContainmentError, SparseIntMatrix,
                                        block_diagonal, determinant,
                                        kernel_basis, lattice_basis,
-                                       lattice_contains, preimage_lattice,
+                                       lattice_solve, preimage_lattice,
                                        preimage_lattice_multi,
                                        smith_normal_form, snf_diagonal,
-                                       staircase_pivots, subquotient_invariants)
+                                       staircase_pivots, staircase_solve,
+                                       subquotient_invariants)
 
 
 C12 = make_cyclic(1, 2)
@@ -186,12 +187,60 @@ def test_preimage_is_tight():
         Lp, Pp = staircase_pivots(Lb), staircase_pivots(Pb)
         for j in range(P.cols):
             v = A.mul_vector(P.column(j))
-            assert lattice_contains(Lb, v, Lp) if Lb.cols else not any(v)
+            assert lattice_solve(Lb, v, Lp) is not None if Lb.cols else not any(v)
         for v in product(range(-2, 3), repeat=n):
             Av = A.mul_vector(list(v))
-            in_l = lattice_contains(Lb, Av, Lp) if Lb.cols else not any(Av)
+            in_l = lattice_solve(Lb, Av, Lp) is not None if Lb.cols else not any(Av)
             if in_l:
-                assert lattice_contains(Pb, list(v), Pp)
+                assert lattice_solve(Pb, list(v), Pp) is not None
+
+
+def _in_lattice_by_smith(H, b):
+    # b lies in the column lattice of H iff adjoining it leaves the Smith
+    # diagonal alone: a column outside either raises the rank or lowers
+    # the index of the lattice in its saturation, the product of the
+    # factors
+    return (sorted(snf_diagonal(H.hstack(IntMatrix.from_columns([b], H.rows))))
+            == sorted(snf_diagonal(H)))
+
+
+def test_staircase_solve_matches_the_smith_oracle():
+    rng = random.Random(13)
+    entries = (0, 1, -1, 2, 3, -4, 6)
+    staircases = [IntMatrix.from_rows([[2, 0], [1, 3]]),           # entry below a pivot
+                  IntMatrix.from_rows([[0, 0], [2, 0], [1, 0]]),   # rank-deficient
+                  IntMatrix(3, 0)]                                 # the empty staircase
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 4)
+        staircases.append(lattice_basis(IntMatrix(m, n, [[rng.choice(entries) for _ in range(n)]
+                                                         for _ in range(m)])))
+    inside_seen = outside_seen = 0
+    for H in staircases:
+        columns = []
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.5:
+                columns.append(H.mul_vector([rng.randint(-3, 3) for _ in range(H.cols)]))
+            else:
+                columns.append([rng.choice(entries) for _ in range(H.rows)])
+        B = IntMatrix.from_columns(columns, H.rows)
+        X, outside = staircase_solve(H, staircase_pivots(H), B.row_dicts())
+        expected = [j for j, b in enumerate(columns) if not _in_lattice_by_smith(H, b)]
+        assert outside == expected, (H, columns)
+        for j, b in enumerate(columns):
+            if j not in outside:
+                assert H.mul_vector([x.get(j, 0) for x in X]) == b, (H, b)
+        inside_seen += len(columns) - len(outside)
+        outside_seen += len(outside)
+    assert inside_seen > 300 and outside_seen > 200
+
+
+def test_is_zero_element_matches_the_smith_oracle():
+    # Z^2 / <(2, 1), (0, 3)> = Z/6, whose relation basis keeps the 1
+    # below its first pivot
+    g = FGAbelianGroup(2, IntMatrix.from_rows([[2, 0], [1, 3]]))
+    assert g.relation_basis.data == [[2, 0], [1, 3]]
+    for v in product(range(-6, 7), repeat=2):
+        assert g.is_zero_element(list(v)) == _in_lattice_by_smith(g.relation_basis, list(v))
 
 
 def test_subquotient_worked_examples():
