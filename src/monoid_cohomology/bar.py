@@ -24,6 +24,11 @@ tests for the identity only on products of letters, so a product equal
 to e in M leaves a term with a unit letter, which the instantiation
 drops just as bar_word_diff drops it.  Templates live for one
 iterated_bar call and are not cached across calls.
+
+cells(M, r, n) yields the cells of one degree in the order of the
+stored basis; iterated_bar, Grillet's tuple bases, the groupoid's
+cocycle test and the CLI take their cells from it.  A bar of more than
+MAX_CELLS cells is refused from a count, before any cell is listed.
 """
 
 from itertools import combinations, product
@@ -548,6 +553,69 @@ def _compositions(total, parts, maxpart):
             yield (first,) + rest
 
 
+def shapes(r, n):
+    """The separator tuples of the level-r cells of degree n >= r: the
+    compositions of n - r into parts of at most r, most parts first."""
+    total = n - r
+    for parts in range(total, -1, -1):
+        if total <= parts * r:
+            yield from _compositions(total, parts, r)
+
+
+# The largest bar the tests or the benchmark's pinned queries build has
+# 9,330 cells.  Each cell carries a word, a differential chain and at
+# least one coboundary row, a kilobyte or more in all, so a bar above
+# this many cells needs gigabytes of memory and hours of work: it is
+# refused before any cell is listed.
+MAX_CELLS = 1 << 20
+
+
+def refuse_above_max_cells(counts, what):
+    """Raise DGAError as soon as the running sum of counts passes
+    MAX_CELLS; counts is read no further than that."""
+    total = 0
+    for c in counts:
+        total += c
+        if total > MAX_CELLS:
+            raise DGAError("%s has more than %d cells, out of reach" % (what, MAX_CELLS))
+
+
+def _degree_counts(k, r, degmax):
+    """The number of level-r cells over k letters in each degree
+    r..degmax, without listing them.  A cell of degree r + t is a letter
+    followed by (separator, letter) pairs whose separators sum to t, so
+    there are k w(t) of them, with w(0) = 1 and w(t) = k (w(t-1) + ... +
+    w(t-min(t, r)))."""
+    w = [1]
+    for t in range(degmax - r + 1):
+        yield k * w[t]
+        w.append(k * sum(w[-r:]))
+
+
+def _check_range(M, r, degmax):
+    if not isinstance(M, FiniteCommutativeMonoid):
+        raise DGAError("the bar construction needs a finite monoid")
+    if r < 1:
+        raise DGAError("level must be >= 1")
+    if degmax < r:
+        raise DGAError("degree %d below the lowest positive cell degree %d" % (degmax, r))
+    refuse_above_max_cells(_degree_counts(len(M.nonunit()), r, degmax),
+                           "the level-%d bar to degree %d" % (r, degmax))
+
+
+def cells(M, r, n):
+    """Yield the level-r cells of degree n, which are the basis
+    iterated_bar stores in degree n: shape by shape in the order of
+    shapes(r, n), and within a shape the letters in lexicographic order.
+    A level-r bar to degree n of more than MAX_CELLS cells raises
+    DGAError before the first cell."""
+    _check_range(M, r, n)
+    nonunit = M.nonunit()
+    for seps in shapes(r, n):
+        for letters in product(nonunit, repeat=len(seps) + 1):
+            yield BarWord(letters, seps, r)
+
+
 # The free commutative monoid on letter positions: sorted tuples of
 # positions, multiplied by merging.
 POSITIONS = SimpleNamespace(identity=(), op=lambda a, b: tuple(sorted(a + b)))
@@ -602,46 +670,38 @@ def iterated_bar(M, r, degmax):
     itself, found by its letters and separators.  The templates live
     for this call only.
     """
-    if not isinstance(M, FiniteCommutativeMonoid):
-        raise DGAError("iterated_bar needs a finite monoid")
-    if r < 1:
-        raise DGAError("level must be >= 1")
-    if degmax < r:
-        raise DGAError("degmax %d below the lowest positive cell degree %d" % (degmax, r))
+    _check_range(M, r, degmax)
     e = M.identity
-    nonunit = M.nonunit()
     empty = BarWord((), (), r)
     basis = {0: (empty,)}
     diff = {empty: {}}
     cells_by_seps = {(): {(): empty}}
     for n in range(r, degmax + 1):
-        cells = []
-        total = n - r
-        for m in range(total + 1, 0, -1):
-            if m - 1 > total or total > (m - 1) * r:
-                continue
-            for seps in _compositions(total, m - 1, r):
+        seps = None
+        degree_cells = list(cells(M, r, n))
+        for word in degree_cells:
+            letters = word.letters
+            if word.seps != seps:
+                seps = word.seps
                 products, template = _diff_template(seps, r)
                 terms = [(u, gather, cells_by_seps[tseps], c)
                          for u, gather, tseps, c in template]
                 found = cells_by_seps.setdefault(seps, {})
-                for letters in product(nonunit, repeat=m):
-                    vals = [e, *letters]
-                    for t in products:
-                        x = letters[t[0]]
-                        for i in t[1:]:
-                            x = M.op(x, letters[i])
-                        vals.append(x)
-                    chain = {}
-                    for u, gather, targets, c in terms:
-                        out = gather(vals)
-                        if e not in out:
-                            chain_add_term(chain, (vals[u], targets[out]), c)
-                    word = found[letters] = BarWord(letters, seps, r)
-                    cells.append(word)
-                    diff[word] = chain
-        if cells:
-            basis[n] = tuple(cells)
+            vals = [e, *letters]
+            for t in products:
+                x = letters[t[0]]
+                for i in t[1:]:
+                    x = M.op(x, letters[i])
+                vals.append(x)
+            chain = {}
+            for u, gather, targets, c in terms:
+                out = gather(vals)
+                if e not in out:
+                    chain_add_term(chain, (vals[u], targets[out]), c)
+            found[letters] = word
+            diff[word] = chain
+        if degree_cells:
+            basis[n] = tuple(degree_cells)
     pi = {w: w.pi(M) for ws in basis.values() for w in ws}
 
     def shuffle(a, b):

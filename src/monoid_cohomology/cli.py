@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from .bar import iterated_bar, render_word, word_to_json
+from .bar import cells, render_word, word_to_json
 from .cohomology import brute_force_cohomology, cohomology_group
 from .cyclic import (level2_groups_cyclic, level3_top, verify_contraction,
                      verify_contraction_inf)
@@ -102,11 +102,10 @@ def cmd_cells(args):
     M = parse_monoid(args.monoid)
     if not isinstance(M, FiniteCommutativeMonoid):
         raise InputError("cells needs a finite monoid")
-    dga = iterated_bar(M, args.level, args.degree)
-    cells = dga.basis.get(args.degree, ())
+    words = list(cells(M, args.level, args.degree))
     payload = {"level": args.level, "degree": args.degree,
-               "cells": [word_to_json(w, M) for w in cells]}
-    emit(args, payload, ["%s  (pi = %d)" % (render_word(w), w.pi(M)) for w in cells]
+               "cells": [word_to_json(w, M) for w in words]}
+    emit(args, payload, ["%s  (pi = %d)" % (render_word(w), w.pi(M)) for w in words]
          or ["(no cells)"])
     return 0
 

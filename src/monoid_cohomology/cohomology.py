@@ -59,6 +59,14 @@ def degree_basis(dga, n):
     return FreeBasis(gens, {g: dga.pi[g] for g in gens})
 
 
+def coboundary(dga, n, module):
+    """d^n of Hom(dga, module): the stored differential from degree
+    n + 1 to degree n, dualized."""
+    target = degree_basis(dga, n + 1)
+    d = {t: dga.differential(t) for t in target.generators}
+    return dualize(d, degree_basis(dga, n), target, module, dga.monoid)
+
+
 class CochainComplex:
     """Groups C^0..C^nmax and coboundaries d^0..d^{nmax-1} of
     Hom(D, A) for a free-based DGA D.  For a constant module the stored
@@ -85,13 +93,7 @@ class CochainComplex:
         for n in range(nmax + 1):
             self.groups[n] = CochainGroup(degree_basis(dga, n), module)
         for n in range(nmax):
-            self.coboundaries[n] = self._dualize(n, coeffs)
-
-    def _dualize(self, n, module):
-        """d^n of Hom(D, module) on this complex's cells."""
-        target = self.groups[n + 1].basis
-        d = {t: self.dga.differential(t) for t in target.generators}
-        return dualize(d, self.groups[n].basis, target, module, self.dga.monoid)
+            self.coboundaries[n] = coboundary(dga, n, coeffs)
 
     def cohomology(self, n):
         """ker d^n / im d^{n-1} as invariant factors."""

@@ -16,7 +16,8 @@ contraction identity on all basis cells up to a degree bound.
 from math import comb
 
 from .bar import (BarWord, FreeBasedDGA, bar, bar_word_diff, bar_word_shuffle,
-                  chain_add_term, chain_sum, extend_bilinear, extend_linear)
+                  chain_add_term, chain_sum, extend_bilinear, extend_linear,
+                  refuse_above_max_cells)
 from .cohomology import CochainComplex
 from .monoid import (INFINITE_CYCLIC, MonoidError, cyclic_p, cyclic_s,
                      make_cyclic)
@@ -417,6 +418,8 @@ def _verify(con, R, words_by_degree, degmax, report):
 
 
 def _letter_words(letters, degmax):
+    refuse_above_max_cells((len(letters) ** n for n in range(1, degmax + 1)),
+                           "the bar to degree %d" % degmax)
     by_degree = {}
     pool = [()]
     for n in range(1, degmax + 1):
@@ -428,9 +431,9 @@ def _letter_words(letters, degmax):
 def verify_contraction(m, q, degmax):
     """Check every contraction identity for C_{m,q} on all bar cells up
     to the given degree.  Failures land in the report, not exceptions."""
+    words = _letter_words([x for x in range(m + q) if x != 0], degmax)
     con = CyclicContraction(m, q)
     R = small_resolution(m, q, degmax + 1)
-    words = _letter_words([x for x in range(m + q) if x != 0], degmax)
     report = ContractionReport({"index": m, "period": q, "max_degree": degmax})
     return _verify(con, R, words, degmax, report)
 
@@ -439,9 +442,9 @@ def verify_contraction_inf(degmax, entry_bound):
     """Same for the infinite cyclic monoid, with cell entries bounded."""
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1, got %d" % entry_bound)
+    words = _letter_words(list(range(1, entry_bound + 1)), degmax)
     con = CyclicContraction(infinite=True)
     R = small_resolution_inf(degmax + 1)
-    words = _letter_words(list(range(1, entry_bound + 1)), degmax)
     report = ContractionReport({"index": "inf", "max_degree": degmax,
                                 "entry_bound": entry_bound})
     return _verify(con, R, words, degmax, report)

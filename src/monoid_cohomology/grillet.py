@@ -10,34 +10,40 @@ block-diagonal relations of their value groups (zlinalg.block_diagonal),
 so each constraint solution set is a preimage lattice in the free cover,
 found on the same row-sparse path as everything else.
 
+The n-tuples are the level-1 cells of degree n (bar.cells), and
+Grillet's coboundary is minus the level-1 (Leech) coboundary:
+(delta^n f)(x_0, ..., x_n) = -f(d[x_0 | ... | x_n]), so delta^n is read
+off the level-1 bar to degree n + 1 and no formula of its own is kept.
+
 Each entry point builds only what it reads:
 - grillet_cohomology(n): the symmetry constraints of degree n, the
   symmetric lattice of degree n - 1 (none for n = 1), delta^n and
-  delta^(n-1), and of degree n + 1 only the relations;
+  delta^(n-1) from one level-1 bar to degree n + 1, and of degree n + 1
+  only the relations;
 - inclusion_matrices: one level-3 bar to degree 6 and i_1..i_4 on it;
-- inclusion_chainmap: the same bar and maps, and the symmetric lattices
-  of degrees 1-3;
+- inclusion_chainmap: the same bar and maps, delta^1..delta^3 from one
+  level-1 bar to degree 4, and the symmetric lattices of degrees 1-3;
 - injectivity_check: the symmetry constraints of degree 3, the symmetric
-  lattice of degree 2, the degree-4 relations, one level-3 bar to degree
-  5 and i_3 on it.
+  lattice of degree 2, delta^2 and delta^3 from one level-1 bar to
+  degree 4, the degree-4 relations, one level-3 bar to degree 5 and i_3
+  on it.
 """
 
 from itertools import product
 
-from .bar import BarWord, chain_add_term, iterated_bar
-from .cohomology import degree_basis
-from .hmod import CochainGroup, FreeBasis, dualize
+from .bar import cells, iterated_bar
+from .cohomology import coboundary, degree_basis
+from .hmod import CochainGroup, FreeBasis
 from .zlinalg import (SparseIntMatrix, block_diagonal, lattice_basis,
                       preimage_lattice_multi, staircase_pivots, staircase_solve,
                       subquotient_invariants)
 
 
 def _tuple_basis(M, n):
-    """Normalized n-tuples over M \\ {e} as a free basis; degree-1 bar
-    words are reused as the identifiers so dualize applies unchanged."""
-    cells = [BarWord(t, (1,) * (n - 1), 1)
-             for t in product(M.nonunit(), repeat=n)]
-    return FreeBasis(cells, {c: c.pi(M) for c in cells})
+    """Normalized n-tuples over M \\ {e} as a free basis: the level-1
+    cells of degree n, in the order of the level-1 bar's basis."""
+    tuples = list(cells(M, 1, n))
+    return FreeBasis(tuples, {c: c.pi(M) for c in tuples})
 
 
 class SymmetricCochainLattice:
@@ -115,54 +121,19 @@ def symmetric_cochains(M, module, n):
     return SymmetricCochainLattice(n, amb, constraints, lattice)
 
 
-def _grillet_formula(M, n, args):
-    """The symmetric-complex coboundary (delta^n f)(args) as a formal chain of
-    (translate, argument tuple) terms, value terms with an identity
-    argument dropped."""
-    e = M.identity
-    out = []
-
-    def add(coeff, u, tup):
-        if any(a == e for a in tup):
-            return
-        out.append((coeff, u, tup))
-
-    if n == 1:
-        x, y = args
-        add(-1, x, (y,))
-        add(1, e, (M.op(x, y),))
-        add(-1, y, (x,))
-    elif n == 2:
-        x, y, z = args
-        add(-1, x, (y, z))
-        add(1, e, (M.op(x, y), z))
-        add(-1, e, (x, M.op(y, z)))
-        add(1, z, (x, y))
-    elif n == 3:
-        x, y, z, t = args
-        add(-1, x, (y, z, t))
-        add(1, e, (M.op(x, y), z, t))
-        add(-1, e, (x, M.op(y, z), t))
-        add(1, e, (x, y, M.op(z, t)))
-        add(-1, t, (x, y, z))
-    else:
-        raise ValueError("no Grillet coboundary in degree %d" % n)
-    return out
-
-
 def grillet_coboundary(M, module, n):
     """Matrix of delta^n on the full ambient cochain groups (the
-    restriction to the symmetric lattices is taken by the callers)."""
-    source = _tuple_basis(M, n)
-    target = _tuple_basis(M, n + 1)
-    d = {}
-    for t in target.generators:
-        chain = {}
-        for coeff, u, tup in _grillet_formula(M, n, t.letters):
-            cell = BarWord(tup, (1,) * (len(tup) - 1), 1)
-            chain_add_term(chain, (u, cell), coeff)
-        d[t] = chain
-    return dualize(d, source, target, module, M)
+    restriction to the symmetric lattices is taken by the callers).
+    Since (delta^n f)(x_0, ..., x_n) is -f(d[x_0 | ... | x_n]), delta^n
+    is minus d^n of the level-1 complex."""
+    if not 1 <= n <= 3:
+        raise ValueError("no Grillet coboundary in degree %d" % n)
+    return _delta(iterated_bar(M, 1, n + 1), n, module)
+
+
+def _delta(level1, n, module):
+    """delta^n read off a level-1 bar to degree n + 1 or beyond."""
+    return coboundary(level1, n, module).scaled(-1)
 
 
 def grillet_cohomology(M, module, n):
@@ -172,13 +143,14 @@ def grillet_cohomology(M, module, n):
     if not 1 <= n <= 3:
         raise ValueError("Grillet cohomology is computed for degrees 1..3")
     amb, constraints = symmetry_constraints(M, module, n)
-    d_n = grillet_coboundary(M, module, n)
-    rel_next = CochainGroup(_tuple_basis(M, n + 1), module).relation_matrix()
+    level1 = iterated_bar(M, 1, n + 1)
+    d_n = _delta(level1, n, module)
+    rel_next = CochainGroup(degree_basis(level1, n + 1), module).relation_matrix()
     kernel = preimage_lattice_multi([constraints, (d_n, rel_next)], amb.total)
     image = amb.relation_matrix()
     if n > 1:
         below = symmetric_cochains(M, module, n - 1)
-        image = grillet_coboundary(M, module, n - 1).mul(below.lattice).hstack(image)
+        image = _delta(level1, n - 1, module).mul(below.lattice).hstack(image)
     return subquotient_invariants(kernel, image)
 
 
@@ -240,15 +212,13 @@ def inclusion_chainmap(M, module):
     dga = iterated_bar(M, 3, 6)
     mats = {n: _inclusion(module, n, _tuple_basis(M, n), degree_basis(dga, n + 2))
             for n in (1, 2, 3, 4)}
+    level1 = iterated_bar(M, 1, 4)
     report = InclusionReport()
     for n in (1, 2, 3):
         lat = symmetric_cochains(M, module, n).lattice
-        delta = grillet_coboundary(M, module, n)
-        src = degree_basis(dga, n + 2)
+        delta = _delta(level1, n, module)
         tgt = degree_basis(dga, n + 3)
-        d = {t: dga.differential(t) for t in tgt.generators}
-        level3_d = dualize(d, src, tgt, module, M)
-        lhs = level3_d.mul(mats[n].mul(lat))
+        lhs = coboundary(dga, n + 2, module).mul(mats[n].mul(lat))
         rhs = mats[n + 1].mul(delta.mul(lat))
         rel = lattice_basis(CochainGroup(tgt, module).relation_matrix())
         diff = [{j: a - b for j, (a, b) in enumerate(zip(ra, rb)) if a != b}
@@ -303,15 +273,14 @@ def injectivity_check(M, module):
     3-cocycle whose inclusion image is a level-3 coboundary is itself a
     symmetric 2-coboundary.  Returns (ok, witness)."""
     amb3, constraints3 = symmetry_constraints(M, module, 3)
-    delta3 = grillet_coboundary(M, module, 3)
-    rel4 = CochainGroup(_tuple_basis(M, 4), module).relation_matrix()
+    level1 = iterated_bar(M, 1, 4)
+    delta3 = _delta(level1, 3, module)
+    rel4 = CochainGroup(degree_basis(level1, 4), module).relation_matrix()
 
     dga = iterated_bar(M, 3, 5)
-    src4 = degree_basis(dga, 4)
     src5 = degree_basis(dga, 5)
-    d4 = dualize({t: dga.differential(t) for t in src5.generators},
-                 src4, src5, module, M)
-    image5 = d4.hstack(CochainGroup(src5, module).relation_matrix())
+    image5 = coboundary(dga, 4, module).hstack(
+        CochainGroup(src5, module).relation_matrix())
     i3 = _inclusion(module, 3, amb3.basis, src5)
 
     # {f : f symmetric, delta^3 f ~ 0, i_3 f in im d^4 + rel}
@@ -320,7 +289,7 @@ def injectivity_check(M, module):
 
     # delta^2(C^2_G) + relations, the symmetric coboundaries
     sym2 = symmetric_cochains(M, module, 2)
-    delta2 = grillet_coboundary(M, module, 2)
+    delta2 = _delta(level1, 2, module)
     target = lattice_basis(
         delta2.mul(sym2.lattice).hstack(amb3.relation_matrix()))
     _, outside = staircase_solve(target, staircase_pivots(target), problem.row_dicts())

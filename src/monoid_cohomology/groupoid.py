@@ -9,9 +9,15 @@ A crossed product of a 5-cocycle is coherent; conversely coherence of
 the tables is exactly the 5-cocycle condition, which is how the
 classification by the top truncated cohomology group is exercised.
 
-cocycle_check tests the pentagon component over M^4 first, then the
-components that read mu.  The pentagon reads g alone, so its verdict is
-the same for every mu; iso_classes therefore runs it once per g table
+cocycle_check is d^5 = 0 on the level-3 complex, read off the bar
+differential (bar_word_diff): the cochain puts g on the cells [x|y|z]
+and mu on [x|^2 y], and the components of d^5 over the cells
+[x|y|z|t], [x|^2 y|z], [x|y|^2 z] and [x|^3 y] are the pentagon, the
+two hexagons and the involution of mu.  check_coherence evaluates the
+same identities as the coherence axioms, written out on their own, as
+the independent check of cocycle_check.  The pentagon cells read g
+alone, so their verdict is the same for every mu; iso_classes computes
+each cell's differential once, runs the pentagon rows once per g table
 and pairs only the g tables that pass with the mu tables, and lists
 exactly the pairs the per-pair check accepts, in the same order.  The
 search stays brute force, as the independent check of the class count
@@ -20,6 +26,7 @@ against |H^5(M,3;A)|, and is capped at BRUTE_FORCE_CAP table pairs.
 
 from itertools import product
 
+from .bar import bar_word_diff, cells
 from .cohomology import BRUTE_FORCE_CAP
 from .hmod import (HModule, IntMatrix, _columns_equal_mod, _matrix_maps_relations,
                    validate_module)
@@ -181,89 +188,45 @@ def check_coherence(G):
     return report
 
 
-def _combo_zero(module, obj, combo):
-    """sum(sign * vec) over combo vanishes in A(obj)."""
-    grp = module.group(obj)
+def _d5_row(M, module, cell):
+    """The row of d^5 of the level-3 complex at one cell of degree 6, on
+    the 5-cochains that put g on the cells [x|y|z] and mu on [x|^2 y]:
+    the value group at the cell, and the terms (coefficient, reads mu,
+    arguments, source object, translate or None) of f(d cell), read off
+    bar_word_diff."""
+    terms = [(c, s.seps == (2,), s.letters, s.pi(M), None if u == M.identity else u)
+             for (u, s), c in bar_word_diff(M, cell).items()]
+    return module.group(cell.pi(M)), terms
+
+
+def _row_vanishes(module, row, g_table, mu_table):
+    """f(d cell) vanishes in its value group, f being the pair of
+    normalized tables."""
+    grp, terms = row
     acc = [0] * grp.ngens
-    for sign, vec in combo:
+    for c, reads_mu, args, obj, u in terms:
+        vec = (mu_table if reads_mu else g_table).get(args)
+        if vec is None:
+            continue
+        if u is not None:
+            vec = module.translate(obj, u, vec)
         for i, v in enumerate(vec):
-            acc[i] += sign * v
-    return grp.is_zero_element(acc)
-
-
-def _pentagon_ok(G):
-    """The h component of the coboundary, over M^4: the pentagon, which
-    reads the associativity table alone."""
-    M = G.monoid
-    mod = G.module
-    g = G.assoc
-
-    def tr(x, y, vec):
-        return mod.translate(x, y, list(vec))
-
-    els = list(M.elements())
-    for x in els:
-        for y in els:
-            for z in els:
-                for t in els:
-                    obj = M.op(M.op(x, y), M.op(z, t))
-                    combo = [(1, tr(M.op(y, M.op(z, t)), x, g(y, z, t))),
-                             (-1, g(M.op(x, y), z, t)),
-                             (1, g(x, M.op(y, z), t)),
-                             (-1, g(x, y, M.op(z, t))),
-                             (1, tr(M.op(x, M.op(y, z)), t, g(x, y, z)))]
-                    if not _combo_zero(mod, obj, combo):
-                        return False
-    return True
-
-
-def _symmetry_ok(G):
-    """The components of the coboundary that read mu: gamma and delta
-    (the hexagons, over M^3) and xi (the involution of mu, over M^2)."""
-    M = G.monoid
-    mod = G.module
-    g = G.assoc
-    mu = G.symm
-
-    def tr(x, y, vec):
-        return mod.translate(x, y, list(vec))
-
-    els = list(M.elements())
-    for x in els:
-        for y in els:
-            for z in els:
-                obj = M.op(M.op(x, y), z)
-                gamma = [(1, tr(M.op(x, z), y, mu(x, z))),
-                         (-1, mu(x, M.op(y, z))),
-                         (1, tr(M.op(x, y), z, mu(x, y))),
-                         (-1, g(x, y, z)),
-                         (1, g(y, x, z)),
-                         (-1, g(y, z, x))]
-                if not _combo_zero(mod, obj, gamma):
-                    return False
-                delta = [(1, tr(M.op(y, z), x, mu(y, z))),
-                         (-1, mu(M.op(x, y), z)),
-                         (1, tr(M.op(x, z), y, mu(x, z))),
-                         (1, g(x, y, z)),
-                         (-1, g(x, z, y)),
-                         (1, g(z, x, y))]
-                if not _combo_zero(mod, obj, delta):
-                    return False
-    for x in els:
-        for y in els:
-            if not _combo_zero(mod, M.op(x, y), [(-1, mu(x, y)), (-1, mu(y, x))]):
-                return False
-    return True
+            acc[i] += c * v
+    return not any(acc) or grp.is_zero_element(acc)
 
 
 def cocycle_check(M, module, g_table, mu_table):
     """True iff the pair is a 5-cocycle of the level-3 truncated
-    complex: the (h, gamma, delta, xi) components of the coboundary
-    all vanish.  The pentagon h comes first; it reads g alone, so
-    iso_classes runs it once per g and the rest once per (g, mu)
-    whose g passed, which gives the same answer for every pair."""
+    complex: d^5 of the cochain holding g and mu vanishes on every cell
+    of degree 6.  Its components over [x|y|z|t], [x|^2 y|z], [x|y|^2 z]
+    and [x|^3 y] are the pentagon, the two hexagons and the involution
+    of mu.  The cells are taken one at a time in the order of
+    cells(M, 3, 6), pentagon cells first, each differential computed
+    only when it is reached, up to the first cell that does not
+    vanish."""
     G = crossed_product(M, module, g_table, mu_table)
-    return _pentagon_ok(G) and _symmetry_ok(G)
+    return all(_row_vanishes(module, _d5_row(M, module, cell), G.g_table, G.mu_table)
+               for cell in cells(M, 3, 6))
 
 
 def extract_triple(G):
@@ -513,17 +476,20 @@ def iso_classes(M, module, search_automorphisms=False):
     gs = enumerate_cochain_tables(M, module, 3)
     mus = enumerate_cochain_tables(M, module, 2)
     normal_mus = [_normalized_table(M, module, mu, 2, "mu") for mu in mus]
+    degree6 = list(cells(M, 3, 6))
+    rows = [_d5_row(M, module, cell) for cell in degree6]
+    pentagon = [row for cell, row in zip(degree6, rows) if cell.seps == (1, 1, 1)]
+    rest = [row for cell, row in zip(degree6, rows) if cell.seps != (1, 1, 1)]
     cocycles = []
     groupoids = []
     for g in gs:
         normal_g = _normalized_table(M, module, g, 3, "g")
-        if not _pentagon_ok(SMAGroupoid(M, module, normal_g, {})):
+        if not all(_row_vanishes(module, row, normal_g, {}) for row in pentagon):
             continue
         for mu, normal_mu in zip(mus, normal_mus):
-            G = SMAGroupoid(M, module, normal_g, normal_mu)
-            if _symmetry_ok(G):
+            if all(_row_vanishes(module, row, normal_g, normal_mu) for row in rest):
                 cocycles.append((g, mu))
-                groupoids.append(G)
+                groupoids.append(SMAGroupoid(M, module, normal_g, normal_mu))
     # psi is the identity family; f ranges over the binary tables, the
     # same list as mu
     psi = {x: IntMatrix.identity(module.group(x).ngens) for x in M.elements()}

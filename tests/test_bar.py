@@ -1,10 +1,11 @@
-from itertools import product
+from itertools import product, repeat
 
 import pytest
 
-from monoid_cohomology.bar import (POSITIONS, BarWord, DGAError, bar, bar_word_diff,
-                                   bar_word_shuffle, explicit_low_degree_differential,
-                                   extend_linear, generic_word, iterated_bar,
+from monoid_cohomology.bar import (MAX_CELLS, POSITIONS, BarWord, DGAError, _degree_counts,
+                                   bar, bar_word_diff, bar_word_shuffle, cells,
+                                   explicit_low_degree_differential, extend_linear,
+                                   generic_word, iterated_bar, refuse_above_max_cells,
                                    render_word, validate_dga, zm_dga)
 from monoid_cohomology.monoid import make_cyclic, validate_table
 from monoid_census import census
@@ -60,6 +61,29 @@ def test_iterated_bar_cell_counts():
     B3 = iterated_bar(Z2, 3, 3)
     assert B3.basis[3] == (w((1,), (), 3),)
     assert 1 not in B3.basis and 2 not in B3.basis  # vanishing band
+
+
+def test_cell_counts_match_the_listing():
+    # the size check counts cells from the recurrence, without listing
+    # them; the listing is cells(), which is iterated_bar's basis
+    for M in (Z2, C12, C23):
+        for r in (1, 2, 3):
+            B = iterated_bar(M, r, r + 4)
+            listed = [list(cells(M, r, n)) for n in range(r, r + 5)]
+            assert [tuple(c) for c in listed] == [B.basis.get(n, ()) for n in range(r, r + 5)]
+            assert list(_degree_counts(len(M.nonunit()), r, r + 4)) == [len(c) for c in listed]
+
+
+def test_bars_out_of_reach_are_refused():
+    refuse_above_max_cells([MAX_CELLS], "a bar")
+    with pytest.raises(DGAError):
+        refuse_above_max_cells([MAX_CELLS, 1], "a bar")
+    with pytest.raises(DGAError):  # reads no further than the cap
+        refuse_above_max_cells(repeat(MAX_CELLS), "a bar")
+    for build in (lambda: iterated_bar(C23, 1, 60), lambda: next(cells(C12, 3, 60)),
+                  lambda: iterated_bar(C12, 2, 10 ** 18)):
+        with pytest.raises(DGAError):
+            build()
 
 
 def test_iterated_bar_rejects_bad_args():

@@ -250,6 +250,21 @@ def test_malformed_inputs_exit_2(tmp_path):
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    # degrees no computation can reach: the cells are counted, not
+    # listed, and the count is refused before anything is built
+    for argv in (["cells", "--monoid", "cyclic:1,2", "--level", "3", "--degree", "60"],
+                 ["cohomology", "--monoid", "cyclic:2,3", "--level", "1",
+                  "--degree", "60", "--coeff", "Z"],
+                 ["oracle", "--monoid", "cyclic:2,3", "--level", "1",
+                  "--degree", "60", "--coeff", "Z/2"],
+                 ["verify", "contraction", "--index", "1", "--period", "2",
+                  "--max-degree", "60"],
+                 ["verify", "contraction", "--max-degree", "60", "--entry-bound", "5"]):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "cells" in err, err
+
 
 ODD_VALUES = [None, True, 1.5, "", [], {}, 2 ** 32, 2 ** 64, 10 ** 100, -1]
 

@@ -2,11 +2,12 @@ from itertools import product
 
 import pytest
 
+from monoid_cohomology.bar import explicit_low_degree_differential
 from monoid_cohomology.cohomology import cohomology_group
-from monoid_cohomology.grillet import (eleob_equivalent, grillet_cohomology,
-                                       inclusion_chainmap, injectivity_check,
-                                       symmetric_cochains)
-from monoid_cohomology.hmod import FGAbelianGroup, constant_module, zm_as_hmodule
+from monoid_cohomology.grillet import (_tuple_basis, eleob_equivalent, grillet_coboundary,
+                                       grillet_cohomology, inclusion_chainmap,
+                                       injectivity_check, symmetric_cochains)
+from monoid_cohomology.hmod import FGAbelianGroup, constant_module, dualize, zm_as_hmodule
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import (AbGroupInvariants, SparseIntMatrix,
                                        subquotient_invariants)
@@ -81,6 +82,22 @@ def test_grillet_comparisons_on_the_census():
             assert ok, (M, G, witness)
 
 
+def test_grillet_coboundary_is_minus_the_closed_level1_formula():
+    # delta^n f = -f . d on the (n+1)-tuples: the closed level-1 formula,
+    # dualized, checks the templated bar that grillet_coboundary reads
+    for M in (Z2, C12, C23):
+        for A in (constant_module(zmod(6), M), zm_as_hmodule(M)):
+            for n in (1, 2, 3):
+                src, tgt = _tuple_basis(M, n), _tuple_basis(M, n + 1)
+                d = {t: explicit_low_degree_differential(M, t) for t in tgt.generators}
+                delta = grillet_coboundary(M, A, n)
+                expected = dualize(d, src, tgt, A, M).scaled(-1)
+                assert (delta.rows, delta.cols) == (expected.rows, expected.cols)
+                assert delta.row_dicts() == expected.row_dicts(), (M, n)
+    with pytest.raises(ValueError):
+        grillet_coboundary(C12, constant_module(zmod(2), C12), 4)
+
+
 def test_symmetric_cochains_never_build_a_dense_matrix(monkeypatch):
     cases = [(C12, A, n) for A in (constant_module(zmod(6), C12), zm_as_hmodule(C12))
              for n in (1, 2, 3, 4)]
@@ -96,27 +113,30 @@ def test_entry_points_build_only_what_they_read(monkeypatch):
     from monoid_cohomology import grillet
     calls = []
 
-    def recording(name, fn, degree_arg):
+    def recording(name, fn, read):
         def wrapped(*args):
-            calls.append((name, args[degree_arg]))
+            calls.append((name, read(args)))
             return fn(*args)
         monkeypatch.setattr(grillet, name, wrapped)
-    recording("symmetric_cochains", grillet.symmetric_cochains, 2)
-    recording("iterated_bar", grillet.iterated_bar, 2)
+    recording("symmetric_cochains", grillet.symmetric_cochains, lambda args: args[2])
+    recording("iterated_bar", grillet.iterated_bar, lambda args: args[1:])
     A = constant_module(zmod(2), C12)
     # symmetric_cochains is where a symmetric lattice is built; degree n
     # of H^n_G and degree 3 of the injectivity problem read only the
-    # constraints
+    # constraints.  Each entry point reads delta from one level-1 bar
     for n in (1, 2, 3):
         calls.clear()
         grillet_cohomology(C12, A, n)
-        assert calls == ([] if n == 1 else [("symmetric_cochains", n - 1)])
+        assert calls == [("iterated_bar", (1, n + 1))] + (
+            [] if n == 1 else [("symmetric_cochains", n - 1)])
     calls.clear()
     injectivity_check(C12, A)
-    assert sorted(calls) == [("iterated_bar", 5), ("symmetric_cochains", 2)]
+    assert sorted(calls) == [("iterated_bar", (1, 4)), ("iterated_bar", (3, 5)),
+                             ("symmetric_cochains", 2)]
     calls.clear()
     inclusion_chainmap(C12, A)
-    assert [c for c in calls if c[0] == "iterated_bar"] == [("iterated_bar", 6)]
+    assert [c for c in calls if c[0] == "iterated_bar"] == [
+        ("iterated_bar", (3, 6)), ("iterated_bar", (1, 4))]
 
 
 def test_inclusion_squares_commute():

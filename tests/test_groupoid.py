@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from monoid_cohomology.cohomology import cohomology_group
@@ -7,7 +10,7 @@ from monoid_cohomology.groupoid import (GroupoidError, MonoidalFunctorData,
                                         enumerate_cochain_tables,
                                         extract_triple, iso_classes,
                                         verify_monoidal_iso)
-from monoid_cohomology.hmod import (FGAbelianGroup, constant_module,
+from monoid_cohomology.hmod import (FGAbelianGroup, HModule, constant_module,
                                     validate_module)
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import IntMatrix
@@ -22,6 +25,14 @@ def zmod(n):
 
 
 A2 = constant_module(zmod(2), Z2)
+
+
+def sign_twisted_z4(M):
+    """Z/4 with y acting by (-1)^(y mod 2), a module over C(m, q) for
+    even q, where y mod 2 is a monoid map."""
+    return HModule(M, [zmod(4)] * M.size,
+                   {(x, y): IntMatrix.from_rows([[(-1) ** (y % 2)]])
+                    for x in range(M.size) for y in range(M.size)})
 
 
 def test_strict_groupoid_is_coherent():
@@ -64,6 +75,31 @@ def test_cocycle_iff_coherent_on_enumeration_grid():
                         check_coherence(crossed_product(M, A, g, mu)).ok()
 
 
+def test_cocycle_iff_coherent_on_a_sign_twisted_module():
+    # a non-constant module tells the translations of d^5 apart from
+    # their reverse: random tables, coboundaries of random binary tables,
+    # and those coboundaries with one value moved
+    rng = random.Random(14)
+    for M in (Z2, make_cyclic(0, 4), C12, make_cyclic(2, 2)):
+        A = sign_twisted_z4(M)
+        assert validate_module(A) == []
+        nu = M.nonunit()
+
+        def table(arity):
+            return {key: (rng.randrange(4),) for key in product(nu, repeat=arity)}
+        verdicts = set()
+        for _ in range(15):
+            g, mu = _transport_tables(M, A, table(2), 4)
+            moved = dict(g)
+            key = tuple(rng.choice(nu) for _ in range(3))
+            moved[key] = ((moved.get(key, (0,))[0] + rng.randrange(1, 4)) % 4,)
+            for pair in ((table(3), table(2)), (g, mu), (moved, mu)):
+                verdict = cocycle_check(M, A, *pair)
+                assert verdict == check_coherence(crossed_product(M, A, *pair)).ok(), (M, pair)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}, M
+
+
 def test_cocycle_count_z2():
     A = A2
     pairs = [(g, mu) for g in enumerate_cochain_tables(Z2, A, 3)
@@ -75,7 +111,7 @@ def test_cocycle_count_z2():
     assert all(all(v == (0,) for v in g.values()) for g, _ in cocycles)
 
 
-def _transport_tables(M, f, modulus):
+def _transport_tables(M, A, f, modulus):
     """(g, mu) of the coboundary of a binary table over a one-generator
     cyclic value group, reduced mod the order."""
     def fv(a, b):
@@ -83,13 +119,16 @@ def _transport_tables(M, f, modulus):
             return 0
         return f.get((a, b), (0,))[0]
 
+    def tr(x, y, v):
+        return A.translate(x, y, [v])[0]
+
     g = {}
     mu = {}
     for x in M.nonunit():
         for y in M.nonunit():
             for z in M.nonunit():
-                val = (fv(y, z) - fv(M.op(x, y), z)
-                       + fv(x, M.op(y, z)) - fv(x, y)) % modulus
+                val = (tr(M.op(y, z), x, fv(y, z)) - fv(M.op(x, y), z)
+                       + fv(x, M.op(y, z)) - tr(M.op(x, y), z, fv(x, y))) % modulus
                 if val:
                     g[(x, y, z)] = (val,)
             val = (fv(y, x) - fv(x, y)) % modulus
@@ -105,7 +144,7 @@ def test_coboundaries_are_cocycles():
     A = constant_module(zmod(2), M)
     nontrivial = 0
     for f in enumerate_cochain_tables(M, A, 2):
-        g, mu = _transport_tables(M, f, 2)
+        g, mu = _transport_tables(M, A, f, 2)
         assert cocycle_check(M, A, g, mu), (f, g, mu)
         if g or mu:
             nontrivial += 1
@@ -147,7 +186,7 @@ def test_coboundary_gives_isomorphism():
     M = C12
     A = constant_module(zmod(2), M)
     f = {(1, 2): (1,)}
-    g2, mu2 = _transport_tables(M, f, 2)
+    g2, mu2 = _transport_tables(M, A, f, 2)
     assert g2 or mu2
     assert cocycle_check(M, A, g2, mu2)
     src = crossed_product(M, A, {}, {})
@@ -185,12 +224,13 @@ def _per_pair_cocycles(M, A, gs):
 def test_iso_classes_lists_the_per_pair_cocycles_in_order():
     # iso_classes runs each g's pentagon once and the mu components only
     # for a g that passes; its list is the per-pair filter, in order
-    for M, n in ((Z2, 2), (Z2, 3), (C11, 2), (C11, 3), (make_cyclic(0, 3), 2),
-                 (C12, 2)):
-        A = constant_module(zmod(n), M)
+    cases = [(M, constant_module(zmod(n), M))
+             for M, n in ((Z2, 2), (Z2, 3), (C11, 2), (C11, 3), (make_cyclic(0, 3), 2),
+                          (C12, 2))]
+    for M, A in cases + [(Z2, sign_twisted_z4(Z2))]:
         cocycles, _ = iso_classes(M, A)
         assert cocycles == _per_pair_cocycles(
-            M, A, enumerate_cochain_tables(M, A, 3)), (M, n)
+            M, A, enumerate_cochain_tables(M, A, 3)), (M, A)
 
 
 def test_iso_classes_cocycles_on_sampled_g_tables_c03_z3():
