@@ -28,7 +28,9 @@ iterated_bar call and are not cached across calls.
 cells(M, r, n) yields the cells of one degree in the order of the
 stored basis; iterated_bar, Grillet's tuple bases, the groupoid's
 cocycle test and the CLI take their cells from it.  A bar of more than
-MAX_CELLS cells is refused from a count, before any cell is listed.
+MAX_CELLS cells is refused from a count, before any cell is listed, and
+iterated_bar refuses templates of more than MAX_TEMPLATE_LETTERS
+letters, counted from the shapes, before any template is built.
 """
 
 from itertools import combinations, product
@@ -570,14 +572,38 @@ def shapes(r, n):
 MAX_CELLS = 1 << 20
 
 
-def refuse_above_max_cells(counts, what):
-    """Raise DGAError as soon as the running sum of counts passes
-    MAX_CELLS; counts is read no further than that."""
+# A shape of m letters has a template of m + 1 terms of m - 1 letters at
+# level 1, so building it costs about m^2.  The cell count does not bound
+# that sum over a one-letter monoid, whose level-1 degree n holds one cell
+# of n letters: the bar to degree N passes the cell cap up to N = 2^20
+# while its templates hold about N^3 / 3 letters.  Above this many the bar
+# is refused before any template is built; it lets a one-letter level-1
+# bar reach degree 464.  Higher levels are truncated at degree r + 3 by
+# the cohomology routes, and their shapes stay short.
+MAX_TEMPLATE_LETTERS = 1 << 25
+
+
+def _refuse_above(counts, cap, what):
+    """Raise DGAError naming what as soon as the running sum of counts
+    passes cap; counts is read no further than that."""
     total = 0
     for c in counts:
         total += c
-        if total > MAX_CELLS:
-            raise DGAError("%s has more than %d cells, out of reach" % (what, MAX_CELLS))
+        if total > cap:
+            raise DGAError("%s, out of reach" % what)
+
+
+def refuse_above_max_cells(counts, what):
+    """Refuse a bar whose cell counts sum to more than MAX_CELLS."""
+    _refuse_above(counts, MAX_CELLS, "%s has more than %d cells" % (what, MAX_CELLS))
+
+
+def _template_letters(r, degmax):
+    """m^2 for each shape of m letters in degrees r..degmax, counted from
+    the shapes without building a template."""
+    for n in range(r, degmax + 1):
+        for seps in shapes(r, n):
+            yield (len(seps) + 1) ** 2
 
 
 def _degree_counts(k, r, degmax):
@@ -668,9 +694,13 @@ def iterated_bar(M, r, degmax):
     multiplied out in M once per cell, terms holding a letter equal to
     the identity are dropped, and each output word is the basis cell
     itself, found by its letters and separators.  The templates live
-    for this call only.
+    for this call only.  Templates of more than MAX_TEMPLATE_LETTERS
+    letters in all raise DGAError before the first is built.
     """
     _check_range(M, r, degmax)
+    _refuse_above(_template_letters(r, degmax), MAX_TEMPLATE_LETTERS,
+                  "the templates of the level-%d bar to degree %d hold more than %d "
+                  "letters" % (r, degmax, MAX_TEMPLATE_LETTERS))
     e = M.identity
     empty = BarWord((), (), r)
     basis = {0: (empty,)}

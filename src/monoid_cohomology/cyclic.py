@@ -321,9 +321,17 @@ def _verify(con, R, words_by_degree, degmax, report):
     e = M.identity
 
     # these go through the module globals at each call, so a wrapper put
-    # on bar_word_diff or bar_word_shuffle (a profiler, say) sees them
+    # on bar_word_diff or bar_word_shuffle (a profiler, say) sees them.
+    # A cell's differential is taken once per call: the identities below
+    # meet the same cells again and again.  The memo dies with the call,
+    # and its chains are only read.
+    diffs = {}
+
     def bar_diff(w):
-        return bar_word_diff(M, w)
+        out = diffs.get(w)
+        if out is None:
+            out = diffs[w] = bar_word_diff(M, w)
+        return out
 
     def bar_shuffle(a, b):
         return bar_word_shuffle(M, a, b)
@@ -340,7 +348,7 @@ def _verify(con, R, words_by_degree, degmax, report):
 
     wit = []
     for w in all_words:
-        lhs = con.f_chain(bar_word_diff(M, w))
+        lhs = con.f_chain(bar_diff(w))
         rhs = R.diff_chain(con.f_word(w.letters))
         if lhs != rhs:
             wit.append(w)
@@ -390,7 +398,7 @@ def _verify(con, R, words_by_degree, degmax, report):
     wit = []
     for w in all_words:
         lhs = chain_sum(extend_linear(M, bar_diff, con.phi_word(w.letters)),
-                        con.phi_chain(bar_word_diff(M, w)))
+                        con.phi_chain(bar_diff(w)))
         rhs = dict(con.gf_word(w.letters))
         chain_add_term(rhs, (e, w), -1)
         if lhs != rhs:

@@ -26,6 +26,19 @@ What the sweep leaves of a coboundary is short and wide; snf_diagonal
 replaces it by a certified basis of its column lattice before the dense
 Smith form (see _column_lattice_basis).
 
+Consecutive coboundaries are reduced jointly (Kaczynski, Mrozek and
+Slusarek, Homology computation by reduction of chain complexes, Comput.
+Math. Appl. 35, 1998).  A column sweep of a tall d^(n-1) changes the
+basis of C^(n-1) only, and each swept line v_k = d^(n-1)(a_k) is +-1 at
+its pivot b_k and 0 at every earlier pivot.  So the v_k with the unit
+vectors e_b off the pivots form a unimodular basis of C^n, d^n kills
+every v_k, and in that basis d^n is itself without the columns b_k plus
+zero columns: the same Smith diagonal and rank, from fewer columns.
+snf_diagonal(d^n, killed) deletes those columns after certifying both
+facts, killed being d^(n-1)'s SmithDiagonal.swept.  A wide d^(n-1) is
+swept along its rows, which changes the basis of C^n; d^n would then
+need column operations, not deletions, so a row sweep hands on nothing.
+
 Lattices are always given by matrices whose *columns* span them.  Every
 question "do these columns lie in the lattice?" is answered by one
 elimination, staircase_solve, over the lattice's Hermite staircase
@@ -197,11 +210,7 @@ class SparseIntMatrix(IntMatrix):
         return [dict(r) for r in self._rows]
 
     def col_dicts(self):
-        cols = [{} for _ in range(self.cols)]
-        for i, r in enumerate(self._rows):
-            for j, v in r.items():
-                cols[j][i] = v
-        return cols
+        return _transposed(self._rows, self.cols)
 
     def column(self, j):
         return [r.get(j, 0) for r in self._rows]
@@ -517,8 +526,18 @@ def _unit_sweep(lines):
     return rows, eliminated
 
 
-def snf_diagonal(A):
-    """Nonzero invariant factors of A (chained), without transforms.
+class SmithDiagonal(list):
+    """The nonzero invariant factors snf_diagonal returns, so len() is
+    the rank.  swept holds a column sweep's (line, pivot index) pairs in
+    sweep order, each line a dict row -> value, for the next coboundary's
+    snf_diagonal; it is None after a row sweep."""
+
+    __slots__ = ("swept",)
+
+
+def snf_diagonal(A, killed=None):
+    """Nonzero invariant factors of A (chained), without transforms, as
+    a SmithDiagonal.
 
     Sparse-friendly: +-1 entries are swept first (_unit_sweep), on the
     columns when A has more rows than columns and on the rows otherwise;
@@ -527,18 +546,65 @@ def snf_diagonal(A):
     would be operations of the other kind touching only that line, so
     each sweep contributes one factor 1.
 
+    killed, the swept lines of a column sweep of the previous coboundary
+    (its SmithDiagonal.swept), deletes their pivot columns from A before
+    the sweep (see the module docstring).  The certificate reads the same
+    column dicts as the sweep: the lines are checked to be unitriangular
+    on their pivots and to be killed by A, and either failure raises
+    ArithmeticError.
+
     The leftover (one row per surviving line) goes to smith_normal_form
     only as a certified basis of its column lattice, which has the same
     nonzero Smith factors (_column_lattice_basis).
     """
-    rows, eliminated = _unit_sweep(A.col_dicts() if A.rows > A.cols
-                                   else A.row_dicts())
-    ones = len(eliminated)
-    if not rows:
-        return [1] * ones
-    Dm, _, _ = smith_normal_form(_column_lattice_basis(list(rows.values())))
-    diag = [Dm.data[i][i] for i in range(min(Dm.rows, Dm.cols))]
-    return [1] * ones + [d for d in diag if d]
+    if killed:
+        cols = A.col_dicts()
+        _certify_killed(cols, killed)
+        drop = {b for _, b in killed}
+        lines = [col for j, col in enumerate(cols) if j not in drop]
+        by_columns = A.rows > len(lines)
+        if not by_columns:
+            lines = _transposed(lines, A.rows)
+    else:
+        by_columns = A.rows > A.cols
+        lines = A.col_dicts() if by_columns else A.row_dicts()
+    rows, eliminated = _unit_sweep(lines)
+    diag = SmithDiagonal([1] * len(eliminated))
+    diag.swept = [(line, pj) for line, pj, _ in eliminated] if by_columns else None
+    if rows:
+        Dm, _, _ = smith_normal_form(_column_lattice_basis(list(rows.values())))
+        diag += [d for d in (Dm.data[i][i] for i in range(min(Dm.rows, Dm.cols))) if d]
+    return diag
+
+
+def _certify_killed(cols, killed):
+    """Check the facts that let the pivot columns of killed go: each line
+    is +-1 at its pivot and 0 at every earlier pivot, and the matrix with
+    these columns maps it to zero.  Either failure raises ArithmeticError,
+    a line reaching past the columns ValueError."""
+    earlier = set()
+    for k, (line, b) in enumerate(killed):
+        if min(line) < 0 or max(line) >= len(cols):
+            raise ValueError("swept line %d reaches outside %d columns" % (k, len(cols)))
+        if line.get(b) not in (1, -1) or not earlier.isdisjoint(line):
+            raise ArithmeticError("swept line %d is not unitriangular on its pivots" % k)
+        earlier.add(b)
+        image = {}
+        for j, v in line.items():
+            for i, w in cols[j].items():
+                image[i] = image.get(i, 0) + v * w
+        if any(image.values()):
+            raise ArithmeticError("swept line %d is not killed by the next coboundary" % k)
+
+
+def _transposed(lines, n):
+    """The n lines (dicts index -> value) that read the given lines
+    across: entry j of line i is entry i of line j."""
+    out = [{} for _ in range(n)]
+    for j, line in enumerate(lines):
+        for i, v in line.items():
+            out[i][j] = v
+    return out
 
 
 def _column_lattice_basis(lines):

@@ -2,9 +2,10 @@ from itertools import product, repeat
 
 import pytest
 
+from monoid_cohomology import bar as bar_module
 from monoid_cohomology.bar import (MAX_CELLS, POSITIONS, BarWord, DGAError, _degree_counts,
-                                   bar, bar_word_diff, bar_word_shuffle, cells,
-                                   explicit_low_degree_differential, extend_linear,
+                                   _template_letters, bar, bar_word_diff, bar_word_shuffle,
+                                   cells, explicit_low_degree_differential, extend_linear,
                                    generic_word, iterated_bar, refuse_above_max_cells,
                                    render_word, validate_dga, zm_dga)
 from monoid_cohomology.monoid import make_cyclic, validate_table
@@ -84,6 +85,18 @@ def test_bars_out_of_reach_are_refused():
                   lambda: iterated_bar(C12, 2, 10 ** 18)):
         with pytest.raises(DGAError):
             build()
+
+
+def test_templates_out_of_reach_are_refused(monkeypatch):
+    # an m-letter shape counts m^2 template letters; over the one-letter
+    # Z2 the level-1 bar to degree N has one shape of n letters per degree
+    assert list(_template_letters(1, 5)) == [1, 4, 9, 16, 25]
+    with pytest.raises(DGAError, match="templates"):
+        iterated_bar(Z2, 1, 100001)  # 100001 cells, below MAX_CELLS
+    monkeypatch.setattr(bar_module, "MAX_TEMPLATE_LETTERS", sum(n * n for n in range(1, 11)))
+    assert len(iterated_bar(Z2, 1, 10).basis) == 11
+    with pytest.raises(DGAError, match="templates"):
+        iterated_bar(Z2, 1, 11)
 
 
 def test_iterated_bar_rejects_bad_args():

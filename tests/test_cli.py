@@ -265,6 +265,17 @@ def test_malformed_inputs_exit_2(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "cells" in err, err
 
+    # over a one-letter monoid the cells are few and long: degree 100000
+    # passes the cell cap, and its templates are refused from the shapes
+    for argv in (["cohomology", "--monoid", "cyclic:0,2", "--level", "1",
+                  "--degree", "100000", "--coeff", "Z"],
+                 ["oracle", "--monoid", "cyclic:0,2", "--level", "1",
+                  "--degree", "100000", "--coeff", "Z/2"]):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "templates" in err, err
+
 
 ODD_VALUES = [None, True, 1.5, "", [], {}, 2 ** 32, 2 ** 64, 10 ** 100, -1]
 

@@ -159,6 +159,29 @@ def test_wide_leftovers_reach_the_smith_form_as_a_lattice_basis(monkeypatch):
     assert all(cols <= rows for rows, cols in shapes), shapes
 
 
+def test_the_sweep_meets_d_n_without_the_pivot_columns_of_d_prev(monkeypatch):
+    # joint reduction: the column sweep of the 1296x216 d^3 of the peak
+    # query, C(3,4) Z H^4(M,1), deletes 185 of the 1296 columns of the
+    # 7776x1296 d^4 before it is swept; the cone of ZM, which has no
+    # relations, reads d_F^(n-1) and d_F^n the same way
+    sweep = zlinalg._unit_sweep
+    shapes = []
+
+    def recording(lines):
+        shapes.append((1 + max((i for line in lines for i in line), default=-1), len(lines)))
+        return sweep(lines)
+    monkeypatch.setattr(zlinalg, "_unit_sweep", recording)
+    C34 = make_cyclic(3, 4)
+    assert cohomology_group(C34, 1, 4, constant_module(Z, C34)) == AbGroupInvariants(0, (4,))
+    assert (7776, 1111) in shapes and (7776, 1296) not in shapes, shapes
+    cx = cochain_complex(C23, 1, zm_as_hmodule(C23), 3)
+    d_prev, d_n = cx.coboundaries[1], cx.coboundaries[2]
+    pivots = len(zlinalg.snf_diagonal(d_prev).swept)
+    shapes.clear()
+    assert cx.cohomology(2) == AbGroupInvariants(6, (3,))
+    assert pivots and (d_n.rows, d_n.cols - pivots) in shapes, shapes
+
+
 def test_degree_zero_is_value_at_unit():
     for M in (Z2, C11, C12, C23):
         for r in (1, 2, 3):

@@ -327,6 +327,37 @@ def test_verifying_twice_on_one_instance_gives_the_same_report():
         assert first == verify_contraction(m, q, 3).to_json()
 
 
+def test_each_differential_is_taken_once_per_verification(monkeypatch):
+    # the identities meet the same cells again and again; one _verify
+    # call takes each cell's differential once, the next call afresh, and
+    # a wrong differential still shows in both identities that read it
+    from monoid_cohomology import cyclic
+    real = cyclic.bar_word_diff
+    calls = []
+    bad = w1((1, 2))
+
+    def counting(M, w):
+        calls.append(w)
+        return real(M, w)
+    monkeypatch.setattr(cyclic, "bar_word_diff", counting)
+    first = verify_contraction(1, 2, 3).to_json()
+    assert calls and len(calls) == len(set(calls))
+    per_call = len(calls)
+    assert verify_contraction(1, 2, 3).to_json() == first
+    assert len(calls) == 2 * per_call
+
+    def wrong(M, w):
+        out = real(M, w)
+        if w == bad:
+            out = dict(out)
+            out[(0, w1((2,)))] = out.get((0, w1((2,))), 0) + 1
+        return out
+    monkeypatch.setattr(cyclic, "bar_word_diff", wrong)
+    failures = verify_contraction(1, 2, 3).failures()
+    assert bad in failures["f is a chain map"], failures
+    assert bad in failures["d.Phi + Phi.d = g.f - id"], failures
+
+
 def test_small_complexes_match_generic_with_tabular_module():
     # a genuinely non-constant module (the monoid algebra itself):
     # both routes go through real translation matrices

@@ -128,6 +128,56 @@ def test_snf_diagonal_matches_sympy_in_both_orientations():
     assert len(sympy_invariant_factors(deficient)) == 7
 
 
+def random_complex(a, b, c):
+    """d: Z^a -> Z^b and e: Z^b -> Z^c with e d = 0, mostly +-1 entries:
+    d = U [X; 0] and e = Y [0 | I] U^-1 for a unimodular U built from
+    elementary row operations, X of k rows and Y of b - k columns."""
+    k = random.randint(0, min(a, b))
+    U, Uinv = IntMatrix.identity(b), IntMatrix.identity(b)
+    for _ in range(2 * b):
+        i, j = random.sample(range(b), 2) if b > 1 else (0, 0)
+        q = random.choice((1, -1, 1, -1, 2))
+        if i != j:  # row i += q row j, so column j of U^-1 -= q column i
+            U.data[i] = [u + q * v for u, v in zip(U.data[i], U.data[j])]
+            for row in Uinv.data:
+                row[j] -= q * row[i]
+    entries = (0, 0, 0, 1, -1, 1, 2, 3)
+    X = IntMatrix(b, a, [[random.choice(entries) for _ in range(a)] if i < k
+                         else [0] * a for i in range(b)])
+    Y = IntMatrix(c, b, [[0] * k + [random.choice(entries) for _ in range(b - k)]
+                         for _ in range(c)])
+    return U.mul(X), Y.mul(Uinv)
+
+
+def test_joint_reduction_matches_sympy_in_both_orientations():
+    # the swept lines of a tall d delete the pivot columns of the next
+    # coboundary e; a wide d is swept along its rows and hands on nothing.
+    # e itself comes out tall and wide, before and after the deletion
+    pytest.importorskip("sympy")
+    random.seed(1998)
+    pairs = [random_complex(a, b, c)
+             for a, b, c in ((3, 8, 14), (4, 9, 6), (2, 10, 3), (8, 5, 9), (6, 6, 2),
+                             (1, 12, 12), (5, 7, 0), (0, 6, 5))
+             for _ in range(6)]
+    # consecutive integer coboundaries of C(1,2) and C(2,3) at levels 1-3
+    for M, nmax in ((C12, 5), (make_cyclic(2, 3), 4)):
+        for r in (1, 2, 3):
+            ds = cochain_complex(M, r, constant_module(Z, M), nmax).coboundaries
+            pairs += [(ds[n - 1], ds[n]) for n in range(1, nmax)]
+    deleted, row_swept = 0, 0
+    for d, e in pairs:
+        assert e.mul(d).is_zero()
+        prev = snf_diagonal(d)
+        assert prev == sympy_invariant_factors(d)
+        assert (prev.swept is None) == (d.rows <= d.cols)
+        deleted += len(prev.swept or ())
+        row_swept += prev.swept is None
+        want = sympy_invariant_factors(e)
+        for X in (e, as_sparse(e)):
+            assert snf_diagonal(X, prev.swept) == want
+    assert deleted > 50 and row_swept > 10
+
+
 def sympy_invariant_factors(A):
     from sympy import ZZ, Matrix
     from sympy.matrices.normalforms import invariant_factors
@@ -448,6 +498,18 @@ for name, broken in (("echelon combination", wrong_combination),
     if not raises(ArithmeticError, zlinalg.snf_diagonal, M.from_rows([[2, 0], [0, 2]])):
         failures.append(name)
 zlinalg._column_echelon = echelon
+# the joint reduction certifies what lets a column go: a next coboundary
+# that does not kill a swept line, and swept lines not unitriangular on
+# their pivots (+-1 at the pivot, 0 at every earlier pivot)
+swept = zlinalg.snf_diagonal(M.from_rows([[1], [1]])).swept
+for name, A, killed in (("swept line not killed", M.from_rows([[1, 0]]), swept),
+                        ("pivot entry not a unit", M(1, 2), [({0: 2}, 0)]),
+                        ("entry at an earlier pivot", M(1, 2), [({0: 1}, 0), ({0: 1, 1: 1}, 1)]),
+                        ("pivot repeated", M(1, 2), [({0: 1}, 0), ({0: -1}, 0)])):
+    if not raises(ArithmeticError, zlinalg.snf_diagonal, A, killed):
+        failures.append(name)
+if zlinalg.snf_diagonal(M.from_rows([[1, -1]]), swept) != [1]:
+    failures.append("killed swept line")
 # a broken product makes the self-check U A V == D fail
 zlinalg.IntMatrix.mul = lambda self, other: zlinalg.IntMatrix(self.rows, other.cols)
 if not raises(ArithmeticError, zlinalg.smith_normal_form,
