@@ -546,13 +546,31 @@ def bar(D, degmax):
 
 
 def _compositions(total, parts, maxpart):
-    if parts == 0:
-        if total == 0:
-            yield ()
+    """The compositions of total into parts parts of 1..maxpart, in
+    decreasing lexicographic order, without recursion: each one lowers
+    the last part that can give one to the parts after it, and refills
+    those greedily, largest first."""
+    def largest(rest, k):
+        out = []
+        for j in range(k - 1, -1, -1):
+            out.append(min(maxpart, rest - j))
+            rest -= out[-1]
+        return out
+
+    if not parts <= total <= parts * maxpart:
         return
-    for first in range(min(total, maxpart), 0, -1):
-        for rest in _compositions(total - first, parts - 1, maxpart):
-            yield (first,) + rest
+    comp = largest(total, parts)
+    while True:
+        yield tuple(comp)
+        rest = 0
+        for i in range(parts - 1, -1, -1):
+            rest += comp[i]
+            if comp[i] > 1 and rest - comp[i] + 1 <= (parts - 1 - i) * maxpart:
+                comp[i] -= 1
+                comp[i + 1:] = largest(rest - comp[i], parts - 1 - i)
+                break
+        else:
+            return
 
 
 def shapes(r, n):

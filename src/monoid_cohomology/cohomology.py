@@ -50,6 +50,15 @@ block is d_F^n, the stored complex read as is, and jointly as above.
 For constant A the cone reduces to the universal coefficient theorem,
 which stays as its closed form: it needs only the two Smith diagonals
 of K and is the faster of the two there.
+
+The brute-force oracle reads none of this.  It holds the one cochain
+search: depth first and iterative over the cells of a degree in basis
+order, each row f(d t) of a cell t one degree up checked as soon as the
+last cell it reads holds a value, capped at BRUTE_FORCE_CAP cochains
+counted before any is listed.  With no rows the search lists every
+cochain, which gives the coboundaries as images.  The groupoid
+classification searches its (g, mu) pairs, the level-3 5-cochains,
+with it too.
 """
 
 from .bar import bar_word_diff, explicit_low_degree_differential, iterated_bar
@@ -287,7 +296,7 @@ def truncated_coboundaries(M, module):
     return out
 
 
-# -- brute-force enumeration oracle -------------------------------------------
+# -- brute-force cochain search -----------------------------------------------
 
 BRUTE_FORCE_CAP = 1 << 20
 
@@ -296,78 +305,93 @@ class BruteForceCapError(ValueError):
     pass
 
 
-def _cochain_space(M, basis, module):
-    """Element lists for each cell's coefficient group, plus total size;
-    the size is checked against the cap before any list is built."""
-    groups = [module.group(basis.pi[g]) for g in basis.generators]
+def _cochain_space(M, module, cells):
+    """The cells, listed, and the coefficient group of each.  The product
+    of the group orders is checked against the cap as the cells are
+    read, before any cochain is listed."""
+    source, groups = [], []
     total = 1
-    for grp in groups:
+    for cell in cells:
+        grp = module.group(cell.pi(M))
         inv = grp.invariants()
         if inv.free_rank:
             raise BruteForceCapError("infinite coefficient group")
         total *= inv.order()
         if total > BRUTE_FORCE_CAP:
             raise BruteForceCapError("cochain space above 2^20 elements")
-    return [grp.element_list() for grp in groups], total
+        source.append(cell)
+        groups.append(grp)
+    return source, groups
 
 
-def _all_cochains(lists):
-    if not lists:
-        yield ()
-        return
-    first, rest = lists[0], lists[1:]
-    for tail in _all_cochains(rest):
-        for v in first:
-            yield (tuple(v),) + tail
-
-
-def _coboundary_terms(M, module, source_basis, target_cells):
-    """Per target cell: (group, [(coeff, action-or-None, source slot)]),
-    with the bar differential expanded once up front."""
-    index = {s: i for i, s in enumerate(source_basis.generators)}
+def _rows(M, module, source, targets):
+    """Lazily, for each target cell t: its value group and the terms
+    (coefficient, source slot, pi of the source cell, translate or None)
+    of f(d t), for a cochain f on the source cells, read off
+    bar_word_diff.  A word outside the source (one with a unit letter)
+    is normalized away."""
+    slot = {s: i for i, s in enumerate(source)}
     e = M.identity
-    out = []
-    for t in target_cells:
-        terms = []
-        for (u, s), c in bar_word_diff(M, t).items():
-            if s not in index:
-                continue  # a normalized-away cell (translated unit letter)
-            act = None if u == e else module.action(s.pi(M), u)
-            terms.append((c, act, index[s]))
-        out.append((module.group(t.pi(M)), terms))
-    return out
+    for t in targets:
+        terms = [(c, slot[s], s.pi(M), None if u == e else u)
+                 for (u, s), c in bar_word_diff(M, t).items() if s in slot]
+        yield module.group(t.pi(M)), terms
 
 
-def _cell_value(tgt_group, tl, f_values):
-    """Unreduced (d f)(t) = f(d t) for one target cell t."""
-    acc = [0] * tgt_group.ngens
-    for c, act, pos in tl:
-        val = f_values[pos]
-        if act is not None:
-            val = act.mul_vector(val)
-        for i, v in enumerate(val):
-            if v:
-                acc[i] += c * v
+def _row_value(module, row, values):
+    """f(d t), unreduced, for the row of t and the cochain f holding
+    values slot by slot."""
+    grp, terms = row
+    acc = [0] * grp.ngens
+    for c, i, x, u in terms:
+        vec = values[i] if u is None else module.translate(x, u, values[i])
+        for k, v in enumerate(vec):
+            acc[k] += c * v
     return acc
 
 
-def _apply_coboundary(terms, f_values):
-    return tuple(tuple(grp.reduce(_cell_value(grp, tl, f_values)))
-                 for grp, tl in terms)
+def _vanishes(module, row, values):
+    acc = _row_value(module, row, values)
+    return not any(acc) or row[0].is_zero_element(acc)
 
 
-def _is_cocycle(terms, f_values):
-    for grp, tl in terms:
-        acc = _cell_value(grp, tl, f_values)
-        if any(acc) and not grp.is_zero_element(acc):
-            return False
-    return True
+def _search(module, groups, rows):
+    """Every cochain with one value per cell from the groups' element
+    lists on which each row vanishes, as a tuple of value tuples.  The
+    search is depth first and iterative: cell 0 varies slowest, each cell
+    runs through its elements in order, and a row is checked as soon as
+    the last cell it reads holds a value, so a branch ends at its first
+    row that does not vanish.  With no rows it lists every cochain."""
+    if not groups:
+        yield ()
+        return
+    lists = [[tuple(v) for v in grp.element_list()] for grp in groups]
+    checks = [[] for _ in lists]
+    for row in rows:
+        if row[1]:
+            checks[max(term[1] for term in row[1])].append(row)
+    last = len(lists) - 1
+    values = [None] * len(lists)
+    nxt = [0] * len(lists)
+    k = 0
+    while k >= 0:
+        if nxt[k] == len(lists[k]):
+            nxt[k] = 0
+            k -= 1
+            continue
+        values[k] = lists[k][nxt[k]]
+        nxt[k] += 1
+        if all(_vanishes(module, row, values) for row in checks[k]):
+            if k == last:
+                yield tuple(values)
+            else:
+                k += 1
 
 
 def brute_force_cohomology(M, r, n, module):
-    """Exhaustive oracle: enumerate all degree-n cochains, count the
-    cocycles and the distinct coboundaries, and recover the invariant
-    factors of the quotient from order statistics.
+    """Exhaustive oracle: search every degree-n cocycle, list every
+    coboundary as the image of every degree-(n-1) cochain, and recover
+    the invariant factors of the quotient from order statistics.
 
     Returns (cocycle_count, coboundary_count, AbGroupInvariants).
     """
@@ -375,30 +399,13 @@ def brute_force_cohomology(M, r, n, module):
         raise ValueError("negative degree")
     if r >= 2 and n > r + 2:
         raise TruncationError("degree beyond the truncated range")
-    dga = iterated_bar(M, r, max(n + 1, r))
-    basis_prev = degree_basis(dga, n - 1) if n > 0 else FreeBasis((), {})
-    basis_n = degree_basis(dga, n)
-    basis_next = degree_basis(dga, n + 1)
-    lists_n, total_n = _cochain_space(M, basis_n, module)
-    lists_prev, total_prev = _cochain_space(M, basis_prev, module)
-
-    cells_n = list(basis_n.generators)
-    cells_next = list(basis_next.generators)
-
-    def canonical(f_values):
-        # reduce each coordinate for set membership
-        return tuple(tuple(module.group(basis_n.pi[c]).reduce(list(v)))
-                     for c, v in zip(cells_n, f_values))
-
-    up_terms = _coboundary_terms(M, module, basis_n, cells_next)
-    cocycles = []
-    for f in _all_cochains(lists_n):
-        if _is_cocycle(up_terms, f):
-            cocycles.append(canonical(f))
-    down_terms = _coboundary_terms(M, module, basis_prev, cells_n)
-    boundaries = set()
-    for g in _all_cochains(lists_prev):
-        boundaries.add(_apply_coboundary(down_terms, g))
+    basis = iterated_bar(M, r, max(n + 1, r)).basis
+    source, groups = _cochain_space(M, module, basis.get(n, ()))
+    prev, prev_groups = _cochain_space(M, module, basis.get(n - 1, ()))
+    cocycles = list(_search(module, groups, _rows(M, module, source, basis.get(n + 1, ()))))
+    down = list(_rows(M, module, prev, source))
+    boundaries = {tuple(tuple(row[0].reduce(_row_value(module, row, g))) for row in down)
+                  for g in _search(module, prev_groups, ())}
     zcount = len(cocycles)
     bcount = len(boundaries)
     if zcount % bcount:
@@ -407,9 +414,8 @@ def brute_force_cohomology(M, r, n, module):
     qorder = zcount // bcount
 
     def scaled_in_b(f, d):
-        scaled = tuple(tuple(module.group(basis_n.pi[c]).reduce([d * v for v in val]))
-                       for c, val in zip(cells_n, f))
-        return scaled in boundaries
+        return tuple(tuple(grp.reduce([d * v for v in val]))
+                     for grp, val in zip(groups, f)) in boundaries
 
     def count_killed(d):
         return sum(1 for f in cocycles if scaled_in_b(f, d)) // bcount

@@ -15,9 +15,9 @@ contraction identity on all basis cells up to a degree bound.
 
 from math import comb
 
-from .bar import (BarWord, FreeBasedDGA, bar, bar_word_diff, bar_word_shuffle,
-                  chain_add_term, chain_sum, extend_bilinear, extend_linear,
-                  refuse_above_max_cells)
+from .bar import (BarWord, FreeBasedDGA, _refuse_above, bar, bar_word_diff,
+                  bar_word_shuffle, chain_add_term, chain_sum, extend_bilinear,
+                  extend_linear, refuse_above_max_cells)
 from .cohomology import CochainComplex
 from .monoid import (INFINITE_CYCLIC, MonoidError, cyclic_p, cyclic_s,
                      make_cyclic)
@@ -425,9 +425,24 @@ def _verify(con, R, words_by_degree, degmax, report):
     return report
 
 
+# The multiplicativity identity shuffles every pair of words that fit
+# together, C(i + j, i) terms for words of i and j letters, so over k
+# letters total degree s forms k^s (2^s - 2) terms.  Over one letter the
+# words are few but the terms are not: degree 16 forms 131,038 of them.
+# Above this many the verification is refused before any word is built.
+MAX_SHUFFLE_TERMS = 1 << 17
+
+
 def _letter_words(letters, degmax):
-    refuse_above_max_cells((len(letters) ** n for n in range(1, degmax + 1)),
+    """The words over letters by degree, 1..degmax; refused from counts
+    when the bar holds more than MAX_CELLS cells or the multiplicativity
+    check would form more than MAX_SHUFFLE_TERMS shuffle terms."""
+    k = len(letters)
+    refuse_above_max_cells((k ** n for n in range(1, degmax + 1)),
                            "the bar to degree %d" % degmax)
+    _refuse_above((k ** s * (2 ** s - 2) for s in range(2, degmax + 1)), MAX_SHUFFLE_TERMS,
+                  "the multiplicativity check to degree %d forms more than %d shuffle "
+                  "terms" % (degmax, MAX_SHUFFLE_TERMS))
     by_degree = {}
     pool = [()]
     for n in range(1, degmax + 1):

@@ -9,25 +9,24 @@ A crossed product of a 5-cocycle is coherent; conversely coherence of
 the tables is exactly the 5-cocycle condition, which is how the
 classification by the top truncated cohomology group is exercised.
 
-cocycle_check is d^5 = 0 on the level-3 complex, read off the bar
-differential (bar_word_diff): the cochain puts g on the cells [x|y|z]
-and mu on [x|^2 y], and the components of d^5 over the cells
-[x|y|z|t], [x|^2 y|z], [x|y|^2 z] and [x|^3 y] are the pentagon, the
-two hexagons and the involution of mu.  check_coherence evaluates the
-same identities as the coherence axioms, written out on their own, as
-the independent check of cocycle_check.  The pentagon cells read g
-alone, so their verdict is the same for every mu; iso_classes computes
-each cell's differential once, runs the pentagon rows once per g table
-and pairs only the g tables that pass with the mu tables, and lists
-exactly the pairs the per-pair check accepts, in the same order.  The
-search stays brute force, as the independent check of the class count
-against |H^5(M,3;A)|, and is capped at BRUTE_FORCE_CAP table pairs.
+A (g, mu) pair is exactly a 5-cochain of the level-3 complex: g sits on
+the cells [x|y|z] and mu on [x|^2 y].  cocycle_check is d^5 = 0 on it,
+read off the bar differential row by row with the rows of the cochain
+search in cohomology; the components of d^5 over the cells [x|y|z|t],
+[x|^2 y|z], [x|y|^2 z] and [x|^3 y] are the pentagon, the two hexagons
+and the involution of mu.  check_coherence evaluates the same
+identities as the coherence axioms, written out on their own, as the
+independent check of cocycle_check.  iso_classes takes its cocycles
+from that cochain search, which checks each row as soon as the cells it
+reads hold values (the pentagon rows on the g cells alone), and lists
+exactly the pairs the per-pair check accepts, in the same order;
+enumerate_cochain_tables lists the tables through it too.  The search
+stays brute force, as the independent check of the class count against
+|H^5(M,3;A)|, and is capped at BRUTE_FORCE_CAP table pairs.
 """
 
-from itertools import product
-
-from .bar import bar_word_diff, cells
-from .cohomology import BRUTE_FORCE_CAP
+from .bar import cells
+from .cohomology import BruteForceCapError, _cochain_space, _rows, _search, _vanishes
 from .hmod import (HModule, IntMatrix, _columns_equal_mod, _matrix_maps_relations,
                    validate_module)
 from .monoid import is_integer, validate_table
@@ -188,45 +187,21 @@ def check_coherence(G):
     return report
 
 
-def _d5_row(M, module, cell):
-    """The row of d^5 of the level-3 complex at one cell of degree 6, on
-    the 5-cochains that put g on the cells [x|y|z] and mu on [x|^2 y]:
-    the value group at the cell, and the terms (coefficient, reads mu,
-    arguments, source object, translate or None) of f(d cell), read off
-    bar_word_diff."""
-    terms = [(c, s.seps == (2,), s.letters, s.pi(M), None if u == M.identity else u)
-             for (u, s), c in bar_word_diff(M, cell).items()]
-    return module.group(cell.pi(M)), terms
-
-
-def _row_vanishes(module, row, g_table, mu_table):
-    """f(d cell) vanishes in its value group, f being the pair of
-    normalized tables."""
-    grp, terms = row
-    acc = [0] * grp.ngens
-    for c, reads_mu, args, obj, u in terms:
-        vec = (mu_table if reads_mu else g_table).get(args)
-        if vec is None:
-            continue
-        if u is not None:
-            vec = module.translate(obj, u, vec)
-        for i, v in enumerate(vec):
-            acc[i] += c * v
-    return not any(acc) or grp.is_zero_element(acc)
-
-
 def cocycle_check(M, module, g_table, mu_table):
     """True iff the pair is a 5-cocycle of the level-3 truncated
     complex: d^5 of the cochain holding g and mu vanishes on every cell
     of degree 6.  Its components over [x|y|z|t], [x|^2 y|z], [x|y|^2 z]
     and [x|^3 y] are the pentagon, the two hexagons and the involution
-    of mu.  The cells are taken one at a time in the order of
-    cells(M, 3, 6), pentagon cells first, each differential computed
-    only when it is reached, up to the first cell that does not
-    vanish."""
+    of mu.  The rows are those of the cochain search: the cells are
+    taken one at a time in the order of cells(M, 3, 6), pentagon cells
+    first, each differential computed only when it is reached, up to
+    the first cell that does not vanish."""
     G = crossed_product(M, module, g_table, mu_table)
-    return all(_row_vanishes(module, _d5_row(M, module, cell), G.g_table, G.mu_table)
-               for cell in cells(M, 3, 6))
+    source = list(cells(M, 3, 5))
+    values = [G.assoc(*c.letters) if c.seps == (1, 1) else G.symm(*c.letters)
+              for c in source]
+    return all(_vanishes(module, row, values)
+               for row in _rows(M, module, source, cells(M, 3, 6)))
 
 
 def extract_triple(G):
@@ -392,25 +367,11 @@ def build_monoidal_iso(src, tgt, i, psi, f):
 # -- enumeration / classification ---------------------------------------------
 
 def enumerate_cochain_tables(M, module, arity):
-    """All normalized tables M*^arity -> A(product), as dicts."""
-    nu = M.nonunit()
-    keys = list(product(nu, repeat=arity))
-    value_lists = []
-    for key in keys:
-        pi = M.identity
-        for x in key:
-            pi = M.op(pi, x)
-        value_lists.append(module.group(pi).element_list())
-    tables = [{}]
-    for key, values in zip(keys, value_lists):
-        new_tables = []
-        for t in tables:
-            for v in values:
-                t2 = dict(t)
-                t2[key] = tuple(v)
-                new_tables.append(t2)
-        tables = new_tables
-    return tables
+    """All normalized tables M*^arity -> A(product), as dicts: the
+    cochains on the level-1 cells of degree arity, listed by the cochain
+    search, the first key varying slowest."""
+    keys, groups = _cochain_space(M, module, cells(M, 1, arity))
+    return [{cell.letters: v for cell, v in zip(keys, f)} for f in _search(module, groups, ())]
 
 
 def monoid_automorphisms(M):
@@ -427,28 +388,6 @@ def monoid_automorphisms(M):
     return out
 
 
-def _check_search_size(M, module):
-    """Raise GroupoidError when |g tables| * |mu tables| exceeds
-    BRUTE_FORCE_CAP, counted from the group orders before any table is
-    listed."""
-    orders = {}
-    total = 1
-    for arity in (3, 2):
-        for key in product(M.nonunit(), repeat=arity):
-            pi = M.identity
-            for x in key:
-                pi = M.op(pi, x)
-            if pi not in orders:
-                orders[pi] = module.group(pi).order()
-                if orders[pi] is None:
-                    raise GroupoidError("classification needs finite coefficient "
-                                        "groups; A(%d) is infinite" % pi)
-            total *= orders[pi]
-            if total > BRUTE_FORCE_CAP:
-                raise GroupoidError("classification would search more than %d "
-                                    "(g, mu) table pairs" % BRUTE_FORCE_CAP)
-
-
 def iso_classes(M, module, search_automorphisms=False):
     """Partition the 5-cocycles over (M, A) into isomorphism classes.
 
@@ -457,12 +396,12 @@ def iso_classes(M, module, search_automorphisms=False):
     component ranges over Aut(M) (kept to |M| <= 4, and to constant
     coefficients so the identity family is natural for every i).  The
     search is capped: more than BRUTE_FORCE_CAP (g, mu) table pairs
-    raise GroupoidError.
+    raise GroupoidError, counted before any table is listed.
 
-    The cocycles are [(g, mu) for g in gs for mu in mus if
-    cocycle_check(M, module, g, mu)], in that order; each table is
-    normalized once, each g's pentagon runs once, and only a g that
-    passes meets the mu tables.
+    A (g, mu) pair is a 5-cochain of the level-3 complex, so the
+    cocycles are those the cochain search finds on cells(M, 3, 5) with
+    the rows of cells(M, 3, 6): the per-pair cocycle_check filter over
+    [(g, mu) for g in gs for mu in mus], in that order.
     """
     if search_automorphisms:
         if M.size > 4:
@@ -472,30 +411,21 @@ def iso_classes(M, module, search_automorphisms=False):
         isos = monoid_automorphisms(M)
     else:
         isos = [tuple(range(M.size))]
-    _check_search_size(M, module)
-    gs = enumerate_cochain_tables(M, module, 3)
+    try:
+        source, groups = _cochain_space(M, module, cells(M, 3, 5))
+    except BruteForceCapError as ex:
+        raise GroupoidError("the classification searches the level-3 5-cochains: %s" % ex)
+    cocycles = [({c.letters: v for c, v in zip(source, f) if c.seps == (1, 1)},
+                 {c.letters: v for c, v in zip(source, f) if c.seps == (2,)})
+                for f in _search(module, groups, _rows(M, module, source, cells(M, 3, 6)))]
     mus = enumerate_cochain_tables(M, module, 2)
-    normal_mus = [_normalized_table(M, module, mu, 2, "mu") for mu in mus]
-    degree6 = list(cells(M, 3, 6))
-    rows = [_d5_row(M, module, cell) for cell in degree6]
-    pentagon = [row for cell, row in zip(degree6, rows) if cell.seps == (1, 1, 1)]
-    rest = [row for cell, row in zip(degree6, rows) if cell.seps != (1, 1, 1)]
-    cocycles = []
-    groupoids = []
-    for g in gs:
-        normal_g = _normalized_table(M, module, g, 3, "g")
-        if not all(_row_vanishes(module, row, normal_g, {}) for row in pentagon):
-            continue
-        for mu, normal_mu in zip(mus, normal_mus):
-            if all(_row_vanishes(module, row, normal_g, normal_mu) for row in rest):
-                cocycles.append((g, mu))
-                groupoids.append(SMAGroupoid(M, module, normal_g, normal_mu))
     # psi is the identity family; f ranges over the binary tables, the
     # same list as mu
     psi = {x: IntMatrix.identity(module.group(x).ngens) for x in M.elements()}
     classes = []
     representatives = []
-    for pair, src in zip(cocycles, groupoids):
+    for pair in cocycles:
+        src = SMAGroupoid(M, module, *pair)
         for cls, tgt in zip(classes, representatives):
             if any(verify_monoidal_iso(src, tgt, MonoidalFunctorData(i, psi, f))[0]
                    for i in isos for f in mus):

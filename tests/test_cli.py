@@ -92,6 +92,24 @@ def test_oracle_matches_cohomology():
     assert json.loads(out) == {"free_rank": 0, "torsion": [2]}
 
 
+def test_oracle_with_trivial_coefficients_searches_many_cells():
+    # Z/1 adds nothing to the cap's count, so all 1,024 cells of C^5 are
+    # searched, one level of the iterative search each
+    code, out, _ = invoke(["--json", "oracle", "--monoid", "cyclic:2,3", "--level", "1",
+                           "--degree", "5", "--coeff", "Z/1"])
+    assert code == 0
+    assert out == '{"coboundary_count":1,"cocycle_count":1,"free_rank":0,"torsion":[]}\n'
+
+
+def test_cells_of_one_long_shape():
+    # over one letter, level-1 degree 5000 is one cell of 5000 letters
+    code, out, _ = invoke(["--json", "cells", "--monoid", "cyclic:0,2", "--level", "1",
+                           "--degree", "5000"])
+    assert code == 0
+    (cell,) = json.loads(out)["cells"]
+    assert cell["letters"] == [1] * 5000
+
+
 def test_grillet_subcommand():
     code, out, _ = invoke(["--json", "grillet", "--monoid", "cyclic:0,2",
                            "--coeff", "Z/2", "--degree", "2"])
@@ -266,15 +284,18 @@ def test_malformed_inputs_exit_2(tmp_path):
         assert "cells" in err, err
 
     # over a one-letter monoid the cells are few and long: degree 100000
-    # passes the cell cap, and its templates are refused from the shapes
-    for argv in (["cohomology", "--monoid", "cyclic:0,2", "--level", "1",
-                  "--degree", "100000", "--coeff", "Z"],
-                 ["oracle", "--monoid", "cyclic:0,2", "--level", "1",
-                  "--degree", "100000", "--coeff", "Z/2"]):
+    # passes the cell cap, and its templates are refused from the shapes,
+    # and the contraction check's shuffle terms from the word counts
+    for argv, cause in ((["cohomology", "--monoid", "cyclic:0,2", "--level", "1",
+                          "--degree", "100000", "--coeff", "Z"], "templates"),
+                        (["oracle", "--monoid", "cyclic:0,2", "--level", "1",
+                          "--degree", "100000", "--coeff", "Z/2"], "templates"),
+                        (["verify", "contraction", "--index", "0", "--period", "2",
+                          "--max-degree", "100000"], "shuffle terms")):
         code, out, err = invoke(argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "templates" in err, err
+        assert cause in err, err
 
 
 ODD_VALUES = [None, True, 1.5, "", [], {}, 2 ** 32, 2 ** 64, 10 ** 100, -1]

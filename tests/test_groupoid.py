@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from monoid_cohomology.cohomology import cohomology_group
+from monoid_cohomology.cohomology import BRUTE_FORCE_CAP, cohomology_group
 from monoid_cohomology.groupoid import (GroupoidError, MonoidalFunctorData,
                                         build_monoidal_iso, check_coherence,
                                         cocycle_check, crossed_product,
@@ -14,6 +14,8 @@ from monoid_cohomology.hmod import (FGAbelianGroup, HModule, constant_module,
                                     validate_module)
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import IntMatrix
+
+from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
 C11 = make_cyclic(1, 1)
@@ -208,12 +210,37 @@ def test_extraction_round_trip():
 
 
 def test_class_count_matches_h5_on_enumeration_grid():
-    for M in (Z2, C11):
-        for G in (zmod(2), zmod(4)):
-            A = constant_module(G, M)
+    # every census monoid and Z/d whose (g, mu) pairs, d^(k^3 + k^2) over
+    # k non-units, fit BRUTE_FORCE_CAP: 16 cases
+    checked = 0
+    for M in census():
+        k = len(M.nonunit())
+        for d in (2, 3, 4):
+            if d ** (k ** 3 + k ** 2) > BRUTE_FORCE_CAP:
+                continue
+            A = constant_module(zmod(d), M)
             cocycles, classes = iso_classes(M, A)
             h5 = cohomology_group(M, 3, 5, A)
-            assert len(classes) == h5.order(), (M, G, len(classes), h5)
+            assert len(classes) == h5.order(), (M, d, len(classes), h5)
+            checked += 1
+    assert checked == 16
+
+
+def test_tables_are_listed_first_key_slowest():
+    # the per-pair filter below reads enumerate_cochain_tables, which is
+    # the cochain search; its order is pinned here against itertools
+    for M, A in ((Z2, constant_module(zmod(3), Z2)), (C12, constant_module(zmod(2), C12)),
+                 (C12, sign_twisted_z4(C12))):
+        for arity in (2, 3):
+            keys = list(product(M.nonunit(), repeat=arity))
+            values = []
+            for key in keys:
+                x = M.identity
+                for y in key:
+                    x = M.op(x, y)
+                values.append([tuple(v) for v in A.group(x).element_list()])
+            assert enumerate_cochain_tables(M, A, arity) == \
+                [dict(zip(keys, vals)) for vals in product(*values)], (M, arity)
 
 
 def _per_pair_cocycles(M, A, gs):
@@ -251,19 +278,23 @@ def test_iso_classes_cocycles_on_sampled_g_tables_c03_z3():
 
 def test_classification_search_is_capped(monkeypatch):
     # |g tables| * |mu tables| is counted from the group orders before
-    # anything is listed: C(3,3) with Z/2 has 2^125 * 2^25 pairs
+    # the cochain search lists anything: C(3,3) with Z/2 has 2^125 * 2^25
+    # pairs
     import monoid_cohomology.groupoid as groupoid
 
     def no_listing(*args):
-        raise AssertionError("tables listed before the size check")
+        raise AssertionError("cochains listed before the size check")
 
-    monkeypatch.setattr(groupoid, "enumerate_cochain_tables", no_listing)
+    monkeypatch.setattr(groupoid, "_search", no_listing)
     big = make_cyclic(3, 3)
     for M, A in ((big, constant_module(zmod(2), big)),
                  (C12, constant_module(zmod(4), C12)),  # 4^12 = 2^24 pairs
                  (Z2, constant_module(FGAbelianGroup.free(1), Z2))):
         with pytest.raises(GroupoidError):
             iso_classes(M, A)
+    # a search within the cap does reach the patched search
+    with pytest.raises(AssertionError):
+        iso_classes(Z2, A2)
 
 
 def test_automorphism_search_runs():
