@@ -27,10 +27,12 @@ iterated_bar call and are not cached across calls.
 
 cells(M, r, n) yields the cells of one degree in the order of the
 stored basis; iterated_bar, Grillet's tuple bases, the groupoid's
-cocycle test and the CLI take their cells from it.  A bar of more than
-MAX_CELLS cells is refused from a count, before any cell is listed, and
-iterated_bar refuses templates of more than MAX_TEMPLATE_LETTERS
-letters, counted from the shapes, before any template is built.
+cocycle test, the brute-force oracle (through degree_cells) and the CLI
+take their cells from it.  A bar of more than MAX_CELLS cells is
+refused from a count, before any cell is listed, and check_reach, which
+iterated_bar and the oracle call first, also refuses templates of more
+than MAX_TEMPLATE_LETTERS letters, counted from the shapes, before any
+template is built.
 """
 
 from itertools import combinations, product
@@ -647,6 +649,25 @@ def _check_range(M, r, degmax):
                            "the level-%d bar to degree %d" % (r, degmax))
 
 
+def check_reach(M, r, degmax):
+    """Refuse a level-r bar to degree degmax before any cell or template
+    is built: DGAError above MAX_CELLS cells or MAX_TEMPLATE_LETTERS
+    template letters."""
+    _check_range(M, r, degmax)
+    _refuse_above(_template_letters(r, degmax), MAX_TEMPLATE_LETTERS,
+                  "the templates of the level-%d bar to degree %d hold more than %d "
+                  "letters" % (r, degmax, MAX_TEMPLATE_LETTERS))
+
+
+def degree_cells(M, r, n):
+    """The basis iterated_bar stores in degree n, as a tuple: the empty
+    word in degree 0, no cell in the other degrees below r, and
+    cells(M, r, n) from r on."""
+    if n < r:
+        return (BarWord((), (), r),) if n == 0 else ()
+    return tuple(cells(M, r, n))
+
+
 def cells(M, r, n):
     """Yield the level-r cells of degree n, which are the basis
     iterated_bar stores in degree n: shape by shape in the order of
@@ -715,10 +736,7 @@ def iterated_bar(M, r, degmax):
     for this call only.  Templates of more than MAX_TEMPLATE_LETTERS
     letters in all raise DGAError before the first is built.
     """
-    _check_range(M, r, degmax)
-    _refuse_above(_template_letters(r, degmax), MAX_TEMPLATE_LETTERS,
-                  "the templates of the level-%d bar to degree %d hold more than %d "
-                  "letters" % (r, degmax, MAX_TEMPLATE_LETTERS))
+    check_reach(M, r, degmax)
     e = M.identity
     empty = BarWord((), (), r)
     basis = {0: (empty,)}
@@ -726,8 +744,8 @@ def iterated_bar(M, r, degmax):
     cells_by_seps = {(): {(): empty}}
     for n in range(r, degmax + 1):
         seps = None
-        degree_cells = list(cells(M, r, n))
-        for word in degree_cells:
+        words = list(cells(M, r, n))
+        for word in words:
             letters = word.letters
             if word.seps != seps:
                 seps = word.seps
@@ -748,8 +766,8 @@ def iterated_bar(M, r, degmax):
                     chain_add_term(chain, (vals[u], targets[out]), c)
             found[letters] = word
             diff[word] = chain
-        if degree_cells:
-            basis[n] = tuple(degree_cells)
+        if words:
+            basis[n] = tuple(words)
     pi = {w: w.pi(M) for ws in basis.values() for w in ws}
 
     def shuffle(a, b):

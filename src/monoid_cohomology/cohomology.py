@@ -61,12 +61,12 @@ classification searches its (g, mu) pairs, the level-3 5-cochains,
 with it too.
 """
 
-from .bar import bar_word_diff, explicit_low_degree_differential, iterated_bar
+from .bar import (bar_word_diff, check_reach, degree_cells, explicit_low_degree_differential,
+                  iterated_bar)
 from .hmod import (CochainGroup, FGAbelianGroup, FreeBasis, ModuleError,
                    _matrix_maps_relations, constant_module, dualize)
 from .monoid import FiniteCommutativeMonoid
-from .zlinalg import (AbGroupInvariants, IntMatrix, SparseIntMatrix, block_diagonal,
-                      gcd, snf_diagonal)
+from .zlinalg import AbGroupInvariants, IntMatrix, block_diagonal, gcd, snf_diagonal
 
 
 class TruncationError(ValueError):
@@ -178,8 +178,8 @@ class CochainComplex:
         if not self._has_relations(n + 1):
             return snf_diagonal(bottom)
         top = self._curvature(n, bottom)
-        return snf_diagonal(SparseIntMatrix(len(top) + bottom.rows, bottom.cols,
-                                            top + bottom.row_dicts()))
+        return snf_diagonal(IntMatrix(len(top) + bottom.rows, bottom.cols,
+                                      top + bottom.row_dicts()))
 
     def _curvature(self, n, bottom):
         """psi's top rows [d_R^n | K^n] = I_{n+1}^-1 (d_F^n [I_n | d_F^(n-1)]),
@@ -187,20 +187,12 @@ class CochainComplex:
         outside the relations, which a module that keeps its laws modulo
         them never has, raises ModuleError naming the cell it starts from."""
         target = self.groups[n + 1]
-        d_n = self.coboundaries[n].row_dicts()
-        lower = bottom.row_dicts()
+        product = self.coboundaries[n].mul(bottom).row_dicts()
         rows = []
         for g, off, cell in zip(target.blocks, target.offsets, target.basis.generators):
             if not g.relation_basis.cols:
                 continue
-            product = []
-            for i in range(off, off + g.ngens):
-                acc = {}
-                for k, a in d_n[i].items():
-                    for j, b in lower[k].items():
-                        acc[j] = acc.get(j, 0) + a * b
-                product.append({j: v for j, v in acc.items() if v})
-            coords, outside = g.relation_coordinates(product)
+            coords, outside = g.relation_coordinates(product[off:off + g.ngens])
             if outside:
                 k, x = self._column_cell(n, outside[0])
                 raise ModuleError(
@@ -393,16 +385,21 @@ def brute_force_cohomology(M, r, n, module):
     coboundary as the image of every degree-(n-1) cochain, and recover
     the invariant factors of the quotient from order statistics.
 
+    The cells of degrees n - 1, n and n + 1 are listed on their own, and
+    the rows read bar_word_diff; the bar to degree n + 1 is refused as
+    iterated_bar would refuse it (bar.check_reach), since the
+    differentials of its cells cost what its templates would.
+
     Returns (cocycle_count, coboundary_count, AbGroupInvariants).
     """
     if n < 0:
         raise ValueError("negative degree")
     if r >= 2 and n > r + 2:
         raise TruncationError("degree beyond the truncated range")
-    basis = iterated_bar(M, r, max(n + 1, r)).basis
-    source, groups = _cochain_space(M, module, basis.get(n, ()))
-    prev, prev_groups = _cochain_space(M, module, basis.get(n - 1, ()))
-    cocycles = list(_search(module, groups, _rows(M, module, source, basis.get(n + 1, ()))))
+    check_reach(M, r, max(n + 1, r))
+    source, groups = _cochain_space(M, module, degree_cells(M, r, n))
+    prev, prev_groups = _cochain_space(M, module, degree_cells(M, r, n - 1))
+    cocycles = list(_search(module, groups, _rows(M, module, source, degree_cells(M, r, n + 1))))
     down = list(_rows(M, module, prev, source))
     boundaries = {tuple(tuple(row[0].reduce(_row_value(module, row, g))) for row in down)
                   for g in _search(module, prev_groups, ())}

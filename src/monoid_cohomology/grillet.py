@@ -5,7 +5,7 @@ Symmetric n-cochains are normalized functions on n-tuples of non-unit
 arguments, cut out inside the full cochain group by the symmetry
 identities (degree 2: f(x,y) = f(y,x); degree 3: the two
 alternating identities; degree 4: four identities).  The identities are
-written as row dicts straight into a SparseIntMatrix, next to the
+written as row dicts straight into an IntMatrix, next to the
 block-diagonal relations of their value groups (zlinalg.block_diagonal),
 so each constraint solution set is a preimage lattice in the free cover,
 found on the same row-sparse path as everything else.
@@ -34,9 +34,8 @@ from itertools import product
 from .bar import cells, iterated_bar
 from .cohomology import coboundary, degree_basis
 from .hmod import CochainGroup, FreeBasis
-from .zlinalg import (SparseIntMatrix, block_diagonal, lattice_basis,
-                      preimage_lattice_multi, staircase_pivots, staircase_solve,
-                      subquotient_invariants)
+from .zlinalg import (IntMatrix, block_diagonal, lattice_basis, preimage_lattice_multi,
+                      staircase_pivots, staircase_solve, subquotient_invariants)
 
 
 def _tuple_basis(M, n):
@@ -93,7 +92,7 @@ def symmetry_constraints(M, module, n):
     (degree 1 is unconstrained): the full cochain group, and the pair
     (identities, relations) whose preimage lattice they are.  Each
     identity contributes one row per generator of its value group,
-    written straight into a SparseIntMatrix on the ambient coordinates,
+    written straight into an IntMatrix on the ambient coordinates,
     and that group's relations as one block."""
     if not 1 <= n <= 4:
         raise ValueError("symmetric cochains are defined for degrees 1..4")
@@ -110,7 +109,7 @@ def symmetry_constraints(M, module, n):
                 row[j] = row.get(j, 0) + c
             rows.append({j: v for j, v in row.items() if v})
         rels.append(grp.relations)
-    return amb, (SparseIntMatrix(len(rows), amb.total, rows), block_diagonal(rels))
+    return amb, (IntMatrix(len(rows), amb.total, rows), block_diagonal(rels))
 
 
 def symmetric_cochains(M, module, n):
@@ -173,16 +172,20 @@ def _inclusion(module, n, src, tgt):
         soff = amb_src.offsets[si]
         for i in range(amb_src.blocks[si].ngens):
             rows[goff + i] = {soff + i: sign}
-    return SparseIntMatrix(amb_tgt.total, amb_src.total, rows)
+    return IntMatrix(amb_tgt.total, amb_src.total, rows)
+
+
+def _inclusions(M, module, level3):
+    """i_1..i_4 on a level-3 bar to degree 6, keyed by n."""
+    return {n: _inclusion(module, n, _tuple_basis(M, n), degree_basis(level3, n + 2))
+            for n in (1, 2, 3, 4)}
 
 
 def inclusion_matrices(M, module):
     """Matrices of i_1..i_4 from the symmetric cochain groups into
     C^3..C^6(M, 3; A): i_1 = id, i_2 = -id, i_3 = (f, 0),
     i_4 = (-f, 0, 0, 0)."""
-    dga = iterated_bar(M, 3, 6)
-    return {n: _inclusion(module, n, _tuple_basis(M, n), degree_basis(dga, n + 2))
-            for n in (1, 2, 3, 4)}
+    return _inclusions(M, module, iterated_bar(M, 3, 6))
 
 
 class InclusionReport:
@@ -210,8 +213,7 @@ def inclusion_chainmap(M, module):
     lattices (the last square is the one that needs the symmetry
     identities)."""
     dga = iterated_bar(M, 3, 6)
-    mats = {n: _inclusion(module, n, _tuple_basis(M, n), degree_basis(dga, n + 2))
-            for n in (1, 2, 3, 4)}
+    mats = _inclusions(M, module, dga)
     level1 = iterated_bar(M, 1, 4)
     report = InclusionReport()
     for n in (1, 2, 3):
@@ -221,9 +223,7 @@ def inclusion_chainmap(M, module):
         lhs = coboundary(dga, n + 2, module).mul(mats[n].mul(lat))
         rhs = mats[n + 1].mul(delta.mul(lat))
         rel = lattice_basis(CochainGroup(tgt, module).relation_matrix())
-        diff = [{j: a - b for j, (a, b) in enumerate(zip(ra, rb)) if a != b}
-                for ra, rb in zip(lhs.data, rhs.data)]
-        _, outside = staircase_solve(rel, staircase_pivots(rel), diff)
+        _, outside = staircase_solve(rel, staircase_pivots(rel), lhs.sub(rhs).row_dicts())
         report.record("square d.i_%d = i_%d.delta" % (n, n + 1), not outside,
                       ("lattice generator", outside[0]) if outside else None)
     return mats, report

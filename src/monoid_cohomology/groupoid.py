@@ -224,11 +224,7 @@ def extract_triple(G):
                 basis_vec = [0] * src.ngens
                 basis_vec[i] = 1
                 cols.append(G.tensor_mor(x, basis_vec, y, groups[y].zero()))
-            mat = IntMatrix(groups[monoid.op(x, y)].ngens, src.ngens)
-            for j, col in enumerate(cols):
-                for i, v in enumerate(col):
-                    mat.data[i][j] = v
-            actions[(x, y)] = mat
+            actions[(x, y)] = IntMatrix.from_columns(cols, groups[monoid.op(x, y)].ngens)
     module = HModule(monoid, groups, actions)
     bad = validate_module(module)
     if bad:

@@ -16,8 +16,8 @@ nonzero, and it stays sparse through the linear algebra.
 import json
 
 from .monoid import FiniteCommutativeMonoid, is_integer
-from .zlinalg import (IntMatrix, AbGroupInvariants, SparseIntMatrix, block_diagonal,
-                      lattice_basis, snf_diagonal, staircase_pivots, staircase_solve)
+from .zlinalg import (IntMatrix, AbGroupInvariants, block_diagonal, lattice_basis,
+                      snf_diagonal, staircase_pivots, staircase_solve)
 
 
 class FGAbelianGroup:
@@ -25,7 +25,7 @@ class FGAbelianGroup:
     is that lattice's canonical staircase basis (lattice_basis), whose
     columns are independent."""
 
-    __slots__ = ("ngens", "relations", "relation_basis", "_pivots")
+    __slots__ = ("ngens", "relations", "relation_basis", "_pivots", "_staircase")
 
     def __init__(self, ngens, relations=None):
         self.ngens = ngens
@@ -37,6 +37,7 @@ class FGAbelianGroup:
         self.relations = relations
         self.relation_basis = lattice_basis(relations)
         self._pivots = staircase_pivots(self.relation_basis)
+        self._staircase = None
 
     @classmethod
     def free(cls, rank):
@@ -51,10 +52,8 @@ class FGAbelianGroup:
         """Canonical presentation Z^free + (+) Z/d: free generators
         first, then one generator per torsion factor."""
         k = inv.free_rank + len(inv.torsion)
-        rel = IntMatrix(k, len(inv.torsion))
-        for i, d in enumerate(inv.torsion):
-            rel.data[inv.free_rank + i][i] = d
-        return cls(k, rel)
+        rows = [{} for _ in range(inv.free_rank)] + [{i: d} for i, d in enumerate(inv.torsion)]
+        return cls(k, IntMatrix(k, len(inv.torsion), rows))
 
     def invariants(self):
         diag = snf_diagonal(self.relations)
@@ -81,28 +80,34 @@ class FGAbelianGroup:
     def element_list(self):
         """All elements as canonical coset representatives; requires a
         finite group."""
-        H = self.relation_basis
-        if H.cols < self.ngens:
+        if self.relation_basis.cols < self.ngens:
             raise ValueError("group is infinite")
-        # H is a square staircase; box of representatives below the pivots
+        # the relation basis is a square staircase; box of representatives
+        # below the pivots
         bounds = [0] * self.ngens
-        for i, j in self._pivots:
-            bounds[i] = H.data[i][j]
+        for i, col in self._pivot_columns():
+            bounds[i] = col[i]
         reps = [[]]
         for b in bounds:
             reps = [r + [v] for r in reps for v in range(b)]
         return [self.reduce(r) for r in reps]
 
+    def _pivot_columns(self):
+        """(pivot row, column dict) of each relation_basis column, built on
+        first use: only the element-level routes reduce vectors."""
+        if self._staircase is None:
+            columns = self.relation_basis.col_dicts()
+            self._staircase = [(i, columns[j]) for i, j in self._pivots]
+        return self._staircase
+
     def reduce(self, vec):
         """Canonical representative of vec modulo the relation lattice."""
-        H = self.relation_basis
         v = list(vec)
-        for r, j in self._pivots:
-            q = v[r] // H.data[r][j]
+        for r, col in self._pivot_columns():
+            q = v[r] // col[r]
             if q:
-                for i in range(r, H.rows):
-                    if H.data[i][j]:
-                        v[i] -= q * H.data[i][j]
+                for i, h in col.items():
+                    v[i] -= q * h
         return v
 
     def __eq__(self, other):
@@ -232,9 +237,7 @@ def _matrix_maps_relations(mat, src, tgt):
 def _columns_equal_mod(group, a, b):
     """Every column of a equals the same column of b modulo the
     relations of group: one solve on the block a - b."""
-    diff = [{j: v - w for j, (v, w) in enumerate(zip(ra, rb)) if v != w}
-            for ra, rb in zip(a.data, b.data)]
-    return not group.relation_coordinates(diff)[1]
+    return not group.relation_coordinates(a.sub(b).row_dicts())[1]
 
 
 def _is_identity(mat, group):
@@ -288,13 +291,15 @@ def zm_as_hmodule(M):
         index.append({p: i for i, p in enumerate(pairs)})
     groups = [FGAbelianGroup.free(len(bases[x])) for x in range(n)]
     actions = {}
+    shared = {}  # equal rows, all 0/1, are one dict: matrices never mutate them
     for x in range(n):
         for y in range(n):
             xy = M.op(x, y)
-            mat = IntMatrix(len(bases[xy]), len(bases[x]))
+            rows = [{} for _ in bases[xy]]
             for col, (u, v) in enumerate(bases[x]):
-                mat.data[index[xy][(M.op(y, u), v)]][col] = 1
-            actions[(x, y)] = mat
+                rows[index[xy][(M.op(y, u), v)]][col] = 1
+            actions[(x, y)] = IntMatrix(len(bases[xy]), len(bases[x]),
+                                        [shared.setdefault(tuple(r), r) for r in rows])
     return HModule(M, groups, actions)
 
 
@@ -355,7 +360,7 @@ class PiMismatchError(ValueError):
 
 def dualize(d, source, target, module, monoid):
     """Matrix of f |-> f . d from hom(source, A) to hom(target, A), as
-    a SparseIntMatrix (one dict col -> value per row, no zeros stored).
+    an IntMatrix.
 
     d maps each target generator to a formal combination (a dict
     (u, source_generator) -> coefficient) with u * pi(source_generator)
@@ -364,6 +369,7 @@ def dualize(d, source, target, module, monoid):
     src = CochainGroup(source, module)
     tgt = CochainGroup(target, module)
     src_index = {g: i for i, g in enumerate(source.generators)}
+    actions = {}  # (x, u) -> the row dicts of u_* on A(x)
     rows = [{} for _ in range(tgt.total)]
     for ti, tgen in enumerate(target.generators):
         chain = d.get(tgen, {})
@@ -378,18 +384,19 @@ def dualize(d, source, target, module, monoid):
                 raise PiMismatchError(
                     "term %r of d(%r): u*pi(s) = %r but pi(t) = %r"
                     % ((u, sgen), tgen, monoid.op(u, spi), tpi))
-            act = module.action(spi, u)
+            act = actions.get((spi, u))
+            if act is None:
+                act = actions[(spi, u)] = module.action(spi, u).row_dicts()
             soff = src.offsets[si]
-            for i in range(act.rows):
+            for i, arow in enumerate(act):
                 row = rows[toff + i]
-                for j, a in enumerate(act.data[i]):
-                    if a:
-                        v = row.get(soff + j, 0) + coeff * a
-                        if v:
-                            row[soff + j] = v
-                        else:
-                            del row[soff + j]
-    return SparseIntMatrix(tgt.total, src.total, rows)
+                for j, a in arow.items():
+                    v = row.get(soff + j, 0) + coeff * a
+                    if v:
+                        row[soff + j] = v
+                    else:
+                        del row[soff + j]
+    return IntMatrix(tgt.total, src.total, rows)
 
 
 # -- descriptors -------------------------------------------------------------
@@ -465,7 +472,7 @@ def module_from_descriptor(desc, monoid):
                                for row in rows)):
                     raise ModuleError("action %s must be an integer %dx%d matrix, got %r"
                                       % (key, tgt.ngens, src.ngens, rows))
-                actions[(x, y)] = IntMatrix(tgt.ngens, src.ngens, rows)
+                actions[(x, y)] = IntMatrix.from_rows(rows, src.ngens)
         mod = HModule(monoid, groups, actions)
         bad = validate_module(mod)
         if bad:
@@ -481,12 +488,15 @@ def parse_group_shorthand(text):
     torsion = []
     for part in text.split("+"):
         part = part.strip()
-        if part == "Z":
-            free += 1
-        elif part.startswith("Z^"):
-            free += int(part[2:])
-        elif part.startswith("Z/"):
-            torsion.append(int(part[2:]))
-        else:
-            raise ModuleError("cannot parse coefficient shorthand %r" % (part,))
+        try:
+            if part == "Z":
+                free += 1
+            elif part.startswith("Z^"):
+                free += int(part[2:])
+            elif part.startswith("Z/"):
+                torsion.append(int(part[2:]))
+            else:
+                raise ValueError
+        except ValueError:
+            raise ModuleError("cannot parse coefficient shorthand %r" % (part,)) from None
     return _group_from_orders(free, torsion)

@@ -5,15 +5,14 @@ form with unimodular transforms, kernel and preimage lattices (column
 Hermite echelon), and invariant factors of lattice subquotients.  These
 are the substrate for every cohomology-group extraction in the package.
 
-Two matrix types share one interface.  IntMatrix is dense, for the small
-matrices: module actions, group relations, SNF transforms.
-SparseIntMatrix holds one dict col -> value per row with no zeros
-stored, for the coboundaries, which are about 1% nonzero, and for
-block-diagonal relations, which block_diagonal alone assembles (for
-cochain groups, symmetry identities and stacked preimage conditions).
-Both hand out fresh dicts per row (row_dicts()) or per column
-(col_dicts()); a dense view of a sparse matrix is built only when a
-caller reads .data.
+One matrix type, IntMatrix, holds one dict col -> value per row with no
+zeros stored: the coboundaries are about 1% nonzero, and the small
+matrices (module actions, group relations, SNF transforms) lose nothing
+by it.  It hands out fresh dicts per row (row_dicts()) or per column
+(col_dicts()); .data is a dense view built afresh on every read, for
+readers outside the engine.  block_diagonal alone assembles
+block-diagonal relations (for cochain groups, symmetry identities and
+stacked preimage conditions).
 
 The +-1 unit sweep in front of snf_diagonal and kernel_basis consumes
 such dicts.  kernel_basis sweeps rows, since only row operations keep
@@ -48,139 +47,16 @@ block of columns at once; lattice_solve is that solve on one column.
 
 
 class IntMatrix:
-    """Dense row-major integer matrix; zero dimensions allowed."""
+    """Integer matrix stored as one dict col -> value per row, no zeros
+    stored; zero dimensions allowed.  The constructor keeps the dicts it
+    is given, and no method mutates them."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_rows")
 
-    def __init__(self, rows, cols, data=None):
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            self.data = [[0] * cols for _ in range(rows)]
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("data does not have the shape %dx%d" % (rows, cols))
-            self.data = [list(r) for r in data]
-
-    @classmethod
-    def from_rows(cls, data, cols=None):
-        rows = len(data)
-        if cols is None:
-            if rows == 0:
-                raise ValueError("cols required for a matrix with no rows")
-            cols = len(data[0])
-        return cls(rows, cols, data)
-
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    @classmethod
-    def from_columns(cls, columns, rows):
-        m = cls(rows, len(columns))
-        for j, col in enumerate(columns):
-            for i, v in enumerate(col):
-                m.data[i][j] = v
-        return m
-
-    @classmethod
-    def diagonal(cls, entries, rows=None, cols=None):
-        k = len(entries)
-        m = cls(rows if rows is not None else k, cols if cols is not None else k)
-        for i, d in enumerate(entries):
-            m.data[i][i] = d
-        return m
-
-    def copy(self):
-        return IntMatrix(self.rows, self.cols, self.data)
-
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def row_dicts(self):
-        """One fresh dict col -> value per row, zeros left out."""
-        return [{j: v for j, v in enumerate(row) if v} for row in self.data]
-
-    def col_dicts(self):
-        """One fresh dict row -> value per column, zeros left out."""
-        cols = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.data):
-            for j, v in enumerate(row):
-                if v:
-                    cols[j][i] = v
-        return cols
-
-    def mul(self, other):
-        _check_shape(self.cols == other.rows, "mul", self, other)
-        out = IntMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a:
-                    brow = other.data[k]
-                    for j in range(other.cols):
-                        if brow[j]:
-                            orow[j] += a * brow[j]
-        return out
-
-    def mul_vector(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("mul_vector: vector of length %d against %d columns"
-                             % (len(vec), self.cols))
-        out = []
-        for row in self.data:
-            s = 0
-            for j, v in enumerate(vec):
-                if v and row[j]:
-                    s += row[j] * v
-            out.append(s)
-        return out
-
-    def hstack(self, other):
-        _check_shape(self.rows == other.rows, "hstack", self, other)
-        return IntMatrix(self.rows, self.cols + other.cols,
-                         [self.data[i] + other.data[i] for i in range(self.rows)])
-
-    def scaled(self, c):
-        return IntMatrix(self.rows, self.cols,
-                         [[c * v for v in row] for row in self.data])
-
-    def is_zero(self):
-        return all(v == 0 for row in self.data for v in row)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
-
-    def __repr__(self):
-        return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self.data)
-
-
-def _check_shape(ok, op, a, b):
-    if not ok:
-        raise ValueError("%s: shapes %dx%d and %dx%d do not match"
-                         % (op, a.rows, a.cols, b.rows, b.cols))
-
-
-class SparseIntMatrix(IntMatrix):
-    """Row-sparse integer matrix: one dict col -> value per row, no
-    zeros stored.  The constructor keeps the dicts it is given, and no
-    method mutates them.  Reading .data builds a dense view once and
-    keeps it; the view is read-only, since the rows are not updated
-    from it."""
-
-    __slots__ = ("_rows", "_dense")
-
-    def __init__(self, rows, cols, row_dicts):
-        if len(row_dicts) != rows:
+    def __init__(self, rows, cols, row_dicts=None):
+        if row_dicts is None:
+            row_dicts = [{}] * rows  # one dict serves every row: rows are never mutated
+        elif len(row_dicts) != rows:
             raise ValueError("%d row dicts for %d rows" % (len(row_dicts), rows))
         for r in row_dicts:
             if r and (min(r) < 0 or max(r) >= cols or 0 in r.values()):
@@ -189,50 +65,112 @@ class SparseIntMatrix(IntMatrix):
         self.rows = rows
         self.cols = cols
         self._rows = row_dicts
-        self._dense = None
+
+    @classmethod
+    def from_rows(cls, data, cols=None):
+        """The matrix whose rows are the lists of ints in data."""
+        if cols is None:
+            if not data:
+                raise ValueError("cols required for a matrix with no rows")
+            cols = len(data[0])
+        if any(len(r) != cols for r in data):
+            raise ValueError("data does not have the shape %dx%d" % (len(data), cols))
+        return cls(len(data), cols, [{j: v for j, v in enumerate(r) if v} for r in data])
+
+    @classmethod
+    def identity(cls, n):
+        return cls(n, n, [{i: 1} for i in range(n)])
+
+    @classmethod
+    def from_columns(cls, columns, rows):
+        """The matrix whose columns are the given lists of rows ints."""
+        return cls(rows, len(columns),
+                   _transposed([{i: v for i, v in enumerate(c) if v} for c in columns], rows))
+
+    @classmethod
+    def diagonal(cls, entries, rows=None, cols=None):
+        k = len(entries)
+        rows = k if rows is None else rows
+        return cls(rows, k if cols is None else cols,
+                   [{i: d} if d else {} for i, d in enumerate(entries)]
+                   + [{} for _ in range(rows - k)])
 
     @property
     def data(self):
-        if self._dense is None:
-            self._dense = self._densify()
-        return self._dense
-
-    def _densify(self):
-        out = []
-        for r in self._rows:
-            row = [0] * self.cols
-            for j, v in r.items():
-                row[j] = v
-            out.append(row)
-        return out
-
-    def row_dicts(self):
-        return [dict(r) for r in self._rows]
-
-    def col_dicts(self):
-        return _transposed(self._rows, self.cols)
+        """A dense list of rows, built afresh on every read: writing to
+        it leaves the matrix alone."""
+        return _full_rows(self._rows, self.cols)
 
     def column(self, j):
         return [r.get(j, 0) for r in self._rows]
 
+    def row_dicts(self):
+        """One fresh dict col -> value per row, zeros left out."""
+        return [dict(r) for r in self._rows]
+
+    def col_dicts(self):
+        """One fresh dict row -> value per column, zeros left out."""
+        return _transposed(self._rows, self.cols)
+
+    def mul(self, other):
+        _check_shape(self.cols == other.rows, "mul", self, other)
+        out = []
+        for row in self._rows:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other._rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return IntMatrix(self.rows, other.cols, out)
+
+    def mul_vector(self, vec):
+        if len(vec) != self.cols:
+            raise ValueError("mul_vector: vector of length %d against %d columns"
+                             % (len(vec), self.cols))
+        return [sum(v * vec[j] for j, v in r.items()) for r in self._rows]
+
+    def sub(self, other):
+        _check_shape((self.rows, self.cols) == (other.rows, other.cols), "sub", self, other)
+        out = self.row_dicts()
+        for r, o in zip(out, other._rows):
+            _dict_submul(r, o, 1)
+        return IntMatrix(self.rows, self.cols, out)
+
     def hstack(self, other):
         _check_shape(self.rows == other.rows, "hstack", self, other)
-        out = []
-        for r, o in zip(self.row_dicts(), other.row_dicts()):
+        out = self.row_dicts()
+        for r, o in zip(out, other._rows):
             for j, v in o.items():
                 r[self.cols + j] = v
-            out.append(r)
-        return SparseIntMatrix(self.rows, self.cols + other.cols, out)
+        return IntMatrix(self.rows, self.cols + other.cols, out)
 
     def scaled(self, c):
-        return SparseIntMatrix(self.rows, self.cols,
-                               [{j: c * v for j, v in r.items() if c} for r in self._rows])
+        return IntMatrix(self.rows, self.cols,
+                         [{j: c * v for j, v in r.items() if c} for r in self._rows])
 
     def is_zero(self):
         return not any(self._rows)
 
+    def __eq__(self, other):
+        return (isinstance(other, IntMatrix) and self.rows == other.rows
+                and self.cols == other.cols and self._rows == other._rows)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
+
     def __repr__(self):
-        return "SparseIntMatrix(%d, %d, %r)" % (self.rows, self.cols, self._rows)
+        return "IntMatrix(%d, %d, %r)" % (self.rows, self.cols, self._rows)
+
+
+def _check_shape(ok, op, a, b):
+    if not ok:
+        raise ValueError("%s: shapes %dx%d and %dx%d do not match"
+                         % (op, a.rows, a.cols, b.rows, b.cols))
+
+
+def _full_rows(rows, n):
+    """The rows (dicts col -> value) as lists of n entries each."""
+    return [[r.get(j, 0) for j in range(n)] for r in rows]
 
 
 class AbGroupInvariants:
@@ -325,7 +263,7 @@ def smith_normal_form(A):
     diagonal with d1 | d2 | ... >= 0.  The identity U*A*V == D is
     re-verified before returning."""
     m, n = A.rows, A.cols
-    D = [list(row) for row in A.data]
+    D = _full_rows(A._rows, n)
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -415,9 +353,9 @@ def smith_normal_form(A):
         if D[i][i] < 0:
             negate_row(i)
 
-    Dm = IntMatrix(m, n, D)
-    Um = IntMatrix(m, m, U)
-    Vm = IntMatrix(n, n, V)
+    Dm = IntMatrix.from_rows(D, n)
+    Um = IntMatrix.from_rows(U, m)
+    Vm = IntMatrix.from_rows(V, n)
     if Um.mul(A).mul(Vm) != Dm:
         raise ArithmeticError("SNF verification failed")
     return Dm, Um, Vm
@@ -573,7 +511,7 @@ def snf_diagonal(A, killed=None):
     diag.swept = [(line, pj) for line, pj, _ in eliminated] if by_columns else None
     if rows:
         Dm, _, _ = smith_normal_form(_column_lattice_basis(list(rows.values())))
-        diag += [d for d in (Dm.data[i][i] for i in range(min(Dm.rows, Dm.cols))) if d]
+        diag += [r[i] for i, r in enumerate(Dm._rows) if i in r]
     return diag
 
 
@@ -628,15 +566,14 @@ def _column_lattice_basis(lines):
     columns = [by_index[j] for j in sorted(by_index)]
     originals = [dict(col) for col in columns]
     pivots, V, _ = _column_echelon(len(lines), len(columns), columns, track=True)
-    H = IntMatrix(len(lines), len(pivots))
     for k, (_, j) in enumerate(pivots):
         combo = {}
         for src, q in V[j].items():
             _dict_submul(combo, originals[src], -q)
         if combo != columns[j]:
             raise ArithmeticError("basis column %d is not its tracked combination" % k)
-        for i, v in columns[j].items():
-            H.data[i][k] = v
+    H = IntMatrix(len(lines), len(pivots),
+                  _transposed([columns[j] for _, j in pivots], len(lines)))
     # read off H rather than taken from the echelon, so that a solution
     # found is one whatever the echelon got wrong
     _, outside = staircase_solve(H, staircase_pivots(H), lines)
@@ -766,23 +703,13 @@ def lattice_basis(B):
             q = basis[l].get(r, 0) // p
             if q:
                 _dict_submul(basis[l], basis[k], q)
-    out = IntMatrix(B.rows, len(basis))
-    for j, col in enumerate(basis):
-        for i, v in col.items():
-            out.data[i][j] = v
-    return out
+    return IntMatrix(B.rows, len(basis), _transposed(basis, B.rows))
 
 
 def staircase_pivots(H):
     """(row, col) of the leading entry of every nonzero column of a
     column staircase (lattice_basis output), rows increasing."""
-    pivots = []
-    for j in range(H.cols):
-        for i in range(H.rows):
-            if H.data[i][j]:
-                pivots.append((i, j))
-                break
-    return pivots
+    return [(min(col), j) for j, col in enumerate(H.col_dicts()) if col]
 
 
 def staircase_solve(H, pivots, rows):
@@ -795,12 +722,12 @@ def staircase_solve(H, pivots, rows):
     behind in B, and so does one with an entry on a row without a pivot."""
     B = [dict(row) for row in rows]
     X = [{} for _ in range(H.cols)]
+    columns = H.col_dicts()
     for r, j in pivots:
-        p = H.data[r][j]
+        p = columns[j][r]
         X[j] = quot = {c: v // p for c, v in B[r].items() if v % p == 0}
-        for i in range(r, H.rows):
-            if H.data[i][j]:
-                _dict_submul(B[i], quot, H.data[i][j])
+        for i, h in columns[j].items():
+            _dict_submul(B[i], quot, h)
     return X, sorted(set().union(*B))
 
 
@@ -825,14 +752,14 @@ def preimage_lattice(A, L=None):
         return IntMatrix.identity(A.cols)
     stacked = A.hstack(L.scaled(-1))
     ker = kernel_basis(stacked)
-    proj = IntMatrix(A.cols, ker.cols, ker.data[:A.cols])
+    proj = IntMatrix(A.cols, ker.cols, ker.row_dicts()[:A.cols])
     return lattice_basis(proj)
 
 
 def preimage_lattice_multi(pairs, ncols):
     """{v : A_i v in lattice(L_i) for every (A_i, L_i)}; L_i may be None.
-    The conditions are stacked row-sparse: the A_i one above the other,
-    the L_i block-diagonally."""
+    The conditions are stacked: the A_i one above the other, the L_i
+    block-diagonally."""
     pairs = [(A, L if L is not None else IntMatrix(A.rows, 0))
              for A, L in pairs if A.rows]
     if not pairs:
@@ -844,19 +771,19 @@ def preimage_lattice_multi(pairs, ncols):
                              % (A.cols, ncols))
         _check_shape(L.rows == A.rows, "preimage_lattice_multi", A, L)
         rows += A.row_dicts()
-    return preimage_lattice(SparseIntMatrix(len(rows), ncols, rows),
+    return preimage_lattice(IntMatrix(len(rows), ncols, rows),
                             block_diagonal([L for _, L in pairs]))
 
 
 def block_diagonal(mats):
-    """The row-sparse block-diagonal matrix with the given blocks in
-    order; blocks may have no rows or no columns."""
+    """The block-diagonal matrix with the given blocks in order; blocks
+    may have no rows or no columns."""
     rows = []
     c = 0
     for m in mats:
-        rows += [{c + j: v for j, v in r.items()} for r in m.row_dicts()]
+        rows += [{c + j: v for j, v in r.items()} for r in m._rows]
         c += m.cols
-    return SparseIntMatrix(len(rows), c, rows)
+    return IntMatrix(len(rows), c, rows)
 
 
 class LatticeContainmentError(ValueError):
@@ -876,15 +803,14 @@ def subquotient_invariants(K, I):
     _check_shape(K.rows == I.rows, "subquotient_invariants", K, I)
     Kb = lattice_basis(K)
     pivots = staircase_pivots(Kb)
-    X = IntMatrix(Kb.cols, I.cols)
+    coords = []
     for j in range(I.cols):
         col = I.column(j)
         x = lattice_solve(Kb, col, pivots)
         if x is None:
             raise LatticeContainmentError(j, col)
-        for i in range(Kb.cols):
-            X.data[i][j] = x[i]
-    diag = snf_diagonal(X)
+        coords.append(x)
+    diag = snf_diagonal(IntMatrix.from_columns(coords, Kb.cols))
     return AbGroupInvariants.from_diagonal(diag, free_rank=Kb.cols - len(diag))
 
 
@@ -895,7 +821,7 @@ def determinant(A):
     n = A.rows
     if n == 0:
         return 1
-    M = [list(row) for row in A.data]
+    M = _full_rows(A._rows, n)
     sign = 1
     prev = 1
     for k in range(n - 1):

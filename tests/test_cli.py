@@ -363,6 +363,17 @@ def _mutate(doc, rng):
     return doc
 
 
+def test_unparsable_coefficient_shorthand_names_its_part():
+    # a count that is no integer is refused like an unknown group, by the
+    # part it sits in, not by int()'s message
+    for coeff, part in (("Z^abc", "'Z^abc'"), ("Z^", "'Z^'"), ("Z/", "'Z/'"),
+                        ("Z/2+Z^x", "'Z^x'"), ("GL2", "'GL2'")):
+        code, out, err = invoke(["cohomology", "--monoid", "cyclic:1,2", "--level", "1",
+                                 "--degree", "1", "--coeff", coeff])
+        assert code == 2 and out == ""
+        assert err == "error: cannot parse coefficient shorthand %s\n" % part, err
+
+
 def test_fuzzed_descriptors_exit_0_or_2(tmp_path):
     # one mutation of one descriptor per case, through every subcommand
     # that reads descriptors; a traceback propagates out of run

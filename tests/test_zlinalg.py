@@ -7,11 +7,17 @@ from itertools import product
 import pytest
 
 import monoid_cohomology
-from monoid_cohomology.cohomology import cochain_complex
-from monoid_cohomology.hmod import FGAbelianGroup, constant_module
+from monoid_cohomology.cohomology import (brute_force_cohomology, cochain_complex,
+                                          cohomology_group)
+from monoid_cohomology.grillet import (grillet_cohomology, inclusion_chainmap,
+                                       injectivity_check, symmetric_cochains)
+from monoid_cohomology.groupoid import (cocycle_check, crossed_product, extract_triple,
+                                        iso_classes)
+from monoid_cohomology.hmod import (FGAbelianGroup, HModule, constant_module,
+                                    module_from_descriptor, zm_as_hmodule)
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
-                                       LatticeContainmentError, SparseIntMatrix,
+                                       LatticeContainmentError,
                                        block_diagonal, determinant,
                                        kernel_basis, lattice_basis,
                                        lattice_solve, preimage_lattice,
@@ -45,10 +51,6 @@ def test_snf_zero_matrix():
     assert U == IntMatrix.identity(2) and V == IntMatrix.identity(3)
 
 
-def as_sparse(A):
-    return SparseIntMatrix(A.rows, A.cols, A.row_dicts())
-
-
 def sparse_unit_matrices(count, max_dim=12):
     """Mostly +-1 entries, some +-2, about a third of the cells filled:
     the shape of real coboundaries.  The unit sweep meets fill-in and
@@ -57,9 +59,9 @@ def sparse_unit_matrices(count, max_dim=12):
     for _ in range(count):
         m = random.randint(1, max_dim)
         n = random.randint(1, max_dim)
-        out.append(IntMatrix(m, n, [
+        out.append(IntMatrix.from_rows([
             [random.choice((1, -1, 1, -1, 2, -2)) if random.random() < 0.35 else 0
-             for _ in range(n)] for _ in range(m)]))
+             for _ in range(n)] for _ in range(m)], n))
     return out
 
 
@@ -67,15 +69,15 @@ def snf_draws():
     """250 dense draws up to 5x5 with entries in [-9, 9], then 60 sparse
     unit-heavy ones, from a fixed seed."""
     random.seed(20240817)
-    dense = [IntMatrix(m, n, [[random.randint(-9, 9) for _ in range(n)]
-                              for _ in range(m)])
+    dense = [IntMatrix.from_rows([[random.randint(-9, 9) for _ in range(n)]
+                                  for _ in range(m)], n)
              for m, n in ((random.randint(0, 5), random.randint(0, 5))
                           for _ in range(250))]
     return dense + sparse_unit_matrices(60)
 
 
 def transpose(A):
-    return IntMatrix(A.cols, A.rows, [A.column(j) for j in range(A.cols)])
+    return IntMatrix.from_rows([A.column(j) for j in range(A.cols)], A.rows)
 
 
 def test_snf_random_properties():
@@ -88,7 +90,6 @@ def test_snf_random_properties():
         assert abs(determinant(U)) == 1
         assert abs(determinant(V)) == 1
         assert snf_diagonal(A) == nz
-        assert snf_diagonal(as_sparse(A)) == nz
 
 
 def test_snf_diagonal_matches_sympy_in_both_orientations():
@@ -96,32 +97,33 @@ def test_snf_diagonal_matches_sympy_in_both_orientations():
     # transposes make snf_diagonal sweep the other side
     pytest.importorskip("sympy")
     random.seed(31)
-    shaped = [IntMatrix(m, n, [[random.choice((0, 0, 0, 1, -1, 2, 3))
-                                for _ in range(n)] for _ in range(m)])
+    shaped = [IntMatrix.from_rows([[random.choice((0, 0, 0, 1, -1, 2, 3))
+                                    for _ in range(n)] for _ in range(m)], n)
               for m, n in ((9, 3), (3, 9), (16, 5), (5, 16), (0, 4), (4, 0), (0, 0))]
     # wide draws with no unit entry, which the sweep leaves whole for the
     # column-lattice basis; the even ones keep factors above 1, and the
     # last has a row equal to the sum of two others
-    wide = [IntMatrix(m, n, [[random.choice(entries) for _ in range(n)]
-                             for _ in range(m)])
+    wide = [IntMatrix.from_rows([[random.choice(entries) for _ in range(n)]
+                                 for _ in range(m)])
             for m, n in ((1, 40), (4, 30), (6, 60), (8, 90))
             for entries in ((0, 0, 2, -2, 3, -3, 4, 6), (0, 0, 2, -2, 4, 6))]
-    deficient = wide[-1].copy()
-    deficient.data[5] = [a + b for a, b in zip(deficient.data[0], deficient.data[1])]
+    rows = wide[-1].data
+    rows[5] = [a + b for a, b in zip(rows[0], rows[1])]
+    deficient = IntMatrix.from_rows(rows)
     # small shapes up to 6x40 with entries mostly, not always, off +-1
     biased = []
     for _ in range(40):
         m, n = random.randint(1, 6), random.randint(1, 40)
-        biased.append(IntMatrix(m, n, [[random.choice((0, 0, 0, 2, -2, 3, -3, 4, 6,
-                                                       -6, 9, 1, -1))
-                                        for _ in range(n)] for _ in range(m)]))
+        biased.append(IntMatrix.from_rows([[random.choice((0, 0, 0, 2, -2, 3, -3, 4, 6,
+                                                           -6, 9, 1, -1))
+                                            for _ in range(n)] for _ in range(m)]))
     # the integer coboundaries d^0 .. d^4 of C(1,2) at levels 1, 2, 3
     coboundaries = [d for r in (1, 2, 3)
                     for d in cochain_complex(C12, r, constant_module(Z, C12),
                                              5).coboundaries.values()]
     for A in snf_draws() + shaped + wide + [deficient] + biased + coboundaries:
         want = sympy_invariant_factors(A)
-        for X in (A, as_sparse(A), transpose(A), as_sparse(transpose(A))):
+        for X in (A, transpose(A)):
             before = [dict(r) for r in X.row_dicts()]
             assert snf_diagonal(X) == want
             assert X.row_dicts() == before  # the sweep works on copies
@@ -133,20 +135,20 @@ def random_complex(a, b, c):
     d = U [X; 0] and e = Y [0 | I] U^-1 for a unimodular U built from
     elementary row operations, X of k rows and Y of b - k columns."""
     k = random.randint(0, min(a, b))
-    U, Uinv = IntMatrix.identity(b), IntMatrix.identity(b)
+    U, Uinv = IntMatrix.identity(b).data, IntMatrix.identity(b).data
     for _ in range(2 * b):
         i, j = random.sample(range(b), 2) if b > 1 else (0, 0)
         q = random.choice((1, -1, 1, -1, 2))
         if i != j:  # row i += q row j, so column j of U^-1 -= q column i
-            U.data[i] = [u + q * v for u, v in zip(U.data[i], U.data[j])]
-            for row in Uinv.data:
+            U[i] = [u + q * v for u, v in zip(U[i], U[j])]
+            for row in Uinv:
                 row[j] -= q * row[i]
     entries = (0, 0, 0, 1, -1, 1, 2, 3)
-    X = IntMatrix(b, a, [[random.choice(entries) for _ in range(a)] if i < k
-                         else [0] * a for i in range(b)])
-    Y = IntMatrix(c, b, [[0] * k + [random.choice(entries) for _ in range(b - k)]
-                         for _ in range(c)])
-    return U.mul(X), Y.mul(Uinv)
+    X = IntMatrix.from_rows([[random.choice(entries) for _ in range(a)] if i < k
+                             else [0] * a for i in range(b)], a)
+    Y = IntMatrix.from_rows([[0] * k + [random.choice(entries) for _ in range(b - k)]
+                             for _ in range(c)], b)
+    return IntMatrix.from_rows(U, b).mul(X), Y.mul(IntMatrix.from_rows(Uinv, b))
 
 
 def test_joint_reduction_matches_sympy_in_both_orientations():
@@ -173,8 +175,7 @@ def test_joint_reduction_matches_sympy_in_both_orientations():
         deleted += len(prev.swept or ())
         row_swept += prev.swept is None
         want = sympy_invariant_factors(e)
-        for X in (e, as_sparse(e)):
-            assert snf_diagonal(X, prev.swept) == want
+        assert snf_diagonal(e, prev.swept) == want
     assert deleted > 50 and row_swept > 10
 
 
@@ -196,15 +197,14 @@ def test_kernel_worked_examples():
 
 def test_kernel_random_saturated():
     random.seed(7)
-    dense = [IntMatrix(m, n, [[random.randint(-7, 7) for _ in range(n)]
-                              for _ in range(m)])
+    dense = [IntMatrix.from_rows([[random.randint(-7, 7) for _ in range(n)]
+                                  for _ in range(m)], n)
              for m, n in ((random.randint(0, 6), random.randint(0, 6))
                           for _ in range(300))]
     for A in dense + sparse_unit_matrices(60):
+        before = A.row_dicts()
         K = kernel_basis(A)
-        S = as_sparse(A)
-        assert kernel_basis(S) == K
-        assert S.row_dicts() == A.row_dicts()  # the sweep works on copies
+        assert A.row_dicts() == before  # the sweep works on copies
         assert A.mul(K).is_zero()
         assert K.cols == A.cols - len(snf_diagonal(A))
         if K.cols:
@@ -227,10 +227,10 @@ def test_preimage_is_tight():
         m = random.randint(1, 3)
         n = random.randint(1, 3)
         k = random.randint(0, 2)
-        A = IntMatrix(m, n, [[random.randint(-3, 3) for _ in range(n)]
-                             for _ in range(m)])
-        L = IntMatrix(m, k, [[random.randint(-3, 3) for _ in range(k)]
-                             for _ in range(m)])
+        A = IntMatrix.from_rows([[random.randint(-3, 3) for _ in range(n)]
+                                 for _ in range(m)])
+        L = IntMatrix.from_rows([[random.randint(-3, 3) for _ in range(k)]
+                                 for _ in range(m)], k)
         P = preimage_lattice(A, L)
         Lb = lattice_basis(L)
         Pb = lattice_basis(P)
@@ -262,8 +262,8 @@ def test_staircase_solve_matches_the_smith_oracle():
                   IntMatrix(3, 0)]                                 # the empty staircase
     for _ in range(300):
         m, n = rng.randint(1, 5), rng.randint(1, 4)
-        staircases.append(lattice_basis(IntMatrix(m, n, [[rng.choice(entries) for _ in range(n)]
-                                                         for _ in range(m)])))
+        staircases.append(lattice_basis(IntMatrix.from_rows(
+            [[rng.choice(entries) for _ in range(n)] for _ in range(m)])))
     inside_seen = outside_seen = 0
     for H in staircases:
         columns = []
@@ -317,14 +317,14 @@ def test_subquotient_order_matches_coset_count():
     done = 0
     while done < 50:
         n = random.randint(1, 3)
-        K = IntMatrix(n, n, [[random.randint(-4, 4) for _ in range(n)]
-                             for _ in range(n)])
+        K = IntMatrix.from_rows([[random.randint(-4, 4) for _ in range(n)]
+                                 for _ in range(n)])
         if len(snf_diagonal(K)) < n:
             continue
-        X = IntMatrix(n, n, [[random.randint(-2, 2) for _ in range(n)]
-                             for _ in range(n)])
+        X = [[random.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         for i in range(n):
-            X.data[i][i] += random.randint(1, 3)
+            X[i][i] += random.randint(1, 3)
+        X = IntMatrix.from_rows(X)
         if len(snf_diagonal(X)) < n:
             continue
         inv = subquotient_invariants(K, K.mul(X))
@@ -346,12 +346,12 @@ def test_lattice_basis_is_canonical():
     B1 = IntMatrix.from_rows([[2, 0], [0, 3]])
     B2 = IntMatrix.from_rows([[2, 2], [3, 0]])
     # same lattice up to column operations -> same Hermite basis
-    assert lattice_basis(B1) == lattice_basis(B1.copy())
+    assert lattice_basis(B1) == lattice_basis(B2)
     L1 = lattice_basis(IntMatrix.from_rows([[4, 6]]))
     assert L1.data == [[2]]
 
 
-def test_preimage_multi_stacks_conditions(monkeypatch):
+def preimage_multi_cases():
     # v with 2v in 4Z and v in 3Z simultaneously: lattice 6Z
     A1 = IntMatrix.from_rows([[2]])
     L1 = IntMatrix.from_rows([[4]])
@@ -361,21 +361,13 @@ def test_preimage_multi_stacks_conditions(monkeypatch):
     # block without rows: lattice spanned by (1, 1)
     A3 = IntMatrix.from_rows([[1, 1], [1, -1]])
     L3 = IntMatrix.from_rows([[2], [0]])
-    empty = IntMatrix(0, 2)
-    dense = [preimage_lattice_multi([(A1, L1), (A2, L2)], 1),
-             preimage_lattice_multi([(A3, L3), (empty, None)], 2)]
-    assert [P.data for P in dense] == [[[6]], [[1], [1]]]
+    return [preimage_lattice_multi([(A1, L1), (A2, L2)], 1),
+            preimage_lattice_multi([(A3, L3), (IntMatrix(0, 2), None)], 2)]
+
+
+def test_preimage_multi_stacks_conditions():
+    assert [P.data for P in preimage_multi_cases()] == [[[6]], [[1], [1]]]
     assert preimage_lattice_multi([], 2) == IntMatrix.identity(2)
-    # the same conditions row-sparse, stacked without a dense view
-    monkeypatch.setattr(SparseIntMatrix, "_densify", _refuse_dense)
-    assert [preimage_lattice_multi([(as_sparse(A1), as_sparse(L1)),
-                                    (as_sparse(A2), L2)], 1),
-            preimage_lattice_multi([(as_sparse(A3), as_sparse(L3)),
-                                    (as_sparse(empty), None)], 2)] == dense
-
-
-def _refuse_dense(mat):
-    raise AssertionError("dense view of a %dx%d sparse matrix" % (mat.rows, mat.cols))
 
 
 def test_block_diagonal_places_blocks_by_offset():
@@ -383,11 +375,59 @@ def test_block_diagonal_places_blocks_by_offset():
     B = IntMatrix.from_rows([[1, 2], [3, 4]])
     no_cols = IntMatrix(2, 0)
     no_rows = IntMatrix(0, 3)
-    D = block_diagonal([no_cols, B, no_rows, as_sparse(IntMatrix.from_rows([[5]]))])
-    assert isinstance(D, SparseIntMatrix)
+    D = block_diagonal([no_cols, B, no_rows, IntMatrix.from_rows([[5]])])
     assert (D.rows, D.cols) == (5, 6)
     assert D.row_dicts() == [{}, {}, {0: 1, 1: 2}, {0: 3, 1: 4}, {5: 5}]
     assert block_diagonal([no_cols, no_cols]).row_dicts() == [{}] * 4
+
+
+TWISTED = os.path.join(os.path.dirname(__file__), "data", "twisted_z_z2_c04.json")
+
+
+def test_no_route_reads_a_dense_view(monkeypatch):
+    # every route works on the row dicts: with IntMatrix.data refused,
+    # each gives the answer it gave before
+    C04, Z2 = make_cyclic(0, 4), make_cyclic(0, 2)
+    with open(TWISTED) as f:
+        twisted = f.read()
+    zm = zm_as_hmodule(C12)
+    zm2 = HModule(C12, [FGAbelianGroup(g.ngens, IntMatrix.diagonal([2] * g.ngens))
+                        for g in zm.groups], zm.actions)
+    A2 = constant_module(FGAbelianGroup.cyclic(2), C12)
+    A6 = constant_module(FGAbelianGroup.cyclic(6), C12)
+    B2 = constant_module(FGAbelianGroup.cyclic(2), Z2)
+
+    def chainmap():
+        mats, report = inclusion_chainmap(C12, A2)
+        return mats, report.squares
+    routes = {
+        "universal coefficients": lambda: cohomology_group(
+            C12, 2, 4, constant_module(FGAbelianGroup.cyclic(4), C12)),
+        "cone ZM": lambda: cohomology_group(C12, 2, 3, zm),
+        "cone ZM/2": lambda: cohomology_group(C12, 2, 3, zm2),
+        # the descriptor parse runs validate_module
+        "cone twisted": lambda: [cohomology_group(C04, 1, n, module_from_descriptor(twisted, C04))
+                                 for n in (3, 0)],
+        "grillet": lambda: [grillet_cohomology(C12, A2, n) for n in (1, 2, 3)],
+        "symmetric cochains": lambda: [symmetric_cochains(C12, A, n).lattice
+                                       for A in (A6, zm) for n in (1, 2, 3, 4)],
+        "injectivity": lambda: injectivity_check(C12, A2),
+        "inclusion chain map": chainmap,
+        "brute force": lambda: brute_force_cohomology(C12, 1, 2, A2),
+        "iso classes": lambda: iso_classes(Z2, B2),
+        "cocycle check": lambda: [cocycle_check(Z2, B2, g, mu) for g, mu in
+                                  (({(1, 1, 1): (1,)}, {}), ({}, {(1, 1): (1,)}))],
+        "extract triple": lambda: extract_triple(
+            crossed_product(Z2, B2, {}, {(1, 1): (1,)}))[1].actions,
+        "stacked preimage": preimage_multi_cases,
+    }
+    before = {name: route() for name, route in routes.items()}
+
+    def refuse(mat):
+        raise AssertionError("dense view of a %dx%d matrix" % (mat.rows, mat.cols))
+    monkeypatch.setattr(IntMatrix, "data", property(refuse))
+    for name, route in routes.items():
+        assert route() == before[name], name
 
 
 def test_trivial_group_edge_cases():
@@ -403,8 +443,8 @@ def test_large_entry_exactness():
     for _ in range(25):
         m = random.randint(1, 5)
         n = random.randint(1, 5)
-        A = IntMatrix(m, n, [[random.randint(-10**20, 10**20)
-                              for _ in range(n)] for _ in range(m)])
+        A = IntMatrix.from_rows([[random.randint(-10**20, 10**20)
+                                  for _ in range(n)] for _ in range(m)])
         D, U, V = smith_normal_form(A)
         nz = [D.data[i][i] for i in range(min(m, n)) if D.data[i][i]]
         for a, b in zip(nz, nz[1:]):
@@ -437,14 +477,14 @@ failures = [] if sys.flags.optimize else ["asserts are not stripped"]
 M = zlinalg.IntMatrix
 C = make_cyclic(0, 2)
 value_checks = {
-    "IntMatrix": (M, 2, 2, [[1]]),
+    "from_rows": (M.from_rows, [[1], [1, 2]]),
     "mul": (M(1, 2).mul, M(1, 2)),
     "mul_vector": (M(1, 2).mul_vector, [1]),
+    "sub": (M(1, 2).sub, M(2, 2)),
     "hstack": (M(1, 2).hstack, M(2, 2)),
-    "sparse hstack": (zlinalg.SparseIntMatrix(1, 1, [{}]).hstack, M(2, 1)),
-    "SparseIntMatrix rows": (zlinalg.SparseIntMatrix, 2, 2, [{}]),
-    "SparseIntMatrix column": (zlinalg.SparseIntMatrix, 1, 2, [{2: 1}]),
-    "SparseIntMatrix zero": (zlinalg.SparseIntMatrix, 1, 2, [{0: 0}]),
+    "IntMatrix rows": (M, 2, 2, [{}]),
+    "IntMatrix column": (M, 1, 2, [{2: 1}]),
+    "IntMatrix zero": (M, 1, 2, [{0: 0}]),
     "preimage_lattice": (zlinalg.preimage_lattice, M(2, 1), M(3, 1)),
     "preimage_lattice_multi": (zlinalg.preimage_lattice_multi, [(M(1, 2), None)], 3),
     "preimage_lattice_multi L": (zlinalg.preimage_lattice_multi, [(M(1, 2), M(2, 1))], 2),
