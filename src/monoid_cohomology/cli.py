@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Subcommands: cohomology, cells, verify, grillet, cyclic, groupoid,
-oracle.  Monoid descriptors are `cyclic:m,q`, `infinite-cyclic`,
-`@file.json`, or inline JSON; coefficients use the shorthand Z, Z/n,
+oracle.  Monoid descriptors are `cyclic:m,q`, `@file.json`, or inline
+JSON, all of a finite monoid (`verify contraction` without --index
+covers the infinite cyclic one); coefficients use the shorthand Z, Z/n,
 Z^r, sums like Z/2+Z/4, or `@file.json` for tabular modules.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input.
@@ -23,8 +24,7 @@ from .grillet import grillet_cohomology, inclusion_chainmap
 from .groupoid import (check_coherence, cocycle_check, crossed_product,
                        iso_classes)
 from .hmod import constant_module, module_from_descriptor, parse_group_shorthand
-from .monoid import (INFINITE_CYCLIC, FiniteCommutativeMonoid, is_integer,
-                     monoid_from_descriptor)
+from .monoid import FiniteCommutativeMonoid, is_integer, monoid_from_descriptor
 
 
 class InputError(ValueError):
@@ -32,20 +32,29 @@ class InputError(ValueError):
 
 
 def parse_monoid(text):
+    """The finite monoid of a --monoid descriptor.  Every command that
+    reads one needs finite tables, so the infinite cyclic monoid is
+    refused here, in whichever form it is named."""
     if text == "infinite-cyclic":
-        return INFINITE_CYCLIC
-    if text.startswith("cyclic:"):
+        desc = {"kind": text}
+    elif text.startswith("cyclic:"):
         try:
             m, q = (int(v) for v in text[len("cyclic:"):].split(","))
         except ValueError:
             raise InputError("monoid: expected cyclic:m,q, got %r" % text)
-        return monoid_from_descriptor({"kind": "cyclic", "index": m, "period": q})
-    if text.startswith("@"):
+        desc = {"kind": "cyclic", "index": m, "period": q}
+    elif text.startswith("@"):
         with open(text[1:]) as fh:
-            return monoid_from_descriptor(json.load(fh))
-    if text.startswith("{"):
-        return monoid_from_descriptor(json.loads(text))
-    raise InputError("monoid: cannot parse descriptor %r" % text)
+            desc = json.load(fh)
+    elif text.startswith("{"):
+        desc = json.loads(text)
+    else:
+        raise InputError("monoid: cannot parse descriptor %r" % text)
+    M = monoid_from_descriptor(desc)
+    if not isinstance(M, FiniteCommutativeMonoid):
+        raise InputError("monoid: the commands reading --monoid need a finite one; "
+                         "`verify contraction` without --index checks the infinite cyclic one")
+    return M
 
 
 def parse_coefficients(text, monoid):
@@ -68,9 +77,6 @@ def emit(args, payload, human_lines):
 
 def cmd_cohomology(args):
     M = parse_monoid(args.monoid)
-    if not isinstance(M, FiniteCommutativeMonoid):
-        raise InputError("cohomology needs a finite monoid "
-                         "(use `cyclic groups` forms for the infinite one)")
     A = parse_coefficients(args.coeff, M)
     t0 = time.time()
     inv = cohomology_group(M, args.level, args.degree, A)
@@ -84,8 +90,6 @@ def cmd_cohomology(args):
 
 def cmd_oracle(args):
     M = parse_monoid(args.monoid)
-    if not isinstance(M, FiniteCommutativeMonoid):
-        raise InputError("oracle needs a finite monoid")
     A = parse_coefficients(args.coeff, M)
     t0 = time.time()
     z, b, inv = brute_force_cohomology(M, args.level, args.degree, A)
@@ -100,8 +104,6 @@ def cmd_oracle(args):
 
 def cmd_cells(args):
     M = parse_monoid(args.monoid)
-    if not isinstance(M, FiniteCommutativeMonoid):
-        raise InputError("cells needs a finite monoid")
     words = list(cells(M, args.level, args.degree))
     payload = {"level": args.level, "degree": args.degree,
                "cells": [word_to_json(w, M) for w in words]}
@@ -135,8 +137,6 @@ def cmd_verify(args):
 
 def cmd_grillet(args):
     M = parse_monoid(args.monoid)
-    if not isinstance(M, FiniteCommutativeMonoid):
-        raise InputError("grillet needs a finite monoid")
     A = parse_coefficients(args.coeff, M)
     if args.degree is not None:
         inv = grillet_cohomology(M, A, args.degree)
@@ -202,8 +202,6 @@ def cmd_groupoid(args):
     if args.what != "check":
         raise InputError("unknown groupoid subcommand %r" % args.what)
     M = parse_monoid(args.monoid)
-    if not isinstance(M, FiniteCommutativeMonoid):
-        raise InputError("groupoid check needs a finite monoid")
     if args.cocycle is None:
         raise InputError("groupoid check needs --cocycle")
     A = parse_coefficients(args.coeff, M)
@@ -221,8 +219,6 @@ def cmd_groupoid(args):
 
 def _groupoid_classify(args):
     M = parse_monoid(args.monoid)
-    if not isinstance(M, FiniteCommutativeMonoid):
-        raise InputError("groupoid classify needs a finite monoid")
     A = parse_coefficients(args.coeff, M)
     t0 = time.time()
     cocycles, classes = iso_classes(M, A, search_automorphisms=args.automorphisms)

@@ -61,12 +61,11 @@ classification searches its (g, mu) pairs, the level-3 5-cochains,
 with it too.
 """
 
-from .bar import (bar_word_diff, check_reach, degree_cells, explicit_low_degree_differential,
-                  iterated_bar)
+from .bar import bar_word_diff, check_reach, degree_cells, iterated_bar
 from .hmod import (CochainGroup, FGAbelianGroup, FreeBasis, ModuleError,
                    _matrix_maps_relations, constant_module, dualize)
 from .monoid import FiniteCommutativeMonoid
-from .zlinalg import AbGroupInvariants, IntMatrix, block_diagonal, gcd, snf_diagonal
+from .zlinalg import AbGroupInvariants, IntMatrix, gcd, snf_diagonal
 
 
 class TruncationError(ValueError):
@@ -167,7 +166,7 @@ class CochainComplex:
         relations; d itself when degree n has none."""
         if not self._has_relations(n):
             return d
-        return block_diagonal([g.relation_basis for g in self.groups[n].blocks]).hstack(d)
+        return self.groups[n].relation_matrix().hstack(d)
 
     def _cone_diagonal(self, n, d_prev):
         """Smith diagonal of psi with its top rows negated, which leaves
@@ -254,38 +253,6 @@ def cohomology_group(M, r, n, module):
         raise TruncationError(
             "H^%d at level %d lies beyond the truncated range (n <= %d)" % (n, r, r + 2))
     return cochain_complex(M, r, module, n + 1).cohomology(n)
-
-
-# -- closed-form truncated coboundaries ---------------------------------------
-
-# (level, n) of the paper's closed coboundaries d^n: d^3 and d^4 at
-# level 2, d^3, d^4 and d^5 at level 3
-_TRUNCATED = ((2, 3), (2, 4), (3, 3), (3, 4), (3, 5))
-
-
-def truncated_formula_chain(M, level, cell):
-    """Closed formula for the coboundary d^{deg-1} applied to one
-    generic cell of the target degree, as a formal chain (the oracle
-    explicit_low_degree_differential); an oracle against the recursive
-    bar differential."""
-    if cell.level != level or (level, cell.degree - 1) not in _TRUNCATED:
-        raise ValueError("no closed formula for level %d target degree %d"
-                         % (level, cell.degree))
-    return explicit_low_degree_differential(M, cell)
-
-
-def truncated_coboundaries(M, module):
-    """Matrices of the closed-form truncated coboundaries: d^3, d^4 at
-    level 2 and d^3, d^4, d^5 at level 3, assembled directly from the
-    formulas over the generic-cell bases."""
-    out = {}
-    for level, n in _TRUNCATED:
-        dga = iterated_bar(M, level, n + 1)
-        source = degree_basis(dga, n)
-        target = degree_basis(dga, n + 1)
-        d = {t: explicit_low_degree_differential(M, t) for t in target.generators}
-        out[(level, n)] = dualize(d, source, target, module, M)
-    return out
 
 
 # -- brute-force cochain search -----------------------------------------------

@@ -108,7 +108,7 @@ def symmetry_constraints(M, module, n):
                 j = amb.offsets[index[args]] + i
                 row[j] = row.get(j, 0) + c
             rows.append({j: v for j, v in row.items() if v})
-        rels.append(grp.relations)
+        rels.append(grp.relation_basis)
     return amb, (IntMatrix(len(rows), amb.total, rows), block_diagonal(rels))
 
 
@@ -222,7 +222,7 @@ def inclusion_chainmap(M, module):
         tgt = degree_basis(dga, n + 3)
         lhs = coboundary(dga, n + 2, module).mul(mats[n].mul(lat))
         rhs = mats[n + 1].mul(delta.mul(lat))
-        rel = lattice_basis(CochainGroup(tgt, module).relation_matrix())
+        rel = CochainGroup(tgt, module).relation_matrix()
         _, outside = staircase_solve(rel, staircase_pivots(rel), lhs.sub(rhs).row_dicts())
         report.record("square d.i_%d = i_%d.delta" % (n, n + 1), not outside,
                       ("lattice generator", outside[0]) if outside else None)

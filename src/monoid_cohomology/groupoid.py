@@ -30,7 +30,7 @@ from .cohomology import BruteForceCapError, _cochain_space, _rows, _search, _van
 from .hmod import (HModule, IntMatrix, _columns_equal_mod, _matrix_maps_relations,
                    validate_module)
 from .monoid import is_integer, validate_table
-from .zlinalg import lattice_basis, preimage_lattice, staircase_pivots, staircase_solve
+from .zlinalg import lattice_basis, staircase_pivots, staircase_solve
 
 
 class GroupoidError(ValueError):
@@ -265,17 +265,18 @@ def _is_monoid_iso(M, Mp, i):
 
 def _is_group_iso(src, tgt, mat):
     """mat: src -> tgt is an isomorphism of the presented groups: it
-    maps relations into relations and admits a two-sided inverse."""
+    maps relations into relations and is bijective."""
     if not _matrix_maps_relations(mat, src, tgt):
         return False
     # surjectivity: every target generator is reachable modulo relations
-    H = lattice_basis(mat.hstack(tgt.relations))
+    H = lattice_basis(mat.hstack(tgt.relation_basis))
     generators = [{i: 1} for i in range(tgt.ngens)]
     if staircase_solve(H, staircase_pivots(H), generators)[1]:
         return False
-    # injectivity: the kernel lattice sits inside the source relations
-    ker = preimage_lattice(mat, tgt.relations)
-    return not src.relation_coordinates(ker.row_dicts())[1]
+    # injectivity: f.g. abelian groups are Hopfian (a surjective
+    # endomorphism is injective), so a surjection between isomorphic ones
+    # is an isomorphism
+    return src.invariants() == tgt.invariants()
 
 
 def verify_monoidal_iso(src, tgt, data):

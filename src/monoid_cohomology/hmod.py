@@ -3,8 +3,9 @@
 A module assigns a finitely presented abelian group A(x) to every
 element x and a translation homomorphism y_*: A(x) -> A(xy) to every
 pair, with e_* = id and y_* z_* = (yz)_*.  Groups are presented as
-Z^k / column-lattice(relations); homomorphisms are integer matrices
-compatible with the relations.
+Z^k / column-lattice(relations), kept as a certified Hermite basis of
+that lattice; homomorphisms are integer matrices compatible with the
+relations.
 
 Free modules on a graded basis with projection pi, and the dualization
 of basis-level maps into coefficient matrices (the Hom(-, A) functor on
@@ -21,11 +22,12 @@ from .zlinalg import (IntMatrix, AbGroupInvariants, block_diagonal, lattice_basi
 
 
 class FGAbelianGroup:
-    """Z^ngens modulo the column lattice of `relations`; relation_basis
-    is that lattice's canonical staircase basis (lattice_basis), whose
-    columns are independent."""
+    """Z^ngens modulo the column lattice of the given relations, kept
+    only as relation_basis, that lattice's certified canonical staircase
+    basis (lattice_basis), whose columns are independent.  Two groups
+    are equal when they present the same lattice."""
 
-    __slots__ = ("ngens", "relations", "relation_basis", "_pivots", "_staircase")
+    __slots__ = ("ngens", "relation_basis", "_pivots", "_staircase")
 
     def __init__(self, ngens, relations=None):
         self.ngens = ngens
@@ -34,7 +36,6 @@ class FGAbelianGroup:
         if relations.rows != ngens:
             raise ValueError("relations have %d rows for %d generators"
                              % (relations.rows, ngens))
-        self.relations = relations
         self.relation_basis = lattice_basis(relations)
         self._pivots = staircase_pivots(self.relation_basis)
         self._staircase = None
@@ -56,7 +57,7 @@ class FGAbelianGroup:
         return cls(k, IntMatrix(k, len(inv.torsion), rows))
 
     def invariants(self):
-        diag = snf_diagonal(self.relations)
+        diag = snf_diagonal(self.relation_basis)
         return AbGroupInvariants.from_diagonal(diag, free_rank=self.ngens - len(diag))
 
     def order(self):
@@ -112,10 +113,10 @@ class FGAbelianGroup:
 
     def __eq__(self, other):
         return (isinstance(other, FGAbelianGroup) and self.ngens == other.ngens
-                and self.relations == other.relations)
+                and self.relation_basis == other.relation_basis)
 
     def __hash__(self):
-        return hash((self.ngens, self.relations))
+        return hash((self.ngens, self.relation_basis))
 
     def __repr__(self):
         return "FGAbelianGroup(%r)" % (self.invariants(),)
@@ -127,25 +128,16 @@ class ModuleError(ValueError):
 
 class HModule:
     """Tabular module over a finite commutative monoid: one presented
-    group per element plus all translation matrices.  The universal
-    coefficient route reads group(0) alone, so constant=True is refused
-    unless every A(x) is that group and every translation the identity."""
+    group per element plus all translation matrices.  It is never taken
+    for constant: the mapping cone answers it, whatever its table."""
 
-    __slots__ = ("monoid", "groups", "actions", "constant")
+    __slots__ = ("monoid", "groups", "actions")
+    constant = False
 
-    def __init__(self, monoid, groups, actions, constant=False):
+    def __init__(self, monoid, groups, actions):
         self.monoid = monoid
         self.groups = list(groups)
         self.actions = dict(actions)
-        self.constant = constant
-        if constant and not self._is_constant():
-            raise ModuleError("a module flagged constant needs one value group and "
-                              "identity translations modulo its relations")
-
-    def _is_constant(self):
-        G = self.groups[0]
-        return (all(g == G for g in self.groups)
-                and all(_is_identity(a, G) for a in self.actions.values()))
 
     def group(self, x):
         return self.groups[x]
@@ -226,12 +218,12 @@ def constant_as_tabular(group, monoid):
     n = monoid.size
     ident = IntMatrix.identity(group.ngens)
     actions = {(x, y): ident for x in range(n) for y in range(n)}
-    return HModule(monoid, [group] * n, actions, constant=True)
+    return HModule(monoid, [group] * n, actions)
 
 
 def _matrix_maps_relations(mat, src, tgt):
     """mat * rel_src lands in the relation lattice of tgt."""
-    return not tgt.relation_coordinates(mat.mul(src.relations).row_dicts())[1]
+    return not tgt.relation_coordinates(mat.mul(src.relation_basis).row_dicts())[1]
 
 
 def _columns_equal_mod(group, a, b):
@@ -344,8 +336,9 @@ class CochainGroup:
         self.total = total
 
     def relation_matrix(self):
-        """The block-diagonal relations of the value groups, row-sparse."""
-        return block_diagonal([g.relations for g in self.blocks])
+        """The block-diagonal relation bases of the value groups, itself
+        a column-Hermite basis, row-sparse."""
+        return block_diagonal([g.relation_basis for g in self.blocks])
 
     def invariants(self):
         parts = [g.invariants() for g in self.blocks]

@@ -22,8 +22,10 @@ tall (degree n+1 has several times the cells of degree n), so their
 columns are the short side.
 
 What the sweep leaves of a coboundary is short and wide; snf_diagonal
-replaces it by a certified basis of its column lattice before the dense
-Smith form (see _column_lattice_basis).
+replaces it by its column-Hermite basis (lattice_basis) before the dense
+Smith form.  lattice_basis is the one builder of a lattice basis, and it
+certifies every basis it returns: the relation bases of the presented
+groups, the preimage lattices and subquotients, and this leftover.
 
 Consecutive coboundaries are reduced jointly (Kaczynski, Mrozek and
 Slusarek, Homology computation by reduction of chain complexes, Comput.
@@ -88,12 +90,9 @@ class IntMatrix:
                    _transposed([{i: v for i, v in enumerate(c) if v} for c in columns], rows))
 
     @classmethod
-    def diagonal(cls, entries, rows=None, cols=None):
-        k = len(entries)
-        rows = k if rows is None else rows
-        return cls(rows, k if cols is None else cols,
-                   [{i: d} if d else {} for i, d in enumerate(entries)]
-                   + [{} for _ in range(rows - k)])
+    def diagonal(cls, entries):
+        return cls(len(entries), len(entries),
+                   [{i: d} if d else {} for i, d in enumerate(entries)])
 
     @property
     def data(self):
@@ -491,9 +490,12 @@ def snf_diagonal(A, killed=None):
     on their pivots and to be killed by A, and either failure raises
     ArithmeticError.
 
-    The leftover (one row per surviving line) goes to smith_normal_form
-    only as a certified basis of its column lattice, which has the same
-    nonzero Smith factors (_column_lattice_basis).
+    The leftover L (one row per surviving line) goes to smith_normal_form
+    only as lattice_basis(L), a certified basis of its column lattice:
+    column operations keep that lattice, and the nonzero Smith factors of
+    L are those of Z^r modulo it, so the basis has L's Smith diagonal
+    with a k x k column transform (k = rank <= r) instead of a c x c one
+    (up to 8 x 448 on the coboundaries).
     """
     if killed:
         cols = A.col_dicts()
@@ -501,16 +503,19 @@ def snf_diagonal(A, killed=None):
         drop = {b for _, b in killed}
         lines = [col for j, col in enumerate(cols) if j not in drop]
         by_columns = A.rows > len(lines)
+        width = A.rows if by_columns else len(lines)
         if not by_columns:
             lines = _transposed(lines, A.rows)
     else:
         by_columns = A.rows > A.cols
+        width = A.rows if by_columns else A.cols
         lines = A.col_dicts() if by_columns else A.row_dicts()
     rows, eliminated = _unit_sweep(lines)
     diag = SmithDiagonal([1] * len(eliminated))
     diag.swept = [(line, pj) for line, pj, _ in eliminated] if by_columns else None
     if rows:
-        Dm, _, _ = smith_normal_form(_column_lattice_basis(list(rows.values())))
+        leftover = IntMatrix(len(rows), width, list(rows.values()))
+        Dm, _, _ = smith_normal_form(lattice_basis(leftover))
         diag += [r[i] for i, r in enumerate(Dm._rows) if i in r]
     return diag
 
@@ -545,55 +550,18 @@ def _transposed(lines, n):
     return out
 
 
-def _column_lattice_basis(lines):
-    """Dense r x k basis, as a column staircase, of the column lattice of
-    the r x c matrix L whose rows are the sparse lines (k = rank <= r).
-
-    Column operations keep the column lattice, and the nonzero Smith
-    factors of L are those of Z^r modulo that lattice, so the basis has
-    the same Smith diagonal as L with a k x k column transform instead of
-    a c x c one (up to 8 x 448 on the coboundaries).  The tracked column
-    echelon need not be trusted: each basis column is checked to be L
-    times its tracked integer combination (so the basis lattice lies in
-    L's), and all columns of L to solve over the basis in one
-    staircase_solve (so L's lies in the basis lattice).  Either failure
-    raises ArithmeticError.
-    """
-    by_index = {}
-    for a, line in enumerate(lines):
-        for j, v in line.items():
-            by_index.setdefault(j, {})[a] = v
-    columns = [by_index[j] for j in sorted(by_index)]
-    originals = [dict(col) for col in columns]
-    pivots, V, _ = _column_echelon(len(lines), len(columns), columns, track=True)
-    for k, (_, j) in enumerate(pivots):
-        combo = {}
-        for src, q in V[j].items():
-            _dict_submul(combo, originals[src], -q)
-        if combo != columns[j]:
-            raise ArithmeticError("basis column %d is not its tracked combination" % k)
-    H = IntMatrix(len(lines), len(pivots),
-                  _transposed([columns[j] for _, j in pivots], len(lines)))
-    # read off H rather than taken from the echelon, so that a solution
-    # found is one whatever the echelon got wrong
-    _, outside = staircase_solve(H, staircase_pivots(H), lines)
-    if outside:
-        raise ArithmeticError("leftover column %d lies outside its echelon basis"
-                              % outside[0])
-    return H
-
-
-def _column_echelon(nrows, ncols, columns, track):
-    """Shared column-elimination core.
+def _column_echelon(nrows, columns):
+    """Column elimination, shared by lattice_basis and kernel_basis.
 
     columns: list of dicts row->value (mutated into a staircase).
     Returns (pivots, V, active): pivots is a list of (row, col_index)
-    with strictly increasing rows, V (if track) expresses the final
-    columns in terms of the originals, active holds the indices of the
-    surviving (necessarily zero) non-pivot columns.
+    with strictly increasing rows, V[j] (a dict original index ->
+    coefficient) expresses final column j in terms of the originals, and
+    active holds the indices of the surviving (necessarily zero)
+    non-pivot columns.
     """
-    V = [{j: 1} for j in range(ncols)] if track else None
-    active = set(range(ncols))
+    V = [{j: 1} for j in range(len(columns))]
+    active = set(range(len(columns)))
     pivots = []
     row_cols = {}
     for j, col in enumerate(columns):
@@ -626,16 +594,14 @@ def _column_echelon(nrows, ncols, columns, track):
                 q = columns[j][r] // bval
                 if q:
                     col_submul(j, base, q)
-                    if track:
-                        _dict_submul(V[j], V[base], q)
+                    _dict_submul(V[j], V[base], q)
                 if columns[j].get(r):
                     nxt.append(j)
             live = [base] + nxt
         pj = live[0]
         if columns[pj][r] < 0:
             columns[pj] = {i: -v for i, v in columns[pj].items()}
-            if track:
-                V[pj] = {k: -v for k, v in V[pj].items()}
+            V[pj] = {k: -v for k, v in V[pj].items()}
         active.discard(pj)
         pivots.append((r, pj))
     return pivots, V, active
@@ -670,8 +636,7 @@ def kernel_basis(A):
     for i in live_rows:
         for j, v in rows[i].items():
             small_cols[fmap[j]][rmap[i]] = v
-    pivots, V, active = _column_echelon(len(live_rows), len(free_cols),
-                                        small_cols, track=True)
+    pivots, V, active = _column_echelon(len(live_rows), small_cols)
     kernel_cols = []
     for j in sorted(active):
         if small_cols[j]:
@@ -691,19 +656,49 @@ def kernel_basis(A):
 
 
 def lattice_basis(B):
-    """Canonical column-Hermite basis of the column lattice of B:
-    staircase with positive pivots, and at each pivot row the entries of
-    the earlier basis columns reduced into [0, pivot)."""
-    cols = B.col_dicts()
-    pivots, _, _ = _column_echelon(B.rows, B.cols, cols, track=False)
-    basis = [cols[j] for _, j in pivots]
+    """Canonical column-Hermite basis of the column lattice of B, as an
+    IntMatrix with B.rows rows and rank columns: staircase with positive
+    pivots, and at each pivot row the entries of the earlier basis
+    columns reduced into [0, pivot).
+
+    The tracked column echelon need not be trusted: each basis column is
+    checked to be B times its tracked integer combination (so the basis
+    lattice lies in B's), and every column of B to solve over the basis
+    in one staircase_solve (so B's lies in the basis lattice).  Either
+    failure raises ArithmeticError.  The echelon reads only the nonzero
+    columns of B, so a short, wide B with few of them costs little.
+    """
+    by_index = {}
+    for a, row in enumerate(B._rows):
+        for j, v in row.items():
+            by_index.setdefault(j, {})[a] = v
+    if not by_index:
+        return IntMatrix(B.rows, 0)  # the zero lattice, with nothing to certify
+    originals = [by_index[j] for j in sorted(by_index)]
+    columns = [dict(col) for col in originals]
+    pivots, V, _ = _column_echelon(B.rows, columns)
+    basis = [columns[j] for _, j in pivots]
+    combos = [V[j] for _, j in pivots]
     for k, (r, _) in enumerate(pivots):
         p = basis[k][r]
         for l in range(k):
             q = basis[l].get(r, 0) // p
             if q:
                 _dict_submul(basis[l], basis[k], q)
-    return IntMatrix(B.rows, len(basis), _transposed(basis, B.rows))
+                _dict_submul(combos[l], combos[k], q)
+    for k, combo in enumerate(combos):
+        image = {}
+        for src, q in combo.items():
+            _dict_submul(image, originals[src], -q)
+        if image != basis[k]:
+            raise ArithmeticError("basis column %d is not its tracked combination" % k)
+    H = IntMatrix(B.rows, len(basis), _transposed(basis, B.rows))
+    # any pivots will do: staircase_solve leaves no column behind only
+    # where B = H X holds exactly
+    _, outside = staircase_solve(H, [(r, k) for k, (r, _) in enumerate(pivots)], B._rows)
+    if outside:
+        raise ArithmeticError("column %d lies outside its echelon basis" % outside[0])
+    return H
 
 
 def staircase_pivots(H):

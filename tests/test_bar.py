@@ -159,7 +159,7 @@ def test_explicit_formulas_match_recursion():
     # the top shapes and suspension reach every generic cell of levels
     # 2-4 up to degree r+3
     klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
-    for M in [make_cyclic(m, k - m) for k in (2, 3, 4) for m in range(k)] + [klein]:
+    for M in [make_cyclic(m, k - m) for k in (2, 3, 4) for m in range(k)] + [C23, klein]:
         for r in (2, 3, 4):
             dga = iterated_bar(M, r, r + 3)
             for cell in (c for n in range(r, r + 4) for c in dga.basis.get(n, ())):

@@ -233,6 +233,18 @@ def test_malformed_inputs_exit_2(tmp_path):
     code, _, err = invoke(["cohomology", "--monoid", "cyclic:9", "--level", "1",
                            "--degree", "1", "--coeff", "Z"])
     assert code == 2 and "monoid" in err
+    # every command reading --monoid needs a finite monoid, named once
+    # in parse_monoid with the command that checks the infinite one
+    for argv in (["cohomology", "--level", "1", "--degree", "1", "--coeff", "Z"],
+                 ["oracle", "--level", "1", "--degree", "1", "--coeff", "Z/2"],
+                 ["cells", "--level", "1", "--degree", "1"],
+                 ["grillet", "--coeff", "Z/2", "--degree", "2"],
+                 ["groupoid", "check", "--coeff", "Z/2", "--cocycle", "/nonexistent.json"],
+                 ["groupoid", "classify", "--coeff", "Z/2"]):
+        for monoid in ("infinite-cyclic", '{"kind":"infinite-cyclic"}'):
+            code, out, err = invoke(argv + ["--monoid", monoid])
+            assert code == 2 and out == "", argv
+            assert err.count("\n") == 1 and "`verify contraction` without --index" in err, err
     code, _, err = invoke(["cohomology", "--monoid", "cyclic:0,2", "--level",
                            "1", "--degree", "1", "--coeff", "Q/Z"])
     assert code == 2 and "coefficient" in err

@@ -7,10 +7,8 @@ from monoid_cohomology import cohomology, zlinalg
 from monoid_cohomology.bar import bar_word_diff, explicit_low_degree_differential, iterated_bar
 from monoid_cohomology.cohomology import (BruteForceCapError, TruncationError,
                                           brute_force_cohomology,
-                                          cochain_complex, cohomology_group,
-                                          degree_basis,
-                                          truncated_coboundaries,
-                                          truncated_formula_chain)
+                                          cochain_complex, coboundary, cohomology_group,
+                                          degree_basis)
 from monoid_cohomology.cyclic import leech_groups_cyclic
 from monoid_cohomology.hmod import (FGAbelianGroup, HModule, ModuleError, constant_module,
                                     dualize, parse_group_shorthand, validate_module,
@@ -226,28 +224,27 @@ def test_closed_formulas_equal_recursive_differential():
         for level, n in ((2, 3), (2, 4), (3, 3), (3, 4), (3, 5)):
             dga = iterated_bar(M, level, n + 1)
             for t in dga.basis.get(n + 1, ()):
-                assert truncated_formula_chain(M, level, t) == \
-                    bar_word_diff(M, t)
+                assert explicit_low_degree_differential(M, t) == bar_word_diff(M, t)
 
 
 def test_truncated_matrices_equal_dualized_bar():
+    # the coboundaries assembled from the closed formulas are the
+    # dualized recursive differentials
     for M in (Z2, C12):
         for G in (zmod(4), zmod(6)):
             A = constant_module(G, M)
-            mats = truncated_coboundaries(M, A)
-            for (level, n), mat in mats.items():
+            for level, n in ((2, 3), (2, 4), (3, 3), (3, 4), (3, 5)):
                 dga = iterated_bar(M, level, n + 1)
                 src = degree_basis(dga, n)
                 tgt = degree_basis(dga, n + 1)
-                d = {t: dga.differential(t) for t in tgt.generators}
-                assert mat == dualize(d, src, tgt, A, M)
+                d = {t: explicit_low_degree_differential(M, t) for t in tgt.generators}
+                assert dualize(d, src, tgt, A, M) == coboundary(dga, n, A, src, tgt)
 
 
 def test_level3_top_coboundary_components_z2():
     # over (Z/2, Z/2): the xi row of d^5 is multiplication by -2 and the
     # gamma row carries the g coordinate
-    mats = truncated_coboundaries(Z2, constant_module(zmod(2), Z2))
-    d5 = mats[(3, 5)]
+    d5 = coboundary(iterated_bar(Z2, 3, 6), 5, constant_module(zmod(2), Z2))
     assert d5.data[3] == [0, -2]          # xi component
     assert abs(d5.data[1][0]) == 1        # gamma sees g(1,1,1)
 
@@ -312,9 +309,9 @@ def test_stability_isomorphisms():
 
 def test_uct_matches_lattice_census():
     # constant coefficients take the universal coefficient route; the
-    # same group presented as a tabular module whose constant flag is
-    # False takes the mapping cone, and the preimage-lattice route on
-    # that module's complex is the oracle of both
+    # same group presented as a tabular module takes the mapping cone,
+    # and the preimage-lattice route on that module's complex is the
+    # oracle of both
     monoids = [make_cyclic(m, k - m) for k in (2, 3, 4) for m in range(k)]
     monoids += [validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)]),
                 validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])]
@@ -435,18 +432,17 @@ def test_a_product_column_outside_the_relations_names_its_cell(monkeypatch):
 
 def test_a_module_flagged_constant_must_be_constant():
     # Z/4 at every element of C(1,2), the non-units acting by 0: a valid
-    # module, but not a constant one; the constant flag would send it down
-    # the universal coefficient route, which reads H^1(M,1) as Z/2
+    # module, but not a constant one; the universal coefficient route
+    # would read H^1(M,1) as Z/2
     elements = range(C12.size)
     actions = {(x, y): IntMatrix.from_rows([[1 if y == C12.identity else 0]])
                for x in elements for y in elements}
     A = HModule(C12, [zmod(4)] * C12.size, actions)
     assert validate_module(A) == []
+    assert not A.constant
     assert cohomology_group(C12, 1, 1, A).is_trivial()
-    with pytest.raises(ModuleError, match="flagged constant"):
-        HModule(C12, [zmod(4)] * C12.size, actions, constant=True)
     # one value group with identity translations modulo the relations
-    # (5 = 1 in Z/4) is constant
+    # (5 = 1 in Z/4): the cone gives the constant module's Z/2
     five = IntMatrix.from_rows([[5]])
-    B = HModule(C12, [zmod(4)] * C12.size, {key: five for key in actions}, constant=True)
+    B = HModule(C12, [zmod(4)] * C12.size, {key: five for key in actions})
     assert cohomology_group(C12, 1, 1, B) == AbGroupInvariants(0, (2,))

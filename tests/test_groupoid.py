@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from monoid_cohomology.cohomology import BRUTE_FORCE_CAP, cohomology_group
-from monoid_cohomology.groupoid import (GroupoidError, MonoidalFunctorData,
+from monoid_cohomology.groupoid import (GroupoidError, MonoidalFunctorData, _is_group_iso,
                                         build_monoidal_iso, check_coherence,
                                         cocycle_check, crossed_product,
                                         enumerate_cochain_tables,
@@ -169,6 +169,14 @@ def test_no_iso_between_distinct_symmetries():
     assert not any(
         verify_monoidal_iso(src, tgt, MonoidalFunctorData(ident, psi, f))[0]
         for f in enumerate_cochain_tables(Z2, A2, 2))
+
+
+def test_group_isos_are_surjections_between_isomorphic_groups():
+    z2_z3 = FGAbelianGroup(2, IntMatrix.diagonal([2, 3]))
+    # onto, but Z/4 and Z/2 differ; not onto; onto between isomorphic groups
+    assert not _is_group_iso(zmod(4), zmod(2), IntMatrix.from_rows([[1]]))
+    assert not _is_group_iso(zmod(4), zmod(4), IntMatrix.from_rows([[2]]))
+    assert _is_group_iso(z2_z3, zmod(6), IntMatrix.from_rows([[3, 2]]))
 
 
 def test_identity_iso_and_builder():

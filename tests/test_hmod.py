@@ -30,6 +30,10 @@ def test_group_presentations():
     assert len(FGAbelianGroup.cyclic(6).element_list()) == 6
     assert z4.reduce([7]) == [3]
     assert z4.is_zero_element([5 - 1])
+    # groups compare by their relation lattice, not by the matrix given
+    assert FGAbelianGroup(1, IntMatrix.from_rows([[4, 8]])) == z4
+    assert hash(FGAbelianGroup(1, IntMatrix.from_rows([[-4, 12]]))) == hash(z4)
+    assert FGAbelianGroup(1, IntMatrix.from_rows([[2, 8]])) != z4
 
 
 def test_constant_module_shapes():

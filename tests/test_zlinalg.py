@@ -498,7 +498,6 @@ value_checks = {
     "FreeBasis pi": (FreeBasis, ["a"], {}),
     "infinite g_gen": (cyclic.CyclicContraction(infinite=True).g_gen, ("v", 1)),
     "gf_closed_form s": (cyclic.gf_closed_form, 1, 2, 1, 1),
-    "truncated_formula_chain": (cohomology.truncated_formula_chain, C, 2, BarWord((1,), (), 2)),
     "explicit formula shape": (explicit_low_degree_differential, C, BarWord((1, 1, 1), (2, 2), 2)),
 }
 for name, (fn, *args) in value_checks.items():
@@ -521,9 +520,10 @@ for bad in ((-1, ()), (0, (1,)), (0, (2, 3))):
 cyclic.cyclic_s = lambda m, q, x, y: 5
 if not raises(ArithmeticError, cyclic.gf_closed_form, 1, 2, 2, 2):
     failures.append("gf_closed_form identity")
-# snf_diagonal certifies the echelon basis of its leftover: a wrong
-# tracked combination, and a dropped basis column that leaves a leftover
-# column outside the basis lattice
+# lattice_basis certifies its echelon basis, for snf_diagonal's leftover
+# and a presented group's relations alike: a wrong tracked combination,
+# and a dropped basis column that leaves a column outside the basis
+# lattice
 echelon = zlinalg._column_echelon
 def wrong_combination(*args, **kwargs):
     pivots, V, active = echelon(*args, **kwargs)
@@ -535,8 +535,9 @@ def dropped_column(*args, **kwargs):
 for name, broken in (("echelon combination", wrong_combination),
                      ("echelon containment", dropped_column)):
     zlinalg._column_echelon = broken
-    if not raises(ArithmeticError, zlinalg.snf_diagonal, M.from_rows([[2, 0], [0, 2]])):
-        failures.append(name)
+    for fn, *args in ((zlinalg.snf_diagonal,), (zlinalg.lattice_basis,), (FGAbelianGroup, 2)):
+        if not raises(ArithmeticError, fn, *args, M.from_rows([[2, 0], [0, 2]])):
+            failures.append("%s %s" % (name, fn.__name__))
 zlinalg._column_echelon = echelon
 # the joint reduction certifies what lets a column go: a next coboundary
 # that does not kill a swept line, and swept lines not unitriangular on
