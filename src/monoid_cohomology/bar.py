@@ -33,13 +33,20 @@ refused from a count, before any cell is listed, and check_reach, which
 iterated_bar and the oracle call first, also refuses templates of more
 than MAX_TEMPLATE_LETTERS letters, counted from the shapes, before any
 template is built.
+
+The small resolutions of the cyclic monoids, the paper's two cells per
+degree, are free-based DGAs too and live here, below cohomology, which
+reads cyclic tables through them, and cyclic, which checks them against
+the bar.
 """
 
 from itertools import combinations, product
+from math import comb
 from operator import itemgetter
 from types import SimpleNamespace
 
-from .monoid import FiniteCommutativeMonoid
+from .monoid import (INFINITE_CYCLIC, FiniteCommutativeMonoid, MonoidError, cyclic_p,
+                     make_cyclic)
 
 
 class BarWord:
@@ -776,6 +783,86 @@ def iterated_bar(M, r, degmax):
     return FreeBasedDGA(
         monoid=M, degmax=degmax, basis=basis, pi=pi, diff=diff,
         product_fn=shuffle, unit=empty, eps_tilde={empty: 1},
+    )
+
+
+# -- the small resolutions of cyclic monoids ---------------------------------
+
+def small_resolution(m, q, degmax, monoid=None, powers=None):
+    """The small free resolution R of C_{m,q} as a free-based DGA.
+
+    R has one generator v_k in degree 2k (over x^(km)) and one w_k in
+    degree 2k+1 (over x^(km+1)), with dv_{k+1} = (m+q)(x^(m+q-1))_* w_k
+    - m(x^(m-1))_* w_k and dw_k = 0; the term carrying the coefficient
+    m is read as zero when m = 0.  Exponents reduce as in C_{m,q}
+    (monoid.cyclic_p).  By default R lies over C_{m,q} itself, where x^k
+    is k; given a table monoid with powers[k] its label of x^k
+    (monoid.cyclic_structure), R lies over that table instead, in its
+    own labels.
+    """
+    if m < 0 or q < 1 or m + q < 2:
+        raise MonoidError("invalid cyclic parameters (%r, %r)" % (m, q))
+    C = make_cyclic(m, q) if monoid is None else monoid
+    label = range(m + q) if powers is None else powers
+
+    def power(k):
+        return label[cyclic_p(m, q, k)]
+
+    basis = {}
+    pi = {}
+    for k in range(0, degmax // 2 + 1):
+        if 2 * k <= degmax:
+            basis[2 * k] = (("v", k),)
+            pi[("v", k)] = power(k * m)
+        if 2 * k + 1 <= degmax:
+            basis[2 * k + 1] = (("w", k),)
+            pi[("w", k)] = power(k * m + 1)
+    diff = {}
+    for k in range(0, (degmax - 2) // 2 + 1):
+        if 2 * (k + 1) > degmax:
+            continue
+        ch = {}
+        chain_add_term(ch, (power(m + q - 1), ("w", k)), m + q)
+        if m >= 1:
+            chain_add_term(ch, (power(m - 1), ("w", k)), -m)
+        diff[("v", k + 1)] = ch
+
+    def prod(a, b):
+        (ta, ka), (tb, kb) = a, b
+        if ta == "w" and tb == "w":
+            return {}
+        k = ka + kb
+        kind = "w" if "w" in (ta, tb) else "v"
+        gen = (kind, k)
+        if gen not in pi:
+            raise ValueError("product %r leaves the stored degree range" % (gen,))
+        return {(C.identity, gen): comb(ka + kb, ka)}
+
+    return FreeBasedDGA(
+        monoid=C, degmax=degmax, basis=basis, pi=pi, diff=diff,
+        product_fn=prod, unit=("v", 0), eps_tilde={("v", 0): 1},
+    )
+
+
+def small_resolution_inf(degmax):
+    """The two-generator resolution of the infinite cyclic monoid: only
+    v_0 and w_0 survive, and the differential vanishes."""
+    C = INFINITE_CYCLIC
+    basis = {0: (("v", 0),)}
+    pi = {("v", 0): 0}
+    if degmax >= 1:
+        basis[1] = (("w", 0),)
+        pi[("w", 0)] = 1
+
+    def prod(a, b):
+        if a[0] == "w" and b[0] == "w":
+            return {}
+        gen = ("w", 0) if "w" in (a[0], b[0]) else ("v", 0)
+        return {(0, gen): 1}
+
+    return FreeBasedDGA(
+        monoid=C, degmax=degmax, basis=basis, pi=pi, diff={},
+        product_fn=prod, unit=("v", 0), eps_tilde={("v", 0): 1},
     )
 
 

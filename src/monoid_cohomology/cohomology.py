@@ -1,6 +1,14 @@
 """Cochain complexes of the iterated bar construction and their
 cohomology, read off Smith diagonals of sparse integer matrices.
 
+A cyclic table is answered through the small resolution R of its
+monoid instead (Eilenberg and Mac Lane, On the groups H(Pi, n), I/II):
+H^n(M, r; A) is the cohomology of Hom(B^(r-1)(R), A), with R built over
+the table's own labels (bar.small_resolution), which has a handful of
+cells where the iterated bar has thousands.  That needs A to keep its
+laws: R applies fewer translations than the bar, so a module that
+breaks them keeps the bar route, which raises.
+
 The degree-n cochain group of Hom(B^r(ZM), A) is the direct sum of the
 A(pi(cell)) over the generic n-cells; the coboundary is precomposition
 with the bar differential.  A(x) = Z^k / L_x is presented, and the
@@ -61,10 +69,11 @@ classification searches its (g, mu) pairs, the level-3 5-cochains,
 with it too.
 """
 
-from .bar import bar_word_diff, check_reach, degree_cells, iterated_bar
+from .bar import (bar, bar_word_diff, check_reach, degree_cells, iterated_bar,
+                  small_resolution)
 from .hmod import (CochainGroup, FGAbelianGroup, FreeBasis, ModuleError,
-                   _matrix_maps_relations, constant_module, dualize)
-from .monoid import FiniteCommutativeMonoid
+                   _matrix_maps_relations, constant_module, dualize, validate_module)
+from .monoid import FiniteCommutativeMonoid, cyclic_structure
 from .zlinalg import AbGroupInvariants, IntMatrix, gcd, snf_diagonal
 
 
@@ -245,13 +254,35 @@ def cochain_complex(M, r, module, nmax):
     return CochainComplex(dga, module, nmax)
 
 
+def small_model_complex(M, r, module, nmax, shape):
+    """Hom(B^(r-1)(R), A) to degree nmax for the cyclic table M, where
+    shape = (m, q, powers) is monoid.cyclic_structure(M): R is built in
+    M's own labels, so A needs no transport.  A bar in degree n reads
+    its input only below n, so R and each bar before the last stop one
+    degree below the next."""
+    m, q, powers = shape
+    D = small_resolution(m, q, max(0, nmax - r + 1), M, powers)
+    for k in range(1, r):
+        D = bar(D, max(0, nmax - r + 1 + k))
+    return CochainComplex(D, module, nmax)
+
+
 def cohomology_group(M, r, n, module):
-    """H^n(M, r; A) as invariant factors."""
+    """H^n(M, r; A) as invariant factors.  A cyclic table is answered
+    through its small resolution (small_model_complex) when A is
+    constant or a module over M that keeps its laws; anything else goes
+    through the iterated bar.  A cyclic query is refused first where the
+    iterated bar would be (bar.check_reach)."""
     if n < 0:
         raise ValueError("negative degree")
     if r >= 2 and n > r + 2:
         raise TruncationError(
             "H^%d at level %d lies beyond the truncated range (n <= %d)" % (n, r, r + 2))
+    shape = cyclic_structure(M)
+    if shape is not None:
+        check_reach(M, r, max(n + 1, r))
+        if module.constant or (module.monoid == M and not validate_module(module)):
+            return small_model_complex(M, r, module, n + 1, shape).cohomology(n)
     return cochain_complex(M, r, module, n + 1).cohomology(n)
 
 

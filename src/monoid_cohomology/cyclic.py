@@ -1,89 +1,23 @@
-"""Small resolutions of cyclic monoids, the explicit contraction
-against the bar resolution, and closed-form cohomology groups.
+"""The explicit contraction between the bar resolution of a cyclic
+monoid and its small resolution, and closed-form cohomology groups.
 
-For the cyclic monoid C of index m and period q the small resolution R
-has one generator v_k in degree 2k (over p(km)) and one w_k in degree
-2k+1 (over p(km+1)), with dv_{k+1} = (m+q)(m+q-1)_* w_k - m(m-1)_* w_k
-and dw_k = 0; every term carrying the coefficient m is read as zero
-when m = 0.  For the infinite cyclic monoid only v_0 and w_0 survive
-and the differential vanishes.
-
-The chain maps f: B(ZC) -> R and g: R -> B(ZC) and the homotopy Phi
-are the explicit recursive ones; verify_contraction checks every
-contraction identity on all basis cells up to a degree bound.
+The small resolutions R themselves (bar.small_resolution and
+bar.small_resolution_inf) live in bar, below cohomology, which answers
+cyclic tables through R.  The chain maps f: B(ZC) -> R and
+g: R -> B(ZC) and the homotopy Phi are the explicit recursive ones;
+verify_contraction checks every contraction identity on all basis cells
+up to a degree bound.  The small-model groups below read R through the
+same cohomology.small_model_complex as cohomology_group; the closed forms
+(closed_form_top, infinite_cyclic_groups) are the paper's formulas, kept
+as oracles.
 """
 
-from math import comb
-
-from .bar import (BarWord, FreeBasedDGA, _refuse_above, bar, bar_word_diff,
-                  bar_word_shuffle, chain_add_term, chain_sum, extend_bilinear,
-                  extend_linear, refuse_above_max_cells)
-from .cohomology import CochainComplex
-from .monoid import (INFINITE_CYCLIC, MonoidError, cyclic_p, cyclic_s,
-                     make_cyclic)
+from .bar import (BarWord, _refuse_above, bar_word_diff, bar_word_shuffle,
+                  chain_add_term, chain_sum, extend_bilinear, extend_linear,
+                  refuse_above_max_cells, small_resolution, small_resolution_inf)
+from .cohomology import small_model_complex
+from .monoid import INFINITE_CYCLIC, MonoidError, cyclic_s, make_cyclic
 from .zlinalg import AbGroupInvariants, gcd
-
-
-def small_resolution(m, q, degmax):
-    """The small free resolution of C_{m,q} as a free-based DGA."""
-    if m < 0 or q < 1 or m + q < 2:
-        raise MonoidError("invalid cyclic parameters (%r, %r)" % (m, q))
-    C = make_cyclic(m, q)
-    basis = {}
-    pi = {}
-    for k in range(0, degmax // 2 + 1):
-        if 2 * k <= degmax:
-            basis[2 * k] = (("v", k),)
-            pi[("v", k)] = cyclic_p(m, q, k * m)
-        if 2 * k + 1 <= degmax:
-            basis[2 * k + 1] = (("w", k),)
-            pi[("w", k)] = cyclic_p(m, q, k * m + 1)
-    diff = {}
-    for k in range(0, (degmax - 2) // 2 + 1):
-        if 2 * (k + 1) > degmax:
-            continue
-        ch = {}
-        chain_add_term(ch, (cyclic_p(m, q, m + q - 1), ("w", k)), m + q)
-        if m >= 1:
-            chain_add_term(ch, (m - 1, ("w", k)), -m)
-        diff[("v", k + 1)] = ch
-
-    def prod(a, b):
-        (ta, ka), (tb, kb) = a, b
-        if ta == "w" and tb == "w":
-            return {}
-        k = ka + kb
-        kind = "w" if "w" in (ta, tb) else "v"
-        gen = (kind, k)
-        if gen not in pi:
-            raise ValueError("product %r leaves the stored degree range" % (gen,))
-        return {(C.identity, gen): comb(ka + kb, ka)}
-
-    return FreeBasedDGA(
-        monoid=C, degmax=degmax, basis=basis, pi=pi, diff=diff,
-        product_fn=prod, unit=("v", 0), eps_tilde={("v", 0): 1},
-    )
-
-
-def small_resolution_inf(degmax):
-    """The two-generator resolution of the infinite cyclic monoid."""
-    C = INFINITE_CYCLIC
-    basis = {0: (("v", 0),)}
-    pi = {("v", 0): 0}
-    if degmax >= 1:
-        basis[1] = (("w", 0),)
-        pi[("w", 0)] = 1
-
-    def prod(a, b):
-        if a[0] == "w" and b[0] == "w":
-            return {}
-        gen = ("w", 0) if "w" in (a[0], b[0]) else ("v", 0)
-        return {(0, gen): 1}
-
-    return FreeBasedDGA(
-        monoid=C, degmax=degmax, basis=basis, pi=pi, diff={},
-        product_fn=prod, unit=("v", 0), eps_tilde={("v", 0): 1},
-    )
 
 
 def bullet(C, a, b):
@@ -476,10 +410,10 @@ def verify_contraction_inf(degmax, entry_bound):
 # -- cohomology of cyclic monoids ---------------------------------------------
 
 def _cyclic_bar_complex(m, q, iterations, degmax, module):
-    D = small_resolution(m, q, degmax)
-    for _ in range(iterations):
-        D = bar(D, degmax)
-    return CochainComplex(D, module, degmax)
+    """Hom(B^iterations(R), A) to degree degmax for C_{m,q}, R over
+    C_{m,q}'s own labels."""
+    C = make_cyclic(m, q)
+    return small_model_complex(C, iterations + 1, module, degmax, (m, q, range(m + q)))
 
 
 def leech_groups_cyclic(m, q, k, module):

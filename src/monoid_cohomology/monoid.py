@@ -142,6 +142,28 @@ def cyclic_s(m, q, x, y):
     return (x + y - cyclic_p(m, q, x + y)) // q
 
 
+def cyclic_structure(M):
+    """(m, q, powers) when some element x of the table M has powers
+    e, x, x^2, ... that list all of M before they repeat: m is the index
+    of the first repeated power, q = |M| - m, and powers[k] is M's label
+    of x^k, so that M is C_{m,q} with k renamed powers[k].  None for any
+    other monoid, and for the one-element table (C_{m,q} needs m + q >= 2).
+    At most |M|^2 table reads."""
+    if not isinstance(M, FiniteCommutativeMonoid) or M.size < 2:
+        return None
+    for x in range(M.size):
+        powers = [M.identity]
+        index = {M.identity: 0}
+        y = x
+        while y not in index:
+            index[y] = len(powers)
+            powers.append(y)
+            y = M.op(y, x)
+        if len(powers) == M.size:
+            return index[y], M.size - index[y], powers
+    return None
+
+
 def monoid_from_descriptor(desc):
     """Parse the JSON monoid descriptor (dict or JSON string)."""
     if isinstance(desc, str):

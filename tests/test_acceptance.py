@@ -12,7 +12,7 @@ from monoid_cohomology.bar import (bar, bar_word_diff,
                                    iterated_bar, validate_dga)
 from monoid_cohomology.cohomology import (BRUTE_FORCE_CAP, CochainComplex,
                                           brute_force_cohomology,
-                                          cohomology_group)
+                                          cochain_complex, cohomology_group)
 from monoid_cohomology.cyclic import (closed_form_top, infinite_cyclic_groups,
                                       leech_groups_cyclic,
                                       level2_groups_cyclic,
@@ -69,7 +69,8 @@ def test_criterion_2_leech_level1_integral():
     for q in (2, 3, 4):
         C = make_cyclic(0, q)
         A = constant_module(Z, C)
-        pipeline = {n: cohomology_group(C, 1, n, A) for n in range(7)}
+        bar_route = cochain_complex(C, 1, A, 7)
+        pipeline = {n: bar_route.cohomology(n) for n in range(7)}
         assert pipeline[0] == AbGroupInvariants(1)
         for k in (0, 1, 2):
             odd, even = leech_groups_cyclic(0, q, k, A)
@@ -118,7 +119,7 @@ def test_criterion_4_h4_three_ways():
         C = make_cyclic(m, q)
         for name, G in coeffs:
             A = constant_module(G, C)
-            generic = cohomology_group(C, 2, 4, A)
+            generic = cochain_complex(C, 2, A, 5).cohomology(4)
             _, _, small = level2_groups_cyclic(m, q, A)
             closed = closed_form_top(q, G)
             assert generic == small == closed, (m, q, name, generic, small, closed)
