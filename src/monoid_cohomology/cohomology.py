@@ -5,9 +5,10 @@ A cyclic table is answered through the small resolution R of its
 monoid instead (Eilenberg and Mac Lane, On the groups H(Pi, n), I/II):
 H^n(M, r; A) is the cohomology of Hom(B^(r-1)(R), A), with R built over
 the table's own labels (bar.small_resolution), which has a handful of
-cells where the iterated bar has thousands.  That needs A to keep its
-laws: R applies fewer translations than the bar, so a module that
-breaks them keeps the bar route, which raises.
+cells where the iterated bar has thousands.  Either route needs A to
+keep its laws, and R applies fewer translations than the bar, so the
+entry points check them first, on all of M^2 and M^3
+(hmod.require_lawful): a module that breaks them is refused there.
 
 The degree-n cochain group of Hom(B^r(ZM), A) is the direct sum of the
 A(pi(cell)) over the generic n-cells; the coboundary is precomposition
@@ -71,8 +72,8 @@ with it too.
 
 from .bar import (bar, bar_word_diff, check_reach, degree_cells, iterated_bar,
                   small_resolution)
-from .hmod import (CochainGroup, FGAbelianGroup, FreeBasis, ModuleError,
-                   _matrix_maps_relations, constant_module, dualize, validate_module)
+from .hmod import (CochainGroup, FGAbelianGroup, FreeBasis, ModuleError, constant_module,
+                   dualize, require_lawful)
 from .monoid import FiniteCommutativeMonoid, cyclic_structure
 from .zlinalg import AbGroupInvariants, IntMatrix, gcd, snf_diagonal
 
@@ -106,10 +107,10 @@ class CochainComplex:
     H^n from Smith diagonals: the universal coefficient theorem for
     constant A, the mapping cone of the relations otherwise (see the
     module docstring), whose blocks all come from the stored d_F and
-    the relation bases.  On the cone route a translation that d^{n-1}
-    or d^n applies and that does not keep the relations, or a d_F d_F
-    outside them, raises ModuleError: the module breaks its laws
-    there."""
+    the relation bases.  The module is taken to keep its laws, which
+    cohomology_group checks first.  Built directly, the cone still
+    raises ModuleError where its top rows have no solution: a column of
+    d_F^n [I_n | d_F^(n-1)] outside the relations of degree n + 1."""
 
     __slots__ = ("dga", "module", "nmax", "groups", "coboundaries")
 
@@ -134,7 +135,6 @@ class CochainComplex:
         d_n = self.coboundaries[n]
         d_prev = self.coboundaries[n - 1] if n > 0 else IntMatrix(d_n.cols, 0)
         if not self.module.constant:
-            self._check_translations(n)
             psi = self._cone_diagonal(n, d_prev)
             return AbGroupInvariants.from_diagonal(psi, free_rank=self._free_rank(n, d_n, psi))
         # universal coefficients (Mac Lane, Homology, III): H^n =
@@ -152,23 +152,6 @@ class CochainComplex:
 
     def _has_relations(self, n):
         return any(g.relation_basis.cols for g in self.groups[n].blocks)
-
-    def _check_translations(self, n):
-        """Every translation that d^{n-1} or d^n applies keeps the
-        relations, checked on the module's relations as validate_module
-        does; the first pair that does not raises ModuleError.  Those
-        translations start in degrees n-1 and n, so without relations
-        there nothing can break."""
-        if not any(self._has_relations(k) for k in (n - 1, n) if k >= 0):
-            return
-        M, pi = self.dga.monoid, self.dga.pi
-        pairs = {(pi[s], u) for k in (n, n + 1) for t in self.groups[k].basis.generators
-                 for u, s in self.dga.differential(t)}
-        for x, y in sorted(pairs):
-            if not _matrix_maps_relations(self.module.action(x, y), self.module.group(x),
-                                          self.module.group(M.op(x, y))):
-                raise ModuleError("translation by %r maps a relation of A(%r) outside "
-                                  "the relations of A(%r)" % (y, x, M.op(x, y)))
 
     def _with_inclusion(self, n, d):
         """[I_n | d], I_n the block-diagonal inclusion of the degree-n
@@ -193,7 +176,7 @@ class CochainComplex:
         """psi's top rows [d_R^n | K^n] = I_{n+1}^-1 (d_F^n [I_n | d_F^(n-1)]),
         solved per target cell in its relation basis.  A product column
         outside the relations, which a module that keeps its laws modulo
-        them never has, raises ModuleError naming the cell it starts from."""
+        them never has, raises ModuleError."""
         target = self.groups[n + 1]
         product = self.coboundaries[n].mul(bottom).row_dicts()
         rows = []
@@ -202,26 +185,11 @@ class CochainComplex:
                 continue
             coords, outside = g.relation_coordinates(product[off:off + g.ngens])
             if outside:
-                k, x = self._column_cell(n, outside[0])
-                raise ModuleError(
-                    "%s on a cell over %r leaves the relations of A(%r): "
-                    "the translations break the module laws modulo the relations"
-                    % ("d of a relation" if k == n else "d d of a cochain", x,
-                       target.basis.pi[cell]))
+                raise ModuleError("d_F [I | d_F] leaves the relations of A(%r): the "
+                                  "translations break the module laws modulo the relations"
+                                  % (target.basis.pi[cell],))
             rows += coords
         return rows
-
-    def _column_cell(self, n, col):
-        """(degree, pi) of the cell whose block of [I_n | d_F^(n-1)]
-        holds column col: a degree-n cell for the I_n columns, a
-        degree-(n-1) cell for the others."""
-        for k in (n, n - 1):
-            group = self.groups[k]
-            for g, cell in zip(group.blocks, group.basis.generators):
-                width = g.relation_basis.cols if k == n else g.ngens
-                if col < width:
-                    return k, group.basis.pi[cell]
-                col -= width
 
     def _free_rank(self, n, d_n, psi):
         """rank H^n = dim cone^n - rank D^n - rank psi, given psi's
@@ -268,11 +236,11 @@ def small_model_complex(M, r, module, nmax, shape):
 
 
 def cohomology_group(M, r, n, module):
-    """H^n(M, r; A) as invariant factors.  A cyclic table is answered
-    through its small resolution (small_model_complex) when A is
-    constant or a module over M that keeps its laws; anything else goes
-    through the iterated bar.  A cyclic query is refused first where the
-    iterated bar would be (bar.check_reach)."""
+    """H^n(M, r; A) as invariant factors: a cyclic table through its
+    small resolution (small_model_complex), any other table through the
+    iterated bar.  A cyclic query is refused first where the iterated bar
+    would be (bar.check_reach); then a tabular A that is not a module
+    over M keeping its laws is refused (hmod.require_lawful)."""
     if n < 0:
         raise ValueError("negative degree")
     if r >= 2 and n > r + 2:
@@ -281,8 +249,9 @@ def cohomology_group(M, r, n, module):
     shape = cyclic_structure(M)
     if shape is not None:
         check_reach(M, r, max(n + 1, r))
-        if module.constant or (module.monoid == M and not validate_module(module)):
-            return small_model_complex(M, r, module, n + 1, shape).cohomology(n)
+    require_lawful(module, M)
+    if shape is not None:
+        return small_model_complex(M, r, module, n + 1, shape).cohomology(n)
     return cochain_complex(M, r, module, n + 1).cohomology(n)
 
 
@@ -388,6 +357,9 @@ def brute_force_cohomology(M, r, n, module):
     iterated_bar would refuse it (bar.check_reach), since the
     differentials of its cells cost what its templates would.
 
+    A tabular module is refused first unless it keeps its laws over M
+    (hmod.require_lawful), as cohomology_group refuses it.
+
     Returns (cocycle_count, coboundary_count, AbGroupInvariants).
     """
     if n < 0:
@@ -395,6 +367,7 @@ def brute_force_cohomology(M, r, n, module):
     if r >= 2 and n > r + 2:
         raise TruncationError("degree beyond the truncated range")
     check_reach(M, r, max(n + 1, r))
+    require_lawful(module, M)
     source, groups = _cochain_space(M, module, degree_cells(M, r, n))
     prev, prev_groups = _cochain_space(M, module, degree_cells(M, r, n - 1))
     cocycles = list(_search(module, groups, _rows(M, module, source, degree_cells(M, r, n + 1))))

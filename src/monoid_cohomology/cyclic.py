@@ -6,16 +6,16 @@ bar.small_resolution_inf) live in bar, below cohomology, which answers
 cyclic tables through R.  The chain maps f: B(ZC) -> R and
 g: R -> B(ZC) and the homotopy Phi are the explicit recursive ones;
 verify_contraction checks every contraction identity on all basis cells
-up to a degree bound.  The small-model groups below read R through the
-same cohomology.small_model_complex as cohomology_group; the closed forms
-(closed_form_top, infinite_cyclic_groups) are the paper's formulas, kept
-as oracles.
+up to a degree bound.  The small-model groups below are calls of
+cohomology_group on C_{m,q}, which reads R and refuses what it refuses;
+the closed forms (closed_form_top, infinite_cyclic_groups) are the
+paper's formulas, kept as oracles.
 """
 
 from .bar import (BarWord, _refuse_above, bar_word_diff, bar_word_shuffle,
                   chain_add_term, chain_sum, extend_bilinear, extend_linear,
                   refuse_above_max_cells, small_resolution, small_resolution_inf)
-from .cohomology import small_model_complex
+from .cohomology import cohomology_group
 from .monoid import INFINITE_CYCLIC, MonoidError, cyclic_s, make_cyclic
 from .zlinalg import AbGroupInvariants, gcd
 
@@ -409,33 +409,25 @@ def verify_contraction_inf(degmax, entry_bound):
 
 # -- cohomology of cyclic monoids ---------------------------------------------
 
-def _cyclic_bar_complex(m, q, iterations, degmax, module):
-    """Hom(B^iterations(R), A) to degree degmax for C_{m,q}, R over
-    C_{m,q}'s own labels."""
-    C = make_cyclic(m, q)
-    return small_model_complex(C, iterations + 1, module, degmax, (m, q, range(m + q)))
-
-
 def leech_groups_cyclic(m, q, k, module):
     """(H^{2k+1}, H^{2k+2}) of the level-1 (Leech) cohomology of
     C_{m,q}, read from Hom(R, A) for the small resolution R.  Around
     those degrees it is 0 -> A(p(km+1)) -> A(p(km+m)) -> 0, the middle
     map (m+q)(m+q-1)_* - m(m-1)_*."""
-    cx = _cyclic_bar_complex(m, q, 0, 2 * k + 3, module)
-    return cx.cohomology(2 * k + 1), cx.cohomology(2 * k + 2)
+    C = make_cyclic(m, q)
+    return cohomology_group(C, 1, 2 * k + 1, module), cohomology_group(C, 1, 2 * k + 2, module)
 
 
 def level2_groups_cyclic(m, q, module):
     """(H^2, H^3, H^4) of C_{m,q} at level 2 via the small complex
     Hom(B(R), A)."""
-    cx = _cyclic_bar_complex(m, q, 1, 5, module)
-    return cx.cohomology(2), cx.cohomology(3), cx.cohomology(4)
+    C = make_cyclic(m, q)
+    return tuple(cohomology_group(C, 2, n, module) for n in (2, 3, 4))
 
 
 def level3_top(m, q, module):
     """H^5(C, 3; A) via the small complex Hom(B^2(R), A)."""
-    cx = _cyclic_bar_complex(m, q, 2, 6, module)
-    return cx.cohomology(5)
+    return cohomology_group(make_cyclic(m, q), 3, 5, module)
 
 
 def closed_form_top(q, group):

@@ -27,13 +27,17 @@ Each entry point builds only what it reads:
   lattice of degree 2, delta^2 and delta^3 from one level-1 bar to
   degree 4, the degree-4 relations, one level-3 bar to degree 5 and i_3
   on it.
+
+grillet_cohomology, inclusion_chainmap and injectivity_check first refuse
+a tabular module that breaks its laws over M (hmod.require_lawful), as
+cohomology_group does.
 """
 
 from itertools import product
 
 from .bar import cells, iterated_bar
 from .cohomology import coboundary, degree_basis
-from .hmod import CochainGroup, FreeBasis
+from .hmod import CochainGroup, FreeBasis, require_lawful
 from .zlinalg import (IntMatrix, block_diagonal, lattice_basis, preimage_lattice_multi,
                       staircase_pivots, staircase_solve, subquotient_invariants)
 
@@ -141,6 +145,7 @@ def grillet_cohomology(M, module, n):
     (plus the coefficient relations)."""
     if not 1 <= n <= 3:
         raise ValueError("Grillet cohomology is computed for degrees 1..3")
+    require_lawful(module, M)
     amb, constraints = symmetry_constraints(M, module, n)
     level1 = iterated_bar(M, 1, n + 1)
     d_n = _delta(level1, n, module)
@@ -212,6 +217,7 @@ def inclusion_chainmap(M, module):
     d^(3) . i_n = i_{n+1} . delta^n on every generator of the symmetric
     lattices (the last square is the one that needs the symmetry
     identities)."""
+    require_lawful(module, M)
     dga = iterated_bar(M, 3, 6)
     mats = _inclusions(M, module, dga)
     level1 = iterated_bar(M, 1, 4)
@@ -272,6 +278,7 @@ def injectivity_check(M, module):
     """Verify that H^3_G -> H^5(M,3;A) is injective: every symmetric
     3-cocycle whose inclusion image is a level-3 coboundary is itself a
     symmetric 2-coboundary.  Returns (ok, witness)."""
+    require_lawful(module, M)
     amb3, constraints3 = symmetry_constraints(M, module, 3)
     level1 = iterated_bar(M, 1, 4)
     delta3 = _delta(level1, 3, module)

@@ -28,7 +28,7 @@ stays brute force, as the independent check of the class count against
 from .bar import cells
 from .cohomology import BruteForceCapError, _cochain_space, _rows, _search, _vanishes
 from .hmod import (HModule, IntMatrix, _columns_equal_mod, _matrix_maps_relations,
-                   validate_module)
+                   require_lawful, validate_module)
 from .monoid import is_integer, validate_table
 from .zlinalg import lattice_basis, staircase_pivots, staircase_solve
 
@@ -398,8 +398,11 @@ def iso_classes(M, module, search_automorphisms=False):
     A (g, mu) pair is a 5-cochain of the level-3 complex, so the
     cocycles are those the cochain search finds on cells(M, 3, 5) with
     the rows of cells(M, 3, 6): the per-pair cocycle_check filter over
-    [(g, mu) for g in gs for mu in mus], in that order.
+    [(g, mu) for g in gs for mu in mus], in that order.  A tabular
+    module that breaks its laws over M is refused first
+    (hmod.require_lawful).
     """
+    require_lawful(module, M)
     if search_automorphisms:
         if M.size > 4:
             raise GroupoidError("automorphism search is capped at |M| <= 4")

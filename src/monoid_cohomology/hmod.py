@@ -228,8 +228,9 @@ def _matrix_maps_relations(mat, src, tgt):
 
 def _columns_equal_mod(group, a, b):
     """Every column of a equals the same column of b modulo the
-    relations of group: one solve on the block a - b."""
-    return not group.relation_coordinates(a.sub(b).row_dicts())[1]
+    relations of group: at once when a == b, else one solve on the block
+    a - b."""
+    return a == b or not group.relation_coordinates(a.sub(b).row_dicts())[1]
 
 
 def _is_identity(mat, group):
@@ -240,7 +241,9 @@ def _is_identity(mat, group):
 
 def validate_module(module):
     """Check the module laws exhaustively over M^2 (and M^3 for the
-    composition law).  Returns a list of violations, empty when valid."""
+    composition law).  Returns a list of violations, empty when valid.
+    require_lawful turns them into the one refusal every entry point
+    that reads a tabular module makes."""
     M = module.monoid
     if not isinstance(M, FiniteCommutativeMonoid):
         raise ModuleError("validate_module needs a finite base monoid")
@@ -257,6 +260,8 @@ def validate_module(module):
                 continue
             if not _matrix_maps_relations(mat, src, tgt):
                 bad.append(("relations", (x, y)))
+    if any(kind == "shape" for kind, _ in bad):
+        return bad  # the products below would not be defined
     bad += [("identity", (x,)) for x in range(n)
             if not _is_identity(module.action(x, e), module.group(x))]
     for x in range(n):
@@ -269,6 +274,19 @@ def validate_module(module):
                     bad.append(("composition", (x, y, z)))
                     break
     return bad
+
+
+def require_lawful(module, M):
+    """Raise ModuleError unless module is a module over M that keeps its
+    laws (validate_module finds no violation).  A constant module passes
+    at once: it keeps them over any monoid."""
+    if module.constant:
+        return
+    if module.monoid != M:
+        raise ModuleError("the coefficient module lies over another monoid")
+    bad = validate_module(module)
+    if bad:
+        raise ModuleError("tabular module violates the module laws: %r" % (bad[:3],))
 
 
 def zm_as_hmodule(M):
@@ -467,9 +485,7 @@ def module_from_descriptor(desc, monoid):
                                       % (key, tgt.ngens, src.ngens, rows))
                 actions[(x, y)] = IntMatrix.from_rows(rows, src.ngens)
         mod = HModule(monoid, groups, actions)
-        bad = validate_module(mod)
-        if bad:
-            raise ModuleError("tabular module violates the module laws: %r" % (bad[:3],))
+        require_lawful(mod, monoid)
         return mod
     raise ModuleError("unknown coefficient descriptor kind: %r" % (kind,))
 

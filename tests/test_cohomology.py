@@ -3,14 +3,16 @@ from itertools import product
 
 import pytest
 
-from monoid_cohomology import cohomology, zlinalg
+from monoid_cohomology import cohomology, grillet, zlinalg
 from monoid_cohomology.bar import (bar_word_diff, explicit_low_degree_differential,
                                    iterated_bar, small_resolution, validate_dga)
 from monoid_cohomology.cohomology import (BruteForceCapError, TruncationError,
                                           brute_force_cohomology,
                                           cochain_complex, coboundary, cohomology_group,
                                           degree_basis, small_model_complex)
-from monoid_cohomology.cyclic import leech_groups_cyclic
+from monoid_cohomology.cyclic import leech_groups_cyclic, level2_groups_cyclic, level3_top
+from monoid_cohomology.grillet import grillet_cohomology, inclusion_chainmap, injectivity_check
+from monoid_cohomology.groupoid import iso_classes
 from monoid_cohomology.hmod import (FGAbelianGroup, HModule, ModuleError, constant_module,
                                     dualize, parse_group_shorthand, validate_module,
                                     zm_as_hmodule)
@@ -395,8 +397,8 @@ def test_small_model_matches_the_bar_route_on_cyclic_tables():
 
 def test_only_tables_that_are_not_cyclic_build_the_iterated_bar(monkeypatch):
     # cyclic tables never reach the iterated bar, relabelled or not; the
-    # Klein four-group and a cyclic table with a module that breaks its
-    # laws do
+    # Klein four-group does, and a cyclic table with a module that breaks
+    # its laws is refused before any bar is built
     def no_bar(*args):
         raise AssertionError("the iterated bar was built")
     monkeypatch.setattr(cohomology, "iterated_bar", no_bar)
@@ -407,9 +409,10 @@ def test_only_tables_that_are_not_cyclic_build_the_iterated_bar(monkeypatch):
     C03 = make_cyclic(0, 3)
     breaks_composition = HModule(C03, [zmod(4)] * 3, {
         (x, y): IntMatrix.from_rows([[1 if y == 0 else 2]]) for x in range(3) for y in range(3)})
-    for M, A in ((klein, constant_module(Z, klein)), (C03, breaks_composition)):
-        with pytest.raises(AssertionError, match="the iterated bar was built"):
-            cohomology_group(M, 1, 2, A)
+    with pytest.raises(AssertionError, match="the iterated bar was built"):
+        cohomology_group(klein, 1, 2, constant_module(Z, klein))
+    with pytest.raises(ModuleError, match="violates the module laws"):
+        cohomology_group(C03, 1, 2, breaks_composition)
 
 
 def test_cone_on_a_relation_basis_with_entries_below_its_pivots():
@@ -453,8 +456,8 @@ def test_cone_free_rank_needs_no_second_module(monkeypatch):
 
 
 def test_modules_breaking_their_laws_raise():
-    # validate_module rejects both; the cone names the elements where the
-    # differential meets the fault
+    # validate_module rejects both, and cohomology_group refuses them with
+    # its violations before any complex is built
     C02, C03 = make_cyclic(0, 2), make_cyclic(0, 3)
     one = IntMatrix.from_rows([[1]])
     # 1_*: A(1) = Z/2 -> A(0) = Z/4 maps the relation 2 to 2, outside 4Z;
@@ -465,32 +468,79 @@ def test_modules_breaking_their_laws_raise():
     # (1 + 1)_* = 2: d_F d_F leaves the relations and K has no solution
     breaks_composition = HModule(C03, [zmod(4)] * 3, {
         (x, y): IntMatrix.from_rows([[1 if y == 0 else 2]]) for x in range(3) for y in range(3)})
-    leaves = "translation by 1 maps a relation of A(1) outside the relations of A(0)"
-    for A, n, message in (
-            (keeps_no_relations, 1, leaves),
-            (keeps_no_relations, 2, leaves),
-            (breaks_composition, 2, "on a cell over 1 leaves the relations of A(1)")):
-        assert validate_module(A)
-        with pytest.raises(ModuleError, match=re.escape(message)):
+    for A, n in ((keeps_no_relations, 1), (keeps_no_relations, 2), (breaks_composition, 2)):
+        bad = validate_module(A)
+        assert bad
+        with pytest.raises(ModuleError, match=re.escape(
+                "tabular module violates the module laws: %r" % (bad[:3],))):
             cohomology_group(A.monoid, 1, n, A)
 
 
-def test_a_product_column_outside_the_relations_names_its_cell(monkeypatch):
-    # with the translation check skipped, the cone's own solve still
-    # refuses a translation that maps a relation outside the relations:
-    # the I_n column of the product names the degree-n cell it starts from
+def lawless_modules(M):
+    """Three modules over M that break their laws: Z with e_* = 2 (the
+    other translations the identity); Z/4 with every non-unit acting by
+    2 (1_* 1_* = 4 = 0 but (1 + 1)_* = 2); and Z/4 at the identity, Z/2
+    elsewhere, all translations 1, where M has a unit u other than the
+    identity, whose u_*: A(u) = Z/2 -> A(e) = Z/4 maps the relation 2
+    outside 4Z."""
+    elements, e = range(M.size), M.identity
+
+    def scalars(groups, value):
+        return HModule(M, groups, {(x, y): IntMatrix.from_rows([[value(y)]])
+                                   for x in elements for y in elements})
+    mods = [("Z, e_* = 2", scalars([Z] * M.size, lambda y: 2 if y == e else 1)),
+            ("breaks_composition", scalars([zmod(4)] * M.size, lambda y: 1 if y == e else 2))]
+    if any(M.op(x, y) == e for x in M.nonunit() for y in elements):
+        mods.append(("keeps_no_relations",
+                     scalars([zmod(4) if x == e else zmod(2) for x in elements], lambda y: 1)))
+    return mods
+
+
+def test_lawless_modules_are_refused_at_every_entry_point(monkeypatch):
+    # every entry point that reads a tabular module refuses one that
+    # breaks its laws with the same one-line ModuleError, on cyclic and
+    # other tables alike, before any bar or small model is built
+    def no_complex(*args):
+        raise AssertionError("a complex was built")
+    for module, name in ((cohomology, "iterated_bar"), (cohomology, "small_model_complex"),
+                         (grillet, "iterated_bar")):
+        monkeypatch.setattr(module, name, no_complex)
+    klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
+    semilattice = validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+    C03 = make_cyclic(0, 3)
+    cases = []
+    for M in (C03, klein, semilattice):
+        for name, A in lawless_modules(M):
+            calls = [lambda: cohomology_group(M, 1, 1, A), lambda: cohomology_group(M, 2, 3, A),
+                     lambda: brute_force_cohomology(M, 1, 2, A),
+                     lambda: grillet_cohomology(M, A, 2), lambda: injectivity_check(M, A),
+                     lambda: inclusion_chainmap(M, A), lambda: iso_classes(M, A)]
+            if M is C03:
+                calls += [lambda: leech_groups_cyclic(0, 3, 0, A),
+                          lambda: level2_groups_cyclic(0, 3, A), lambda: level3_top(0, 3, A)]
+            for call in calls:
+                with pytest.raises(ModuleError, match="violates the module laws") as info:
+                    call()
+                assert "\n" not in str(info.value)
+                cases.append((M.size, name))
+    assert len(cases) == 3 * 10 + 3 * 7 + 2 * 7
+
+
+def test_a_product_column_outside_the_relations_names_its_cell():
+    # a CochainComplex built directly checks no law, but the cone's own
+    # solve of its top rows still refuses a translation that maps a
+    # relation outside the relations, naming the element of the cell the
+    # column lands on
     C03 = make_cyclic(0, 3)
     one = IntMatrix.from_rows([[1]])
     # 2_*: A(1) = Z/2 -> A(0) = Z/4 maps the relation 2 to 2, outside 4Z
     A = HModule(C03, [zmod(4), zmod(2), zmod(2)],
                 {(x, y): one for x in range(3) for y in range(3)})
-    with pytest.raises(ModuleError, match=re.escape(
-            "maps a relation of A(1) outside the relations of A(0)")):
+    with pytest.raises(ModuleError, match="violates the module laws"):
         cohomology_group(C03, 1, 1, A)
-    monkeypatch.setattr(cohomology.CochainComplex, "_check_translations", lambda cx, n: None)
     with pytest.raises(ModuleError, match=re.escape(
-            "d of a relation on a cell over 1 leaves the relations of A(0)")):
-        cohomology_group(C03, 1, 1, A)
+            "leaves the relations of A(0): the translations break the module laws")):
+        cochain_complex(C03, 1, A, 2).cohomology(1)
 
 
 def test_a_module_flagged_constant_must_be_constant():

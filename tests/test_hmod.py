@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -9,8 +10,8 @@ from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, FreeBasis,
                                     constant_as_tabular, constant_module,
                                     dualize,
                                     module_from_descriptor,
-                                    parse_group_shorthand, validate_module,
-                                    zm_as_hmodule)
+                                    parse_group_shorthand, require_lawful,
+                                    validate_module, zm_as_hmodule)
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import AbGroupInvariants, IntMatrix
 
@@ -72,6 +73,21 @@ def test_validate_module_catches_bad_action():
     actions.update({(x, 1): zero for x in range(2)})
     bad = validate_module(HModule(Z2, [g, g], actions))
     assert any(kind == "composition" for kind, _ in bad)
+
+
+def test_a_misshaped_translation_is_a_violation_not_a_crash():
+    # a 2x2 matrix for 1_*: Z/4 -> Z/4 is reported as a shape violation;
+    # the composition products it would enter are not formed
+    g = FGAbelianGroup.cyclic(4)
+    actions = {(x, y): IntMatrix.identity(1) for x in range(2) for y in range(2)}
+    actions[(1, 1)] = IntMatrix.identity(2)
+    A = HModule(Z2, [g, g], actions)
+    assert validate_module(A) == [("shape", (1, 1))]
+    with pytest.raises(ModuleError, match=re.escape("[('shape', (1, 1))]")):
+        require_lawful(A, Z2)
+    with pytest.raises(ModuleError, match="another monoid"):
+        require_lawful(A, C11)
+    require_lawful(constant_module(g, C11), Z2)
 
 
 def test_zm_as_module_is_functorial():

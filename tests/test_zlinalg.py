@@ -503,15 +503,26 @@ value_checks = {
 for name, (fn, *args) in value_checks.items():
     if not raises(ValueError, fn, *args):
         failures.append(name)
-# modules that validate_module rejects: on the cone route a translation
-# that leaves the relations, and a d d outside them (no curvature K)
+# modules that validate_module rejects: a translation that leaves the
+# relations, a d d outside them (no curvature K), and Z with e_* = 2;
+# cohomology_group refuses all three, and a complex built directly still
+# meets the cone's certificate on its top rows
 one, C3 = M.from_rows([[1]]), make_cyclic(0, 3)
 leaves = HModule(C, [FGAbelianGroup.cyclic(4), FGAbelianGroup.cyclic(2)],
                  {(x, y): one for x in range(2) for y in range(2)})
 curved = HModule(C3, [FGAbelianGroup.cyclic(4)] * 3,
                  {(x, y): M.from_rows([[2 if y else 1]]) for x in range(3) for y in range(3)})
-for name, A, n in (("cone relations", leaves, 1), ("cone curvature", curved, 2)):
+doubled = HModule(C3, [FGAbelianGroup.free(1)] * 3,
+                  {(x, y): M.from_rows([[1 if y else 2]]) for x in range(3) for y in range(3)})
+for name, A, n in (("lawless relations", leaves, 1), ("lawless composition", curved, 2),
+                   ("lawless identity", doubled, 2)):
     if not raises(ModuleError, cohomology.cohomology_group, A.monoid, 1, n, A):
+        failures.append(name)
+# on C(0,3) 2_*: A(1) = Z/2 -> A(0) = Z/4 carries a relation into d^1
+leaves3 = HModule(C3, [FGAbelianGroup.cyclic(4)] + [FGAbelianGroup.cyclic(2)] * 2,
+                  {(x, y): one for x in range(3) for y in range(3)})
+for name, A, n in (("cone relations", leaves3, 1), ("cone curvature", curved, 2)):
+    if not raises(ModuleError, cohomology.cochain_complex(A.monoid, 1, A, n + 1).cohomology, n):
         failures.append(name)
 for bad in ((-1, ()), (0, (1,)), (0, (2, 3))):
     if not raises(ValueError, zlinalg.AbGroupInvariants, *bad):
