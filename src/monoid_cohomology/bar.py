@@ -36,8 +36,9 @@ template is built.
 
 The small resolutions of the cyclic monoids, the paper's two cells per
 degree, are free-based DGAs too and live here, below cohomology, which
-reads cyclic tables through them, and cyclic, which checks them against
-the bar.
+reads cyclic tables through them and products of two cyclic submonoids
+through the tensor product of theirs (tensor_dga), and cyclic, which
+checks them against the bar.
 """
 
 from itertools import combinations, product
@@ -797,8 +798,9 @@ def small_resolution(m, q, degmax, monoid=None, powers=None):
     m is read as zero when m = 0.  Exponents reduce as in C_{m,q}
     (monoid.cyclic_p).  By default R lies over C_{m,q} itself, where x^k
     is k; given a table monoid with powers[k] its label of x^k
-    (monoid.cyclic_structure), R lies over that table instead, in its
-    own labels.
+    (monoid.cyclic_factors), R lies over that table instead, in its own
+    labels; where the powers list only a submonoid, R's cells lie over
+    that submonoid.
     """
     if m < 0 or q < 1 or m + q < 2:
         raise MonoidError("invalid cyclic parameters (%r, %r)" % (m, q))
@@ -863,6 +865,54 @@ def small_resolution_inf(degmax):
     return FreeBasedDGA(
         monoid=C, degmax=degmax, basis=basis, pi=pi, diff={},
         product_fn=prod, unit=("v", 0), eps_tilde={("v", 0): 1},
+    )
+
+
+def tensor_dga(D1, D2):
+    """The tensor product D1 (x) D2 of two free-based DGAs over one
+    monoid M, to the lower of their stored degrees.  Its generators are
+    the pairs (g1, g2), of degree |g1| + |g2|, over pi(g1) pi(g2), with
+    d(g1 (x) g2) = dg1 (x) g2 + (-1)^|g1| g1 (x) dg2 and
+    (a1 (x) a2)(b1 (x) b2) = (-1)^(|a2||b1|) a1b1 (x) a2b2, translates
+    multiplied in M.  The unit is the pair of units, and the augmentation
+    multiplies.  When D1 and D2 are the small resolutions of two cyclic
+    submonoids whose product map onto M is a bijection, the tensor
+    product resolves Z over ZM: both are free over Z, so the Kunneth
+    theorem has no Tor term (Eilenberg and Mac Lane, On the groups
+    H(Pi, n), I/II)."""
+    M = D1.monoid
+    degmax = min(D1.degmax, D2.degmax)
+    basis = {}
+    for n in range(degmax + 1):
+        gens = tuple((g1, g2) for d in range(n + 1)
+                     for g1 in D1.basis.get(d, ()) for g2 in D2.basis.get(n - d, ()))
+        if gens:
+            basis[n] = gens
+    pi = {g: M.op(D1.pi[g[0]], D2.pi[g[1]]) for gens in basis.values() for g in gens}
+    diff = {}
+    for g1, g2 in pi:
+        chain = {}
+        for (u, h), c in D1.differential(g1).items():
+            chain_add_term(chain, (u, (h, g2)), c)
+        sign = -1 if D1.degree_of[g1] % 2 else 1
+        for (u, h), c in D2.differential(g2).items():
+            chain_add_term(chain, (u, (g1, h)), sign * c)
+        diff[(g1, g2)] = chain
+
+    def prod(a, b):
+        (a1, a2), (b1, b2) = a, b
+        sign = -1 if D2.degree_of[a2] * D1.degree_of[b1] % 2 else 1
+        out = {}
+        for (u, h1), c1 in D1.product_fn(a1, b1).items():
+            for (v, h2), c2 in D2.product_fn(a2, b2).items():
+                chain_add_term(out, (M.op(u, v), (h1, h2)), sign * c1 * c2)
+        return out
+
+    return FreeBasedDGA(
+        monoid=M, degmax=degmax, basis=basis, pi=pi, diff=diff, product_fn=prod,
+        unit=(D1.unit, D2.unit),
+        eps_tilde={(g1, g2): c1 * c2 for g1, c1 in D1.eps_tilde.items()
+                   for g2, c2 in D2.eps_tilde.items()},
     )
 
 

@@ -5,10 +5,13 @@ A cyclic table is answered through the small resolution R of its
 monoid instead (Eilenberg and Mac Lane, On the groups H(Pi, n), I/II):
 H^n(M, r; A) is the cohomology of Hom(B^(r-1)(R), A), with R built over
 the table's own labels (bar.small_resolution), which has a handful of
-cells where the iterated bar has thousands.  Either route needs A to
-keep its laws, and R applies fewer translations than the bar, so the
-entry points check them first, on all of M^2 and M^3
-(hmod.require_lawful): a module that breaks them is refused there.
+cells where the iterated bar has thousands.  A table that is the
+product of two cyclic submonoids (monoid.cyclic_factors) is answered
+through R1 (x) R2 (bar.tensor_dga) the same way; a table with three or
+more cyclic factors, and any other table, still takes the iterated bar.
+Every route needs A to keep its laws, and R applies fewer translations
+than the bar, so the entry points check them first, on all of M^2 and
+M^3 (hmod.require_lawful): a module that breaks them is refused there.
 
 The degree-n cochain group of Hom(B^r(ZM), A) is the direct sum of the
 A(pi(cell)) over the generic n-cells; the coboundary is precomposition
@@ -71,10 +74,10 @@ with it too.
 """
 
 from .bar import (bar, bar_word_diff, check_reach, degree_cells, iterated_bar,
-                  small_resolution)
+                  small_resolution, tensor_dga)
 from .hmod import (CochainGroup, FGAbelianGroup, FreeBasis, ModuleError, constant_module,
                    dualize, require_lawful)
-from .monoid import FiniteCommutativeMonoid, cyclic_structure
+from .monoid import FiniteCommutativeMonoid, cyclic_factors
 from .zlinalg import AbGroupInvariants, IntMatrix, gcd, snf_diagonal
 
 
@@ -108,7 +111,8 @@ class CochainComplex:
     constant A, the mapping cone of the relations otherwise (see the
     module docstring), whose blocks all come from the stored d_F and
     the relation bases.  The module is taken to keep its laws, which
-    cohomology_group checks first.  Built directly, the cone still
+    cohomology_group and cochain_complex check first, and this class
+    does not check them.  Built directly, the cone still
     raises ModuleError where its top rows have no solution: a column of
     d_F^n [I_n | d_F^(n-1)] outside the relations of degree n + 1."""
 
@@ -208,11 +212,14 @@ class CochainComplex:
 
 
 def cochain_complex(M, r, module, nmax):
-    """The complex of normalized level-r cochains up to degree nmax.
+    """The complex of normalized level-r cochains up to degree nmax, on
+    the iterated bar.  A tabular module that is not a module over M
+    keeping its laws is refused first (hmod.require_lawful).
 
     For r >= 2 the construction is truncated at degree r+3, matching
     the range where the generic cells are classified.
     """
+    require_lawful(module, M)
     if not isinstance(M, FiniteCommutativeMonoid):
         raise TruncationError("finite monoid required")
     if r >= 2 and nmax > r + 3:
@@ -222,37 +229,40 @@ def cochain_complex(M, r, module, nmax):
     return CochainComplex(dga, module, nmax)
 
 
-def small_model_complex(M, r, module, nmax, shape):
-    """Hom(B^(r-1)(R), A) to degree nmax for the cyclic table M, where
-    shape = (m, q, powers) is monoid.cyclic_structure(M): R is built in
-    M's own labels, so A needs no transport.  A bar in degree n reads
-    its input only below n, so R and each bar before the last stop one
+def small_model_complex(M, r, module, nmax, factors):
+    """Hom(B^(r-1)(R), A) to degree nmax for the table M with cyclic
+    factors monoid.cyclic_factors(M): R is the small resolution of the
+    one factor, or the tensor product of those of the two, each built in
+    M's own labels, so A needs no transport.  A bar in degree n reads its
+    input only below n, so R and each bar before the last stop one
     degree below the next."""
-    m, q, powers = shape
-    D = small_resolution(m, q, max(0, nmax - r + 1), M, powers)
+    top = max(0, nmax - r + 1)
+    models = [small_resolution(m, q, top, M, powers) for m, q, powers in factors]
+    D = models[0] if len(models) == 1 else tensor_dga(*models)
     for k in range(1, r):
-        D = bar(D, max(0, nmax - r + 1 + k))
+        D = bar(D, top + k)
     return CochainComplex(D, module, nmax)
 
 
 def cohomology_group(M, r, n, module):
-    """H^n(M, r; A) as invariant factors: a cyclic table through its
-    small resolution (small_model_complex), any other table through the
-    iterated bar.  A cyclic query is refused first where the iterated bar
-    would be (bar.check_reach); then a tabular A that is not a module
-    over M keeping its laws is refused (hmod.require_lawful)."""
+    """H^n(M, r; A) as invariant factors: a cyclic table, or a product
+    of two cyclic submonoids, through its small model
+    (small_model_complex), any other table through the iterated bar
+    (cochain_complex).  A small-model query is refused first where the
+    iterated bar would be (bar.check_reach); then, on every route, a
+    tabular A that is not a module over M keeping its laws is refused
+    (hmod.require_lawful), once."""
     if n < 0:
         raise ValueError("negative degree")
     if r >= 2 and n > r + 2:
         raise TruncationError(
             "H^%d at level %d lies beyond the truncated range (n <= %d)" % (n, r, r + 2))
-    shape = cyclic_structure(M)
-    if shape is not None:
-        check_reach(M, r, max(n + 1, r))
+    factors = cyclic_factors(M)
+    if not factors:
+        return cochain_complex(M, r, module, n + 1).cohomology(n)
+    check_reach(M, r, max(n + 1, r))
     require_lawful(module, M)
-    if shape is not None:
-        return small_model_complex(M, r, module, n + 1, shape).cohomology(n)
-    return cochain_complex(M, r, module, n + 1).cohomology(n)
+    return small_model_complex(M, r, module, n + 1, factors).cohomology(n)
 
 
 # -- brute-force cochain search -----------------------------------------------

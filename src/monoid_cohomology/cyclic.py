@@ -411,22 +411,22 @@ def verify_contraction_inf(degmax, entry_bound):
 
 def leech_groups_cyclic(m, q, k, module):
     """(H^{2k+1}, H^{2k+2}) of the level-1 (Leech) cohomology of
-    C_{m,q}, read from Hom(R, A) for the small resolution R.  Around
-    those degrees it is 0 -> A(p(km+1)) -> A(p(km+m)) -> 0, the middle
-    map (m+q)(m+q-1)_* - m(m-1)_*."""
+    C_{m,q}: two calls of cohomology_group on make_cyclic(m, q), which
+    reads them from Hom(R, A) for the small resolution R."""
     C = make_cyclic(m, q)
     return cohomology_group(C, 1, 2 * k + 1, module), cohomology_group(C, 1, 2 * k + 2, module)
 
 
 def level2_groups_cyclic(m, q, module):
-    """(H^2, H^3, H^4) of C_{m,q} at level 2 via the small complex
-    Hom(B(R), A)."""
+    """(H^2, H^3, H^4) of C_{m,q} at level 2: calls of cohomology_group
+    on make_cyclic(m, q), which reads them from Hom(B(R), A)."""
     C = make_cyclic(m, q)
     return tuple(cohomology_group(C, 2, n, module) for n in (2, 3, 4))
 
 
 def level3_top(m, q, module):
-    """H^5(C, 3; A) via the small complex Hom(B^2(R), A)."""
+    """H^5(C_{m,q}, 3; A): a call of cohomology_group on make_cyclic(m, q),
+    which reads it from Hom(B^2(R), A)."""
     return cohomology_group(make_cyclic(m, q), 3, 5, module)
 
 

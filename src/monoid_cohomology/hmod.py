@@ -178,47 +178,9 @@ class ConstantModule:
         return list(vec)
 
 
-class SampledModule:
-    """Coefficient groups known only at finitely many elements, with
-    identity translations; used for closed-form computations over the
-    infinite cyclic monoid.  Missing sample points raise ModuleError."""
-
-    __slots__ = ("monoid", "samples", "constant")
-
-    def __init__(self, samples, monoid=None):
-        self.monoid = monoid
-        self.samples = dict(samples)
-        self.constant = False
-
-    def group(self, x):
-        try:
-            return self.samples[x]
-        except KeyError:
-            raise ModuleError("no coefficient group sampled at element %r" % (x,))
-
-    def action(self, x, y):
-        if y == 0:
-            return IntMatrix.identity(self.group(x).ngens)
-        raise ModuleError("sampled modules carry no non-identity translations")
-
-    def translate(self, x, y, vec):
-        if y == 0:
-            return list(vec)
-        raise ModuleError("sampled modules carry no non-identity translations")
-
-
 def constant_module(group, monoid=None):
     """The constant module: A(x) = group, all translations the identity."""
     return ConstantModule(group, monoid)
-
-
-def constant_as_tabular(group, monoid):
-    """Constant module materialized as an explicit table (mostly for
-    validate_module tests)."""
-    n = monoid.size
-    ident = IntMatrix.identity(group.ngens)
-    actions = {(x, y): ident for x in range(n) for y in range(n)}
-    return HModule(monoid, [group] * n, actions)
 
 
 def _matrix_maps_relations(mat, src, tgt):

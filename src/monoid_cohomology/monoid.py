@@ -142,15 +142,21 @@ def cyclic_s(m, q, x, y):
     return (x + y - cyclic_p(m, q, x + y)) // q
 
 
-def cyclic_structure(M):
-    """(m, q, powers) when some element x of the table M has powers
-    e, x, x^2, ... that list all of M before they repeat: m is the index
-    of the first repeated power, q = |M| - m, and powers[k] is M's label
-    of x^k, so that M is C_{m,q} with k renamed powers[k].  None for any
-    other monoid, and for the one-element table (C_{m,q} needs m + q >= 2).
-    At most |M|^2 table reads."""
+def cyclic_factors(M):
+    """The cyclic factors of the table M as (m, q, powers) triples: for
+    the submonoid <x> of an element x, powers lists M's labels of
+    e, x, x^2, ... up to the first repeat, m is the index of the first
+    repeated power and q = len(powers) - m, so that <x> is C_{m,q} with k
+    renamed powers[k].  One triple when some <x> is all of M; two when
+    some <x> and <y> have |<x>| |<y>| = |M| and the product map
+    <x> x <y> -> M is a bijection, hence an isomorphism of monoids; ()
+    for any other monoid, and for the one-element table (C_{m,q} needs
+    m + q >= 2).  The powers take at most |M|^2 table reads, and pairs
+    are filtered by their orders before any product is read, which keeps
+    the search within about |M|^3."""
     if not isinstance(M, FiniteCommutativeMonoid) or M.size < 2:
-        return None
+        return ()
+    factors = []
     for x in range(M.size):
         powers = [M.identity]
         index = {M.identity: 0}
@@ -159,9 +165,17 @@ def cyclic_structure(M):
             index[y] = len(powers)
             powers.append(y)
             y = M.op(y, x)
+        factor = (index[y], len(powers) - index[y], powers)
         if len(powers) == M.size:
-            return index[y], M.size - index[y], powers
-    return None
+            return (factor,)
+        factors.append(factor)
+    for i, first in enumerate(factors):
+        for second in factors[i + 1:]:
+            xs, ys = first[2], second[2]
+            if (len(xs) * len(ys) == M.size
+                    and len({M.op(a, b) for a in xs for b in ys}) == M.size):
+                return first, second
+    return ()
 
 
 def monoid_from_descriptor(desc):

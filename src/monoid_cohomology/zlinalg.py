@@ -807,30 +807,3 @@ def subquotient_invariants(K, I):
         coords.append(x)
     diag = snf_diagonal(IntMatrix.from_columns(coords, Kb.cols))
     return AbGroupInvariants.from_diagonal(diag, free_rank=Kb.cols - len(diag))
-
-
-def determinant(A):
-    """Integer determinant via Bareiss fraction-free elimination."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a %dx%d matrix" % (A.rows, A.cols))
-    n = A.rows
-    if n == 0:
-        return 1
-    M = _full_rows(A._rows, n)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]

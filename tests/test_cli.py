@@ -281,10 +281,15 @@ def test_malformed_inputs_exit_2(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
     # degrees no computation can reach: the cells are counted, not
-    # listed, and the count is refused before anything is built
+    # listed, and the count is refused before anything is built, on a
+    # product of two cyclic submonoids (Klein, identity 3) as on a
+    # cyclic table, though neither would build the iterated bar
+    klein = json.dumps({"kind": "table", "size": 4, "identity": 3,
+                        "table": [[3, 2, 1, 0], [2, 3, 0, 1], [1, 0, 3, 2], [0, 1, 2, 3]]})
     for argv in (["cells", "--monoid", "cyclic:1,2", "--level", "3", "--degree", "60"],
                  ["cohomology", "--monoid", "cyclic:2,3", "--level", "1",
                   "--degree", "60", "--coeff", "Z"],
+                 ["cohomology", "--monoid", klein, "--level", "1", "--degree", "60", "--coeff", "Z"],
                  ["oracle", "--monoid", "cyclic:2,3", "--level", "1",
                   "--degree", "60", "--coeff", "Z/2"],
                  ["verify", "contraction", "--index", "1", "--period", "2",

@@ -5,8 +5,8 @@ import pytest
 
 from monoid_cohomology import cohomology, grillet, zlinalg
 from monoid_cohomology.bar import (bar_word_diff, explicit_low_degree_differential,
-                                   iterated_bar, small_resolution, validate_dga)
-from monoid_cohomology.cohomology import (BruteForceCapError, TruncationError,
+                                   iterated_bar, small_resolution, tensor_dga, validate_dga)
+from monoid_cohomology.cohomology import (BruteForceCapError, CochainComplex, TruncationError,
                                           brute_force_cohomology,
                                           cochain_complex, coboundary, cohomology_group,
                                           degree_basis, small_model_complex)
@@ -14,9 +14,9 @@ from monoid_cohomology.cyclic import leech_groups_cyclic, level2_groups_cyclic, 
 from monoid_cohomology.grillet import grillet_cohomology, inclusion_chainmap, injectivity_check
 from monoid_cohomology.groupoid import iso_classes
 from monoid_cohomology.hmod import (FGAbelianGroup, HModule, ModuleError, constant_module,
-                                    dualize, parse_group_shorthand, validate_module,
-                                    zm_as_hmodule)
-from monoid_cohomology.monoid import cyclic_structure, make_cyclic, validate_table
+                                    dualize, parse_group_shorthand, require_lawful,
+                                    validate_module, zm_as_hmodule)
+from monoid_cohomology.monoid import cyclic_factors, make_cyclic, validate_table
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix, preimage_lattice,
                                        subquotient_invariants)
 
@@ -137,9 +137,9 @@ def test_cohomology_leaves_the_complex_unchanged():
 
 
 def test_wide_leftovers_reach_the_smith_form_as_a_lattice_basis(monkeypatch):
-    # the ±1 sweep leaves 12x328, 12x428 and 8x448 of these coboundaries;
-    # snf_diagonal hands the dense Smith form a basis of their column
-    # lattice instead, never wider than tall
+    # the ±1 sweep leaves 12x328, 12x428 and 8x448 of these coboundaries
+    # of Klein's iterated bar; snf_diagonal hands the dense Smith form a
+    # basis of their column lattice instead, never wider than tall
     klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
     smith = zlinalg.smith_normal_form
     shapes = []
@@ -151,7 +151,7 @@ def test_wide_leftovers_reach_the_smith_form_as_a_lattice_basis(monkeypatch):
     for A, r, n, expect in ((zm_as_hmodule(klein), 2, 4, AbGroupInvariants(0)),
                             (zm_mod2(klein), 2, 4, AbGroupInvariants(0, (2,) * 12)),
                             (zm_mod2(klein), 3, 5, AbGroupInvariants(0, (2,) * 8))):
-        assert cohomology_group(klein, r, n, A) == expect, (r, n)
+        assert cochain_complex(klein, r, A, n + 1).cohomology(n) == expect, (r, n)
     assert max(rows for rows, _ in shapes) >= 12
     assert all(cols <= rows for rows, cols in shapes), shapes
 
@@ -364,55 +364,111 @@ def identity_last(M):
     return validate_table(n, n - 1 - M.identity, table)
 
 
+def product_table(M1, M2):
+    """M1 x M2 as a table, the pair (a, b) labelled a |M2| + b."""
+    n2 = M2.size
+    n = M1.size * n2
+    table = [[M1.op(x // n2, y // n2) * n2 + M2.op(x % n2, y % n2) for y in range(n)]
+             for x in range(n)]
+    return validate_table(n, M1.identity * n2 + M2.identity, table)
+
+
+def small_model_matches_the_bar_route(M, deepest):
+    """The small model of M against the iterated bar: Z, Z/4, Z+Z/2,
+    ZM, ZM/2 and a twisted Z+Z/2 where M has a parity character, at
+    levels 1-3 and degrees 0 to r + deepest; cohomology_group answers
+    the top degree as the small model does."""
+    factors = cyclic_factors(M)
+    modules = [(text, constant_module(parse_group_shorthand(text), M))
+               for text in ("Z", "Z/4", "Z+Z/2")]
+    modules += [("ZM", zm_as_hmodule(M)), ("ZM/2", zm_mod2(M))]
+    chis = parity_characters(M)
+    if chis:
+        modules.append(("Z+Z/2 twisted", twisted_z_z2(M, chis[0])))
+    for name, A in modules:
+        for r in (1, 2, 3):
+            top = r + deepest
+            small = small_model_complex(M, r, A, top + 1, factors)
+            bar_route = cochain_complex(M, r, A, top + 1)
+            for n in range(top + 1):
+                assert small.cohomology(n) == bar_route.cohomology(n), (M.table, name, r, n)
+            assert cohomology_group(M, r, top, A) == small.cohomology(top), (M.table, name, r)
+
+
 def test_small_model_matches_the_bar_route_on_cyclic_tables():
     # a cyclic table is answered through Hom(B^(r-1)(R), A), R built in
     # the table's own labels; the iterated bar is the oracle.  Every table
     # is relabelled with its identity last, so the powers of its generator
     # are not its labels.  Degree r + 2 runs on orders 2-4 only: on order 6
     # the bar route alone takes about 15 s there for the twisted module
-    cyclic = [M for M in census() if cyclic_structure(M)]
-    assert sorted(cyclic_structure(M)[:2] for M in cyclic) == \
+    cyclic = [M for M in census() if len(cyclic_factors(M)) == 1]
+    assert sorted(cyclic_factors(M)[0][:2] for M in cyclic) == \
         sorted((m, k - m) for k in (2, 3, 4) for m in range(k))
     monoids = cyclic + [make_cyclic(m, k - m) for k in (5, 6, 7) for m in range(k)]
     for M in map(identity_last, monoids):
-        shape = cyclic_structure(M)
-        m, q, powers = shape
+        (m, q, powers), = cyclic_factors(M)
         assert powers[0] == M.size - 1 and sorted(powers) == list(range(M.size))
         assert validate_dga(small_resolution(m, q, 6, M, powers)) == [], (m, q)
-        modules = [(text, constant_module(parse_group_shorthand(text), M))
-                   for text in ("Z", "Z/4", "Z+Z/2")]
-        modules += [("ZM", zm_as_hmodule(M)), ("ZM/2", zm_mod2(M))]
-        chis = parity_characters(M)
-        if chis:
-            modules.append(("Z+Z/2 twisted", twisted_z_z2(M, chis[0])))
-        for name, A in modules:
-            for r in (1, 2, 3):
-                top = r + 2 if M.size < 5 else r + 1
-                small = small_model_complex(M, r, A, top + 1, shape)
-                bar_route = cochain_complex(M, r, A, top + 1)
-                for n in range(top + 1):
-                    assert small.cohomology(n) == bar_route.cohomology(n), (m, q, name, r, n)
-                assert cohomology_group(M, r, top, A) == small.cohomology(top), (m, q, name, r)
+        small_model_matches_the_bar_route(M, 2 if M.size < 5 else 1)
 
 
-def test_only_tables_that_are_not_cyclic_build_the_iterated_bar(monkeypatch):
-    # cyclic tables never reach the iterated bar, relabelled or not; the
-    # Klein four-group does, and a cyclic table with a module that breaks
-    # its laws is refused before any bar is built
+def test_small_model_matches_the_bar_route_on_products_of_cyclic_tables():
+    # a product of two cyclic submonoids is answered through
+    # Hom(B^(r-1)(R1 (x) R2), A), each R built in the table's own labels:
+    # the 3 census products of order 4 and the four of order 6 that are
+    # not cyclic (C(0,2) x C(0,3) is C(0,6)) and have a factor of order
+    # 3 other than C(0,3) or no parity character, each relabelled with
+    # its identity last.  The recogniser finds no factors on the 14 other
+    # census monoids
+    others = [M for M in census() if not cyclic_factors(M)]
+    products = [M for M in census() if len(cyclic_factors(M)) == 2]
+    assert len(others) == 14 and len(products) == 3
+    assert sorted(sorted(f[:2] for f in cyclic_factors(M)) for M in products) == \
+        [[(0, 2), (0, 2)], [(0, 2), (1, 1)], [(1, 1), (1, 1)]]
+    pairs = ((1, 2, 1, 1), (2, 1, 0, 2), (2, 1, 1, 1), (0, 3, 1, 1))
+    products += [product_table(make_cyclic(m1, q1), make_cyclic(m2, q2))
+                 for m1, q1, m2, q2 in pairs]
+    for M in map(identity_last, products):
+        factors = cyclic_factors(M)
+        assert len(factors) == 2, M.table
+        assert all(powers[0] == M.size - 1 for _, _, powers in factors)
+        tensor = tensor_dga(*(small_resolution(m, q, 6, M, powers) for m, q, powers in factors))
+        assert validate_dga(tensor) == [], M.table
+        small_model_matches_the_bar_route(M, 2 if M.size < 5 else 1)
+
+
+def test_only_tables_that_are_not_products_of_cyclics_build_the_iterated_bar(monkeypatch):
+    # cyclic tables and products of two cyclic submonoids never reach the
+    # iterated bar, relabelled or not; the semilattice, a census monoid of
+    # order 4 that is no such product, and (Z/2)^3, whose three factors
+    # the small models do not cover, do.  A cyclic table with a module that
+    # breaks its laws is refused before any bar is built, and
+    # test_lawless_modules_are_refused_at_every_entry_point refuses Klein
+    # before its small model is built
     def no_bar(*args):
         raise AssertionError("the iterated bar was built")
     monkeypatch.setattr(cohomology, "iterated_bar", no_bar)
     C34, C12r = make_cyclic(3, 4), identity_last(C12)
     assert cohomology_group(C34, 1, 4, constant_module(Z, C34)) == AbGroupInvariants(0, (4,))
     assert cohomology_group(C12r, 2, 3, zm_as_hmodule(C12r)) == AbGroupInvariants(0, (2, 2, 2))
-    klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
+    klein = identity_last(validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)]))
+    assert cohomology_group(klein, 2, 4, constant_module(zmod(2), klein)) == \
+        AbGroupInvariants(0, (2, 2, 2))
+    C12xC11 = identity_last(product_table(C12, C11))
+    assert cohomology_group(C12xC11, 1, 2, zm_as_hmodule(C12xC11)) == \
+        AbGroupInvariants(0, (2, 2, 2))
     C03 = make_cyclic(0, 3)
     breaks_composition = HModule(C03, [zmod(4)] * 3, {
         (x, y): IntMatrix.from_rows([[1 if y == 0 else 2]]) for x in range(3) for y in range(3)})
-    with pytest.raises(AssertionError, match="the iterated bar was built"):
-        cohomology_group(klein, 1, 2, constant_module(Z, klein))
     with pytest.raises(ModuleError, match="violates the module laws"):
         cohomology_group(C03, 1, 2, breaks_composition)
+    semilattice = validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+    no_product = next(M for M in census((4,)) if not cyclic_factors(M))
+    cube = product_table(product_table(Z2, Z2), Z2)
+    for M in (semilattice, no_product, cube):
+        assert not cyclic_factors(M)
+        with pytest.raises(AssertionError, match="the iterated bar was built"):
+            cohomology_group(M, 1, 2, constant_module(Z, M))
 
 
 def test_cone_on_a_relation_basis_with_entries_below_its_pivots():
@@ -498,8 +554,10 @@ def lawless_modules(M):
 
 def test_lawless_modules_are_refused_at_every_entry_point(monkeypatch):
     # every entry point that reads a tabular module refuses one that
-    # breaks its laws with the same one-line ModuleError, on cyclic and
-    # other tables alike, before any bar or small model is built
+    # breaks its laws with the same one-line ModuleError, on cyclic tables,
+    # on Klein, a product of two cyclic submonoids that takes the small
+    # model route too, and on the semilattice, before any bar or small
+    # model is built
     def no_complex(*args):
         raise AssertionError("a complex was built")
     for module, name in ((cohomology, "iterated_bar"), (cohomology, "small_model_complex"),
@@ -526,21 +584,40 @@ def test_lawless_modules_are_refused_at_every_entry_point(monkeypatch):
     assert len(cases) == 3 * 10 + 3 * 7 + 2 * 7
 
 
+def test_cohomology_group_checks_the_laws_once_on_every_route(monkeypatch):
+    # cochain_complex checks the laws itself, so the bar route, like the
+    # small model routes, reads each module once
+    calls = []
+
+    def counting(module, M):
+        calls.append(M)
+        return require_lawful(module, M)
+    monkeypatch.setattr(cohomology, "require_lawful", counting)
+    klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
+    semilattice = validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+    for M in (make_cyclic(0, 3), klein, semilattice):
+        calls.clear()
+        cohomology_group(M, 1, 2, zm_as_hmodule(M))
+        assert calls == [M]
+
+
 def test_a_product_column_outside_the_relations_names_its_cell():
-    # a CochainComplex built directly checks no law, but the cone's own
-    # solve of its top rows still refuses a translation that maps a
-    # relation outside the relations, naming the element of the cell the
-    # column lands on
+    # cochain_complex refuses a module that breaks its laws, and a
+    # CochainComplex built directly checks none, but the cone's own solve
+    # of its top rows still refuses a translation that maps a relation
+    # outside the relations, naming the element of the cell the column
+    # lands on
     C03 = make_cyclic(0, 3)
     one = IntMatrix.from_rows([[1]])
     # 2_*: A(1) = Z/2 -> A(0) = Z/4 maps the relation 2 to 2, outside 4Z
     A = HModule(C03, [zmod(4), zmod(2), zmod(2)],
                 {(x, y): one for x in range(3) for y in range(3)})
-    with pytest.raises(ModuleError, match="violates the module laws"):
-        cohomology_group(C03, 1, 1, A)
+    for entry in (lambda: cohomology_group(C03, 1, 1, A), lambda: cochain_complex(C03, 1, A, 2)):
+        with pytest.raises(ModuleError, match="violates the module laws"):
+            entry()
     with pytest.raises(ModuleError, match=re.escape(
             "leaves the relations of A(0): the translations break the module laws")):
-        cochain_complex(C03, 1, A, 2).cohomology(1)
+        CochainComplex(iterated_bar(C03, 1, 2), A, 2).cohomology(1)
 
 
 def test_a_module_flagged_constant_must_be_constant():

@@ -17,6 +17,8 @@ from monoid_cohomology.hmod import FGAbelianGroup, constant_module
 from monoid_cohomology.monoid import MonoidError, cyclic_s, make_cyclic
 from monoid_cohomology.zlinalg import AbGroupInvariants
 
+from helpers import SampledModule
+
 Z = FGAbelianGroup.free(1)
 
 
@@ -397,7 +399,7 @@ def test_bullet_is_exempt_from_leibniz():
 def test_sampled_coefficients_over_infinite_cyclic():
     # genuinely non-constant coefficients: a different group at each
     # required sample point
-    from monoid_cohomology.hmod import ModuleError, SampledModule
+    from monoid_cohomology.hmod import ModuleError
     samples = {0: zmod(6), 1: Z, 2: zmod(4)}
     B = bar(small_resolution_inf(5), 5)
     cx = CochainComplex(B, SampledModule(samples), 5)

@@ -7,13 +7,14 @@ import pytest
 from monoid_cohomology.bar import BarWord
 from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, FreeBasis,
                                     HModule, ModuleError, PiMismatchError,
-                                    constant_as_tabular, constant_module,
-                                    dualize,
+                                    constant_module, dualize,
                                     module_from_descriptor,
                                     parse_group_shorthand, require_lawful,
                                     validate_module, zm_as_hmodule)
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import AbGroupInvariants, IntMatrix
+
+from helpers import constant_as_tabular
 
 Z2 = make_cyclic(0, 2)
 C23 = make_cyclic(2, 3)
