@@ -10,8 +10,9 @@ product of two cyclic submonoids (monoid.cyclic_factors) is answered
 through R1 (x) R2 (bar.tensor_dga) the same way; a table with three or
 more cyclic factors, and any other table, still takes the iterated bar.
 Every route needs A to keep its laws, and R applies fewer translations
-than the bar, so the entry points check them first, on all of M^2 and
-M^3 (hmod.require_lawful): a module that breaks them is refused there.
+than the bar, so the entry points check them first (hmod.require_lawful,
+which reads them on a generating set S of M, |M|^2 |S| products): a
+module that breaks them is refused there.
 
 The degree-n cochain group of Hom(B^r(ZM), A) is the direct sum of the
 A(pi(cell)) over the generic n-cells; the coboundary is precomposition

@@ -142,6 +142,19 @@ def cyclic_s(m, q, x, y):
     return (x + y - cyclic_p(m, q, x + y)) // q
 
 
+def _powers(M, x):
+    """M's labels of e, x, x^2, ... up to the first repeat, and the
+    position among them of the repeated power: at most |M| table reads."""
+    powers = [M.identity]
+    index = {M.identity: 0}
+    y = x
+    while y not in index:
+        index[y] = len(powers)
+        powers.append(y)
+        y = M.op(y, x)
+    return powers, index[y]
+
+
 def cyclic_factors(M):
     """The cyclic factors of the table M as (m, q, powers) triples: for
     the submonoid <x> of an element x, powers lists M's labels of
@@ -158,14 +171,8 @@ def cyclic_factors(M):
         return ()
     factors = []
     for x in range(M.size):
-        powers = [M.identity]
-        index = {M.identity: 0}
-        y = x
-        while y not in index:
-            index[y] = len(powers)
-            powers.append(y)
-            y = M.op(y, x)
-        factor = (index[y], len(powers) - index[y], powers)
+        powers, m = _powers(M, x)
+        factor = (m, len(powers) - m, powers)
         if len(powers) == M.size:
             return (factor,)
         factors.append(factor)
@@ -176,6 +183,25 @@ def cyclic_factors(M):
                     and len({M.op(a, b) for a in xs for b in ys}) == M.size):
                 return first, second
     return ()
+
+
+def generating_set(M):
+    """A generating set S of the table M, chosen greedily: the elements
+    in decreasing order of |<x>| (ties by label), each taken unless the
+    submonoid generated so far holds it.  In a commutative monoid that
+    submonoid times <x> is the submonoid generated with x, so each step
+    reads at most |M|^2 products, |M|^2 |S| in all after the |M|^2 reads
+    of the powers.  |S| = 1 on every cyclic table of order 2 or more, in
+    any labelling; the Klein four-group and the three-element
+    semilattice need 2, and the one-element table none."""
+    powers = [_powers(M, x)[0] for x in range(M.size)]
+    gens = []
+    closure = {M.identity}
+    for x in sorted(range(M.size), key=lambda x: -len(powers[x])):
+        if x not in closure:
+            gens.append(x)
+            closure = {M.op(c, p) for c in closure for p in powers[x]}
+    return tuple(gens)
 
 
 def monoid_from_descriptor(desc):

@@ -31,6 +31,7 @@ def test_cohomology_worked_example():
 
 
 TWISTED = os.path.join(os.path.dirname(__file__), "data", "twisted_z_z2_c04.json")
+LAWLESS = os.path.join(os.path.dirname(__file__), "data", "lawless_c03.json")
 
 
 @pytest.mark.parametrize("degree, expected", [
@@ -224,6 +225,9 @@ def test_malformed_inputs_exit_2(tmp_path):
     exits_2("cyclic:1,2", '{"kind":"constant","group":{"torsion":[true]}}')
     exits_2("cyclic:0,2", _z2_tabular({"torsion": [2]}, [[True]]))
     exits_2("cyclic:0,2", _z2_tabular({"free_rank": True}, [[1]]))
+    # Z/4 on cyclic:0,3, the elements other than the identity acting by 2:
+    # 1_* 1_* = 4 = 0 but 2_* = 2
+    assert "violates the module laws" in exits_2("cyclic:0,3", "@" + LAWLESS)
     # sizes no computation can reach are refused before any allocation
     assert "cyclic order" in exits_2('{"kind":"cyclic","index":%d,"period":2}' % 2 ** 64)
     assert "generators" in exits_2("cyclic:1,2", "Z^%d" % 2 ** 64)

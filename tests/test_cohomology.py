@@ -20,6 +20,7 @@ from monoid_cohomology.monoid import cyclic_factors, make_cyclic, validate_table
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix, preimage_lattice,
                                        subquotient_invariants)
 
+from helpers import lawless_modules, relabelled, zm_mod2
 from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
@@ -53,13 +54,6 @@ def test_level1_z2_mod2_coboundaries_alternate():
     for n in range(4):
         assert cohomology_group(Z2, 1, n, constant_module(zmod(2), Z2)) == \
             AbGroupInvariants(0, (2,))
-
-
-def zm_mod2(M):
-    """ZM with every value group reduced mod 2."""
-    zm = zm_as_hmodule(M)
-    groups = [FGAbelianGroup(g.ngens, IntMatrix.diagonal([2] * g.ngens)) for g in zm.groups]
-    return HModule(M, groups, zm.actions)
 
 
 def parity_characters(M):
@@ -356,12 +350,7 @@ def test_cone_matches_lattice_census():
 def identity_last(M):
     """M with each element x renamed |M| - 1 - x, so the identity of a
     table with identity 0 moves to the last index."""
-    n = M.size
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            table[n - 1 - x][n - 1 - y] = n - 1 - M.op(x, y)
-    return validate_table(n, n - 1 - M.identity, table)
+    return relabelled(M, range(M.size - 1, -1, -1))
 
 
 def product_table(M1, M2):
@@ -530,26 +519,6 @@ def test_modules_breaking_their_laws_raise():
         with pytest.raises(ModuleError, match=re.escape(
                 "tabular module violates the module laws: %r" % (bad[:3],))):
             cohomology_group(A.monoid, 1, n, A)
-
-
-def lawless_modules(M):
-    """Three modules over M that break their laws: Z with e_* = 2 (the
-    other translations the identity); Z/4 with every non-unit acting by
-    2 (1_* 1_* = 4 = 0 but (1 + 1)_* = 2); and Z/4 at the identity, Z/2
-    elsewhere, all translations 1, where M has a unit u other than the
-    identity, whose u_*: A(u) = Z/2 -> A(e) = Z/4 maps the relation 2
-    outside 4Z."""
-    elements, e = range(M.size), M.identity
-
-    def scalars(groups, value):
-        return HModule(M, groups, {(x, y): IntMatrix.from_rows([[value(y)]])
-                                   for x in elements for y in elements})
-    mods = [("Z, e_* = 2", scalars([Z] * M.size, lambda y: 2 if y == e else 1)),
-            ("breaks_composition", scalars([zmod(4)] * M.size, lambda y: 1 if y == e else 2))]
-    if any(M.op(x, y) == e for x in M.nonunit() for y in elements):
-        mods.append(("keeps_no_relations",
-                     scalars([zmod(4) if x == e else zmod(2) for x in elements], lambda y: 1)))
-    return mods
 
 
 def test_lawless_modules_are_refused_at_every_entry_point(monkeypatch):

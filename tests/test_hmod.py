@@ -5,16 +5,19 @@ import tracemalloc
 import pytest
 
 from monoid_cohomology.bar import BarWord
+from monoid_cohomology.cohomology import cohomology_group
 from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, FreeBasis,
                                     HModule, ModuleError, PiMismatchError,
                                     constant_module, dualize,
                                     module_from_descriptor,
                                     parse_group_shorthand, require_lawful,
                                     validate_module, zm_as_hmodule)
-from monoid_cohomology.monoid import make_cyclic
+from monoid_cohomology.monoid import generating_set, make_cyclic
 from monoid_cohomology.zlinalg import AbGroupInvariants, IntMatrix
 
-from helpers import constant_as_tabular
+from helpers import (constant_as_tabular, exhaustive_violations, lawless_modules, relabelled,
+                     zm_mod2)
+from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
 C23 = make_cyclic(2, 3)
@@ -53,7 +56,6 @@ def test_constant_module_builds_its_identity_only_when_read():
     # the universal coefficient route never reads a translation, so a
     # wide constant group costs no k x k identity there (about 70 MB at
     # k = 3000)
-    from monoid_cohomology.cohomology import cohomology_group
     tracemalloc.start()
     try:
         A = constant_module(FGAbelianGroup.free(3000), C12)
@@ -89,6 +91,50 @@ def test_a_misshaped_translation_is_a_violation_not_a_crash():
     with pytest.raises(ModuleError, match="another monoid"):
         require_lawful(A, C11)
     require_lawful(constant_module(g, C11), Z2)
+
+
+def test_the_generating_set_check_agrees_with_the_exhaustive_oracle():
+    # validate_module reads the laws on a generating set, the oracle on
+    # every element: they agree on lawful vs lawless on every census
+    # monoid and on a shuffled labelling of every cyclic table of order
+    # 2-7, with ZM, ZM mod 2 and every module of lawless_modules.  Each
+    # violation found on the generating set names a pair the oracle
+    # finds too
+    rng = random.Random(2022)
+    monoids = census() + [relabelled(make_cyclic(m, k - m), rng.sample(range(k), k))
+                          for k in range(2, 8) for m in range(k)]
+    cases = 0
+    for M in monoids:
+        for name, A in [("ZM", zm_as_hmodule(M)), ("ZM/2", zm_mod2(M))] + lawless_modules(M):
+            fast, oracle = validate_module(A), exhaustive_violations(A)
+            assert (fast == []) == (oracle == []) == name.startswith("ZM"), (M.table, name)
+            assert {(kind, args[:2]) for kind, args in fast} <= \
+                {(kind, args[:2]) for kind, args in oracle}, (M.table, name)
+            cases += 1
+    assert len(monoids) == 26 + 27 and cases == 228
+
+
+def test_a_violation_off_the_generating_set_is_still_refused():
+    # C(0,4) with g, g^2, g^3, e labelled 0, 1, 2, 3 and Z/4 everywhere,
+    # g^3 acting by -1 and the other elements by 1: the first violation
+    # of the exhaustive check is (g^2)_* g_* = 1 against (g^3)_* = -1 on
+    # A(g), at z = g^2, outside the generating set; the check on the
+    # generating set still finds one, and cohomology_group refuses the
+    # module with the one-line ModuleError
+    M = relabelled(make_cyclic(0, 4), [3, 0, 1, 2])
+    g, g2, g3 = 0, 1, 2
+    assert (M.op(g, g), M.op(g, g2)) == (g2, g3)
+    A = HModule(M, [FGAbelianGroup.cyclic(4)] * 4,
+                {(x, y): IntMatrix.from_rows([[-1 if y == g3 else 1]])
+                 for x in range(4) for y in range(4)})
+    assert exhaustive_violations(A)[0] == ("composition", (g, g, g2))
+    assert g2 not in generating_set(M)
+    bad = validate_module(A)
+    assert bad and all(args[2] in generating_set(M) for _, args in bad)
+    with pytest.raises(ModuleError, match=re.escape(
+            "tabular module violates the module laws: %r" % (bad[:3],))) as info:
+        cohomology_group(M, 1, 2, A)
+    assert "\n" not in str(info.value)
 
 
 def test_zm_as_module_is_functorial():

@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
 from monoid_cohomology.monoid import (INFINITE_CYCLIC, MonoidError,
-                                      cyclic_p, cyclic_s, make_cyclic,
+                                      cyclic_p, cyclic_s, generating_set, make_cyclic,
                                       monoid_from_descriptor,
                                       monoid_to_descriptor, validate_table)
+
+from helpers import relabelled
+from monoid_census import census
 
 
 def test_trivial_and_group_tables():
@@ -97,3 +102,35 @@ def test_descriptors_round_trip():
 def test_infinite_cyclic_marker():
     assert INFINITE_CYCLIC.op(3, 4) == 7
     assert INFINITE_CYCLIC.identity == 0
+
+
+def _generated(M, gens):
+    """The submonoid generated by gens, by multiplying until nothing new
+    appears."""
+    closure = {M.identity}
+    while True:
+        grown = closure | {M.op(c, s) for c in closure for s in gens}
+        if grown == closure:
+            return closure
+        closure = grown
+
+
+def test_generating_sets():
+    # the greedy generating set generates M on every census monoid; it has
+    # one element on every cyclic table of order 2-7 in shuffled
+    # labellings, and two on Klein and on the semilattice
+    for M in census():
+        assert _generated(M, generating_set(M)) == set(range(M.size)), M.table
+    rng = random.Random(2022)
+    for k in range(2, 8):
+        for m in range(k):
+            for _ in range(3):
+                M = relabelled(make_cyclic(m, k - m), rng.sample(range(k), k))
+                gens = generating_set(M)
+                assert len(gens) == 1 and _generated(M, gens) == set(range(k)), M.table
+    klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
+    semilattice = validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+    for M in (klein, semilattice):
+        gens = generating_set(M)
+        assert len(gens) == 2 and _generated(M, gens) == set(range(M.size))
+    assert generating_set(validate_table(1, 0, [[0]])) == ()

@@ -465,7 +465,7 @@ import sys
 from monoid_cohomology import cohomology, cyclic, zlinalg
 from monoid_cohomology.bar import BarWord, explicit_low_degree_differential, iterated_bar
 from monoid_cohomology.hmod import FGAbelianGroup, FreeBasis, HModule, ModuleError
-from monoid_cohomology.monoid import make_cyclic
+from monoid_cohomology.monoid import make_cyclic, validate_table
 from helpers import determinant
 
 def raises(exc, fn, *args):
@@ -507,7 +507,7 @@ for name, (fn, *args) in value_checks.items():
         failures.append(name)
 # modules that validate_module rejects: a translation that leaves the
 # relations, a d d outside them (no curvature K), and Z with e_* = 2;
-# cohomology_group refuses all three, and a complex built directly still
+# cohomology_group refuses all of them, and a complex built directly still
 # meets the cone's certificate on its top rows
 one, C3 = M.from_rows([[1]]), make_cyclic(0, 3)
 leaves = HModule(C, [FGAbelianGroup.cyclic(4), FGAbelianGroup.cyclic(2)],
@@ -516,8 +516,18 @@ curved = HModule(C3, [FGAbelianGroup.cyclic(4)] * 3,
                  {(x, y): M.from_rows([[2 if y else 1]]) for x in range(3) for y in range(3)})
 doubled = HModule(C3, [FGAbelianGroup.free(1)] * 3,
                   {(x, y): M.from_rows([[1 if y else 2]]) for x in range(3) for y in range(3)})
+# Klein and the semilattice need two generators: Z/4 with the elements
+# other than the identity acting by 2 breaks composition on both
+klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
+semilattice = validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+klein_curved, semilattice_curved = (
+    HModule(P, [FGAbelianGroup.cyclic(4)] * P.size,
+            {(x, y): M.from_rows([[2 if y else 1]]) for x in range(P.size) for y in range(P.size)})
+    for P in (klein, semilattice))
 for name, A, n in (("lawless relations", leaves, 1), ("lawless composition", curved, 2),
-                   ("lawless identity", doubled, 2)):
+                   ("lawless identity", doubled, 2),
+                   ("lawless composition on Klein", klein_curved, 2),
+                   ("lawless composition on the semilattice", semilattice_curved, 2)):
     if not raises(ModuleError, cohomology.cohomology_group, A.monoid, 1, n, A):
         failures.append(name)
 # on C(0,3) 2_*: A(1) = Z/2 -> A(0) = Z/4 carries a relation into d^1;
