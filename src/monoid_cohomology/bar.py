@@ -14,16 +14,21 @@ r recovers the top tensor factors, each a level-(r-1) word; a word with
 no top separator is the suspension of its single factor, which is why
 the flat form is stable under suspension.
 
-bar_word_diff is the one differential.  iterated_bar runs it once per
-separator shape (level, seps), on the generic word whose letter i is the
-position (i,) of POSITIONS, the free commutative monoid on the letter
-positions; each cell of that shape takes this template with its letters
-put in.  That is exact: putting letters in is a monoid map, so it
-commutes with every product the recursion forms, and the recursion
-tests for the identity only on products of letters, so a product equal
-to e in M leaves a term with a unit letter, which the instantiation
-drops just as bar_word_diff drops it.  Templates live for one
-iterated_bar call and are not cached across calls.
+The flat and nested bars share _word_diff, the one bar differential
+over a factor algebra, and shuffles, the one shuffle product:
+bar_word_diff and bar_word_shuffle read a flat word as its top factors,
+and bar() reads a word of generators of its input DGA.
+
+iterated_bar runs bar_word_diff once per separator shape (level, seps),
+on the generic word whose letter i is the position (i,) of POSITIONS,
+the free commutative monoid on the letter positions; each cell of that
+shape takes this template with its letters put in.  That is exact:
+putting letters in is a monoid map, so it commutes with every product
+the recursion forms, and the recursion tests for the identity only on
+products of letters, so a product equal to e in M leaves a term with a
+unit letter, which the instantiation drops just as bar_word_diff drops
+it.  Templates live for one iterated_bar call and are not cached across
+calls.
 
 cells(M, r, n) yields the cells of one degree in the order of the
 stored basis; iterated_bar, Grillet's tuple bases, the groupoid's
@@ -181,7 +186,8 @@ def extend_bilinear(M, fn, chain_a, chain_b):
 # -- flat bar words over the monoid algebra ----------------------------------
 
 def split_top(word):
-    """Top tensor factors of a level-r word, as level-(r-1) words."""
+    """Top tensor factors of a level-r word, as a tuple of level-(r-1)
+    words."""
     r = word.level
     segs = []
     cur_letters = [word.letters[0]]
@@ -195,7 +201,7 @@ def split_top(word):
             cur_seps.append(k)
             cur_letters.append(x)
     segs.append(BarWord(cur_letters, cur_seps, r - 1))
-    return segs
+    return tuple(segs)
 
 
 def join_top(segments, r):
@@ -212,20 +218,58 @@ def join_top(segments, r):
     return BarWord(letters, seps, r)
 
 
-def _prefix_exponents(degs):
-    # e_i = i + deg_1 + ... + deg_i, starting with e_0 = 0
-    out = [0]
+def _word_diff(factors, degs, diff, mult, unit, aug, join):
+    """The bar differential of the word join(factors), a nonempty tuple
+    of factors of degrees degs over some factor algebra: diff(f) and
+    mult(f, g) are chains of factors, a term on the unit factor kills the
+    word, aug(f) is the (translate, coefficient) of the augmentation of a
+    degree-0 factor, and join turns a tuple of factors into a word.
+
+    d = d_tensor + d_mult plus the augmentation edge terms: factor i
+    (from 0) is differentiated with sign -(-1)^{e_i}, factors i and i + 1
+    are multiplied with sign (-1)^{e_{i+1}}, and a degree-0 factor at
+    either end is augmented away, with sign 1 in front and (-1)^{e_p} at
+    the back.
+    """
+    p = len(factors)
+    ex = [0]  # e_i = i + deg f_1 + ... + deg f_i
     for d in degs:
-        out.append(out[-1] + 1 + d)
+        ex.append(ex[-1] + 1 + d)
+    out = {}
+    for i in range(p):
+        sign = -1 if ex[i] % 2 == 0 else 1
+        for (u, g), c in diff(factors[i]).items():
+            if g != unit:
+                chain_add_term(out, (u, join(factors[:i] + (g,) + factors[i + 1:])), sign * c)
+    for i in range(p - 1):
+        sign = 1 if ex[i + 1] % 2 == 0 else -1
+        for (u, g), c in mult(factors[i], factors[i + 1]).items():
+            if g != unit:
+                chain_add_term(out, (u, join(factors[:i] + (g,) + factors[i + 2:])), sign * c)
+    if degs[0] == 0:
+        u, c = aug(factors[0])
+        chain_add_term(out, (u, join(factors[1:])), c)
+    if degs[p - 1] == 0:
+        u, c = aug(factors[p - 1])
+        chain_add_term(out, (u, join(factors[:-1])), c if ex[p] % 2 == 0 else -c)
     return out
+
+
+def _no_diff(x):
+    return {}
+
+
+def _level1_word(letters):
+    return BarWord(letters, (1,) * (len(letters) - 1), 1)
 
 
 def bar_word_diff(M, word):
     """Differential of a level-r cell, as a chain of level-r words.
 
-    Implements d = d_tensor + d_mult recursively through the levels;
-    at the bottom the letters multiply in the monoid and the
-    augmentation edge terms appear.
+    The factors are the top factors of the word, whose differential is
+    this one a level down and whose product is bar_word_shuffle; at
+    level 1 they are the letters, which multiply in the monoid and have
+    augmentation 1, so the edge terms appear.
     """
     e = M.identity
     if word.is_empty() or word.level == 0:
@@ -233,86 +277,43 @@ def bar_word_diff(M, word):
     if any(x == e for x in word.letters):
         return {}
     r = word.level
-    segs = split_top(word)
-    p = len(segs)
-    degs = [s.degree for s in segs]
-    ex = _prefix_exponents(degs)
-    out = {}
-
-    # d_tensor: differentiate each factor
-    if r > 1:
-        for i in range(p):
-            sub = bar_word_diff(M, segs[i])
-            if not sub:
-                continue
-            sign = -1 if ex[i] % 2 == 0 else 1  # -(-1)^{e_{i-1}}
-            for (u, w), c in sub.items():
-                if w.is_empty():
-                    continue  # a translated unit letter kills the word
-                new = join_top(segs[:i] + [w] + segs[i + 1:], r)
-                chain_add_term(out, (u, new), sign * c)
-
-    # d_mult: multiply adjacent factors
-    for i in range(p - 1):
-        sign = 1 if ex[i + 1] % 2 == 0 else -1  # (-1)^{e_i}
-        if r == 1:
-            xy = M.op(segs[i].letters[0], segs[i + 1].letters[0])
-            if xy == e:
-                continue
-            prod = {(e, BarWord((xy,), (), 0)): 1}
-        else:
-            prod = bar_word_shuffle(M, segs[i], segs[i + 1])
-        for (u, w), c in prod.items():
-            if w.is_empty():
-                continue
-            new = join_top(segs[:i] + [w] + segs[i + 2:], r)
-            chain_add_term(out, (u, new), sign * c)
-
-    # augmentation edge terms: only degree-0 letters contribute, which
-    # happens exactly at level 1 (epsilon-tilde is 1 on every generator
-    # of the monoid algebra)
     if r == 1:
-        first = join_top(segs[1:], r)
-        chain_add_term(out, (segs[0].letters[0], first), 1)
-        last = join_top(segs[:-1], r)
-        sign = 1 if ex[p] % 2 == 0 else -1
-        chain_add_term(out, (segs[p - 1].letters[0], last), sign)
-    return out
+        return _word_diff(word.letters, (0,) * len(word.letters), _no_diff,
+                          lambda x, y: {(e, M.op(x, y)): 1}, e, lambda x: (x, 1),
+                          _level1_word)
+    segs = split_top(word)
+    return _word_diff(segs, [s.degree for s in segs], lambda s: bar_word_diff(M, s),
+                      lambda a, b: bar_word_shuffle(M, a, b), BarWord((), (), r - 1),
+                      None, lambda fs: join_top(fs, r))
 
 
-def shuffles(fa, fb, degs_a, degs_b):
-    """Every shuffle of the factor lists fa and fb, as (merged, sign)
-    pairs.  The sign exponent sums (1 + deg a_i)(1 + deg b_j) over the
-    inverted pairs, i.e. over each b factor placed before an a factor."""
+def shuffles(e, fa, fb, degs_a, degs_b, join):
+    """The shuffle product of the words with factor lists fa and fb, as a
+    chain of the words join(merged) at translate e.  A shuffle's sign
+    exponent sums (1 + deg a_i)(1 + deg b_j) over the inverted pairs,
+    i.e. over each b factor placed before an a factor."""
     p, q = len(fa), len(fb)
-    out = []
+    out = {}
     for apos in combinations(range(p + q), p):
-        apos_set = set(apos)
-        bpos_list = [pos for pos in range(p + q) if pos not in apos_set]
-        exponent = 0
         merged = []
-        ai = bi = 0
+        ai = bi = b_before = exponent = 0
         for pos in range(p + q):
-            if pos in apos_set:
-                for j, bp in enumerate(bpos_list):
-                    if bp < pos:
-                        exponent += (1 + degs_a[ai]) * (1 + degs_b[j])
+            if ai < p and apos[ai] == pos:
                 merged.append(fa[ai])
+                exponent += (1 + degs_a[ai]) * b_before
                 ai += 1
             else:
                 merged.append(fb[bi])
+                b_before += 1 + degs_b[bi]
                 bi += 1
-        out.append((merged, 1 if exponent % 2 == 0 else -1))
+        chain_add_term(out, (e, join(merged)), -1 if exponent % 2 else 1)
     return out
 
 
 def bar_word_shuffle(M, a, b):
-    """Shuffle product of two cells of the same level, as a chain.
-
-    The sign exponent sums (1 + deg a_i)(1 + deg b_j) over inverted
-    pairs, where the degrees are those of the top factors one level
-    down.
-    """
+    """Shuffle product of two cells of the same level, as a chain: the
+    shuffles of their top factors, whose degrees are those one level
+    down."""
     if a.level != b.level:
         raise ValueError("shuffle needs words of the same level: %d vs %d"
                          % (a.level, b.level))
@@ -325,11 +326,9 @@ def bar_word_shuffle(M, a, b):
         return {(e, a): 1}
     segsA = split_top(a)
     segsB = split_top(b)
-    out = {}
-    for merged, sign in shuffles(segsA, segsB, [s.degree for s in segsA],
-                                 [s.degree for s in segsB]):
-        chain_add_term(out, (e, join_top(merged, a.level)), sign)
-    return out
+    r = a.level
+    return shuffles(e, segsA, segsB, [s.degree for s in segsA], [s.degree for s in segsB],
+                    lambda merged: join_top(merged, r))
 
 
 def explicit_low_degree_differential(M, word):
@@ -505,49 +504,20 @@ def bar(D, degmax):
 
     pi = {w: word_pi(w) for ws in basis.values() for w in ws}
 
+    def aug(g):
+        return D.pi[g], D.eps_tilde.get(g, 0)
+
     def word_diff(wrd):
-        p = len(wrd)
-        if p == 0:
+        if not wrd:
             return {}
-        degs = [D.degree_of[g] for g in wrd]
-        ex = _prefix_exponents(degs)
-        out = {}
-        for i in range(p):
-            sub = D.differential(wrd[i])
-            if not sub:
-                continue
-            sign = -1 if ex[i] % 2 == 0 else 1
-            for (u, g2), c in sub.items():
-                if g2 == D.unit:
-                    continue
-                chain_add_term(out, (u, wrd[:i] + (g2,) + wrd[i + 1:]), sign * c)
-        for i in range(p - 1):
-            sign = 1 if ex[i + 1] % 2 == 0 else -1
-            for (u, g2), c in D.product_fn(wrd[i], wrd[i + 1]).items():
-                if g2 == D.unit:
-                    continue
-                chain_add_term(out, (u, wrd[:i] + (g2,) + wrd[i + 2:]), sign * c)
-        if degs[0] == 0:
-            coeff = D.eps_tilde.get(wrd[0], 0)
-            chain_add_term(out, (D.pi[wrd[0]], wrd[1:]), coeff)
-        if degs[p - 1] == 0:
-            coeff = D.eps_tilde.get(wrd[p - 1], 0)
-            sign = 1 if ex[p] % 2 == 0 else -1
-            chain_add_term(out, (D.pi[wrd[p - 1]], wrd[:-1]), sign * coeff)
-        return out
+        return _word_diff(wrd, [D.degree_of[g] for g in wrd], D.differential, D.product_fn,
+                          D.unit, aug, tuple)
 
     diff = {w: word_diff(w) for ws in basis.values() for w in ws}
 
     def shuffle(wa, wb):
-        if not wa:
-            return {(e, wb): 1}
-        if not wb:
-            return {(e, wa): 1}
-        out = {}
-        for merged, sign in shuffles(wa, wb, [D.degree_of[g] for g in wa],
-                                     [D.degree_of[g] for g in wb]):
-            chain_add_term(out, (e, tuple(merged)), sign)
-        return out
+        return shuffles(e, wa, wb, [D.degree_of[g] for g in wa], [D.degree_of[g] for g in wb],
+                        tuple)
 
     return FreeBasedDGA(
         monoid=M, degmax=degmax, basis=basis, pi=pi, diff=diff,

@@ -18,8 +18,7 @@ import time
 
 from .bar import cells, render_word, word_to_json
 from .cohomology import brute_force_cohomology, cohomology_group
-from .cyclic import (level2_groups_cyclic, level3_top, verify_contraction,
-                     verify_contraction_inf)
+from .cyclic import verify_contraction, verify_contraction_inf
 from .grillet import grillet_cohomology, inclusion_chainmap
 from .groupoid import (check_coherence, cocycle_check, crossed_product,
                        iso_classes)
@@ -157,8 +156,8 @@ def cmd_cyclic(args):
                                 "period": args.period})
     A = parse_coefficients(args.coeff, M)
     t0 = time.time()
-    h2, h3, h4 = level2_groups_cyclic(args.index, args.period, A)
-    h5 = level3_top(args.index, args.period, A)
+    h2, h3, h4 = (cohomology_group(M, 2, n, A) for n in (2, 3, 4))
+    h5 = cohomology_group(M, 3, 5, A)
     payload = {"H2(C,2)": h2.to_json(), "H3(C,2)": h3.to_json(),
                "H4(C,2)": h4.to_json(), "H5(C,3)": h5.to_json()}
     emit(args, payload, [

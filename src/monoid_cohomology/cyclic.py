@@ -16,7 +16,7 @@ from .bar import (BarWord, _refuse_above, bar_word_diff, bar_word_shuffle,
                   chain_add_term, chain_sum, extend_bilinear, extend_linear,
                   refuse_above_max_cells, small_resolution, small_resolution_inf)
 from .cohomology import cohomology_group
-from .monoid import INFINITE_CYCLIC, MonoidError, cyclic_s, make_cyclic
+from .monoid import INFINITE_CYCLIC, MonoidError, check_cyclic, cyclic_s, make_cyclic
 from .zlinalg import AbGroupInvariants, gcd
 
 
@@ -367,11 +367,11 @@ def _verify(con, R, words_by_degree, degmax, report):
 MAX_SHUFFLE_TERMS = 1 << 17
 
 
-def _letter_words(letters, degmax):
-    """The words over letters by degree, 1..degmax; refused from counts
-    when the bar holds more than MAX_CELLS cells or the multiplicativity
-    check would form more than MAX_SHUFFLE_TERMS shuffle terms."""
-    k = len(letters)
+def _letter_words(k, degmax):
+    """The words over the letters 1..k by degree, 1..degmax; refused
+    from counts, before any letter is listed, when the bar holds more
+    than MAX_CELLS cells or the multiplicativity check would form more
+    than MAX_SHUFFLE_TERMS shuffle terms."""
     refuse_above_max_cells((k ** n for n in range(1, degmax + 1)),
                            "the bar to degree %d" % degmax)
     _refuse_above((k ** s * (2 ** s - 2) for s in range(2, degmax + 1)), MAX_SHUFFLE_TERMS,
@@ -380,7 +380,7 @@ def _letter_words(letters, degmax):
     by_degree = {}
     pool = [()]
     for n in range(1, degmax + 1):
-        pool = [w + (x,) for w in pool for x in letters]
+        pool = [w + (x,) for w in pool for x in range(1, k + 1)]
         by_degree[n] = [_word(w) for w in pool]
     return by_degree
 
@@ -388,7 +388,8 @@ def _letter_words(letters, degmax):
 def verify_contraction(m, q, degmax):
     """Check every contraction identity for C_{m,q} on all bar cells up
     to the given degree.  Failures land in the report, not exceptions."""
-    words = _letter_words([x for x in range(m + q) if x != 0], degmax)
+    check_cyclic(m, q)
+    words = _letter_words(m + q - 1, degmax)
     con = CyclicContraction(m, q)
     R = small_resolution(m, q, degmax + 1)
     report = ContractionReport({"index": m, "period": q, "max_degree": degmax})
@@ -399,7 +400,7 @@ def verify_contraction_inf(degmax, entry_bound):
     """Same for the infinite cyclic monoid, with cell entries bounded."""
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1, got %d" % entry_bound)
-    words = _letter_words(list(range(1, entry_bound + 1)), degmax)
+    words = _letter_words(entry_bound, degmax)
     con = CyclicContraction(infinite=True)
     R = small_resolution_inf(degmax + 1)
     report = ContractionReport({"index": "inf", "max_degree": degmax,

@@ -123,8 +123,9 @@ def cyclic_p(m, q, x):
 MAX_CYCLIC_ORDER = 1 << 16
 
 
-def make_cyclic(m, q):
-    """The cyclic monoid C_{m,q} on {0,...,m+q-1} with x(+)y = p(x+y)."""
+def check_cyclic(m, q):
+    """Refuse (m, q) with MonoidError unless C_{m,q} is a monoid whose
+    table fits in memory; nothing is built."""
     if m < 0 or q < 1:
         raise MonoidError("need index m >= 0 and period q >= 1, got (%r, %r)" % (m, q))
     if m + q < 2:
@@ -132,6 +133,11 @@ def make_cyclic(m, q):
     if m + q > MAX_CYCLIC_ORDER:
         raise MonoidError("cyclic order m+q = %d is above %d, where the multiplication "
                           "table would not fit in memory" % (m + q, MAX_CYCLIC_ORDER))
+
+
+def make_cyclic(m, q):
+    """The cyclic monoid C_{m,q} on {0,...,m+q-1} with x(+)y = p(x+y)."""
+    check_cyclic(m, q)
     n = m + q
     table = [[cyclic_p(m, q, x + y) for y in range(n)] for x in range(n)]
     return FiniteCommutativeMonoid(n, 0, table)

@@ -230,19 +230,24 @@ def test_dga_axioms_c23_level2():
     assert validate_dga(D, product_degree_cap=5, triple_degree_cap=4) == []
 
 
-def _conv1(word_tuple):
-    return BarWord(word_tuple, (1,) * max(0, len(word_tuple) - 1), 1)
-
-
-def _flatten2(nested):
+def _flatten(nested, level):
+    """The flat word of a word of bar applied level times to zm_dga: each
+    factor of a level-k word is a level-(k-1) word, and a level-1 word is
+    a tuple of letters."""
     letters = []
     seps = []
-    for i, seg in enumerate(nested):
-        if i:
-            seps.append(2)
-        letters.extend(seg)
-        seps.extend([1] * (len(seg) - 1))
-    return BarWord(tuple(letters), tuple(seps), 2)
+
+    def walk(word, k):
+        for i, factor in enumerate(word):
+            if i:
+                seps.append(k)
+            if k == 1:
+                letters.append(factor)
+            else:
+                walk(factor, k - 1)
+
+    walk(nested, level)
+    return BarWord(tuple(letters), tuple(seps), level)
 
 
 def test_generic_bar_matches_iterated_level1():
@@ -254,29 +259,38 @@ def test_generic_bar_matches_iterated_level1():
             iw = I1.basis.get(n, ())
             assert len(gw) == len(iw)
             for word in gw:
-                got = {(u, _conv1(w2)): c
+                got = {(u, _flatten(w2, 1)): c
                        for (u, w2), c in G1.differential(word).items()}
-                assert got == I1.differential(_conv1(word))
+                assert got == I1.differential(_flatten(word, 1))
 
 
 def test_generic_bar_squared_matches_iterated_level2():
-    for M in (Z2, C12):
-        G2 = bar(bar(zm_dga(M), 5), 5)
-        I2 = iterated_bar(M, 2, 5)
-        for n in range(6):
-            gw = G2.basis.get(n, ())
-            iw = I2.basis.get(n, ())
-            assert {_flatten2(word) for word in gw} == set(iw)
-            for word in gw:
-                got = {(u, _flatten2(w2)): c
-                       for (u, w2), c in G2.differential(word).items()}
-                assert got == I2.differential(_flatten2(word))
-            for a in gw:
-                for b in G2.basis.get(5 - n, ()):
-                    lhs = {(u, _flatten2(w2)): c
-                           for (u, w2), c in G2.product_fn(a, b).items()}
-                    rhs = I2.product_fn(_flatten2(a), _flatten2(b))
-                    assert lhs == rhs
+    # bar() nested r times over zm_dga against the flat iterated_bar, at
+    # levels 2 and 3 and past the r + 3 degree guard of the cohomology
+    # routes: the cells, every differential, and every product of two
+    # cells of total degree at most degmax
+    semilattice = validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+    for M in (Z2, C12, make_cyclic(0, 3), semilattice):
+        for r, degmax in ((2, 7), (3, 8)):
+            G = zm_dga(M)
+            for _ in range(r):
+                G = bar(G, degmax)
+            flat = iterated_bar(M, r, degmax)
+            for n in range(degmax + 1):
+                gw = G.basis.get(n, ())
+                iw = flat.basis.get(n, ())
+                assert len(gw) == len(iw) and {_flatten(word, r) for word in gw} == set(iw)
+                for word in gw:
+                    got = {(u, _flatten(w2, r)): c
+                           for (u, w2), c in G.differential(word).items()}
+                    assert got == flat.differential(_flatten(word, r)), (M, word)
+                for a in gw:
+                    for k in range(degmax - n + 1):
+                        for b in G.basis.get(k, ()):
+                            lhs = {(u, _flatten(w2, r)): c
+                                   for (u, w2), c in G.product_fn(a, b).items()}
+                            rhs = flat.product_fn(_flatten(a, r), _flatten(b, r))
+                            assert lhs == rhs, (M, a, b)
 
 
 def test_bar_requires_unit_in_basis():

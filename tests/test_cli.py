@@ -3,10 +3,13 @@ import io
 import json
 import os
 import random
+import resource
+import subprocess
 import sys
 
 import pytest
 
+import monoid_cohomology
 from monoid_cohomology.cli import run
 from monoid_cohomology.monoid import make_cyclic, monoid_to_descriptor
 
@@ -317,6 +320,27 @@ def test_malformed_inputs_exit_2(tmp_path):
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert cause in err, err
+
+
+def test_huge_contraction_queries_exit_2_before_listing_letters():
+    # the cyclic parameters and the word counts are refused before any
+    # letter is listed; listing 10^9 letters raises MemoryError under
+    # the child's 1 GB address-space limit, and 2^64 of them would not
+    # fit in a range's length
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(monoid_cohomology.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for huge in ("1000000000", str(2 ** 64)):
+        for argv in (["--index", huge, "--period", "2", "--max-degree", "1"],
+                     ["--max-degree", "1", "--entry-bound", huge]):
+            proc = subprocess.run([sys.executable, "-m", "monoid_cohomology.cli", "verify",
+                                   "contraction"] + argv, env=env, capture_output=True,
+                                  text=True, timeout=20, preexec_fn=limit_memory)
+            assert proc.returncode == 2 and proc.stdout == "", (argv, proc.stderr)
+            assert proc.stderr.startswith("error: "), proc.stderr
+            assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
 
 
 ODD_VALUES = [None, True, 1.5, "", [], {}, 2 ** 32, 2 ** 64, 10 ** 100, -1]

@@ -304,7 +304,7 @@ def _run_verify(con, degmax):
     # what verify_contraction does, on a given contraction instance
     m, q = con.m, con.q
     report = ContractionReport({"index": m, "period": q, "max_degree": degmax})
-    words = _letter_words([x for x in range(m + q) if x != 0], degmax)
+    words = _letter_words(m + q - 1, degmax)
     return _verify(con, small_resolution(m, q, degmax + 1), words, degmax, report)
 
 
