@@ -112,8 +112,6 @@ def cmd_cells(args):
 
 
 def cmd_verify(args):
-    if args.what != "contraction":
-        raise InputError("unknown verification target %r" % args.what)
     t0 = time.time()
     if args.index is None:
         if args.period is not None:
@@ -150,8 +148,6 @@ def cmd_grillet(args):
 
 
 def cmd_cyclic(args):
-    if args.what != "groups":
-        raise InputError("unknown cyclic subcommand %r" % args.what)
     M = monoid_from_descriptor({"kind": "cyclic", "index": args.index,
                                 "period": args.period})
     A = parse_coefficients(args.coeff, M)
@@ -198,8 +194,6 @@ def _parse_cocycle_file(path):
 def cmd_groupoid(args):
     if args.what == "classify":
         return _groupoid_classify(args)
-    if args.what != "check":
-        raise InputError("unknown groupoid subcommand %r" % args.what)
     M = parse_monoid(args.monoid)
     if args.cocycle is None:
         raise InputError("groupoid check needs --cocycle")
@@ -271,7 +265,7 @@ def build_parser():
     c.add_argument("--degree", type=int)
     c.set_defaults(fn=cmd_grillet)
 
-    c = sub.add_parser("cyclic", help="closed small-complex groups of a cyclic monoid")
+    c = sub.add_parser("cyclic", help="H^2..H^4(C, 2; A) and H^5(C, 3; A) of a cyclic monoid C")
     c.add_argument("what", choices=["groups"])
     c.add_argument("--index", type=int, required=True)
     c.add_argument("--period", type=int, required=True)

@@ -4,11 +4,13 @@ into the level-3 complex, and the comparison isomorphisms.
 Symmetric n-cochains are normalized functions on n-tuples of non-unit
 arguments, cut out inside the full cochain group by the symmetry
 identities (degree 2: f(x,y) = f(y,x); degree 3: the two
-alternating identities; degree 4: four identities).  The identities are
-written as row dicts straight into an IntMatrix, next to the
-block-diagonal relations of their value groups (zlinalg.block_diagonal),
+alternating identities; degree 4: four identities).  Each identity is
+a generator of a free basis, over the product of its tuples, sent to its
+formal sum of n-tuples; the constraint matrix is that map dualized
+(hmod.dualize), next to the relations of the identities' value groups,
 so each constraint solution set is a preimage lattice in the free cover,
-found on the same row-sparse path as everything else.
+found on the same row-sparse path as everything else.  The inclusion
+i_n into the level-3 complex is dualize of a basis map as well.
 
 The n-tuples are the level-1 cells of degree n (bar.cells), and
 Grillet's coboundary is minus the level-1 (Leech) coboundary:
@@ -37,9 +39,9 @@ from itertools import product
 
 from .bar import cells, iterated_bar
 from .cohomology import coboundary, degree_basis
-from .hmod import CochainGroup, FreeBasis, require_lawful
-from .zlinalg import (IntMatrix, block_diagonal, lattice_basis, preimage_lattice_multi,
-                      staircase_pivots, staircase_solve, subquotient_invariants)
+from .hmod import CochainGroup, FreeBasis, dualize, require_lawful
+from .zlinalg import (lattice_basis, preimage_lattice_multi, staircase_pivots,
+                      staircase_solve, subquotient_invariants)
 
 
 def _tuple_basis(M, n):
@@ -47,19 +49,6 @@ def _tuple_basis(M, n):
     cells of degree n, in the order of the level-1 bar's basis."""
     tuples = list(cells(M, 1, n))
     return FreeBasis(tuples, {c: c.pi(M) for c in tuples})
-
-
-class SymmetricCochainLattice:
-    """The lattice of symmetric n-cochains inside the full normalized
-    cochain group: C^n_G = {f : constraints(f) = 0 in the value groups}."""
-
-    __slots__ = ("degree", "ambient", "constraints", "lattice")
-
-    def __init__(self, degree, ambient, constraints, lattice):
-        self.degree = degree
-        self.ambient = ambient
-        self.constraints = constraints
-        self.lattice = lattice
 
 
 def _symmetry_identities(M, n):
@@ -94,34 +83,38 @@ def _symmetry_identities(M, n):
 def symmetry_constraints(M, module, n):
     """(ambient, constraints) of the symmetric n-cochains, 1 <= n <= 4
     (degree 1 is unconstrained): the full cochain group, and the pair
-    (identities, relations) whose preimage lattice they are.  Each
-    identity contributes one row per generator of its value group,
-    written straight into an IntMatrix on the ambient coordinates,
-    and that group's relations as one block."""
+    (identities, relations) whose preimage lattice they are.  Identity k
+    is generator k of a free basis over the product of its tuples, taken
+    from the tuples since the terms of one may cancel (x = y = z = t in
+    degree 4); it maps to its sum of n-tuples, and the identities are
+    that map dualized, with the relations of their value groups.
+    dualize applies the stored e_*, which for a module that keeps its
+    laws is the identity modulo relations, so the lattice is the one the
+    identities cut out."""
     if not 1 <= n <= 4:
         raise ValueError("symmetric cochains are defined for degrees 1..4")
-    amb = CochainGroup(_tuple_basis(M, n), module)
-    index = {c.letters: i for i, c in enumerate(amb.basis.generators)}
-    rows = []
-    rels = []
-    for identity in _symmetry_identities(M, n):
-        grp = amb.blocks[index[identity[0][1]]]
-        for i in range(grp.ngens):
-            row = {}
-            for c, args in identity:
-                j = amb.offsets[index[args]] + i
-                row[j] = row.get(j, 0) + c
-            rows.append({j: v for j, v in row.items() if v})
-        rels.append(grp.relation_basis)
-    return amb, (IntMatrix(len(rows), amb.total, rows), block_diagonal(rels))
+    source = _tuple_basis(M, n)
+    term = {c.letters: (M.identity, c) for c in source.generators}
+    d = {}
+    pi = {}
+    for k, identity in enumerate(_symmetry_identities(M, n)):
+        pi[k] = source.pi[term[identity[0][1]][1]]
+        chain = d[k] = {}
+        for c, args in identity:
+            key = term[args]
+            chain[key] = chain.get(key, 0) + c
+    target = FreeBasis(range(len(d)), pi)
+    constraints = (dualize(d, source, target, module, M),
+                   CochainGroup(target, module).relation_matrix())
+    return CochainGroup(source, module), constraints
 
 
 def symmetric_cochains(M, module, n):
-    """The lattice of symmetric n-cochains, 1 <= n <= 4: the preimage
-    lattice of symmetry_constraints."""
+    """(ambient, lattice) of the symmetric n-cochains, 1 <= n <= 4: the
+    full cochain group and, inside it, the preimage lattice of
+    symmetry_constraints."""
     amb, constraints = symmetry_constraints(M, module, n)
-    lattice = preimage_lattice_multi([constraints], amb.total)
-    return SymmetricCochainLattice(n, amb, constraints, lattice)
+    return amb, preimage_lattice_multi([constraints], amb.total)
 
 
 def grillet_coboundary(M, module, n):
@@ -153,36 +146,30 @@ def grillet_cohomology(M, module, n):
     kernel = preimage_lattice_multi([constraints, (d_n, rel_next)], amb.total)
     image = amb.relation_matrix()
     if n > 1:
-        below = symmetric_cochains(M, module, n - 1)
-        image = _delta(level1, n - 1, module).mul(below.lattice).hstack(image)
+        _, below = symmetric_cochains(M, module, n - 1)
+        image = _delta(level1, n - 1, module).mul(below).hstack(image)
     return subquotient_invariants(kernel, image)
 
 
 # -- the inclusion into the level-3 complex ----------------------------------
 
-def _inclusion(module, n, src, tgt):
+def _inclusion(M, module, n, src, tgt):
     """Matrix of i_n from the cochains on the n-tuples src into those on
     the level-3 cells tgt of degree n + 2: (-1)^(n+1) f on the plain
-    words, 0 on the words with a higher separator."""
-    amb_src = CochainGroup(src, module)
-    amb_tgt = CochainGroup(tgt, module)
+    words, 0 on the words with a higher separator.  It is dualize of
+    the map sending each plain word to (-1)^(n+1) times its tuple, so it
+    applies the stored e_*, the identity modulo relations on a module
+    that keeps its laws."""
+    tuple_of = {c.letters: c for c in src.generators}
     sign = 1 if n % 2 else -1
-    src_index = {c.letters: i for i, c in enumerate(src.generators)}
-    rows = [{} for _ in range(amb_tgt.total)]
-    for ti, cell in enumerate(tgt.generators):
-        if cell.seps != (1,) * (len(cell.letters) - 1):
-            continue  # only the plain-word component is hit
-        si = src_index[cell.letters]
-        goff = amb_tgt.offsets[ti]
-        soff = amb_src.offsets[si]
-        for i in range(amb_src.blocks[si].ngens):
-            rows[goff + i] = {soff + i: sign}
-    return IntMatrix(amb_tgt.total, amb_src.total, rows)
+    d = {cell: {(M.identity, tuple_of[cell.letters]): sign} for cell in tgt.generators
+         if cell.seps == (1,) * (len(cell.letters) - 1)}
+    return dualize(d, src, tgt, module, M)
 
 
 def _inclusions(M, module, level3):
     """i_1..i_4 on a level-3 bar to degree 6, keyed by n."""
-    return {n: _inclusion(module, n, _tuple_basis(M, n), degree_basis(level3, n + 2))
+    return {n: _inclusion(M, module, n, _tuple_basis(M, n), degree_basis(level3, n + 2))
             for n in (1, 2, 3, 4)}
 
 
@@ -223,7 +210,7 @@ def inclusion_chainmap(M, module):
     level1 = iterated_bar(M, 1, 4)
     report = InclusionReport()
     for n in (1, 2, 3):
-        lat = symmetric_cochains(M, module, n).lattice
+        _, lat = symmetric_cochains(M, module, n)
         delta = _delta(level1, n, module)
         tgt = degree_basis(dga, n + 3)
         lhs = coboundary(dga, n + 2, module).mul(mats[n].mul(lat))
@@ -241,22 +228,10 @@ def eleob_equivalent(M, module, table):
     booleans (conditions (easc1), (easc2), (easc3))."""
     nu = M.nonunit()
 
-    def value(args):
-        v = table.get(args)
-        if v is not None:
-            return list(v)
-        pi = M.op(M.op(args[0], args[1]), args[2])
-        return module.group(pi).zero()
-
     def is_zero(args, combo):
+        # a tuple missing from the table holds 0 and adds no term
         pi = M.op(M.op(args[0], args[1]), args[2])
-        grp = module.group(pi)
-        acc = [0] * grp.ngens
-        for coeff, tup in combo:
-            v = value(tup)
-            for i in range(grp.ngens):
-                acc[i] += coeff * v[i]
-        return grp.is_zero_element(acc)
+        return module.group(pi).vanishes((coeff, table.get(tup, ())) for coeff, tup in combo)
 
     c1 = c2 = c3 = True
     for x in nu:
@@ -288,17 +263,16 @@ def injectivity_check(M, module):
     src5 = degree_basis(dga, 5)
     image5 = coboundary(dga, 4, module).hstack(
         CochainGroup(src5, module).relation_matrix())
-    i3 = _inclusion(module, 3, amb3.basis, src5)
+    i3 = _inclusion(M, module, 3, amb3.basis, src5)
 
     # {f : f symmetric, delta^3 f ~ 0, i_3 f in im d^4 + rel}
     problem = preimage_lattice_multi(
         [constraints3, (delta3, rel4), (i3, image5)], amb3.total)
 
     # delta^2(C^2_G) + relations, the symmetric coboundaries
-    sym2 = symmetric_cochains(M, module, 2)
+    _, sym2 = symmetric_cochains(M, module, 2)
     delta2 = _delta(level1, 2, module)
-    target = lattice_basis(
-        delta2.mul(sym2.lattice).hstack(amb3.relation_matrix()))
+    target = lattice_basis(delta2.mul(sym2).hstack(amb3.relation_matrix()))
     _, outside = staircase_solve(target, staircase_pivots(target), problem.row_dicts())
     if outside:
         return False, problem.column(outside[0])

@@ -70,6 +70,18 @@ class FGAbelianGroup:
         """vec lies in the relation lattice: it reduces to 0."""
         return not any(self.reduce(vec))
 
+    def vanishes(self, terms):
+        """The signed sum of c * vec over the (c, vec) pairs of terms is 0
+        in the group: the one test of every identity written out by hand
+        (the coherence axioms, the transport identities of a monoidal
+        isomorphism, Grillet's symmetry conditions).  An empty sum
+        vanishes."""
+        acc = [0] * self.ngens
+        for c, vec in terms:
+            for i, v in enumerate(vec):
+                acc[i] += c * v
+        return not any(acc) or self.is_zero_element(acc)
+
     def relation_coordinates(self, rows):
         """X with relation_basis * X = B for every column of B, and the
         sorted columns of B outside the relations, where X means nothing:
@@ -355,31 +367,28 @@ def dualize(d, source, target, module, monoid):
 
     d maps each target generator to a formal combination (a dict
     (u, source_generator) -> coefficient) with u * pi(source_generator)
-    equal to pi(target generator) for every term.
+    equal to pi(target generator) for every term.  Each term applies the
+    stored u_*, the stored e_* included, never an identity of its own.
     """
     src = CochainGroup(source, module)
     tgt = CochainGroup(target, module)
-    src_index = {g: i for i, g in enumerate(source.generators)}
-    actions = {}  # (x, u) -> the row dicts of u_* on A(x)
+    src_at = {g: (off, source.pi[g]) for g, off in zip(source.generators, src.offsets)}
+    actions = {}  # (x, u) -> (ux, the row dicts of u_* on A(x))
     rows = [{} for _ in range(tgt.total)]
-    for ti, tgen in enumerate(target.generators):
+    for tgen, toff in zip(target.generators, tgt.offsets):
         chain = d.get(tgen, {})
-        toff = tgt.offsets[ti]
         tpi = target.pi[tgen]
         for (u, sgen), coeff in chain.items():
             if coeff == 0:
                 continue
-            si = src_index[sgen]
-            spi = source.pi[sgen]
-            if monoid.op(u, spi) != tpi:
-                raise PiMismatchError(
-                    "term %r of d(%r): u*pi(s) = %r but pi(t) = %r"
-                    % ((u, sgen), tgen, monoid.op(u, spi), tpi))
+            soff, spi = src_at[sgen]
             act = actions.get((spi, u))
             if act is None:
-                act = actions[(spi, u)] = module.action(spi, u).row_dicts()
-            soff = src.offsets[si]
-            for i, arow in enumerate(act):
+                act = actions[(spi, u)] = (monoid.op(u, spi), module.action(spi, u).row_dicts())
+            if act[0] != tpi:
+                raise PiMismatchError("term %r of d(%r): u*pi(s) = %r but pi(t) = %r"
+                                      % ((u, sgen), tgen, act[0], tpi))
+            for i, arow in enumerate(act[1]):
                 row = rows[toff + i]
                 for j, a in arow.items():
                     v = row.get(soff + j, 0) + coeff * a
@@ -464,9 +473,9 @@ def module_from_descriptor(desc, monoid):
                     raise ModuleError("action %s must be an integer %dx%d matrix, got %r"
                                       % (key, tgt.ngens, src.ngens, rows))
                 actions[(x, y)] = IntMatrix.from_rows(rows, src.ngens)
-        mod = HModule(monoid, groups, actions)
-        require_lawful(mod, monoid)
-        return mod
+        # the laws are checked once, by the entry point that reads the
+        # module (require_lawful), not here
+        return HModule(monoid, groups, actions)
     raise ModuleError("unknown coefficient descriptor kind: %r" % (kind,))
 
 

@@ -117,10 +117,11 @@ def cyclic_p(m, q, x):
     return m + (x - m) % q
 
 
-# the table of C_{m,q} holds (m+q)^2 entries: above this order it would
-# need more than 2^32 of them, which no memory holds, so such an order is
-# refused before the table is allocated
-MAX_CYCLIC_ORDER = 1 << 16
+# the table of C_{m,q} holds (m+q)^2 entries, about 200 MB at this order
+# and 750 MB at twice it, so a larger order is refused before the table
+# is allocated; no answer is lost in degrees n >= 1, since above order
+# 1025 bar.check_reach already refuses the degree-2 bar
+MAX_CYCLIC_ORDER = 1 << 11
 
 
 def check_cyclic(m, q):
@@ -132,7 +133,7 @@ def check_cyclic(m, q):
         raise MonoidError("the zero monoid (m+q < 2) is excluded")
     if m + q > MAX_CYCLIC_ORDER:
         raise MonoidError("cyclic order m+q = %d is above %d, where the multiplication "
-                          "table would not fit in memory" % (m + q, MAX_CYCLIC_ORDER))
+                          "table would take more than 200 MB" % (m + q, MAX_CYCLIC_ORDER))
 
 
 def make_cyclic(m, q):

@@ -51,6 +51,36 @@ def test_mixed_tabular_module_pins(degree, expected):
     assert json.loads(out) == expected
 
 
+def test_an_at_file_module_is_validated_once(monkeypatch):
+    # the descriptor parse checks shapes only; the laws are checked once,
+    # by the entry point that reads the module
+    from monoid_cohomology import hmod
+    calls = []
+    validate = hmod.validate_module
+    monkeypatch.setattr(hmod, "validate_module", lambda A: calls.append(A) or validate(A))
+    code, out, _ = invoke(["--json", "cohomology", "--monoid", "cyclic:0,4", "--level", "1",
+                           "--degree", "3", "--coeff", "@" + TWISTED])
+    assert code == 0 and json.loads(out) == {"free_rank": 0, "torsion": [2]}
+    assert len(calls) == 1
+
+
+def test_a_lawless_at_file_module_exits_2_through_every_subcommand(tmp_path):
+    cocycle = tmp_path / "zero.json"
+    cocycle.write_text('{"g": {}, "mu": {}}')
+    on_c03 = ["--monoid", "cyclic:0,3", "--coeff", "@" + LAWLESS]
+    for argv in (["cohomology", "--level", "1", "--degree", "1"] + on_c03,
+                 ["oracle", "--level", "1", "--degree", "1"] + on_c03,
+                 ["grillet", "--degree", "2"] + on_c03,
+                 ["grillet"] + on_c03,
+                 ["cyclic", "groups", "--index", "0", "--period", "3", "--coeff", "@" + LAWLESS],
+                 ["groupoid", "check", "--cocycle", str(cocycle)] + on_c03,
+                 ["groupoid", "classify"] + on_c03):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: tabular module violates the module laws"), (argv, err)
+        assert err.count("\n") == 1, err
+
+
 def test_vanishing_band_example():
     code, out, _ = invoke(["--json", "cohomology", "--monoid", "cyclic:0,2",
                            "--level", "2", "--degree", "1", "--coeff", "Z"])
@@ -341,6 +371,27 @@ def test_huge_contraction_queries_exit_2_before_listing_letters():
             assert proc.returncode == 2 and proc.stdout == "", (argv, proc.stderr)
             assert proc.stderr.startswith("error: "), proc.stderr
             assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_large_cyclic_orders_exit_2_before_building_the_table():
+    # an order of 20,000 passes the parameter checks; its table of 4 * 10^8
+    # entries raises MemoryError under the child's 1 GB address-space
+    # limit unless the order is refused first
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(monoid_cohomology.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["cohomology", "--monoid", "cyclic:20000,1", "--level", "1", "--degree", "0",
+                  "--coeff", "Z"],
+                 ["verify", "contraction", "--index", "20000", "--period", "1",
+                  "--max-degree", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "monoid_cohomology.cli"] + argv, env=env,
+                              capture_output=True, text=True, timeout=20,
+                              preexec_fn=limit_memory)
+        assert proc.returncode == 2 and proc.stdout == "", (argv, proc.stderr)
+        assert proc.stderr.startswith("error: cyclic order"), proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
 
 
 ODD_VALUES = [None, True, 1.5, "", [], {}, 2 ** 32, 2 ** 64, 10 ** 100, -1]

@@ -1,5 +1,6 @@
 import re
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -290,19 +291,59 @@ def test_oracle_agrees_with_pipeline():
 
 
 def test_stability_isomorphisms():
-    for M in (Z2, C11, C12):
-        for G in (Z, zmod(2), zmod(4)):
-            A = constant_module(G, M)
-            h11 = cohomology_group(M, 1, 1, A)
-            h32 = cohomology_group(M, 2, 3, A)
-            assert cohomology_group(M, 2, 2, A) == h11
-            assert cohomology_group(M, 3, 3, A) == h11
-            assert cohomology_group(M, 3, 4, A) == h32
-            # r = 4, where feasible: one extra stable step
-            assert cohomology_group(M, 4, 4, A) == h11
-            assert cohomology_group(M, 4, 5, A) == h32
-            assert cohomology_group(M, 4, 6, A) == \
-                cohomology_group(M, 3, 5, A)
+    # suspension H^n(M, r; A) = H^{n+1}(M, r+1; A) over the whole stable
+    # range inside the truncation guard, 1 <= n <= min(2r - 1, r + 2), on
+    # the census and the cyclic monoids of order 5-7: the bar, R and
+    # R1 (x) R2 routes.  The paper's stability criterion (H^r = H^1(M,1),
+    # H^{r+1} = H^3(M,2)) is two iterates of it
+    monoids = census() + [make_cyclic(m, k - m) for k in (5, 6, 7) for m in range(k)]
+    for M in monoids:
+        for A in (constant_module(Z, M), constant_module(zmod(4), M), zm_as_hmodule(M)):
+            for r in (1, 2, 3):
+                for n in range(1, min(2 * r - 1, r + 2) + 1):
+                    assert cohomology_group(M, r, n, A) == \
+                        cohomology_group(M, r + 1, n + 1, A), (M.table, r, n)
+
+
+def _homology_of_k_zq(q, r, n):
+    """H_n(K(Z/q, r); Z) for 0 <= n <= r + 2 as cyclic orders, 0 for Z:
+    Eilenberg and Mac Lane, On the groups H(Pi, n), II (Ann. of Math.
+    1954).  Degree r + 2 holds H_3(Z/q) = Z/q at r = 1, Whitehead's
+    Gamma(Z/q) = Z/(q gcd(2, q)) at r = 2 and Z/q (x) Z/2 from r = 3 on."""
+    if n == 0:
+        return [0]
+    if n == r:
+        return [q]
+    if n < r + 2:
+        return []
+    return [q] if r == 1 else [q * gcd(2, q)] if r == 2 else [gcd(2, q)]
+
+
+def _hom(a, b):
+    """Hom(Z/a, Z/b) as a cyclic order, 0 standing for Z."""
+    return 1 if a and not b else gcd(a, b)
+
+
+def _ext(a, b):
+    """Ext(Z/a, Z/b) as a cyclic order, 0 standing for Z."""
+    return gcd(a, b) if a else 1
+
+
+def test_group_monoids_match_the_homology_of_eilenberg_mac_lane_spaces():
+    # H^n(C(0,q), r; A) is the cohomology of K(Z/q, r): the hand-entered
+    # integral homology through the universal coefficient theorem,
+    # Hom(H_n, A) + Ext(H_{n-1}, A), an oracle independent of the engine
+    for q in range(2, 8):
+        M = make_cyclic(0, q)
+        for b in (0, 2, 3, 4, 6):
+            A = constant_module(zmod(b) if b else Z, M)
+            for r in range(1, 5):
+                for n in range(r + 3):
+                    orders = [_hom(a, b) for a in _homology_of_k_zq(q, r, n)]
+                    if n:
+                        orders += [_ext(a, b) for a in _homology_of_k_zq(q, r, n - 1)]
+                    assert cohomology_group(M, r, n, A) == \
+                        AbGroupInvariants.from_diagonal(orders), (q, b, r, n)
 
 
 def test_uct_matches_lattice_census():

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from monoid_cohomology.bar import explicit_low_degree_differential
+from monoid_cohomology.bar import cells, explicit_low_degree_differential
 from monoid_cohomology.cohomology import cohomology_group
 from monoid_cohomology.grillet import (_tuple_basis, eleob_equivalent, grillet_coboundary,
                                        grillet_cohomology, inclusion_chainmap,
@@ -25,8 +25,8 @@ def zmod(n):
 
 
 def sym_group(M, A, n):
-    lat = symmetric_cochains(M, A, n)
-    return subquotient_invariants(lat.lattice, lat.ambient.relation_matrix())
+    amb, lat = symmetric_cochains(M, A, n)
+    return subquotient_invariants(lat, amb.relation_matrix())
 
 
 def test_symmetric_cochain_groups_z2():
@@ -142,6 +142,14 @@ def test_i2_is_identity_mod_two():
     i2 = mats[2]
     assert i2.rows == i2.cols == 1
     assert i2.data[0][0] % 2 == 1  # -1 is the identity in characteristic 2
+    # over Z the signs show: i_n is (-1)^(n+1) on the plain words, 0 on
+    # the words with a higher separator
+    mats = inclusion_matrices(C12, constant_module(Z, C12))
+    for n, mat in mats.items():
+        column = {c.letters: j for j, c in enumerate(cells(C12, 1, n))}
+        assert mat.row_dicts() == [
+            {column[c.letters]: (-1) ** (n + 1)} if c.seps == (1,) * (n - 1) else {}
+            for c in cells(C12, 3, n + 2)], n
 
 
 def test_injectivity_h3g_into_h5():
@@ -179,12 +187,11 @@ def test_eleob_randomized_and_constrained_c12():
         assert c1 == c2 == c3
     # walk the subgroup of tables satisfying the first condition set and
     # confirm the other two hold on all of it
-    lat = symmetric_cochains(M, A, 3)
-    index = {c.letters: lat.ambient.offsets[i]
-             for i, c in enumerate(lat.ambient.basis.generators)}
-    seen = {tuple([0] * lat.ambient.total)}
-    frontier = [tuple([0] * lat.ambient.total)]
-    gens = [tuple(lat.lattice.column(j)) for j in range(lat.lattice.cols)]
+    amb, lat = symmetric_cochains(M, A, 3)
+    index = {c.letters: amb.offsets[i] for i, c in enumerate(amb.basis.generators)}
+    seen = {tuple([0] * amb.total)}
+    frontier = [tuple([0] * amb.total)]
+    gens = [tuple(lat.column(j)) for j in range(lat.cols)]
     while frontier:
         cur = frontier.pop()
         for g in gens:
@@ -207,8 +214,8 @@ def test_injectivity_nonvacuous_instances():
     klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
     for M, G in ((c04, zmod(4)), (klein, zmod(6))):
         A = constant_module(G, M)
-        lat = symmetric_cochains(M, A, 3)
-        c3 = subquotient_invariants(lat.lattice, lat.ambient.relation_matrix())
+        amb, lat = symmetric_cochains(M, A, 3)
+        c3 = subquotient_invariants(lat, amb.relation_matrix())
         assert c3.order() == (G.order()) ** 8
         ok, witness = injectivity_check(M, A)
         assert ok, witness
