@@ -63,7 +63,7 @@ class BarWord:
         seps = tuple(seps)
         if len(seps) != max(0, len(letters) - 1):
             raise ValueError("%d separators for %d letters" % (len(seps), len(letters)))
-        if not all(1 <= k <= level for k in seps):
+        if seps and (min(seps) < 1 or max(seps) > level):
             raise ValueError("separators %r outside 1..%d" % (seps, level))
         self.letters = letters
         self.seps = seps
@@ -313,7 +313,7 @@ def shuffles(e, fa, fb, degs_a, degs_b, join):
 def bar_word_shuffle(M, a, b):
     """Shuffle product of two cells of the same level, as a chain: the
     shuffles of their top factors, whose degrees are those one level
-    down."""
+    down.  At level 1 the factors are the letters, of degree 0."""
     if a.level != b.level:
         raise ValueError("shuffle needs words of the same level: %d vs %d"
                          % (a.level, b.level))
@@ -324,6 +324,9 @@ def bar_word_shuffle(M, a, b):
         return {(e, b): 1}
     if b.is_empty():
         return {(e, a): 1}
+    if a.level == 1:
+        return shuffles(e, a.letters, b.letters, (0,) * len(a.letters),
+                        (0,) * len(b.letters), _level1_word)
     segsA = split_top(a)
     segsB = split_top(b)
     r = a.level

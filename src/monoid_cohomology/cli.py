@@ -20,8 +20,7 @@ from .bar import cells, render_word, word_to_json
 from .cohomology import brute_force_cohomology, cohomology_group
 from .cyclic import verify_contraction, verify_contraction_inf
 from .grillet import grillet_cohomology, inclusion_chainmap
-from .groupoid import (check_coherence, cocycle_check, crossed_product,
-                       iso_classes)
+from .groupoid import check_coherence, crossed_product, is_cocycle, iso_classes
 from .hmod import constant_module, module_from_descriptor, parse_group_shorthand
 from .monoid import FiniteCommutativeMonoid, is_integer, monoid_from_descriptor
 
@@ -201,13 +200,13 @@ def cmd_groupoid(args):
     g, mu = _parse_cocycle_file(args.cocycle)
     G = crossed_product(M, A, g, mu)
     report = check_coherence(G)
-    is_cocycle = cocycle_check(M, A, g, mu)
-    payload = {"coherent": report.ok(), "cocycle": is_cocycle,
+    cocycle = is_cocycle(G)
+    payload = {"coherent": report.ok(), "cocycle": cocycle,
                "failures": [[c, list(w)] for c, w in report.failures[:10]]}
     lines = ["coherence: %s" % ("pass" if report.ok() else "FAIL %r" % report.failures[:4]),
-             "5-cocycle: %s" % is_cocycle]
+             "5-cocycle: %s" % cocycle]
     emit(args, payload, lines)
-    return 0 if report.ok() and is_cocycle else 1
+    return 0 if report.ok() and cocycle else 1
 
 
 def _groupoid_classify(args):

@@ -182,14 +182,20 @@ def check_coherence(G):
 
 def cocycle_check(M, module, g_table, mu_table):
     """True iff the pair is a 5-cocycle of the level-3 truncated
-    complex: d^5 of the cochain holding g and mu vanishes on every cell
-    of degree 6.  Its components over [x|y|z|t], [x|^2 y|z], [x|y|^2 z]
-    and [x|^3 y] are the pentagon, the two hexagons and the involution
-    of mu.  The rows are those of the cochain search: the cells are
-    taken one at a time in the order of cells(M, 3, 6), pentagon cells
-    first, each differential computed only when it is reached, up to
-    the first cell that does not vanish."""
-    G = crossed_product(M, module, g_table, mu_table)
+    complex: is_cocycle of its crossed product."""
+    return is_cocycle(crossed_product(M, module, g_table, mu_table))
+
+
+def is_cocycle(G):
+    """True iff the tables of the crossed product G form a 5-cocycle:
+    d^5 of the cochain holding g and mu vanishes on every cell of degree
+    6.  Its components over [x|y|z|t], [x|^2 y|z], [x|y|^2 z] and
+    [x|^3 y] are the pentagon, the two hexagons and the involution of
+    mu.  The rows are those of the cochain search: the cells are taken
+    one at a time in the order of cells(M, 3, 6), pentagon cells first,
+    each differential computed only when it is reached, up to the first
+    cell that does not vanish."""
+    M, module = G.monoid, G.module
     source = list(cells(M, 3, 5))
     values = [G.assoc(*c.letters) if c.seps == (1, 1) else G.symm(*c.letters)
               for c in source]
@@ -268,8 +274,8 @@ def _is_group_iso(src, tgt, mat):
         return False
     # injectivity: f.g. abelian groups are Hopfian (a surjective
     # endomorphism is injective), so a surjection between isomorphic ones
-    # is an isomorphism
-    return src.invariants() == tgt.invariants()
+    # is an isomorphism; equal relation lattices need no invariants
+    return src == tgt or src.invariants() == tgt.invariants()
 
 
 def verify_monoidal_iso(src, tgt, data):

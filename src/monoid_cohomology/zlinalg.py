@@ -623,7 +623,11 @@ def kernel_basis(A):
     +-1 pivots are swept from the rows first (_unit_sweep), the small
     leftover goes through the tracked column echelon, and the eliminated
     pivot coordinates are recovered by back-substitution in reverse
-    sweep order.
+    sweep order.  The kernel is the same set whatever order the rows
+    come in, so the echelon takes the leftover rows shortest first
+    (ties by index), Markowitz-style like the sweep: early pivots on
+    short rows spread less fill-in into the columns it tracks.  The
+    basis itself depends on that order; its lattice does not.
     """
     rows, eliminated = _unit_sweep(A.row_dicts())
     pivot_cols = {pj for _, pj, _ in eliminated}
@@ -631,7 +635,7 @@ def kernel_basis(A):
     fmap = {j: k for k, j in enumerate(free_cols)}
     # leftover system lives entirely on the non-pivot columns
     small_cols = [dict() for _ in free_cols]
-    live_rows = sorted(rows)
+    live_rows = sorted(rows, key=lambda i: (len(rows[i]), i))
     rmap = {i: k for k, i in enumerate(live_rows)}
     for i in live_rows:
         for j, v in rows[i].items():

@@ -251,6 +251,8 @@ def _flatten(nested, level):
 
 
 def test_generic_bar_matches_iterated_level1():
+    # the cells, every differential, and every product of two cells of
+    # total degree at most 4, where the flat shuffle works on the letters
     for M in SMALL + [C23]:
         G1 = bar(zm_dga(M), 4)
         I1 = iterated_bar(M, 1, 4)
@@ -262,6 +264,13 @@ def test_generic_bar_matches_iterated_level1():
                 got = {(u, _flatten(w2, 1)): c
                        for (u, w2), c in G1.differential(word).items()}
                 assert got == I1.differential(_flatten(word, 1))
+            for a in gw:
+                for k in range(5 - n):
+                    for b in G1.basis.get(k, ()):
+                        lhs = {(u, _flatten(w2, 1)): c
+                               for (u, w2), c in G1.product_fn(a, b).items()}
+                        rhs = I1.product_fn(_flatten(a, 1), _flatten(b, 1))
+                        assert lhs == rhs, (M, a, b)
 
 
 def test_generic_bar_squared_matches_iterated_level2():

@@ -64,6 +64,21 @@ def test_an_at_file_module_is_validated_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_groupoid_check_validates_an_at_file_module_once(monkeypatch, tmp_path):
+    # the 5-cocycle test reads the crossed product the coherence check built
+    from monoid_cohomology import hmod
+    calls = []
+    validate = hmod.validate_module
+    monkeypatch.setattr(hmod, "validate_module", lambda A: calls.append(A) or validate(A))
+    cocycle = tmp_path / "zero.json"
+    cocycle.write_text('{"g": {}, "mu": {}}')
+    code, out, _ = invoke(["--json", "groupoid", "check", "--monoid", "cyclic:0,4",
+                           "--coeff", "@" + TWISTED, "--cocycle", str(cocycle)])
+    assert code == 0
+    assert json.loads(out) == {"coherent": True, "cocycle": True, "failures": []}
+    assert len(calls) == 1
+
+
 def test_a_lawless_at_file_module_exits_2_through_every_subcommand(tmp_path):
     cocycle = tmp_path / "zero.json"
     cocycle.write_text('{"g": {}, "mu": {}}')

@@ -177,6 +177,17 @@ def test_group_isos_are_surjections_between_isomorphic_groups():
     assert not _is_group_iso(zmod(4), zmod(2), IntMatrix.from_rows([[1]]))
     assert not _is_group_iso(zmod(4), zmod(4), IntMatrix.from_rows([[2]]))
     assert _is_group_iso(z2_z3, zmod(6), IntMatrix.from_rows([[3, 2]]))
+    # equal relation lattices in other presentations, or the very same
+    # group: the map must still be onto
+    z4 = FGAbelianGroup(1, IntMatrix.from_rows([[4, 8]]))
+    assert z4 == zmod(4)
+    assert _is_group_iso(z4, zmod(4), IntMatrix.from_rows([[3]]))
+    assert not _is_group_iso(z4, zmod(4), IntMatrix.from_rows([[2]]))
+    z2_z2 = FGAbelianGroup(2, IntMatrix.diagonal([2, 2]))
+    assert not _is_group_iso(z2_z2, z2_z2, IntMatrix.from_rows([[1, 1], [1, 1]]))
+    free = FGAbelianGroup.free(1)
+    assert _is_group_iso(free, free, IntMatrix.from_rows([[-1]]))
+    assert not _is_group_iso(free, free, IntMatrix.from_rows([[2]]))
 
 
 def test_identity_iso_and_builder():

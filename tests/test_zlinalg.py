@@ -7,15 +7,17 @@ from itertools import product
 import pytest
 
 import monoid_cohomology
+from monoid_cohomology.bar import iterated_bar
 from monoid_cohomology.cohomology import (brute_force_cohomology, cochain_complex,
-                                          cohomology_group)
-from monoid_cohomology.grillet import (grillet_cohomology, inclusion_chainmap,
-                                       injectivity_check, symmetric_cochains)
+                                          cohomology_group, degree_basis)
+from monoid_cohomology.grillet import (grillet_coboundary, grillet_cohomology,
+                                       inclusion_chainmap, injectivity_check,
+                                       symmetric_cochains, symmetry_constraints)
 from monoid_cohomology.groupoid import (cocycle_check, crossed_product, extract_triple,
                                         iso_classes)
-from monoid_cohomology.hmod import (FGAbelianGroup, HModule, constant_module,
+from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, HModule, constant_module,
                                     module_from_descriptor, zm_as_hmodule)
-from monoid_cohomology.monoid import make_cyclic
+from monoid_cohomology.monoid import make_cyclic, validate_table
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
                                        LatticeContainmentError,
                                        block_diagonal, kernel_basis, lattice_basis,
@@ -196,6 +198,17 @@ def test_kernel_worked_examples():
     assert kernel_basis(IntMatrix.identity(3)).cols == 0
 
 
+def assert_saturated_kernel(A):
+    before = A.row_dicts()
+    K = kernel_basis(A)
+    assert A.row_dicts() == before  # the sweep works on copies
+    assert A.mul(K).is_zero()
+    assert K.cols == A.cols - len(snf_diagonal(A))
+    if K.cols:
+        # a kernel basis is primitive: the quotient by it is free
+        assert all(d == 1 for d in snf_diagonal(K))
+
+
 def test_kernel_random_saturated():
     random.seed(7)
     dense = [IntMatrix.from_rows([[random.randint(-7, 7) for _ in range(n)]
@@ -203,14 +216,54 @@ def test_kernel_random_saturated():
              for m, n in ((random.randint(0, 6), random.randint(0, 6))
                           for _ in range(300))]
     for A in dense + sparse_unit_matrices(60):
-        before = A.row_dicts()
-        K = kernel_basis(A)
-        assert A.row_dicts() == before  # the sweep works on copies
-        assert A.mul(K).is_zero()
-        assert K.cols == A.cols - len(snf_diagonal(A))
-        if K.cols:
-            # a kernel basis is primitive: the quotient by it is free
-            assert all(d == 1 for d in snf_diagonal(K))
+        assert_saturated_kernel(A)
+
+
+def grillet_stacked_conditions(M, module, n):
+    """The (A, L) that grillet_cohomology stacks for its kernel: the
+    symmetry identities over their relations, then delta^n over the
+    relations one degree up."""
+    amb, (S, rel) = symmetry_constraints(M, module, n)
+    d_n = grillet_coboundary(M, module, n)
+    rel_next = CochainGroup(degree_basis(iterated_bar(M, 1, n + 1), n + 1),
+                            module).relation_matrix()
+    A = IntMatrix(S.rows + d_n.rows, amb.total, S.row_dicts() + d_n.row_dicts())
+    L = block_diagonal([rel, rel_next])
+    assert preimage_lattice(A, L) == preimage_lattice_multi([(S, rel), (d_n, rel_next)],
+                                                            amb.total)
+    return A, L
+
+
+def test_preimage_lattice_ignores_row_order():
+    # kernel_basis feeds the echelon its rows shortest first, so its basis
+    # depends on the row order; the canonical preimage basis must not
+    random.seed(25)
+    cases = []
+    for _ in range(40):
+        blocks = []
+        for _ in range(random.randint(1, 3)):
+            m, k = random.randint(1, 3), random.randint(0, 2)
+            blocks.append(IntMatrix.from_rows([[random.choice((0, 0, 1, 2, 3, 4))
+                                                for _ in range(k)] for _ in range(m)], k))
+        L = block_diagonal(blocks)
+        A = IntMatrix.from_rows([[random.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(6)]
+                                 for _ in range(L.rows)], 6)
+        cases.append((A, L))
+    klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
+    for M in (make_cyclic(0, 4), klein):
+        cases.append(grillet_stacked_conditions(M, constant_module(FGAbelianGroup.cyclic(4), M),
+                                                3))
+    for A, L in cases:
+        expected = preimage_lattice(A, L)
+        rows, lrows = A.row_dicts(), L.row_dicts()
+        for _ in range(4):
+            order = list(range(A.rows))
+            random.shuffle(order)
+            PA = IntMatrix(A.rows, A.cols, [rows[i] for i in order])
+            PL = IntMatrix(L.rows, L.cols, [lrows[i] for i in order])
+            assert preimage_lattice(PA, PL) == expected
+    for A, L in cases[-2:]:
+        assert_saturated_kernel(A.hstack(L.scaled(-1)))
 
 
 def test_preimage_worked_examples():
@@ -495,6 +548,7 @@ value_checks = {
     "FGAbelianGroup": (FGAbelianGroup, 2, M(3, 0)),
     "BarWord separator count": (BarWord, (1, 1), (), 1),
     "BarWord separator range": (BarWord, (1, 1), (3,), 2),
+    "BarWord separator zero": (BarWord, (1, 1), (0,), 1),
     "BarWord suspend": (BarWord((1, 1), (2,), 2).suspend, 1),
     "FreeBasis duplicates": (FreeBasis, ["a", "a"], {"a": 0}),
     "FreeBasis pi": (FreeBasis, ["a"], {}),
