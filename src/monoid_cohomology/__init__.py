@@ -1,8 +1,8 @@
 """Higher-level cohomology of finite commutative monoids.
 
-The engine builds the iterated bar construction on the monoid algebra
-explicitly, dualizes it against coefficient modules, and extracts the
-cohomology groups H^n(M, r; A) with exact integer linear algebra.  It
+The engine builds free resolutions of Z over the monoid algebra (small
+models and bar constructions), dualizes them against coefficient
+modules, and extracts H^n(M, r; A) with exact integer linear algebra.  It
 also houses the symmetric-cochain comparison complex, the small cyclic
 resolutions with their explicit contractions, and the coherence /
 classification checks for symmetric monoidal abelian groupoids.

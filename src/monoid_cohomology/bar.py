@@ -40,10 +40,8 @@ than MAX_TEMPLATE_LETTERS letters, counted from the shapes, before any
 template is built.
 
 The small resolutions of the cyclic monoids, the paper's two cells per
-degree, are free-based DGAs too and live here, below cohomology, which
-reads cyclic tables through them and products of two cyclic submonoids
-through the tensor product of theirs (tensor_dga), and cyclic, which
-checks them against the bar.
+degree, and tensor_dga are here too, below cohomology, which builds its
+models from them, and cyclic, which checks them against the bar.
 """
 
 from itertools import combinations, product
@@ -259,7 +257,8 @@ def _no_diff(x):
     return {}
 
 
-def _level1_word(letters):
+def level1_word(letters):
+    """The level-1 word of the letters: every separator is 1."""
     return BarWord(letters, (1,) * (len(letters) - 1), 1)
 
 
@@ -280,7 +279,7 @@ def bar_word_diff(M, word):
     if r == 1:
         return _word_diff(word.letters, (0,) * len(word.letters), _no_diff,
                           lambda x, y: {(e, M.op(x, y)): 1}, e, lambda x: (x, 1),
-                          _level1_word)
+                          level1_word)
     segs = split_top(word)
     return _word_diff(segs, [s.degree for s in segs], lambda s: bar_word_diff(M, s),
                       lambda a, b: bar_word_shuffle(M, a, b), BarWord((), (), r - 1),
@@ -326,7 +325,7 @@ def bar_word_shuffle(M, a, b):
         return {(e, a): 1}
     if a.level == 1:
         return shuffles(e, a.letters, b.letters, (0,) * len(a.letters),
-                        (0,) * len(b.letters), _level1_word)
+                        (0,) * len(b.letters), level1_word)
     segsA = split_top(a)
     segsB = split_top(b)
     r = a.level
@@ -442,24 +441,26 @@ class FreeBasedDGA:
         return sum(c * self.eps_tilde.get(g, 0) for (u, g), c in chain.items())
 
 
-def zm_dga(M):
+def zm_dga(M, N=None):
     """The monoid algebra as a trivially graded free-based DGA: one
-    degree-0 generator per element, g_x . g_y = g_{xy}."""
+    degree-0 generator per element, g_x . g_y = g_{xy}; with N, a list of
+    M's labels of a submonoid, the algebra of N."""
     if not isinstance(M, FiniteCommutativeMonoid):
         raise DGAError("zm_dga needs a finite monoid")
     e = M.identity
+    elements = range(M.size) if N is None else N
 
     def prod(x, y):
         return {(e, M.op(x, y)): 1}
 
     return FreeBasedDGA(
         monoid=M, degmax=0,
-        basis={0: tuple(range(M.size))},
-        pi={x: x for x in range(M.size)},
+        basis={0: tuple(elements)},
+        pi={x: x for x in elements},
         diff={},
         product_fn=prod,
         unit=e,
-        eps_tilde={x: 1 for x in range(M.size)},
+        eps_tilde={x: 1 for x in elements},
     )
 
 
@@ -770,10 +771,9 @@ def small_resolution(m, q, degmax, monoid=None, powers=None):
     - m(x^(m-1))_* w_k and dw_k = 0; the term carrying the coefficient
     m is read as zero when m = 0.  Exponents reduce as in C_{m,q}
     (monoid.cyclic_p).  By default R lies over C_{m,q} itself, where x^k
-    is k; given a table monoid with powers[k] its label of x^k
-    (monoid.cyclic_factors), R lies over that table instead, in its own
-    labels; where the powers list only a submonoid, R's cells lie over
-    that submonoid.
+    is k; given a table monoid and powers[k], its label of x^k
+    (monoid.closure), R lies over the submonoid the powers list, in the
+    table's own labels.
     """
     if m < 0 or q < 1 or m + q < 2:
         raise MonoidError("invalid cyclic parameters (%r, %r)" % (m, q))
@@ -786,16 +786,13 @@ def small_resolution(m, q, degmax, monoid=None, powers=None):
     basis = {}
     pi = {}
     for k in range(0, degmax // 2 + 1):
-        if 2 * k <= degmax:
-            basis[2 * k] = (("v", k),)
-            pi[("v", k)] = power(k * m)
+        basis[2 * k] = (("v", k),)
+        pi[("v", k)] = power(k * m)
         if 2 * k + 1 <= degmax:
             basis[2 * k + 1] = (("w", k),)
             pi[("w", k)] = power(k * m + 1)
     diff = {}
     for k in range(0, (degmax - 2) // 2 + 1):
-        if 2 * (k + 1) > degmax:
-            continue
         ch = {}
         chain_add_term(ch, (power(m + q - 1), ("w", k)), m + q)
         if m >= 1:
@@ -848,9 +845,8 @@ def tensor_dga(D1, D2):
     d(g1 (x) g2) = dg1 (x) g2 + (-1)^|g1| g1 (x) dg2 and
     (a1 (x) a2)(b1 (x) b2) = (-1)^(|a2||b1|) a1b1 (x) a2b2, translates
     multiplied in M.  The unit is the pair of units, and the augmentation
-    multiplies.  When D1 and D2 are the small resolutions of two cyclic
-    submonoids whose product map onto M is a bijection, the tensor
-    product resolves Z over ZM: both are free over Z, so the Kunneth
+    multiplies.  When D1 and D2 resolve Z over N1 and N2, it resolves Z
+    over N1 x N2 (monoid.split): both are free over Z, so the Kunneth
     theorem has no Tor term (Eilenberg and Mac Lane, On the groups
     H(Pi, n), I/II)."""
     M = D1.monoid

@@ -16,12 +16,12 @@ import json
 import sys
 import time
 
-from .bar import cells, render_word, word_to_json
-from .cohomology import brute_force_cohomology, cohomology_group
+from .bar import cells, check_reach, render_word, word_to_json
+from .cohomology import brute_force_cohomology, cohomology_group, small_model_complex
 from .cyclic import verify_contraction, verify_contraction_inf
 from .grillet import grillet_cohomology, inclusion_chainmap
 from .groupoid import check_coherence, crossed_product, is_cocycle, iso_classes
-from .hmod import constant_module, module_from_descriptor, parse_group_shorthand
+from .hmod import constant_module, module_from_descriptor, parse_group_shorthand, require_lawful
 from .monoid import FiniteCommutativeMonoid, is_integer, monoid_from_descriptor
 
 
@@ -151,8 +151,14 @@ def cmd_cyclic(args):
                                 "period": args.period})
     A = parse_coefficients(args.coeff, M)
     t0 = time.time()
-    h2, h3, h4 = (cohomology_group(M, 2, n, A) for n in (2, 3, 4))
-    h5 = cohomology_group(M, 3, 5, A)
+    # cohomology_group's refusals of the four queries, one law check
+    check_reach(M, 2, 3)
+    require_lawful(A, M)
+    for r, degmax in ((2, 4), (2, 5), (3, 6)):
+        check_reach(M, r, degmax)
+    level2 = small_model_complex(M, 2, A, 5)
+    h2, h3, h4 = (level2.cohomology(n) for n in (2, 3, 4))
+    h5 = small_model_complex(M, 3, A, 6).cohomology(5)
     payload = {"H2(C,2)": h2.to_json(), "H3(C,2)": h3.to_json(),
                "H4(C,2)": h4.to_json(), "H5(C,3)": h5.to_json()}
     emit(args, payload, [

@@ -1,18 +1,16 @@
-"""Cochain complexes of the iterated bar construction and their
-cohomology, read off Smith diagonals of sparse integer matrices.
+"""Cochain complexes of free DGA resolutions and their cohomology, read
+off Smith diagonals of sparse integer matrices.
 
-A cyclic table is answered through the small resolution R of its
-monoid instead (Eilenberg and Mac Lane, On the groups H(Pi, n), I/II):
-H^n(M, r; A) is the cohomology of Hom(B^(r-1)(R), A), with R built over
-the table's own labels (bar.small_resolution), which has a handful of
-cells where the iterated bar has thousands.  A table that is the
-product of two cyclic submonoids (monoid.cyclic_factors) is answered
-through R1 (x) R2 (bar.tensor_dga) the same way; a table with three or
-more cyclic factors, and any other table, still takes the iterated bar.
-Every route needs A to keep its laws, and R applies fewer translations
-than the bar, so the entry points check them first (hmod.require_lawful,
-which reads them on a generating set S of M, |M|^2 |S| products): a
-module that breaks them is refused there.
+H^n(M, r; A) is the cohomology of Hom(B^(r-1)(D), A) for any free DGA
+resolution D of Z over ZM (Eilenberg and Mac Lane, On the groups
+H(Pi, n), I/II), and model builds one in the table's labels by one
+recursion over submonoids: the small resolution R of a cyclic one, a
+handful of cells where the iterated bar has thousands; the tensor
+product of the factors' models for a direct product (monoid.split);
+the bar construction on ZN for any other N.  The iterated bar
+(cochain_complex) stays as the oracle.  R applies fewer translations
+than the bar, so the entry points check A's laws first
+(hmod.require_lawful, on a generating set S of M, |M|^2 |S| products).
 
 The degree-n cochain group of Hom(B^r(ZM), A) is the direct sum of the
 A(pi(cell)) over the generic n-cells; the coboundary is precomposition
@@ -75,10 +73,10 @@ with it too.
 """
 
 from .bar import (bar, bar_word_diff, check_reach, degree_cells, iterated_bar,
-                  small_resolution, tensor_dga)
+                  small_resolution, tensor_dga, zm_dga)
 from .hmod import (CochainGroup, FGAbelianGroup, FreeBasis, ModuleError, constant_module,
                    dualize, require_lawful)
-from .monoid import FiniteCommutativeMonoid, cyclic_factors
+from .monoid import FiniteCommutativeMonoid, closure, split
 from .zlinalg import AbGroupInvariants, IntMatrix, gcd, snf_diagonal
 
 
@@ -230,40 +228,46 @@ def cochain_complex(M, r, module, nmax):
     return CochainComplex(dga, module, nmax)
 
 
-def small_model_complex(M, r, module, nmax, factors):
-    """Hom(B^(r-1)(R), A) to degree nmax for the table M with cyclic
-    factors monoid.cyclic_factors(M): R is the small resolution of the
-    one factor, or the tensor product of those of the two, each built in
-    M's own labels, so A needs no transport.  A bar in degree n reads its
-    input only below n, so R and each bar before the last stop one
-    degree below the next."""
+def model(M, N, top):
+    """A free DGA resolution of Z over the submonoid N (a list of M's
+    labels) to degree top, in M's labels: R when some x generates N, the
+    tensor product of the factors' models when monoid.split finds
+    N = N1 x N2, the bar construction on ZN otherwise."""
+    for x in N:
+        powers = closure(M, [M.identity], x)
+        if len(powers) == len(N) > 1:
+            m = powers.index(M.op(powers[-1], x))
+            return small_resolution(m, len(powers) - m, top, M, powers)
+    factors = split(M, N)
+    if factors:
+        return tensor_dga(*(model(M, factor, top) for factor in factors))
+    return bar(zm_dga(M, N), top)
+
+
+def small_model_complex(M, r, module, nmax):
+    """Hom(B^(r-1)(D), A) to degree nmax for the model D of the table M,
+    in M's labels.  A bar in degree n reads its input only below n, so D
+    and each bar before the last stop one degree below the next."""
     top = max(0, nmax - r + 1)
-    models = [small_resolution(m, q, top, M, powers) for m, q, powers in factors]
-    D = models[0] if len(models) == 1 else tensor_dga(*models)
+    D = model(M, list(M.elements()), top)
     for k in range(1, r):
         D = bar(D, top + k)
     return CochainComplex(D, module, nmax)
 
 
 def cohomology_group(M, r, n, module):
-    """H^n(M, r; A) as invariant factors: a cyclic table, or a product
-    of two cyclic submonoids, through its small model
-    (small_model_complex), any other table through the iterated bar
-    (cochain_complex).  A small-model query is refused first where the
-    iterated bar would be (bar.check_reach); then, on every route, a
-    tabular A that is not a module over M keeping its laws is refused
-    (hmod.require_lawful), once."""
+    """H^n(M, r; A) as invariant factors, read from the model of M
+    (small_model_complex).  A query is refused first where the iterated
+    bar would be (bar.check_reach); then a tabular A that is not a
+    module over M keeping its laws is refused (hmod.require_lawful)."""
     if n < 0:
         raise ValueError("negative degree")
     if r >= 2 and n > r + 2:
         raise TruncationError(
             "H^%d at level %d lies beyond the truncated range (n <= %d)" % (n, r, r + 2))
-    factors = cyclic_factors(M)
-    if not factors:
-        return cochain_complex(M, r, module, n + 1).cohomology(n)
     check_reach(M, r, max(n + 1, r))
     require_lawful(module, M)
-    return small_model_complex(M, r, module, n + 1, factors).cohomology(n)
+    return small_model_complex(M, r, module, n + 1).cohomology(n)
 
 
 # -- brute-force cochain search -----------------------------------------------

@@ -12,9 +12,9 @@ the closed forms (closed_form_top, infinite_cyclic_groups) are the
 paper's formulas, kept as oracles.
 """
 
-from .bar import (BarWord, _refuse_above, bar_word_diff, bar_word_shuffle,
-                  chain_add_term, chain_sum, extend_bilinear, extend_linear,
-                  refuse_above_max_cells, small_resolution, small_resolution_inf)
+from .bar import (_refuse_above, bar_word_diff, bar_word_shuffle, chain_add_term, chain_sum,
+                  extend_bilinear, extend_linear, level1_word, refuse_above_max_cells,
+                  small_resolution, small_resolution_inf)
 from .cohomology import cohomology_group
 from .monoid import INFINITE_CYCLIC, MonoidError, check_cyclic, cyclic_s, make_cyclic
 from .zlinalg import AbGroupInvariants, gcd
@@ -33,10 +33,6 @@ def bullet(C, a, b):
             kind = "w" if "w" in (ta, tb) else "v"
             chain_add_term(out, (C.op(u, v), (kind, ka + kb)), ca * cb)
     return out
-
-
-def _word(letters):
-    return BarWord(tuple(letters), (1,) * max(0, len(letters) - 1), 1)
 
 
 class CyclicContraction:
@@ -112,11 +108,11 @@ class CyclicContraction:
         M = self.M
         kind, k = gen
         if gen == ("v", 0):
-            out = {(M.identity, _word(())): 1}
+            out = {(M.identity, level1_word(())): 1}
         elif kind == "w":
             out = {}
             for (u, w), c in self.g_gen(("v", k)).items():
-                chain_add_term(out, (u, _word(w.letters + (1,))), c)
+                chain_add_term(out, (u, level1_word(w.letters + (1,))), c)
         elif self.infinite:
             raise ValueError("the infinite resolution stops at w_0")
         else:
@@ -128,13 +124,13 @@ class CyclicContraction:
                     continue  # the appended unit letter kills the cell
                 u1 = m + q - t - 1
                 for (u, w), c in gw.items():
-                    chain_add_term(out, (M.op(u1, u), _word(w.letters + (t,))), c)
+                    chain_add_term(out, (M.op(u1, u), level1_word(w.letters + (t,))), c)
             for t in range(m):
                 if t == 0:
                     continue
                 u1 = m - t - 1
                 for (u, w), c in gw.items():
-                    chain_add_term(out, (M.op(u1, u), _word(w.letters + (t,))), -c)
+                    chain_add_term(out, (M.op(u1, u), level1_word(w.letters + (t,))), -c)
         self._g_cache[gen] = out
         return out
 
@@ -165,16 +161,16 @@ class CyclicContraction:
             x = letters[0]
             out = {}
             for t in range(1, x):  # t = 0 gives a unit letter
-                chain_add_term(out, (x - t - 1, _word((1, t))), 1)
+                chain_add_term(out, (x - t - 1, level1_word((1, t))), 1)
             return out
         out = {}
         for (u, w), c in self.phi_word(letters[:1]).items():
-            chain_add_term(out, (u, _word(w.letters + letters[1:])), c)
+            chain_add_term(out, (u, level1_word(w.letters + letters[1:])), c)
         rest = self.phi_word(letters[2:])
         if rest:
             for (u, w), c in self.gf_word(letters[:2]).items():
                 for (v, w2), cc in rest.items():
-                    chain_add_term(out, (M.op(u, v), _word(w.letters + w2.letters)),
+                    chain_add_term(out, (M.op(u, v), level1_word(w.letters + w2.letters)),
                                    c * cc)
         return out
 
@@ -198,7 +194,7 @@ def gf_closed_form(m, q, x, y):
     def add(u, a, b, c=1):
         if a == 0 or b == 0:
             return
-        chain_add_term(out, (u, _word((a, b))), c)
+        chain_add_term(out, (u, level1_word((a, b))), c)
 
     for t in range(x + y - m - q, m + q):
         add(x + y - t - 1, 1, t)
@@ -299,7 +295,7 @@ def _verify(con, R, words_by_degree, degmax, report):
     wit = []
     if con.f_word(()) != {(e, ("v", 0)): 1}:
         wit.append("f[] != v0")
-    if con.g_gen(("v", 0)) != {(e, _word(())): 1}:
+    if con.g_gen(("v", 0)) != {(e, level1_word(())): 1}:
         wit.append("g v0 != []")
     report.record("units", wit)
 
@@ -381,7 +377,7 @@ def _letter_words(k, degmax):
     pool = [()]
     for n in range(1, degmax + 1):
         pool = [w + (x,) for w in pool for x in range(1, k + 1)]
-        by_degree[n] = [_word(w) for w in pool]
+        by_degree[n] = [level1_word(w) for w in pool]
     return by_degree
 
 

@@ -28,7 +28,7 @@ stays brute force, as the independent check of the class count against
 from .bar import cells
 from .cohomology import BruteForceCapError, _cochain_space, _rows, _search, _vanishes
 from .hmod import (HModule, IntMatrix, _columns_equal_mod, _matrix_maps_relations,
-                   require_lawful, validate_module)
+                   require_lawful)
 from .monoid import is_integer, validate_table
 from .zlinalg import lattice_basis, staircase_pivots, staircase_solve
 
@@ -207,8 +207,9 @@ def extract_triple(G):
     """Read off (M, A, g, mu) from a strictly unitary totally
     disconnected groupoid: the monoid from the object tensor, the
     module action from tensoring with identity morphisms, and the
-    constraint tables; the extracted action is validated and the
-    tables must form a 5-cocycle."""
+    constraint tables.  The tables must form a 5-cocycle, which
+    cocycle_check reads after its crossed_product has checked the
+    extracted action's laws, the one law check (hmod.require_lawful)."""
     M = G.monoid
     n = M.size
     table = [[G.tensor_obj(x, y) for y in range(n)] for x in range(n)]
@@ -225,9 +226,6 @@ def extract_triple(G):
                 cols.append(G.tensor_mor(x, basis_vec, y, groups[y].zero()))
             actions[(x, y)] = IntMatrix.from_columns(cols, groups[monoid.op(x, y)].ngens)
     module = HModule(monoid, groups, actions)
-    bad = validate_module(module)
-    if bad:
-        raise GroupoidError("extracted action is not a module: %r" % (bad[:3],))
     if not cocycle_check(monoid, module, G.g_table, G.mu_table):
         raise GroupoidError("extracted tables are not a 5-cocycle "
                             "(the input groupoid is not coherent)")

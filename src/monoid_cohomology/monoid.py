@@ -3,10 +3,12 @@
 Elements are dense 0-based indices into the table.  Cyclic monoids
 C_{m,q} (index m, period q) come with the wrap arithmetic ``cyclic_p``
 and the wrap counter ``cyclic_s``.  The infinite cyclic monoid (N, +)
-is a separate marker object, not a table.
+is a separate marker object, not a table.  A submonoid of a table is a
+list of its labels (closure); split finds direct product decompositions.
 """
 
 import json
+from itertools import chain
 
 
 class MonoidError(ValueError):
@@ -149,65 +151,63 @@ def cyclic_s(m, q, x, y):
     return (x + y - cyclic_p(m, q, x + y)) // q
 
 
-def _powers(M, x):
-    """M's labels of e, x, x^2, ... up to the first repeat, and the
-    position among them of the repeated power: at most |M| table reads."""
-    powers = [M.identity]
-    index = {M.identity: 0}
-    y = x
-    while y not in index:
-        index[y] = len(powers)
-        powers.append(y)
-        y = M.op(y, x)
-    return powers, index[y]
+def closure(M, base, y):
+    """The submonoid base <y> of the table M, for a submonoid base listed
+    in M's labels: base, then breadth first each product with y not yet
+    listed, one table read per element.  From [e] it lists the powers of
+    y up to the first repeat."""
+    found, seen = list(base), set(base)
+    for x in found:  # the loop reaches the elements it appends
+        z = M.op(x, y)
+        if z not in seen:
+            seen.add(z)
+            found.append(z)
+    return found
 
 
-def cyclic_factors(M):
-    """The cyclic factors of the table M as (m, q, powers) triples: for
-    the submonoid <x> of an element x, powers lists M's labels of
-    e, x, x^2, ... up to the first repeat, m is the index of the first
-    repeated power and q = len(powers) - m, so that <x> is C_{m,q} with k
-    renamed powers[k].  One triple when some <x> is all of M; two when
-    some <x> and <y> have |<x>| |<y>| = |M| and the product map
-    <x> x <y> -> M is a bijection, hence an isomorphism of monoids; ()
-    for any other monoid, and for the one-element table (C_{m,q} needs
-    m + q >= 2).  The powers take at most |M|^2 table reads, and pairs
-    are filtered by their orders before any product is read, which keeps
-    the search within about |M|^3."""
-    if not isinstance(M, FiniteCommutativeMonoid) or M.size < 2:
-        return ()
-    factors = []
-    for x in range(M.size):
-        powers, m = _powers(M, x)
-        factor = (m, len(powers) - m, powers)
-        if len(powers) == M.size:
-            return (factor,)
-        factors.append(factor)
-    for i, first in enumerate(factors):
-        for second in factors[i + 1:]:
-            xs, ys = first[2], second[2]
-            if (len(xs) * len(ys) == M.size
-                    and len({M.op(a, b) for a in xs for b in ys}) == M.size):
-                return first, second
-    return ()
+def _factor_pair(M, n, candidates):
+    """Two candidate submonoids whose orders multiply to n, which meet in
+    the identity alone and whose product set has n elements, or None;
+    only pairs that pass the first two tests read their n products."""
+    buckets = {}
+    for c in candidates:
+        if 1 < len(c) < n and n % len(c) == 0:
+            buckets.setdefault(len(c), {}).setdefault(frozenset(c), c)
+    for d in sorted(buckets):
+        if d * d > n:
+            break
+        firsts = list(buckets[d].items())
+        for i, (a_set, a) in enumerate(firsts):
+            seconds = firsts[i + 1:] if d * d == n else buckets.get(n // d, {}).items()
+            for b_set, b in seconds:
+                if len(a_set & b_set) == 1 and len({M.op(x, y) for x in a for y in b}) == n:
+                    return a, b
+    return None
+
+
+def split(M, N):
+    """Submonoids N1, N2 of the submonoid N of the table M (lists of
+    labels) whose product map N1 x N2 -> N is a bijection, hence an
+    isomorphism, or None.  Cyclic pairs are tried first, then submonoids
+    generated by two elements (closures of |N|^3 reads at most); a factor
+    needing three generators is missed, costing speed, never an answer."""
+    cyclic = [closure(M, [M.identity], x) for x in N]
+    pairs = (closure(M, c, y) for i, c in enumerate(cyclic) for y in N[i + 1:])
+    return _factor_pair(M, len(N), cyclic) or _factor_pair(M, len(N), chain(cyclic, pairs))
 
 
 def generating_set(M):
     """A generating set S of the table M, chosen greedily: the elements
     in decreasing order of |<x>| (ties by label), each taken unless the
-    submonoid generated so far holds it.  In a commutative monoid that
-    submonoid times <x> is the submonoid generated with x, so each step
-    reads at most |M|^2 products, |M|^2 |S| in all after the |M|^2 reads
-    of the powers.  |S| = 1 on every cyclic table of order 2 or more, in
-    any labelling; the Klein four-group and the three-element
-    semilattice need 2, and the one-element table none."""
-    powers = [_powers(M, x)[0] for x in range(M.size)]
-    gens = []
-    closure = {M.identity}
-    for x in sorted(range(M.size), key=lambda x: -len(powers[x])):
-        if x not in closure:
+    closure of those taken holds it, |M|^2 + |M| table reads at most.
+    |S| = 1 on every cyclic table of order 2 or more, in any labelling;
+    Klein and the three-element semilattice need 2, {e} none."""
+    orders = [len(closure(M, [M.identity], x)) for x in range(M.size)]
+    gens, sub = [], [M.identity]
+    for x in sorted(range(M.size), key=lambda x: -orders[x]):
+        if x not in sub:
             gens.append(x)
-            closure = {M.op(c, p) for c in closure for p in powers[x]}
+            sub = closure(M, sub, x)
     return tuple(gens)
 
 

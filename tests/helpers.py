@@ -1,5 +1,6 @@
 """Helpers that only the tests read: an integer determinant, the
-exhaustive module-law check, a relabelled table, a constant module
+exhaustive module-law check, a relabelled table, the direct product of
+two tables, a constant module
 written out as a table, ZM reduced mod 2, modules that break their
 laws, and a module sampled at finitely many elements of the infinite
 cyclic monoid."""
@@ -82,6 +83,21 @@ def relabelled(M, perm):
         for y in range(M.size):
             table[perm[x]][perm[y]] = perm[M.op(x, y)]
     return validate_table(M.size, perm[M.identity], table)
+
+
+def identity_last(M):
+    """M with each element x renamed |M| - 1 - x, so the identity of a
+    table with identity 0 moves to the last index."""
+    return relabelled(M, range(M.size - 1, -1, -1))
+
+
+def product_table(M1, M2):
+    """M1 x M2 as a table, the pair (a, b) labelled a |M2| + b."""
+    n2 = M2.size
+    n = M1.size * n2
+    table = [[M1.op(x // n2, y // n2) * n2 + M2.op(x % n2, y % n2) for y in range(n)]
+             for x in range(n)]
+    return validate_table(n, M1.identity * n2 + M2.identity, table)
 
 
 def constant_as_tabular(group, monoid):

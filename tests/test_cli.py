@@ -79,6 +79,36 @@ def test_groupoid_check_validates_an_at_file_module_once(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_cyclic_groups_validates_an_at_file_module_once(monkeypatch):
+    # the four groups read one law check and one complex per level
+    from monoid_cohomology import cli, hmod
+    calls, levels = [], []
+    validate, complex_of = hmod.validate_module, cli.small_model_complex
+    monkeypatch.setattr(hmod, "validate_module", lambda A: calls.append(A) or validate(A))
+    monkeypatch.setattr(cli, "small_model_complex",
+                        lambda M, r, *rest: levels.append(r) or complex_of(M, r, *rest))
+    code, out, _ = invoke(["--json", "cyclic", "groups", "--index", "0", "--period", "4",
+                           "--coeff", "@" + TWISTED])
+    assert code == 0
+    assert out == ('{"H2(C,2)":{"free_rank":0,"torsion":[2]},"H3(C,2)":{"free_rank":0,'
+                   '"torsion":[2,4]},"H4(C,2)":{"free_rank":0,"torsion":[2]},"H5(C,3)":'
+                   '{"free_rank":0,"torsion":[2]}}\n')
+    assert len(calls) == 1 and levels == [2, 3]
+
+
+def test_cyclic_groups_refuses_as_its_first_refused_query():
+    # order 3000 is above MAX_CYCLIC_ORDER (check_cyclic); at order 1025
+    # the level-2 bar to degree 3, which H^2 reads, has too many cells, and
+    # at order 200 the one to degree 4, which H^3 reads
+    for period, level, degree in ((3000, 2, 2), (1025, 2, 2), (200, 2, 3)):
+        code, out, err = invoke(["cyclic", "groups", "--index", "0", "--period", str(period),
+                                 "--coeff", "Z"])
+        assert code == 2 and out == ""
+        assert (code, err) == invoke(["cohomology", "--monoid", "cyclic:0,%d" % period,
+                                      "--level", str(level), "--degree", str(degree),
+                                      "--coeff", "Z"])[::2], period
+
+
 def test_a_lawless_at_file_module_exits_2_through_every_subcommand(tmp_path):
     cocycle = tmp_path / "zero.json"
     cocycle.write_text('{"g": {}, "mu": {}}')

@@ -6,22 +6,22 @@ import pytest
 
 from monoid_cohomology import cohomology, grillet, zlinalg
 from monoid_cohomology.bar import (bar_word_diff, explicit_low_degree_differential,
-                                   iterated_bar, small_resolution, tensor_dga, validate_dga)
+                                   iterated_bar, validate_dga)
 from monoid_cohomology.cohomology import (BruteForceCapError, CochainComplex, TruncationError,
                                           brute_force_cohomology,
                                           cochain_complex, coboundary, cohomology_group,
-                                          degree_basis, small_model_complex)
+                                          degree_basis, model, small_model_complex)
 from monoid_cohomology.cyclic import leech_groups_cyclic, level2_groups_cyclic, level3_top
 from monoid_cohomology.grillet import grillet_cohomology, inclusion_chainmap, injectivity_check
 from monoid_cohomology.groupoid import iso_classes
 from monoid_cohomology.hmod import (FGAbelianGroup, HModule, ModuleError, constant_module,
                                     dualize, parse_group_shorthand, require_lawful,
                                     validate_module, zm_as_hmodule)
-from monoid_cohomology.monoid import cyclic_factors, make_cyclic, validate_table
+from monoid_cohomology.monoid import make_cyclic, split, validate_table
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix, preimage_lattice,
                                        subquotient_invariants)
 
-from helpers import lawless_modules, relabelled, zm_mod2
+from helpers import identity_last, lawless_modules, product_table, zm_mod2
 from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
@@ -388,27 +388,11 @@ def test_cone_matches_lattice_census():
                     (cx.cohomology(2 * k + 1), cx.cohomology(2 * k + 2)), (m, q, name, k)
 
 
-def identity_last(M):
-    """M with each element x renamed |M| - 1 - x, so the identity of a
-    table with identity 0 moves to the last index."""
-    return relabelled(M, range(M.size - 1, -1, -1))
-
-
-def product_table(M1, M2):
-    """M1 x M2 as a table, the pair (a, b) labelled a |M2| + b."""
-    n2 = M2.size
-    n = M1.size * n2
-    table = [[M1.op(x // n2, y // n2) * n2 + M2.op(x % n2, y % n2) for y in range(n)]
-             for x in range(n)]
-    return validate_table(n, M1.identity * n2 + M2.identity, table)
-
-
 def small_model_matches_the_bar_route(M, deepest):
     """The small model of M against the iterated bar: Z, Z/4, Z+Z/2,
     ZM, ZM/2 and a twisted Z+Z/2 where M has a parity character, at
     levels 1-3 and degrees 0 to r + deepest; cohomology_group answers
     the top degree as the small model does."""
-    factors = cyclic_factors(M)
     modules = [(text, constant_module(parse_group_shorthand(text), M))
                for text in ("Z", "Z/4", "Z+Z/2")]
     modules += [("ZM", zm_as_hmodule(M)), ("ZM/2", zm_mod2(M))]
@@ -418,11 +402,31 @@ def small_model_matches_the_bar_route(M, deepest):
     for name, A in modules:
         for r in (1, 2, 3):
             top = r + deepest
-            small = small_model_complex(M, r, A, top + 1, factors)
+            small = small_model_complex(M, r, A, top + 1)
             bar_route = cochain_complex(M, r, A, top + 1)
             for n in range(top + 1):
                 assert small.cohomology(n) == bar_route.cohomology(n), (M.table, name, r, n)
             assert cohomology_group(M, r, top, A) == small.cohomology(top), (M.table, name, r)
+
+
+def whole(M):
+    return list(range(M.size))
+
+
+def is_small_resolution(D):
+    return D.basis[1] == (("w", 0),)
+
+
+def index_and_period(R):
+    """(m, q) of the small resolution R of C(m,q), read off
+    d v_1 = (m + q) w_0 - m w_0 over two distinct translates."""
+    coeffs = sorted(R.differential(("v", 1)).values())
+    m = -coeffs[0] if coeffs[0] < 0 else 0
+    return m, coeffs[-1] - m
+
+
+def is_tensor_of_small_resolutions(D):
+    return D.basis[0] == ((("v", 0), ("v", 0)),)
 
 
 def test_small_model_matches_the_bar_route_on_cyclic_tables():
@@ -431,14 +435,14 @@ def test_small_model_matches_the_bar_route_on_cyclic_tables():
     # is relabelled with its identity last, so the powers of its generator
     # are not its labels.  Degree r + 2 runs on orders 2-4 only: on order 6
     # the bar route alone takes about 15 s there for the twisted module
-    cyclic = [M for M in census() if len(cyclic_factors(M)) == 1]
-    assert sorted(cyclic_factors(M)[0][:2] for M in cyclic) == \
+    cyclic = [M for M in census() if is_small_resolution(model(M, whole(M), 6))]
+    assert sorted(index_and_period(model(M, whole(M), 6)) for M in cyclic) == \
         sorted((m, k - m) for k in (2, 3, 4) for m in range(k))
     monoids = cyclic + [make_cyclic(m, k - m) for k in (5, 6, 7) for m in range(k)]
     for M in map(identity_last, monoids):
-        (m, q, powers), = cyclic_factors(M)
-        assert powers[0] == M.size - 1 and sorted(powers) == list(range(M.size))
-        assert validate_dga(small_resolution(m, q, 6, M, powers)) == [], (m, q)
+        R = model(M, whole(M), 6)
+        assert is_small_resolution(R) and R.pi[("v", 0)] == M.size - 1
+        assert validate_dga(R) == [], M.table
         small_model_matches_the_bar_route(M, 2 if M.size < 5 else 1)
 
 
@@ -448,36 +452,65 @@ def test_small_model_matches_the_bar_route_on_products_of_cyclic_tables():
     # the 3 census products of order 4 and the four of order 6 that are
     # not cyclic (C(0,2) x C(0,3) is C(0,6)) and have a factor of order
     # 3 other than C(0,3) or no parity character, each relabelled with
-    # its identity last.  The recogniser finds no factors on the 14 other
-    # census monoids
-    others = [M for M in census() if not cyclic_factors(M)]
-    products = [M for M in census() if len(cyclic_factors(M)) == 2]
-    assert len(others) == 14 and len(products) == 3
-    assert sorted(sorted(f[:2] for f in cyclic_factors(M)) for M in products) == \
-        [[(0, 2), (0, 2)], [(0, 2), (1, 1)], [(1, 1), (1, 1)]]
+    # its identity last
+    products = [M for M in census() if is_tensor_of_small_resolutions(model(M, whole(M), 6))]
+    assert len(products) == 3
     pairs = ((1, 2, 1, 1), (2, 1, 0, 2), (2, 1, 1, 1), (0, 3, 1, 1))
     products += [product_table(make_cyclic(m1, q1), make_cyclic(m2, q2))
                  for m1, q1, m2, q2 in pairs]
     for M in map(identity_last, products):
-        factors = cyclic_factors(M)
-        assert len(factors) == 2, M.table
-        assert all(powers[0] == M.size - 1 for _, _, powers in factors)
-        tensor = tensor_dga(*(small_resolution(m, q, 6, M, powers) for m, q, powers in factors))
+        tensor = model(M, whole(M), 6)
+        assert is_tensor_of_small_resolutions(tensor), M.table
+        assert tensor.pi[tensor.unit] == M.size - 1
         assert validate_dga(tensor) == [], M.table
         small_model_matches_the_bar_route(M, 2 if M.size < 5 else 1)
 
 
-def test_only_tables_that_are_not_products_of_cyclics_build_the_iterated_bar(monkeypatch):
-    # cyclic tables and products of two cyclic submonoids never reach the
-    # iterated bar, relabelled or not; the semilattice, a census monoid of
-    # order 4 that is no such product, and (Z/2)^3, whose three factors
-    # the small models do not cover, do.  A cyclic table with a module that
-    # breaks its laws is refused before any bar is built, and
-    # test_lawless_modules_are_refused_at_every_entry_point refuses Klein
-    # before its small model is built
+SEMILATTICE = validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+
+
+def test_product_models_match_the_bar_route(monkeypatch):
+    # (Z/2)^3, the semilattice x C(0,2) and the semilattice squared, each
+    # relabelled with its identity last, are answered through the tensor
+    # product of their factors' models, R or the bar on ZN, which
+    # validate_dga accepts wherever the recursion builds one; the
+    # iterated bar is the oracle, at levels 1-3 and degrees up to r + 1
+    built = {}
+
+    def recording(M, N, top):
+        D = model(M, N, top)
+        built.setdefault((M, tuple(N), top), D)
+        return D
+    monkeypatch.setattr(cohomology, "model", recording)
+    R, bar_on_zn = ("v", 0), ()
+    cube = product_table(product_table(Z2, Z2), Z2)
+    for M, unit in ((cube, (R, (R, R))), (product_table(SEMILATTICE, Z2), (R, bar_on_zn)),
+                    (product_table(SEMILATTICE, SEMILATTICE), (bar_on_zn, bar_on_zn))):
+        M = identity_last(M)
+        small_model_matches_the_bar_route(M, 1)
+        assert built[(M, tuple(whole(M)), 3)].unit == unit, M.table
+    for D in built.values():
+        assert validate_dga(D) == []
+
+
+def test_cohomology_group_never_builds_the_iterated_bar(monkeypatch):
+    # every table reads its model: cyclic tables and products, relabelled
+    # or not, and the semilattice, a census monoid of order 4 that splits
+    # into no product, (Z/2)^3 and the one-element table, each with the
+    # answer of the iterated bar.  A cyclic table with a module that breaks
+    # its laws is refused before any model is built
+    semilattice, one = SEMILATTICE, validate_table(1, 0, [[0]])
+    no_split = next(M for M in census((4,)) if split(M, whole(M)) is None
+                    and not is_small_resolution(model(M, whole(M), 2)))
+    cube = product_table(product_table(Z2, Z2), Z2)
+    general = [(M, constant_module(Z, M)) for M in (semilattice, no_split, cube, one)]
+    general += [(M, zm_as_hmodule(M)) for M in (semilattice, no_split, cube, one)]
+    expected = [cochain_complex(M, 2, A, 4).cohomology(3) for M, A in general]
+
     def no_bar(*args):
         raise AssertionError("the iterated bar was built")
     monkeypatch.setattr(cohomology, "iterated_bar", no_bar)
+    assert [cohomology_group(M, 2, 3, A) for M, A in general] == expected
     C34, C12r = make_cyclic(3, 4), identity_last(C12)
     assert cohomology_group(C34, 1, 4, constant_module(Z, C34)) == AbGroupInvariants(0, (4,))
     assert cohomology_group(C12r, 2, 3, zm_as_hmodule(C12r)) == AbGroupInvariants(0, (2, 2, 2))
@@ -492,13 +525,6 @@ def test_only_tables_that_are_not_products_of_cyclics_build_the_iterated_bar(mon
         (x, y): IntMatrix.from_rows([[1 if y == 0 else 2]]) for x in range(3) for y in range(3)})
     with pytest.raises(ModuleError, match="violates the module laws"):
         cohomology_group(C03, 1, 2, breaks_composition)
-    semilattice = validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
-    no_product = next(M for M in census((4,)) if not cyclic_factors(M))
-    cube = product_table(product_table(Z2, Z2), Z2)
-    for M in (semilattice, no_product, cube):
-        assert not cyclic_factors(M)
-        with pytest.raises(AssertionError, match="the iterated bar was built"):
-            cohomology_group(M, 1, 2, constant_module(Z, M))
 
 
 def test_cone_on_a_relation_basis_with_entries_below_its_pivots():

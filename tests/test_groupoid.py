@@ -4,13 +4,14 @@ from itertools import product
 import pytest
 
 from monoid_cohomology.cohomology import BRUTE_FORCE_CAP, cohomology_group
-from monoid_cohomology.groupoid import (GroupoidError, MonoidalFunctorData, _is_group_iso,
+from monoid_cohomology.groupoid import (GroupoidError, MonoidalFunctorData, SMAGroupoid,
+                                        _is_group_iso,
                                         build_monoidal_iso, check_coherence,
                                         cocycle_check, crossed_product,
                                         enumerate_cochain_tables,
                                         extract_triple, iso_classes,
                                         verify_monoidal_iso)
-from monoid_cohomology.hmod import (FGAbelianGroup, HModule, constant_module,
+from monoid_cohomology.hmod import (FGAbelianGroup, HModule, ModuleError, constant_module,
                                     validate_module)
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import IntMatrix
@@ -226,6 +227,22 @@ def test_extraction_round_trip():
     assert validate_module(A2x) == []
     with pytest.raises(GroupoidError):
         extract_triple(crossed_product(Z2, A2, {(1, 1, 1): (1,)}, {}))
+
+
+def test_extract_triple_checks_the_laws_once(monkeypatch):
+    # the crossed product of the 5-cocycle test checks the extracted
+    # action's laws, and extract_triple reads no second check; an action
+    # that breaks them is refused there
+    from monoid_cohomology import hmod
+    G = crossed_product(Z2, sign_twisted_z4(Z2), {}, {(1, 1): (2,)})
+    calls = []
+    monkeypatch.setattr(hmod, "validate_module", lambda A: calls.append(A) or validate_module(A))
+    assert extract_triple(G)[3] == {(1, 1): (2,)}
+    assert len(calls) == 1
+    lawless = HModule(Z2, [zmod(4)] * 2, {(x, y): IntMatrix.from_rows([[1 if y == 0 else 2]])
+                                          for x in range(2) for y in range(2)})
+    with pytest.raises(ModuleError, match="violates the module laws"):
+        extract_triple(SMAGroupoid(Z2, lawless, {}, {}))
 
 
 def test_class_count_matches_h5_on_enumeration_grid():

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from monoid_cohomology.monoid import (INFINITE_CYCLIC, MonoidError,
-                                      cyclic_p, cyclic_s, generating_set, make_cyclic,
-                                      monoid_from_descriptor,
-                                      monoid_to_descriptor, validate_table)
+from monoid_cohomology.monoid import (INFINITE_CYCLIC, FiniteCommutativeMonoid, MonoidError,
+                                      closure, cyclic_p, cyclic_s, generating_set, make_cyclic,
+                                      monoid_from_descriptor, monoid_to_descriptor, split,
+                                      validate_table)
 
-from helpers import relabelled
+from helpers import identity_last, product_table, relabelled
 from monoid_census import census
 
 
@@ -134,3 +134,75 @@ def test_generating_sets():
         gens = generating_set(M)
         assert len(gens) == 2 and _generated(M, gens) == set(range(M.size))
     assert generating_set(validate_table(1, 0, [[0]])) == ()
+
+
+def is_factorization(M, N1, N2):
+    """N1 and N2 are submonoids of M whose product map onto M is a
+    bijection, read off the table."""
+    return (all(M.identity in N and {M.op(x, y) for x in N for y in N} <= set(N)
+                for N in (N1, N2))
+            and len(N1) * len(N2) == M.size
+            and len({M.op(x, y) for x in N1 for y in N2}) == M.size)
+
+
+def test_split_finds_the_direct_products():
+    # on the census exactly the 3 products of two cyclic monoids of order
+    # 2 split, Z/2 x Z/2, Z/2 x C(1,1) and C(1,1) x C(1,1) (C(1,1) being
+    # idempotent), and the other 14 tables that no element generates do
+    # not; the four order-6 products split, and so do (Z/2)^3 and (Z/2)^4,
+    # whose factors need two generators, the semilattice x C(0,2) and the
+    # semilattice squared, each relabelled with its identity last
+    def cyclic(M):
+        return any(len(closure(M, [M.identity], x)) == M.size for x in range(M.size))
+    found = {M: split(M, list(range(M.size))) for M in census()}
+    products = [M for M, factors in found.items() if factors]
+    assert len(products) == 3 and not any(map(cyclic, products))
+    assert len([M for M, factors in found.items() if not factors and not cyclic(M)]) == 14
+    idempotent = sorted(sorted(M.op(f[1], f[1]) == f[1] for f in found[M]) for M in products)
+    assert idempotent == [[False, False], [False, True], [True, True]]
+    for M in products:
+        assert is_factorization(M, *found[M])
+    C = make_cyclic
+    Z2, semilattice = C(0, 2), validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+    klein = product_table(Z2, Z2)
+    tables = [product_table(C(m1, q1), C(m2, q2))
+              for m1, q1, m2, q2 in ((1, 2, 1, 1), (2, 1, 0, 2), (2, 1, 1, 1), (0, 3, 1, 1))]
+    tables += [product_table(klein, Z2), product_table(klein, klein),
+               product_table(semilattice, Z2), product_table(semilattice, semilattice)]
+    for M in map(identity_last, tables):
+        factors = split(M, list(range(M.size)))
+        assert factors and is_factorization(M, *factors), M.table
+
+
+class CountingTable(FiniteCommutativeMonoid):
+    """A table that counts its reads through op."""
+
+    __slots__ = ("reads",)
+
+    def op(self, x, y):
+        self.reads += 1
+        return self.table[x][y]
+
+
+def test_split_reads_a_bounded_part_of_the_table():
+    # the null monoid of order 128 (every product of two non-units is the
+    # zero) has 7,875 submonoids of order 4, each generated by two
+    # elements; bucketed by order and met in the zero, none is paired,
+    # and split reads under 4 |N|^2 entries.  C(0,64) x C(0,2), shuffled,
+    # is found among the cyclic pairs, under |N|^2 reads, before any
+    # two-generator closure.  The tables are built without validate_table,
+    # whose |N|^3 reads would dominate the test
+    n = 128
+    null = CountingTable(n, 0, [[x + y if 0 in (x, y) else 1 for y in range(n)]
+                                for x in range(n)])
+    perm = random.Random(2024).sample(range(n), n)
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[perm[x]][perm[y]] = perm[(x // 2 + y // 2) % 64 * 2 + (x + y) % 2]
+    cyclic_pair = CountingTable(n, perm[0], table)
+    for M, bound in ((null, 4 * n * n), (cyclic_pair, n * n)):
+        M.reads = 0
+        factors = split(M, list(range(n)))
+        assert M.reads < bound, (M.reads, bound)
+        assert factors is None if M is null else sorted(map(len, factors)) == [2, 64]
