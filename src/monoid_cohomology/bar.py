@@ -53,35 +53,43 @@ from .monoid import (INFINITE_CYCLIC, FiniteCommutativeMonoid, MonoidError, cycl
                      make_cyclic)
 
 
-class BarWord:
-    __slots__ = ("letters", "seps", "level", "_hash")
+class BarWord(tuple):
+    """A flat bar word, the tuple (letters, seps, level): hashing and ==
+    are the tuple's own.  It equals no generator of a small model or a
+    nested bar, whose generators are pairs or words of generators."""
 
-    def __init__(self, letters, seps, level):
+    __slots__ = ()
+
+    def __new__(cls, letters, seps, level):
         letters = tuple(letters)
         seps = tuple(seps)
         if len(seps) != max(0, len(letters) - 1):
             raise ValueError("%d separators for %d letters" % (len(seps), len(letters)))
         if seps and (min(seps) < 1 or max(seps) > level):
             raise ValueError("separators %r outside 1..%d" % (seps, level))
-        self.letters = letters
-        self.seps = seps
-        self.level = level
-        self._hash = hash((letters, seps, level))
+        return tuple.__new__(cls, (letters, seps, level))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    letters = property(itemgetter(0))
+    seps = property(itemgetter(1))
+    level = property(itemgetter(2))
 
     @property
     def degree(self):
-        if not self.letters:
+        if not self[0]:
             return 0
-        return self.level + sum(self.seps)
+        return self[2] + sum(self[1])
 
     def pi(self, M):
         x = M.identity
-        for y in self.letters:
+        for y in self[0]:
             x = M.op(x, y)
         return x
 
     def is_empty(self):
-        return not self.letters
+        return not self[0]
 
     def suspend(self, level):
         """The same word seen at a higher level (iterated suspension)."""
@@ -90,15 +98,8 @@ class BarWord:
                              % (self.level, level))
         return BarWord(self.letters, self.seps, level)
 
-    def __eq__(self, other):
-        return (isinstance(other, BarWord) and self.letters == other.letters
-                and self.seps == other.seps and self.level == other.level)
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
-        return "BarWord(%r, %r, level=%d)" % (self.letters, self.seps, self.level)
+        return "BarWord(%r, %r, level=%d)" % self
 
 
 def render_word(word):
@@ -163,9 +164,15 @@ def extend_linear(M, fn, chain):
     """The translation-linear extension of fn (generator -> chain) to a
     chain: the term c (u, g) contributes c times fn(g) translated by u."""
     out = {}
+    op = M.op
     for (u, g), c in chain.items():
         for (v, h), cc in fn(g).items():
-            chain_add_term(out, (M.op(u, v), h), c * cc)
+            key = (op(u, v), h)
+            new = out.get(key, 0) + c * cc
+            if new:
+                out[key] = new
+            else:
+                del out[key]
     return out
 
 
@@ -258,8 +265,10 @@ def _no_diff(x):
 
 
 def level1_word(letters):
-    """The level-1 word of the letters: every separator is 1."""
-    return BarWord(letters, (1,) * (len(letters) - 1), 1)
+    """The level-1 word of the letters: every separator is 1, so the
+    separators are not checked."""
+    letters = tuple(letters)
+    return tuple.__new__(BarWord, (letters, (1,) * (len(letters) - 1), 1))
 
 
 def bar_word_diff(M, word):

@@ -232,13 +232,16 @@ def model(M, N, top):
     """A free DGA resolution of Z over the submonoid N (a list of M's
     labels) to degree top, in M's labels: R when some x generates N, the
     tensor product of the factors' models when monoid.split finds
-    N = N1 x N2, the bar construction on ZN otherwise."""
+    N = N1 x N2, the bar construction on ZN otherwise.  split reuses
+    the cyclic closures read here."""
+    cyclic = []
     for x in N:
         powers = closure(M, [M.identity], x)
         if len(powers) == len(N) > 1:
             m = powers.index(M.op(powers[-1], x))
             return small_resolution(m, len(powers) - m, top, M, powers)
-    factors = split(M, N)
+        cyclic.append(powers)
+    factors = split(M, N, cyclic)
     if factors:
         return tensor_dga(*(model(M, factor, top) for factor in factors))
     return bar(zm_dga(M, N), top)

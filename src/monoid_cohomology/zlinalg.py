@@ -15,11 +15,12 @@ block-diagonal relations (for cochain groups, symmetry identities and
 stacked preimage conditions).
 
 The +-1 unit sweep in front of snf_diagonal and kernel_basis consumes
-such dicts.  kernel_basis sweeps rows, since only row operations keep
-the kernel.  snf_diagonal sweeps whichever side has fewer lines: A and
-its transpose have the same Smith diagonal, and the coboundaries are
-tall (degree n+1 has several times the cells of degree n), so their
-columns are the short side.
+such dicts.  kernel_basis sweeps columns with a tracked transform: the
+columns it brings to zero carry the kernel vectors, and a preimage
+lattice tracks only the coordinates it keeps.  snf_diagonal sweeps
+whichever side has fewer lines: A and its transpose have the same Smith
+diagonal, and the coboundaries are tall (degree n+1 has several times
+the cells of degree n), so their columns are the short side.
 
 What the sweep leaves of a coboundary is short and wide; snf_diagonal
 replaces it by its column-Hermite basis (lattice_basis) before the dense
@@ -385,18 +386,23 @@ def _rediagonalize_2x2(D, i, row_op, col_op):
                 row_op(i, i + 1, x, y, -(c // g), a // g)
 
 
-def _unit_sweep(lines):
+def _unit_sweep(lines, tracked=None):
     """Eliminate +-1 pivots from a list of fresh sparse lines (dicts
     index -> value, which the sweep consumes) by adding multiples of one
     line to another.  Fed row_dicts() these are row operations, fed
-    col_dicts() column operations.
+    col_dicts() column operations.  tracked, if given, is a list of dicts
+    parallel to lines that undergo the same operations: subtracting q
+    times line p from line i subtracts q times tracked[p] from
+    tracked[i].
 
     Pivots in short lines and thin columns go first (Markowitz-style) to
     limit fill-in: the shortest line with a unit entry, then among its
     unit entries the one whose index meets the fewest lines, then the
     lowest index.  Returns (rows, eliminated): the surviving lines as a
     dict position -> line, none of which touches an eliminated index,
-    and the (pivot_line, pivot_index, pivot_val) triples in sweep order.
+    and the (pivot_line, pivot_index, pivot_position) triples in sweep
+    order.  A line that is neither a survivor nor a pivot line has been
+    brought to zero.
     """
     from heapq import heapify, heappush, heappop
 
@@ -428,6 +434,7 @@ def _unit_sweep(lines):
             continue
         pval = prow[pj]
         rest = [(j, v) for j, v in prow.items() if j != pj]
+        ptrack = tracked[pi] if tracked is not None else None
         del rows[pi]
         touched = []
         for i in col_index.pop(pj):
@@ -435,6 +442,8 @@ def _unit_sweep(lines):
                 continue
             r = rows[i]
             q = r.pop(pj) * pval  # the entry at pj over pval, which is +-1
+            if ptrack:
+                _dict_submul(tracked[i], ptrack, q)
             for j, v in rest:
                 old = r.get(j)
                 if old is None:  # fill-in
@@ -455,7 +464,7 @@ def _unit_sweep(lines):
         # leaves the system
         for j, _ in rest:
             col_index[j].discard(pi)
-        eliminated.append((prow, pj, pval))
+        eliminated.append((prow, pj, pi))
         for i in touched:
             r = rows[i]
             if 1 in r.values() or -1 in r.values():
@@ -494,8 +503,7 @@ def snf_diagonal(A, killed=None):
     only as lattice_basis(L), a certified basis of its column lattice:
     column operations keep that lattice, and the nonzero Smith factors of
     L are those of Z^r modulo it, so the basis has L's Smith diagonal
-    with a k x k column transform (k = rank <= r) instead of a c x c one
-    (up to 8 x 448 on the coboundaries).
+    with a k x k column transform (k = rank <= r) instead of a c x c one.
     """
     if killed:
         cols = A.col_dicts()
@@ -550,7 +558,7 @@ def _transposed(lines, n):
     return out
 
 
-def _column_echelon(nrows, columns):
+def _column_echelon(nrows, columns, V=None):
     """Column elimination, shared by lattice_basis and kernel_basis.
 
     columns: list of dicts row->value (mutated into a staircase).
@@ -558,9 +566,12 @@ def _column_echelon(nrows, columns):
     with strictly increasing rows, V[j] (a dict original index ->
     coefficient) expresses final column j in terms of the originals, and
     active holds the indices of the surviving (necessarily zero)
-    non-pivot columns.
+    non-pivot columns.  A given V (one dict per column, mutated) is
+    carried through the same column operations instead: V[j] then ends
+    as the same combination of the given dicts.
     """
-    V = [{j: 1} for j in range(len(columns))]
+    if V is None:
+        V = [{j: 1} for j in range(len(columns))]
     active = set(range(len(columns)))
     pivots = []
     row_cols = {}
@@ -616,47 +627,45 @@ def _dict_submul(d, src, q):
             d.pop(k, None)
 
 
-def kernel_basis(A):
-    """Basis matrix (columns) of {v : A v = 0}.
+def kernel_basis(A, keep=None):
+    """Basis matrix (columns) of {v : A v = 0}; with keep, a spanning
+    set of that kernel's image under the projection onto the first keep
+    coordinates, which is all a preimage lattice reads.
 
-    Row operations preserve the kernel (column operations do not), so
-    +-1 pivots are swept from the rows first (_unit_sweep), the small
-    leftover goes through the tracked column echelon, and the eliminated
-    pivot coordinates are recovered by back-substitution in reverse
-    sweep order.  The kernel is the same set whatever order the rows
-    come in, so the echelon takes the leftover rows shortest first
-    (ties by index), Markowitz-style like the sweep: early pivots on
-    short rows spread less fill-in into the columns it tracks.  The
-    basis itself depends on that order; its lattice does not.
+    Column operations with a tracked transform find the kernel: the
+    columns they bring to zero carry kernel vectors (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).  The +-1 pivots are
+    swept from the columns first (_unit_sweep); a pivot column is the
+    only one left nonzero on its pivot row, so no kernel vector uses it,
+    and the columns the sweep brings to zero are kernel vectors already.
+    The columns that survive go through the column echelon, which takes
+    their rows fewest entries first (ties by index), Markowitz-style like
+    the sweep: early pivots on short rows spread less fill-in.  The
+    transform tracks only the first keep coordinates (all of them by
+    default), so with keep < A.cols zero vectors are left out and the
+    rest need not be independent.  The basis depends on the row order;
+    its lattice does not.
     """
-    rows, eliminated = _unit_sweep(A.row_dicts())
-    pivot_cols = {pj for _, pj, _ in eliminated}
-    free_cols = [j for j in range(A.cols) if j not in pivot_cols]
-    fmap = {j: k for k, j in enumerate(free_cols)}
-    # leftover system lives entirely on the non-pivot columns
-    small_cols = [dict() for _ in free_cols]
-    live_rows = sorted(rows, key=lambda i: (len(rows[i]), i))
-    rmap = {i: k for k, i in enumerate(live_rows)}
-    for i in live_rows:
-        for j, v in rows[i].items():
-            small_cols[fmap[j]][rmap[i]] = v
-    pivots, V, active = _column_echelon(len(live_rows), small_cols)
-    kernel_cols = []
+    if keep is None:
+        keep = A.cols
+    tracked = [{j: 1} if j < keep else {} for j in range(A.cols)]
+    rows, eliminated = _unit_sweep(A.col_dicts(), tracked)
+    swept = {pi for _, _, pi in eliminated}
+    vectors = [tracked[j] for j in range(A.cols) if j not in rows and j not in swept]
+    survivors = sorted(rows)
+    lengths = {}
+    for j in survivors:
+        for i in rows[j]:
+            lengths[i] = lengths.get(i, 0) + 1
+    rmap = {i: k for k, i in enumerate(sorted(lengths, key=lambda i: (lengths[i], i)))}
+    small_cols = [{rmap[i]: v for i, v in rows[j].items()} for j in survivors]
+    _, V, active = _column_echelon(len(rmap), small_cols, [tracked[j] for j in survivors])
     for j in sorted(active):
         if small_cols[j]:
             raise ArithmeticError("non-pivot column failed to vanish")
-        vec = [0] * A.cols
-        for k, v in V[j].items():
-            vec[free_cols[k]] = v
-        # recover the eliminated coordinates, latest pivot first
-        for prow, pj, pval in reversed(eliminated):
-            s = 0
-            for jj, v in prow.items():
-                if jj != pj and vec[jj]:
-                    s += v * vec[jj]
-            vec[pj] = -s * pval  # -s / pval with pval = +-1
-        kernel_cols.append(vec)
-    return IntMatrix.from_columns(kernel_cols, A.cols)
+        vectors.append(V[j])
+    vectors = [v for v in vectors if v]
+    return IntMatrix(keep, len(vectors), _transposed(vectors, keep))
 
 
 def lattice_basis(B):
@@ -740,7 +749,10 @@ def lattice_solve(H, b, pivots):
 
 
 def preimage_lattice(A, L=None):
-    """Basis for the lattice {v : A v in column-lattice(L)}.
+    """Basis for the lattice {v : A v in column-lattice(L)}: the
+    projection onto A's coordinates of the kernel of [A | L] (L's
+    lattice is that of -L), which kernel_basis gives without tracking
+    L's coordinates, made a certified basis by lattice_basis.
 
     With L omitted (or with no columns) this is the kernel lattice of A.
     """
@@ -749,10 +761,7 @@ def preimage_lattice(A, L=None):
     _check_shape(L.rows == A.rows, "preimage_lattice", A, L)
     if A.rows == 0 or A.is_zero():
         return IntMatrix.identity(A.cols)
-    stacked = A.hstack(L.scaled(-1))
-    ker = kernel_basis(stacked)
-    proj = IntMatrix(A.cols, ker.cols, ker.row_dicts()[:A.cols])
-    return lattice_basis(proj)
+    return lattice_basis(kernel_basis(A.hstack(L), A.cols))
 
 
 def preimage_lattice_multi(pairs, ncols):
@@ -796,18 +805,14 @@ class LatticeContainmentError(ValueError):
 def subquotient_invariants(K, I):
     """Invariant factors of lattice(K) / lattice(I).
 
-    Requires lattice(I) <= lattice(K); a violation raises
-    LatticeContainmentError naming a witness column of I.
+    Requires lattice(I) <= lattice(K); every column of I is solved over
+    K's basis in one staircase_solve, and a violation raises
+    LatticeContainmentError naming the first column of I outside.
     """
     _check_shape(K.rows == I.rows, "subquotient_invariants", K, I)
     Kb = lattice_basis(K)
-    pivots = staircase_pivots(Kb)
-    coords = []
-    for j in range(I.cols):
-        col = I.column(j)
-        x = lattice_solve(Kb, col, pivots)
-        if x is None:
-            raise LatticeContainmentError(j, col)
-        coords.append(x)
-    diag = snf_diagonal(IntMatrix.from_columns(coords, Kb.cols))
+    coords, outside = staircase_solve(Kb, staircase_pivots(Kb), I._rows)
+    if outside:
+        raise LatticeContainmentError(outside[0], I.column(outside[0]))
+    diag = snf_diagonal(IntMatrix(Kb.cols, I.cols, coords))
     return AbGroupInvariants.from_diagonal(diag, free_rank=Kb.cols - len(diag))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import product, repeat
 
 import pytest
@@ -5,9 +7,10 @@ import pytest
 from monoid_cohomology import bar as bar_module
 from monoid_cohomology.bar import (MAX_CELLS, POSITIONS, BarWord, DGAError, _degree_counts,
                                    _template_letters, bar, bar_word_diff, bar_word_shuffle,
-                                   cells, explicit_low_degree_differential, extend_linear,
-                                   generic_word, iterated_bar, refuse_above_max_cells,
-                                   render_word, validate_dga, zm_dga)
+                                   cells, degree_cells, explicit_low_degree_differential,
+                                   extend_linear, generic_word, iterated_bar, level1_word,
+                                   refuse_above_max_cells, render_word, small_resolution,
+                                   tensor_dga, validate_dga, zm_dga)
 from monoid_cohomology.monoid import make_cyclic, validate_table
 from monoid_census import census
 
@@ -322,6 +325,29 @@ def test_render_and_suspension():
     d_high = bar_word_diff(Z2, w((1, 1), (1,), 2))
     assert d_high == {(u, BarWord(c.letters, c.seps, 2)): -v
                       for (u, c), v in d_low.items()}
+
+
+def test_bar_words_equal_bar_words_only():
+    # a bar word is the tuple (letters, seps, level): level1_word builds
+    # the same word as the checking constructor, with the same hash, and
+    # no word equals a generator of a small model, a tensor product or a
+    # nested bar over the same monoid
+    for letters in ((), (1,), (2, 1), (1, 1, 2), [2, 2]):
+        word = level1_word(letters)
+        checked = BarWord(letters, (1,) * max(0, len(letters) - 1), 1)
+        assert type(word) is BarWord and word == checked and hash(word) == hash(checked)
+        assert word.letters == tuple(letters) and word.level == 1
+    assert level1_word((2, 1)) != level1_word((1, 2))
+    assert BarWord((1,), (), 1) != BarWord((1,), (), 2)
+    R = small_resolution(1, 2, 4)
+    others = [g for D in (R, tensor_dga(R, R), bar(R, 3), bar(zm_dga(C12), 3))
+              for gens in D.basis.values() for g in gens]
+    assert ("v", 0) in others and (1, 1, 1) in others
+    words = [c for r in (1, 2) for n in range(4) for c in degree_cells(C12, r, n)]
+    assert not any(g == c for g in others for c in words)
+    for word in words:
+        assert pickle.loads(pickle.dumps(word)) == word
+        assert type(copy.deepcopy(word)) is BarWord
 
 
 def test_words_with_unit_letters_are_zero():

@@ -27,7 +27,8 @@ from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
                                        staircase_pivots, staircase_solve,
                                        subquotient_invariants)
 
-from helpers import determinant
+from helpers import determinant, zm_mod2
+from monoid_census import census
 
 
 C12 = make_cyclic(1, 2)
@@ -235,8 +236,9 @@ def grillet_stacked_conditions(M, module, n):
 
 
 def test_preimage_lattice_ignores_row_order():
-    # kernel_basis feeds the echelon its rows shortest first, so its basis
-    # depends on the row order; the canonical preimage basis must not
+    # kernel_basis feeds the echelon the rows its column sweep leaves,
+    # fewest entries first, so its vectors depend on the row order; the
+    # canonical preimage basis must not
     random.seed(25)
     cases = []
     for _ in range(40):
@@ -264,6 +266,42 @@ def test_preimage_lattice_ignores_row_order():
             assert preimage_lattice(PA, PL) == expected
     for A, L in cases[-2:]:
         assert_saturated_kernel(A.hstack(L.scaled(-1)))
+
+
+def test_preimage_lattice_is_certified_on_grillets_conditions(monkeypatch):
+    # Every preimage Grillet's routes ask for on the census of orders 2-4
+    # (H^1_G..H^3_G and the injectivity problem, with Z/2 and Z/4; with
+    # ZM mod 2 too, but at order 4 only in degrees 1-2, whose degree-3
+    # certificates take seconds a table) is checked without kernel_basis.
+    # P = preimage_lattice(A, L) spans {v : A v in lat(L)} when (1) every
+    # column of A P lies in lat(L) and (2) Z^n / P has the invariants of
+    # lat([A | L]) / lat(L).  v -> A v + lat(L) maps Z^n onto that
+    # quotient, and its kernel, the preimage, holds P by (1); so Z^n / P
+    # maps onto a group isomorphic to it, and a surjection between
+    # isomorphic finitely generated abelian groups is injective
+    from monoid_cohomology import zlinalg
+    seen = {}
+
+    def recording(A, L=None):
+        P = seen[A, L] = preimage_lattice(A, L)
+        return P
+    monkeypatch.setattr(zlinalg, "preimage_lattice", recording)
+    for M in census():
+        for module, whole in ((constant_module(FGAbelianGroup.cyclic(2), M), True),
+                              (constant_module(FGAbelianGroup.cyclic(4), M), True),
+                              (zm_mod2(M), M.size < 4)):
+            for n in (1, 2, 3) if whole else (1, 2):
+                grillet_cohomology(M, module, n)
+            if whole:
+                injectivity_check(M, module)
+    assert len(seen) > 250
+    for (A, L), P in seen.items():
+        Lb = lattice_basis(L)
+        _, outside = staircase_solve(Lb, staircase_pivots(Lb), A.mul(P).row_dicts())
+        assert not outside
+        diag = snf_diagonal(P)
+        quotient = AbGroupInvariants.from_diagonal(diag, free_rank=P.rows - len(diag))
+        assert quotient == subquotient_invariants(A.hstack(L), L)
 
 
 def test_preimage_worked_examples():
@@ -362,6 +400,17 @@ def test_subquotient_rejects_non_containment():
         subquotient_invariants(IntMatrix.from_rows([[2]]),
                                IntMatrix.from_rows([[3]]))
     assert err.value.column == 0
+
+
+def test_containment_error_names_the_first_column_outside():
+    # all of I is solved in one elimination; the witness is still the
+    # first column outside lat(K) = 2Z + Z, and the message carries it
+    K = IntMatrix.from_rows([[2, 0], [0, 1]])
+    I = IntMatrix.from_columns([[4, 1], [0, 5], [3, 0], [1, 1], [2, 7]], 2)
+    with pytest.raises(LatticeContainmentError) as err:
+        subquotient_invariants(K, I)
+    assert (err.value.column, err.value.vector) == (2, [3, 0])
+    assert "column 2 ([3, 0])" in str(err.value)
 
 
 def test_subquotient_order_matches_coset_count():
