@@ -185,16 +185,13 @@ def _factor_pair(M, n, candidates):
     return None
 
 
-def split(M, N, cyclic=None):
+def split(M, N, cyclic):
     """Submonoids N1, N2 of the submonoid N of the table M (lists of
     labels) whose product map N1 x N2 -> N is a bijection, hence an
-    isomorphism, or None.  Cyclic pairs are tried first, then submonoids
-    generated by two elements (closures of |N|^3 reads at most); a factor
-    needing three generators is missed, costing speed, never an answer.
-    cyclic, if given, lists closure(M, [e], x) for each x of N in order,
-    so a caller that has them spares their reads."""
-    if cyclic is None:
-        cyclic = [closure(M, [M.identity], x) for x in N]
+    isomorphism, or None; cyclic lists closure(M, [e], x) for each x of
+    N in order.  Cyclic pairs are tried first, then submonoids generated
+    by two elements (closures of |N|^3 reads at most); a factor needing
+    three generators is missed, costing speed, never an answer."""
     pairs = (closure(M, c, y) for i, c in enumerate(cyclic) for y in N[i + 1:])
     return _factor_pair(M, len(N), cyclic) or _factor_pair(M, len(N), chain(cyclic, pairs))
 

@@ -805,14 +805,18 @@ class LatticeContainmentError(ValueError):
 def subquotient_invariants(K, I):
     """Invariant factors of lattice(K) / lattice(I).
 
-    Requires lattice(I) <= lattice(K); every column of I is solved over
-    K's basis in one staircase_solve, and a violation raises
+    Requires lattice(I) <= lattice(K); a violation raises
     LatticeContainmentError naming the first column of I outside.
     """
     _check_shape(K.rows == I.rows, "subquotient_invariants", K, I)
     Kb = lattice_basis(K)
-    coords, outside = staircase_solve(Kb, staircase_pivots(Kb), I._rows)
-    if outside:
-        raise LatticeContainmentError(outside[0], I.column(outside[0]))
-    diag = snf_diagonal(IntMatrix(Kb.cols, I.cols, coords))
+    pivots = staircase_pivots(Kb)
+    coords = []
+    for j in range(I.cols):
+        col = I.column(j)
+        x = lattice_solve(Kb, col, pivots)
+        if x is None:
+            raise LatticeContainmentError(j, col)
+        coords.append(x)
+    diag = snf_diagonal(IntMatrix.from_columns(coords, Kb.cols))
     return AbGroupInvariants.from_diagonal(diag, free_rank=Kb.cols - len(diag))

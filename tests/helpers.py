@@ -1,12 +1,12 @@
 """Helpers that only the tests read: an integer determinant, the
 exhaustive module-law check, a relabelled table, the direct product of
-two tables, a constant module
+two tables, monoid.split of a whole table, a constant module
 written out as a table, ZM reduced mod 2, modules that break their
 laws, and a module sampled at finitely many elements of the infinite
 cyclic monoid."""
 
 from monoid_cohomology.hmod import FGAbelianGroup, HModule, ModuleError, zm_as_hmodule
-from monoid_cohomology.monoid import validate_table
+from monoid_cohomology.monoid import closure, split, validate_table
 from monoid_cohomology.zlinalg import IntMatrix
 
 
@@ -98,6 +98,13 @@ def product_table(M1, M2):
     table = [[M1.op(x // n2, y // n2) * n2 + M2.op(x % n2, y % n2) for y in range(n)]
              for x in range(n)]
     return validate_table(n, M1.identity * n2 + M2.identity, table)
+
+
+def split_whole(M):
+    """monoid.split of the whole table M, handed the cyclic closures of
+    its elements as cohomology.model hands them."""
+    N = list(range(M.size))
+    return split(M, N, [closure(M, [M.identity], x) for x in N])
 
 
 def constant_as_tabular(group, monoid):

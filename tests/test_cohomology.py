@@ -17,11 +17,11 @@ from monoid_cohomology.groupoid import iso_classes
 from monoid_cohomology.hmod import (FGAbelianGroup, HModule, ModuleError, constant_module,
                                     dualize, parse_group_shorthand, require_lawful,
                                     validate_module, zm_as_hmodule)
-from monoid_cohomology.monoid import make_cyclic, split, validate_table
+from monoid_cohomology.monoid import make_cyclic, validate_table
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix, preimage_lattice,
                                        subquotient_invariants)
 
-from helpers import identity_last, lawless_modules, product_table, zm_mod2
+from helpers import identity_last, lawless_modules, product_table, split_whole, zm_mod2
 from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
@@ -500,7 +500,7 @@ def test_cohomology_group_never_builds_the_iterated_bar(monkeypatch):
     # answer of the iterated bar.  A cyclic table with a module that breaks
     # its laws is refused before any model is built
     semilattice, one = SEMILATTICE, validate_table(1, 0, [[0]])
-    no_split = next(M for M in census((4,)) if split(M, whole(M)) is None
+    no_split = next(M for M in census((4,)) if split_whole(M) is None
                     and not is_small_resolution(model(M, whole(M), 2)))
     cube = product_table(product_table(Z2, Z2), Z2)
     general = [(M, constant_module(Z, M)) for M in (semilattice, no_split, cube, one)]

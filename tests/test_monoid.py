@@ -4,10 +4,10 @@ import pytest
 
 from monoid_cohomology.monoid import (INFINITE_CYCLIC, FiniteCommutativeMonoid, MonoidError,
                                       closure, cyclic_p, cyclic_s, generating_set, make_cyclic,
-                                      monoid_from_descriptor, monoid_to_descriptor, split,
+                                      monoid_from_descriptor, monoid_to_descriptor,
                                       validate_table)
 
-from helpers import identity_last, product_table, relabelled
+from helpers import identity_last, product_table, relabelled, split_whole
 from monoid_census import census
 
 
@@ -154,7 +154,7 @@ def test_split_finds_the_direct_products():
     # semilattice squared, each relabelled with its identity last
     def cyclic(M):
         return any(len(closure(M, [M.identity], x)) == M.size for x in range(M.size))
-    found = {M: split(M, list(range(M.size))) for M in census()}
+    found = {M: split_whole(M) for M in census()}
     products = [M for M, factors in found.items() if factors]
     assert len(products) == 3 and not any(map(cyclic, products))
     assert len([M for M, factors in found.items() if not factors and not cyclic(M)]) == 14
@@ -170,7 +170,7 @@ def test_split_finds_the_direct_products():
     tables += [product_table(klein, Z2), product_table(klein, klein),
                product_table(semilattice, Z2), product_table(semilattice, semilattice)]
     for M in map(identity_last, tables):
-        factors = split(M, list(range(M.size)))
+        factors = split_whole(M)
         assert factors and is_factorization(M, *factors), M.table
 
 
@@ -203,6 +203,6 @@ def test_split_reads_a_bounded_part_of_the_table():
     cyclic_pair = CountingTable(n, perm[0], table)
     for M, bound in ((null, 4 * n * n), (cyclic_pair, n * n)):
         M.reads = 0
-        factors = split(M, list(range(n)))
+        factors = split_whole(M)
         assert M.reads < bound, (M.reads, bound)
         assert factors is None if M is null else sorted(map(len, factors)) == [2, 64]

@@ -403,8 +403,8 @@ def test_subquotient_rejects_non_containment():
 
 
 def test_containment_error_names_the_first_column_outside():
-    # all of I is solved in one elimination; the witness is still the
-    # first column outside lat(K) = 2Z + Z, and the message carries it
+    # the witness is the first column of I outside lat(K) = 2Z + Z,
+    # though later ones lie outside too, and the message carries it
     K = IntMatrix.from_rows([[2, 0], [0, 1]])
     I = IntMatrix.from_columns([[4, 1], [0, 5], [3, 0], [1, 1], [2, 7]], 2)
     with pytest.raises(LatticeContainmentError) as err:
