@@ -20,17 +20,8 @@ matrices, no relations).
 
 For a constant module the complex is K (x) A, with K the integer
 cochain complex, and H^n follows from the Smith diagonals of K by the
-universal coefficient theorem.
-
-Those two diagonals, of d^(n-1) and d^n, are read jointly: the
-coboundaries are tall, so d^(n-1) is swept along its columns, a change
-of basis of C^(n-1) alone, and each swept line is an image that is +-1
-at its pivot and 0 at the earlier pivots.  With the unit vectors off
-the pivots these lines are a basis of C^n in which d^n, which kills
-them, is d^n without the pivot columns plus zero columns, so
-snf_diagonal drops those columns before sweeping d^n, once it has
-certified both facts.  A wide d^(n-1) is swept along its rows, which
-changes the basis of C^n, and hands on nothing.
+universal coefficient theorem, from the Smith diagonals of d^(n-1) and
+d^n, each read on its own (zlinalg.snf_diagonal).
 
 Any other module goes through the mapping cone of the relations
 (Weibel, An Introduction to Homological Algebra, 1.5).  The relation
@@ -57,7 +48,7 @@ Without K the answer is wrong whenever d_F d_F does not vanish: on
 C(0,4) with A(x) = Z + Z/2 and y acting by (a, b) -> (a, b + (y mod 2)
 a), H^3(M,1) would read (Z/2)^3 instead of Z/2.  A module without
 relations (ZM) is its own free cover: psi is d_F^(n-1) and the bottom
-block is d_F^n, the stored complex read as is, and jointly as above.
+block is d_F^n, the stored complex read as is.
 For constant A the cone reduces to the universal coefficient theorem,
 which stays as its closed form: it needs only the two Smith diagonals
 of K and is the faster of the two there.
@@ -84,21 +75,18 @@ class TruncationError(ValueError):
     pass
 
 
-def degree_basis(dga, n):
+def cochain_group(dga, n, module):
+    """The degree-n cochain group of Hom(dga, module)."""
     gens = dga.basis.get(n, ())
-    return FreeBasis(gens, {g: dga.pi[g] for g in gens})
+    return CochainGroup(FreeBasis(gens, {g: dga.pi[g] for g in gens}), module)
 
 
-def coboundary(dga, n, module, source=None, target=None):
-    """d^n of Hom(dga, module): the stored differential from degree
-    n + 1 to degree n, dualized.  source and target are the bases of
-    degrees n and n + 1 where the caller has built them already."""
-    if source is None:
-        source = degree_basis(dga, n)
-    if target is None:
-        target = degree_basis(dga, n + 1)
-    d = {t: dga.differential(t) for t in target.generators}
-    return dualize(d, source, target, module, dga.monoid)
+def coboundary(dga, source, target):
+    """d^n of Hom(dga, A) between its cochain groups of degrees n and
+    n + 1 (cochain_group): the stored differential of the target's
+    cells, dualized."""
+    d = {t: dga.differential(t) for t in target.basis.generators}
+    return dualize(d, source, target, dga.monoid)
 
 
 class CochainComplex:
@@ -121,15 +109,11 @@ class CochainComplex:
         self.dga = dga
         self.module = module
         self.nmax = nmax
-        self.groups = {}
-        self.coboundaries = {}
-        M = dga.monoid
-        coeffs = constant_module(FGAbelianGroup.free(1), M) if module.constant else module
-        bases = [degree_basis(dga, n) for n in range(nmax + 1)]
-        for n in range(nmax + 1):
-            self.groups[n] = CochainGroup(bases[n], module)
-        for n in range(nmax):
-            self.coboundaries[n] = coboundary(dga, n, coeffs, bases[n], bases[n + 1])
+        coeffs = constant_module(FGAbelianGroup.free(1), dga.monoid) if module.constant else module
+        cover = {n: cochain_group(dga, n, coeffs) for n in range(nmax + 1)}
+        self.groups = ({n: CochainGroup(g.basis, module) for n, g in cover.items()}
+                       if module.constant else cover)
+        self.coboundaries = {n: coboundary(dga, cover[n], cover[n + 1]) for n in range(nmax)}
 
     def cohomology(self, n):
         """ker d^n / im d^{n-1} as invariant factors."""
@@ -147,7 +131,7 @@ class CochainComplex:
         # and A[d] = (+) Z/gcd(d, t)
         A = self.module.group(0).invariants()
         diag_prev = snf_diagonal(d_prev)
-        diag_n = snf_diagonal(d_n, diag_prev.swept)
+        diag_n = snf_diagonal(d_n)
         free = d_n.cols - len(diag_n) - len(diag_prev)
         tors = list(A.torsion) * free + [d for d in diag_prev if d > 1] * A.free_rank
         tors += [gcd(d, t) for d in diag_prev + diag_n if d > 1 for t in A.torsion]
@@ -195,19 +179,15 @@ class CochainComplex:
         return rows
 
     def _free_rank(self, n, d_n, psi):
-        """rank H^n = dim cone^n - rank D^n - rank psi, given psi's
-        SmithDiagonal.  The top rows of D^n are -I_{n+2}^-1 d_F^(n+1)
-        times its bottom block [I_{n+1} | d_F^n], a map on all of
-        cone^n, so D^n has that block's rank.  With no relations in
-        degrees n and n+1, psi is d_F^(n-1) and the block is d_F^n, a
-        consecutive pair, so psi's swept lines delete columns of d_F^n
-        (zlinalg.snf_diagonal); relations in degree n-1 enter neither
-        matrix.  0 at once when every A(x) of degree n is finite."""
+        """rank H^n = dim cone^n - rank D^n - rank psi, given psi's Smith
+        diagonal.  The top rows of D^n are -I_{n+2}^-1 d_F^(n+1) times
+        its bottom block [I_{n+1} | d_F^n], a map on all of cone^n, so
+        D^n has that block's rank.  0 at once when every A(x) of degree
+        n is finite."""
         if all(g.relation_basis.cols == g.ngens for g in self.groups[n].blocks):
             return 0
         bottom = self._with_inclusion(n + 1, d_n)
-        pair = not (self._has_relations(n) or self._has_relations(n + 1))
-        return bottom.cols - len(snf_diagonal(bottom, psi.swept if pair else None)) - len(psi)
+        return bottom.cols - len(snf_diagonal(bottom)) - len(psi)
 
 
 def cochain_complex(M, r, module, nmax):

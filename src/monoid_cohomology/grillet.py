@@ -22,8 +22,11 @@ The n-tuples are the level-1 cells of degree n (bar.cells), and
 Grillet's coboundary is minus the level-1 (Leech) coboundary:
 (delta^n f)(x_0, ..., x_n) = -f(d[x_0 | ... | x_n]), so delta^n is read
 off the level-1 bar to degree n + 1 and no formula of its own is kept.
+The cochains on the n-tuples are that bar's degree-n cochain group, so
+delta^n reads the symmetric ambient as its source.
 
-Each entry point builds only what it reads:
+Each entry point builds only what it reads, and each cochain group once
+(dualize reads the groups its caller built):
 - grillet_cohomology(n): the symmetry constraints of degree n, the
   symmetric lattice of degree n - 1 (none for n = 1), delta^n and
   delta^(n-1) from one level-1 bar to degree n + 1, and of degree n + 1
@@ -44,17 +47,18 @@ cohomology_group does.
 from itertools import product
 
 from .bar import cells, iterated_bar
-from .cohomology import coboundary, degree_basis
+from .cohomology import coboundary, cochain_group
 from .hmod import CochainGroup, FreeBasis, dualize, require_lawful
 from .zlinalg import (lattice_basis, preimage_lattice_multi, staircase_pivots,
                       staircase_solve, subquotient_invariants)
 
 
-def _tuple_basis(M, n):
-    """Normalized n-tuples over M \\ {e} as a free basis: the level-1
-    cells of degree n, in the order of the level-1 bar's basis."""
+def _tuple_group(M, module, n):
+    """The cochains on the normalized n-tuples over M \\ {e}: those on
+    the level-1 cells of degree n, in the order of the level-1 bar's
+    basis, so the degree-n cochain group of any level-1 bar."""
     tuples = list(cells(M, 1, n))
-    return FreeBasis(tuples, {c: c.pi(M) for c in tuples})
+    return CochainGroup(FreeBasis(tuples, {c: c.pi(M) for c in tuples}), module)
 
 
 def _symmetry_identities(M, n):
@@ -102,20 +106,18 @@ def symmetry_constraints(M, module, n):
     identities cut out."""
     if not 1 <= n <= 4:
         raise ValueError("symmetric cochains are defined for degrees 1..4")
-    source = _tuple_basis(M, n)
-    term = {c.letters: (M.identity, c) for c in source.generators}
+    amb = _tuple_group(M, module, n)
+    term = {c.letters: (M.identity, c) for c in amb.basis.generators}
     d = {}
     pi = {}
     for k, identity in enumerate(_symmetry_identities(M, n)):
-        pi[k] = source.pi[term[identity[0][1]][1]]
+        pi[k] = amb.basis.pi[term[identity[0][1]][1]]
         chain = d[k] = {}
         for c, args in identity:
             key = term[args]
             chain[key] = chain.get(key, 0) + c
-    target = FreeBasis(range(len(d)), pi)
-    constraints = (dualize(d, source, target, module, M),
-                   CochainGroup(target, module).relation_matrix())
-    return CochainGroup(source, module), constraints
+    identities = CochainGroup(FreeBasis(range(len(d)), pi), module)
+    return amb, (dualize(d, amb, identities, M), identities.relation_matrix())
 
 
 def symmetric_cochains(M, module, n):
@@ -133,12 +135,14 @@ def grillet_coboundary(M, module, n):
     is minus d^n of the level-1 complex."""
     if not 1 <= n <= 3:
         raise ValueError("no Grillet coboundary in degree %d" % n)
-    return _delta(iterated_bar(M, 1, n + 1), n, module)
+    level1 = iterated_bar(M, 1, n + 1)
+    return _delta(level1, cochain_group(level1, n, module), cochain_group(level1, n + 1, module))
 
 
-def _delta(level1, n, module):
-    """delta^n read off a level-1 bar to degree n + 1 or beyond."""
-    return coboundary(level1, n, module).scaled(-1)
+def _delta(level1, source, target):
+    """delta^n between the degree-n and degree-(n + 1) cochain groups of
+    a level-1 bar to degree n + 1 or beyond."""
+    return coboundary(level1, source, target).scaled(-1)
 
 
 def grillet_cohomology(M, module, n):
@@ -150,43 +154,39 @@ def grillet_cohomology(M, module, n):
     require_lawful(module, M)
     amb, constraints = symmetry_constraints(M, module, n)
     level1 = iterated_bar(M, 1, n + 1)
-    d_n = _delta(level1, n, module)
-    rel_next = CochainGroup(degree_basis(level1, n + 1), module).relation_matrix()
-    kernel = preimage_lattice_multi([constraints, (d_n, rel_next)], amb.total)
+    above = cochain_group(level1, n + 1, module)
+    kernel = preimage_lattice_multi(
+        [constraints, (_delta(level1, amb, above), above.relation_matrix())], amb.total)
     image = amb.relation_matrix()
     if n > 1:
-        _, below = symmetric_cochains(M, module, n - 1)
-        image = _delta(level1, n - 1, module).mul(below).hstack(image)
+        amb_below, below = symmetric_cochains(M, module, n - 1)
+        image = _delta(level1, amb_below, amb).mul(below).hstack(image)
     return subquotient_invariants(kernel, image)
 
 
 # -- the inclusion into the level-3 complex ----------------------------------
 
-def _inclusion(M, module, n, src, tgt):
-    """Matrix of i_n from the cochains on the n-tuples src into those on
-    the level-3 cells tgt of degree n + 2: (-1)^(n+1) f on the plain
+def _inclusion(M, n, src, tgt):
+    """Matrix of i_n from the cochains src on the n-tuples into those
+    tgt on the level-3 cells of degree n + 2: (-1)^(n+1) f on the plain
     words, 0 on the words with a higher separator.  It is dualize of
     the map sending each plain word to (-1)^(n+1) times its tuple, so it
     applies the stored e_*, the identity modulo relations on a module
     that keeps its laws."""
-    tuple_of = {c.letters: c for c in src.generators}
+    tuple_of = {c.letters: c for c in src.basis.generators}
     sign = 1 if n % 2 else -1
-    d = {cell: {(M.identity, tuple_of[cell.letters]): sign} for cell in tgt.generators
+    d = {cell: {(M.identity, tuple_of[cell.letters]): sign} for cell in tgt.basis.generators
          if cell.seps == (1,) * (len(cell.letters) - 1)}
-    return dualize(d, src, tgt, module, M)
-
-
-def _inclusions(M, module, level3):
-    """i_1..i_4 on a level-3 bar to degree 6, keyed by n."""
-    return {n: _inclusion(M, module, n, _tuple_basis(M, n), degree_basis(level3, n + 2))
-            for n in (1, 2, 3, 4)}
+    return dualize(d, src, tgt, M)
 
 
 def inclusion_matrices(M, module):
     """Matrices of i_1..i_4 from the symmetric cochain groups into
     C^3..C^6(M, 3; A): i_1 = id, i_2 = -id, i_3 = (f, 0),
     i_4 = (-f, 0, 0, 0)."""
-    return _inclusions(M, module, iterated_bar(M, 3, 6))
+    level3 = iterated_bar(M, 3, 6)
+    return {n: _inclusion(M, n, _tuple_group(M, module, n), cochain_group(level3, n + 2, module))
+            for n in (1, 2, 3, 4)}
 
 
 class InclusionReport:
@@ -215,16 +215,19 @@ def inclusion_chainmap(M, module):
     identities)."""
     require_lawful(module, M)
     dga = iterated_bar(M, 3, 6)
-    mats = _inclusions(M, module, dga)
+    level3 = {k: cochain_group(dga, k, module) for k in range(3, 7)}
     level1 = iterated_bar(M, 1, 4)
+    symmetric = {n: symmetric_cochains(M, module, n) for n in (1, 2, 3)}
+    tuples = {n: amb for n, (amb, _) in symmetric.items()}
+    tuples[4] = _tuple_group(M, module, 4)
+    mats = {n: _inclusion(M, n, tuples[n], level3[n + 2]) for n in (1, 2, 3, 4)}
     report = InclusionReport()
     for n in (1, 2, 3):
-        _, lat = symmetric_cochains(M, module, n)
-        delta = _delta(level1, n, module)
-        tgt = degree_basis(dga, n + 3)
-        lhs = coboundary(dga, n + 2, module).mul(mats[n].mul(lat))
+        lat = symmetric[n][1]
+        delta = _delta(level1, tuples[n], tuples[n + 1])
+        lhs = coboundary(dga, level3[n + 2], level3[n + 3]).mul(mats[n].mul(lat))
         rhs = mats[n + 1].mul(delta.mul(lat))
-        rel = CochainGroup(tgt, module).relation_matrix()
+        rel = level3[n + 3].relation_matrix()
         _, outside = staircase_solve(rel, staircase_pivots(rel), lhs.sub(rhs).row_dicts())
         report.record("square d.i_%d = i_%d.delta" % (n, n + 1), not outside,
                       ("lattice generator", outside[0]) if outside else None)
@@ -265,22 +268,21 @@ def injectivity_check(M, module):
     require_lawful(module, M)
     amb3, constraints3 = symmetry_constraints(M, module, 3)
     level1 = iterated_bar(M, 1, 4)
-    delta3 = _delta(level1, 3, module)
-    rel4 = CochainGroup(degree_basis(level1, 4), module).relation_matrix()
+    amb4 = cochain_group(level1, 4, module)
+    delta3 = _delta(level1, amb3, amb4)
 
     dga = iterated_bar(M, 3, 5)
-    src5 = degree_basis(dga, 5)
-    image5 = coboundary(dga, 4, module).hstack(
-        CochainGroup(src5, module).relation_matrix())
-    i3 = _inclusion(M, module, 3, amb3.basis, src5)
+    c5 = cochain_group(dga, 5, module)
+    image5 = coboundary(dga, cochain_group(dga, 4, module), c5).hstack(c5.relation_matrix())
+    i3 = _inclusion(M, 3, amb3, c5)
 
     # {f : f symmetric, delta^3 f ~ 0, i_3 f in im d^4 + rel}
     problem = preimage_lattice_multi(
-        [constraints3, (delta3, rel4), (i3, image5)], amb3.total)
+        [constraints3, (delta3, amb4.relation_matrix()), (i3, image5)], amb3.total)
 
     # delta^2(C^2_G) + relations, the symmetric coboundaries
-    _, sym2 = symmetric_cochains(M, module, 2)
-    delta2 = _delta(level1, 2, module)
+    amb2, sym2 = symmetric_cochains(M, module, 2)
+    delta2 = _delta(level1, amb2, amb3)
     target = lattice_basis(delta2.mul(sym2).hstack(amb3.relation_matrix()))
     _, outside = staircase_solve(target, staircase_pivots(target), problem.row_dicts())
     if outside:

@@ -361,23 +361,25 @@ class PiMismatchError(ValueError):
     pass
 
 
-def dualize(d, source, target, module, monoid):
-    """Matrix of f |-> f . d from hom(source, A) to hom(target, A), as
-    an IntMatrix.
+def dualize(d, source, target, monoid):
+    """Matrix of f |-> f . d from the cochain group source to the cochain
+    group target (CochainGroups over one module A), as an IntMatrix.
 
     d maps each target generator to a formal combination (a dict
     (u, source_generator) -> coefficient) with u * pi(source_generator)
     equal to pi(target generator) for every term.  Each term applies the
     stored u_*, the stored e_* included, never an identity of its own.
     """
-    src = CochainGroup(source, module)
-    tgt = CochainGroup(target, module)
-    src_at = {g: (off, source.pi[g]) for g, off in zip(source.generators, src.offsets)}
+    module = source.module
+    if target.module is not module:
+        raise ValueError("dualize: source and target cochains take values in different modules")
+    src_at = {g: (off, source.basis.pi[g])
+              for g, off in zip(source.basis.generators, source.offsets)}
     actions = {}  # (x, u) -> (ux, the row dicts of u_* on A(x))
-    rows = [{} for _ in range(tgt.total)]
-    for tgen, toff in zip(target.generators, tgt.offsets):
+    rows = [{} for _ in range(target.total)]
+    for tgen, toff in zip(target.basis.generators, target.offsets):
         chain = d.get(tgen, {})
-        tpi = target.pi[tgen]
+        tpi = target.basis.pi[tgen]
         for (u, sgen), coeff in chain.items():
             if coeff == 0:
                 continue
@@ -396,7 +398,7 @@ def dualize(d, source, target, module, monoid):
                         row[soff + j] = v
                     else:
                         del row[soff + j]
-    return IntMatrix(tgt.total, src.total, rows)
+    return IntMatrix(target.total, source.total, rows)
 
 
 # -- descriptors -------------------------------------------------------------

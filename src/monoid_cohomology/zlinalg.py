@@ -28,19 +28,6 @@ Smith form.  lattice_basis is the one builder of a lattice basis, and it
 certifies every basis it returns: the relation bases of the presented
 groups, the preimage lattices and subquotients, and this leftover.
 
-Consecutive coboundaries are reduced jointly (Kaczynski, Mrozek and
-Slusarek, Homology computation by reduction of chain complexes, Comput.
-Math. Appl. 35, 1998).  A column sweep of a tall d^(n-1) changes the
-basis of C^(n-1) only, and each swept line v_k = d^(n-1)(a_k) is +-1 at
-its pivot b_k and 0 at every earlier pivot.  So the v_k with the unit
-vectors e_b off the pivots form a unimodular basis of C^n, d^n kills
-every v_k, and in that basis d^n is itself without the columns b_k plus
-zero columns: the same Smith diagonal and rank, from fewer columns.
-snf_diagonal(d^n, killed) deletes those columns after certifying both
-facts, killed being d^(n-1)'s SmithDiagonal.swept.  A wide d^(n-1) is
-swept along its rows, which changes the basis of C^n; d^n would then
-need column operations, not deletions, so a row sweep hands on nothing.
-
 Lattices are always given by matrices whose *columns* span them.  Every
 question "do these columns lie in the lattice?" is answered by one
 elimination, staircase_solve, over the lattice's Hermite staircase
@@ -398,11 +385,10 @@ def _unit_sweep(lines, tracked=None):
     Pivots in short lines and thin columns go first (Markowitz-style) to
     limit fill-in: the shortest line with a unit entry, then among its
     unit entries the one whose index meets the fewest lines, then the
-    lowest index.  Returns (rows, eliminated): the surviving lines as a
-    dict position -> line, none of which touches an eliminated index,
-    and the (pivot_line, pivot_index, pivot_position) triples in sweep
-    order.  A line that is neither a survivor nor a pivot line has been
-    brought to zero.
+    lowest index.  Returns (rows, pivots): the surviving lines as a dict
+    position -> line, none of which touches an eliminated index, and the
+    positions of the pivot lines in sweep order.  A line that is neither
+    a survivor nor a pivot line has been brought to zero.
     """
     from heapq import heapify, heappush, heappop
 
@@ -415,7 +401,7 @@ def _unit_sweep(lines, tracked=None):
     heap = [(len(r), i) for i, r in rows.items()
             if 1 in r.values() or -1 in r.values()]
     heapify(heap)
-    eliminated = []
+    pivots = []
     while heap:
         rlen, pi = heappop(heap)
         prow = rows.get(pi)
@@ -464,26 +450,17 @@ def _unit_sweep(lines, tracked=None):
         # leaves the system
         for j, _ in rest:
             col_index[j].discard(pi)
-        eliminated.append((prow, pj, pi))
+        pivots.append(pi)
         for i in touched:
             r = rows[i]
             if 1 in r.values() or -1 in r.values():
                 heappush(heap, (len(r), i))
-    return rows, eliminated
+    return rows, pivots
 
 
-class SmithDiagonal(list):
-    """The nonzero invariant factors snf_diagonal returns, so len() is
-    the rank.  swept holds a column sweep's (line, pivot index) pairs in
-    sweep order, each line a dict row -> value, for the next coboundary's
-    snf_diagonal; it is None after a row sweep."""
-
-    __slots__ = ("swept",)
-
-
-def snf_diagonal(A, killed=None):
-    """Nonzero invariant factors of A (chained), without transforms, as
-    a SmithDiagonal.
+def snf_diagonal(A):
+    """Nonzero invariant factors of A (chained), without transforms, so
+    len() is the rank.
 
     Sparse-friendly: +-1 entries are swept first (_unit_sweep), on the
     columns when A has more rows than columns and on the rows otherwise;
@@ -492,60 +469,20 @@ def snf_diagonal(A, killed=None):
     would be operations of the other kind touching only that line, so
     each sweep contributes one factor 1.
 
-    killed, the swept lines of a column sweep of the previous coboundary
-    (its SmithDiagonal.swept), deletes their pivot columns from A before
-    the sweep (see the module docstring).  The certificate reads the same
-    column dicts as the sweep: the lines are checked to be unitriangular
-    on their pivots and to be killed by A, and either failure raises
-    ArithmeticError.
-
     The leftover L (one row per surviving line) goes to smith_normal_form
     only as lattice_basis(L), a certified basis of its column lattice:
     column operations keep that lattice, and the nonzero Smith factors of
     L are those of Z^r modulo it, so the basis has L's Smith diagonal
     with a k x k column transform (k = rank <= r) instead of a c x c one.
     """
-    if killed:
-        cols = A.col_dicts()
-        _certify_killed(cols, killed)
-        drop = {b for _, b in killed}
-        lines = [col for j, col in enumerate(cols) if j not in drop]
-        by_columns = A.rows > len(lines)
-        width = A.rows if by_columns else len(lines)
-        if not by_columns:
-            lines = _transposed(lines, A.rows)
-    else:
-        by_columns = A.rows > A.cols
-        width = A.rows if by_columns else A.cols
-        lines = A.col_dicts() if by_columns else A.row_dicts()
-    rows, eliminated = _unit_sweep(lines)
-    diag = SmithDiagonal([1] * len(eliminated))
-    diag.swept = [(line, pj) for line, pj, _ in eliminated] if by_columns else None
+    by_columns = A.rows > A.cols
+    rows, pivots = _unit_sweep(A.col_dicts() if by_columns else A.row_dicts())
+    diag = [1] * len(pivots)
     if rows:
-        leftover = IntMatrix(len(rows), width, list(rows.values()))
+        leftover = IntMatrix(len(rows), A.rows if by_columns else A.cols, list(rows.values()))
         Dm, _, _ = smith_normal_form(lattice_basis(leftover))
         diag += [r[i] for i, r in enumerate(Dm._rows) if i in r]
     return diag
-
-
-def _certify_killed(cols, killed):
-    """Check the facts that let the pivot columns of killed go: each line
-    is +-1 at its pivot and 0 at every earlier pivot, and the matrix with
-    these columns maps it to zero.  Either failure raises ArithmeticError,
-    a line reaching past the columns ValueError."""
-    earlier = set()
-    for k, (line, b) in enumerate(killed):
-        if min(line) < 0 or max(line) >= len(cols):
-            raise ValueError("swept line %d reaches outside %d columns" % (k, len(cols)))
-        if line.get(b) not in (1, -1) or not earlier.isdisjoint(line):
-            raise ArithmeticError("swept line %d is not unitriangular on its pivots" % k)
-        earlier.add(b)
-        image = {}
-        for j, v in line.items():
-            for i, w in cols[j].items():
-                image[i] = image.get(i, 0) + v * w
-        if any(image.values()):
-            raise ArithmeticError("swept line %d is not killed by the next coboundary" % k)
 
 
 def _transposed(lines, n):
@@ -582,12 +519,16 @@ def _column_echelon(nrows, columns, V=None):
     def col_submul(j, base, q):
         col = columns[j]
         for i, v in columns[base].items():
-            nv = col.get(i, 0) - q * v
-            if nv:
-                col[i] = nv
+            old = col.get(i)
+            if old is None:  # fill-in, the only entry the index lacks
+                col[i] = -q * v
                 row_cols.setdefault(i, set()).add(j)
             else:
-                col.pop(i, None)
+                nv = old - q * v
+                if nv:
+                    col[i] = nv
+                else:
+                    del col[i]
 
     for r in range(nrows):
         touching = row_cols.pop(r, None)
@@ -649,8 +590,8 @@ def kernel_basis(A, keep=None):
     if keep is None:
         keep = A.cols
     tracked = [{j: 1} if j < keep else {} for j in range(A.cols)]
-    rows, eliminated = _unit_sweep(A.col_dicts(), tracked)
-    swept = {pi for _, _, pi in eliminated}
+    rows, pivots = _unit_sweep(A.col_dicts(), tracked)
+    swept = set(pivots)
     vectors = [tracked[j] for j in range(A.cols) if j not in rows and j not in swept]
     survivors = sorted(rows)
     lengths = {}

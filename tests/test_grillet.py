@@ -4,7 +4,7 @@ import pytest
 
 from monoid_cohomology.bar import cells, explicit_low_degree_differential
 from monoid_cohomology.cohomology import cohomology_group
-from monoid_cohomology.grillet import (_tuple_basis, eleob_equivalent, grillet_coboundary,
+from monoid_cohomology.grillet import (_tuple_group, eleob_equivalent, grillet_coboundary,
                                        grillet_cohomology, inclusion_chainmap,
                                        injectivity_check, symmetric_cochains)
 from monoid_cohomology.hmod import FGAbelianGroup, constant_module, dualize, zm_as_hmodule
@@ -131,10 +131,10 @@ def test_grillet_coboundary_is_minus_the_closed_level1_formula():
     for M in (Z2, C12, C23):
         for A in (constant_module(zmod(6), M), zm_as_hmodule(M)):
             for n in (1, 2, 3):
-                src, tgt = _tuple_basis(M, n), _tuple_basis(M, n + 1)
-                d = {t: explicit_low_degree_differential(M, t) for t in tgt.generators}
+                src, tgt = _tuple_group(M, A, n), _tuple_group(M, A, n + 1)
+                d = {t: explicit_low_degree_differential(M, t) for t in tgt.basis.generators}
                 delta = grillet_coboundary(M, A, n)
-                expected = dualize(d, src, tgt, A, M).scaled(-1)
+                expected = dualize(d, src, tgt, M).scaled(-1)
                 assert (delta.rows, delta.cols) == (expected.rows, expected.cols)
                 assert delta.row_dicts() == expected.row_dicts(), (M, n)
     with pytest.raises(ValueError):

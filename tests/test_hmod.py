@@ -160,10 +160,10 @@ def test_cochain_group_examples():
     assert cg1.invariants() == AbGroupInvariants(0, (6,))
 
 
-def _one_gen_bases(M, pis):
+def _one_gen_groups(A, pis):
     cells = [BarWord((i + 1,), (), 1) for i in range(len(pis))]
     # letters are only labels here; pin the projections explicitly
-    return FreeBasis(cells, dict(zip(cells, pis))), cells
+    return CochainGroup(FreeBasis(cells, dict(zip(cells, pis))), A), cells
 
 
 def assert_sparse_rows(mat):
@@ -175,31 +175,35 @@ def assert_sparse_rows(mat):
 
 def test_dualize_examples():
     A = constant_module(FGAbelianGroup.free(1), Z2)
-    src, (s,) = _one_gen_bases(Z2, [0])
-    tgt, (t,) = _one_gen_bases(Z2, [0])
-    zero = dualize({t: {}}, src, tgt, A, Z2)
+    src, (s,) = _one_gen_groups(A, [0])
+    tgt, (t,) = _one_gen_groups(A, [0])
+    zero = dualize({t: {}}, src, tgt, Z2)
     assert zero == IntMatrix.from_rows([[0]])
     assert_sparse_rows(zero)
-    two = dualize({t: {(0, s): 2}}, src, tgt, A, Z2)
+    two = dualize({t: {(0, s): 2}}, src, tgt, Z2)
     assert two == IntMatrix.from_rows([[2]])
     assert_sparse_rows(two)
     # (1,s) - (e,s) with constant coefficients: identity actions cancel.
     # Both terms must sit over the same fiber, which forces 1*pi(s) =
     # pi(s); that holds in the idempotent monoid C_{1,1}.
-    srcI, (sI,) = _one_gen_bases(C11, [1])
-    tgtI, (tI,) = _one_gen_bases(C11, [1])
-    diff = dualize({tI: {(1, sI): 1, (0, sI): -1}}, srcI, tgtI,
-                   constant_module(FGAbelianGroup.cyclic(2), C11), C11)
+    A2 = constant_module(FGAbelianGroup.cyclic(2), C11)
+    srcI, (sI,) = _one_gen_groups(A2, [1])
+    tgtI, (tI,) = _one_gen_groups(A2, [1])
+    diff = dualize({tI: {(1, sI): 1, (0, sI): -1}}, srcI, tgtI, C11)
     assert diff == IntMatrix.from_rows([[0]])
     assert_sparse_rows(diff)
 
 
 def test_dualize_pi_mismatch():
     A = constant_module(FGAbelianGroup.free(1), Z2)
-    src, (s,) = _one_gen_bases(Z2, [1])
-    tgt, (t,) = _one_gen_bases(Z2, [0])
+    src, (s,) = _one_gen_groups(A, [1])
+    tgt, (t,) = _one_gen_groups(A, [0])
     with pytest.raises(PiMismatchError):
-        dualize({t: {(0, s): 1}}, src, tgt, A, Z2)
+        dualize({t: {(0, s): 1}}, src, tgt, Z2)
+    # cochains with values in another module are refused, not misread
+    other = CochainGroup(tgt.basis, constant_module(FGAbelianGroup.free(2), Z2))
+    with pytest.raises(ValueError, match="different modules"):
+        dualize({t: {}}, src, other, Z2)
 
 
 def _apply_map(M, d, chain):
@@ -231,6 +235,7 @@ def test_dualize_functorial_on_random_composites():
                 pis[cell] = random.choice(list(M.elements()))
             bases.append(FreeBasis(cells, pis))
         b0, b1, b2 = bases
+        g0, g1, g2 = (CochainGroup(b, A) for b in bases)
         d1 = {}
         for t in b1.generators:
             chain = {}
@@ -250,8 +255,8 @@ def test_dualize_functorial_on_random_composites():
                     chain[(u, s)] = coeff
             d2[t] = chain
         composite = {t: _apply_map(M, d1, d2[t]) for t in b2.generators}
-        lhs = dualize(composite, b0, b2, A, M)
-        rhs = dualize(d2, b1, b2, A, M).mul(dualize(d1, b0, b1, A, M))
+        lhs = dualize(composite, g0, g2, M)
+        rhs = dualize(d2, g1, g2, M).mul(dualize(d1, g0, g1, M))
         assert lhs == rhs
         assert_sparse_rows(lhs)
 
