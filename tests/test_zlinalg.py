@@ -142,25 +142,44 @@ def test_snf_diagonal_matches_sympy_in_both_orientations():
         biased.append(IntMatrix.from_rows([[random.choice((0, 0, 0, 2, -2, 3, -3, 4, 6,
                                                            -6, 9, 1, -1))
                                             for _ in range(n)] for _ in range(m)]))
-    # seeded complexes d, e with e d = 0, d tall and wide, e either way
-    random.seed(1998)
-    pairs = [random_complex(a, b, c)
-             for a, b, c in ((3, 8, 14), (4, 9, 6), (2, 10, 3), (8, 5, 9), (6, 6, 2),
-                             (1, 12, 12), (5, 7, 0), (0, 6, 5))
-             for _ in range(6)]
-    assert all(e.mul(d).is_zero() for d, e in pairs)
-    complexes = [m for pair in pairs for m in pair]
-    # the integer coboundaries of C(1,2) and C(2,3) at levels 1, 2, 3
-    coboundaries = [d for M, nmax in ((C12, 5), (make_cyclic(2, 3), 4)) for r in (1, 2, 3)
-                    for d in cochain_complex(M, r, constant_module(Z, M),
-                                             nmax).coboundaries.values()]
-    for A in snf_draws() + shaped + wide + [deficient] + biased + complexes + coboundaries:
+    # the integer coboundaries d^0 .. d^4 of C(1,2) at levels 1, 2, 3
+    coboundaries = [d for r in (1, 2, 3)
+                    for d in cochain_complex(C12, r, constant_module(Z, C12),
+                                             5).coboundaries.values()]
+    for A in snf_draws() + shaped + wide + [deficient] + biased + coboundaries:
         want = sympy_invariant_factors(A)
         for X in (A, transpose(A)):
             before = [dict(r) for r in X.row_dicts()]
             assert snf_diagonal(X) == want
             assert X.row_dicts() == before  # the sweep works on copies
     assert len(sympy_invariant_factors(deficient)) == 7
+
+
+def test_joint_reduction_matches_sympy_in_both_orientations():
+    # consecutive coboundaries d, e of one complex, each reduced whole: a
+    # tall d is swept along its columns, a wide one along its rows, and
+    # e comes out tall and wide; the ranks of d and e share e's source
+    pytest.importorskip("sympy")
+    random.seed(1998)
+    pairs = [random_complex(a, b, c)
+             for a, b, c in ((3, 8, 14), (4, 9, 6), (2, 10, 3), (8, 5, 9), (6, 6, 2),
+                             (1, 12, 12), (5, 7, 0), (0, 6, 5))
+             for _ in range(6)]
+    # consecutive integer coboundaries of C(1,2) and C(2,3) at levels 1-3
+    for M, nmax in ((C12, 5), (make_cyclic(2, 3), 4)):
+        for r in (1, 2, 3):
+            ds = cochain_complex(M, r, constant_module(Z, M), nmax).coboundaries
+            pairs += [(ds[n - 1], ds[n]) for n in range(1, nmax)]
+    tall, wide = 0, 0
+    for d, e in pairs:
+        assert e.mul(d).is_zero()
+        prev, want = snf_diagonal(d), sympy_invariant_factors(e)
+        assert prev == sympy_invariant_factors(d)
+        assert snf_diagonal(e) == want
+        assert len(prev) + len(want) <= e.cols
+        tall += d.rows > d.cols
+        wide += d.rows <= d.cols
+    assert tall > 40 and wide > 10
 
 
 def sympy_invariant_factors(A):
