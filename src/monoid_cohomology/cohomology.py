@@ -16,12 +16,13 @@ The degree-n cochain group of Hom(B^r(ZM), A) is the direct sum of the
 A(pi(cell)) over the generic n-cells; the coboundary is precomposition
 with the bar differential.  A(x) = Z^k / L_x is presented, and the
 stored coboundary d_F is that of the free cover F (the same translation
-matrices, no relations).
+matrices, no relations).  H^n builds the groups of degrees n - 1, n
+and n + 1 and d^(n-1) and d^n, each once, when it first reads them.
 
 For a constant module the complex is K (x) A, with K the integer
-cochain complex, and H^n follows from the Smith diagonals of K by the
-universal coefficient theorem, from the Smith diagonals of d^(n-1) and
-d^n, each read on its own (zlinalg.snf_diagonal).
+cochain complex (no A-valued group is built), and H^n follows from the
+Smith diagonals of d^(n-1) and d^n of K by the universal coefficient
+theorem, each read on its own (zlinalg.snf_diagonal).
 
 Any other module goes through the mapping cone of the relations
 (Weibel, An Introduction to Homological Algebra, 1.5).  The relation
@@ -65,9 +66,9 @@ with it too.
 
 from .bar import (bar, bar_word_diff, check_reach, degree_cells, iterated_bar,
                   small_resolution, tensor_dga, zm_dga)
-from .hmod import (CochainGroup, FGAbelianGroup, FreeBasis, ModuleError, constant_module,
-                   dualize, require_lawful)
-from .monoid import FiniteCommutativeMonoid, closure, split
+from .hmod import (CochainGroup, FGAbelianGroup, ModuleError, constant_module, dualize,
+                   require_lawful)
+from .monoid import closure, split
 from .zlinalg import AbGroupInvariants, IntMatrix, gcd, snf_diagonal
 
 
@@ -76,51 +77,57 @@ class TruncationError(ValueError):
 
 
 def cochain_group(dga, n, module):
-    """The degree-n cochain group of Hom(dga, module)."""
-    gens = dga.basis.get(n, ())
-    return CochainGroup(FreeBasis(gens, {g: dga.pi[g] for g in gens}), module)
+    """The degree-n cochain group of Hom(dga, module).  A degree above
+    the DGA's bound raises DGAError (FreeBasedDGA.generators)."""
+    return CochainGroup(dga.generators(n), dga.pi, module)
 
 
 def coboundary(dga, source, target):
     """d^n of Hom(dga, A) between its cochain groups of degrees n and
     n + 1 (cochain_group): the stored differential of the target's
     cells, dualized."""
-    d = {t: dga.differential(t) for t in target.basis.generators}
+    d = {t: dga.differential(t) for t in target.generators}
     return dualize(d, source, target, dga.monoid)
 
 
 class CochainComplex:
-    """Groups C^0..C^nmax and coboundaries d^0..d^{nmax-1} of
-    Hom(D, A) for a free-based DGA D.  For a constant module the stored
-    coboundaries are those of the integer complex K = Hom(D, Z); for
-    any other module those of its free cover.  cohomology(n) reads
-    H^n from Smith diagonals: the universal coefficient theorem for
-    constant A, the mapping cone of the relations otherwise (see the
-    module docstring), whose blocks all come from the stored d_F and
-    the relation bases.  The module is taken to keep its laws, which
-    cohomology_group and cochain_complex check first, and this class
-    does not check them.  Built directly, the cone still
-    raises ModuleError where its top rows have no solution: a column of
+    """Hom(D, A) for a free-based DGA D, built as it is read: group(n)
+    and coboundary(n) build the degree-n cochain group and d^n on first
+    read and keep them, so cohomology(n) builds degrees n - 1, n, n + 1
+    and d^(n-1), d^n only.  A degree above D's bound raises DGAError.
+    The groups are those of K = Hom(D, Z) for a constant module, of the
+    free cover otherwise.  cohomology(n) reads H^n from Smith diagonals:
+    the universal coefficient theorem for constant A, the mapping cone
+    of the relations otherwise (see the module docstring).  The module
+    is taken to keep its laws, which cohomology_group and cochain_complex
+    check first.  Built directly, the cone still raises ModuleError
+    where its top rows have no solution: a column of
     d_F^n [I_n | d_F^(n-1)] outside the relations of degree n + 1."""
 
-    __slots__ = ("dga", "module", "nmax", "groups", "coboundaries")
+    __slots__ = ("dga", "module", "_coeffs", "_groups", "_coboundaries")
 
-    def __init__(self, dga, module, nmax):
+    def __init__(self, dga, module):
         self.dga = dga
         self.module = module
-        self.nmax = nmax
-        coeffs = constant_module(FGAbelianGroup.free(1), dga.monoid) if module.constant else module
-        cover = {n: cochain_group(dga, n, coeffs) for n in range(nmax + 1)}
-        self.groups = ({n: CochainGroup(g.basis, module) for n, g in cover.items()}
-                       if module.constant else cover)
-        self.coboundaries = {n: coboundary(dga, cover[n], cover[n + 1]) for n in range(nmax)}
+        self._coeffs = (constant_module(FGAbelianGroup.free(1), dga.monoid)
+                        if module.constant else module)
+        self._groups = {}
+        self._coboundaries = {}
+
+    def group(self, n):
+        if n not in self._groups:
+            self._groups[n] = cochain_group(self.dga, n, self._coeffs)
+        return self._groups[n]
+
+    def coboundary(self, n):
+        if n not in self._coboundaries:
+            self._coboundaries[n] = coboundary(self.dga, self.group(n), self.group(n + 1))
+        return self._coboundaries[n]
 
     def cohomology(self, n):
         """ker d^n / im d^{n-1} as invariant factors."""
-        if n < 0 or n >= self.nmax:
-            raise ValueError("degree %d outside the built range" % n)
-        d_n = self.coboundaries[n]
-        d_prev = self.coboundaries[n - 1] if n > 0 else IntMatrix(d_n.cols, 0)
+        d_n = self.coboundary(n)
+        d_prev = self.coboundary(n - 1)
         if not self.module.constant:
             psi = self._cone_diagonal(n, d_prev)
             return AbGroupInvariants.from_diagonal(psi, free_rank=self._free_rank(n, d_n, psi))
@@ -138,14 +145,14 @@ class CochainComplex:
         return AbGroupInvariants.from_diagonal(tors, free_rank=A.free_rank * free)
 
     def _has_relations(self, n):
-        return any(g.relation_basis.cols for g in self.groups[n].blocks)
+        return any(g.relation_basis.cols for g in self.group(n).blocks)
 
     def _with_inclusion(self, n, d):
         """[I_n | d], I_n the block-diagonal inclusion of the degree-n
         relations; d itself when degree n has none."""
         if not self._has_relations(n):
             return d
-        return self.groups[n].relation_matrix().hstack(d)
+        return self.group(n).relation_matrix().hstack(d)
 
     def _cone_diagonal(self, n, d_prev):
         """Smith diagonal of psi with its top rows negated, which leaves
@@ -164,17 +171,17 @@ class CochainComplex:
         solved per target cell in its relation basis.  A product column
         outside the relations, which a module that keeps its laws modulo
         them never has, raises ModuleError."""
-        target = self.groups[n + 1]
-        product = self.coboundaries[n].mul(bottom).row_dicts()
+        target = self.group(n + 1)
+        product = self.coboundary(n).mul(bottom).row_dicts()
         rows = []
-        for g, off, cell in zip(target.blocks, target.offsets, target.basis.generators):
+        for g, off, cell in zip(target.blocks, target.offsets, target.generators):
             if not g.relation_basis.cols:
                 continue
             coords, outside = g.relation_coordinates(product[off:off + g.ngens])
             if outside:
                 raise ModuleError("d_F [I | d_F] leaves the relations of A(%r): the "
                                   "translations break the module laws modulo the relations"
-                                  % (target.basis.pi[cell],))
+                                  % (target.pi[cell],))
             rows += coords
         return rows
 
@@ -184,28 +191,27 @@ class CochainComplex:
         its bottom block [I_{n+1} | d_F^n], a map on all of cone^n, so
         D^n has that block's rank.  0 at once when every A(x) of degree
         n is finite."""
-        if all(g.relation_basis.cols == g.ngens for g in self.groups[n].blocks):
+        if all(g.relation_basis.cols == g.ngens for g in self.group(n).blocks):
             return 0
         bottom = self._with_inclusion(n + 1, d_n)
         return bottom.cols - len(snf_diagonal(bottom)) - len(psi)
 
 
 def cochain_complex(M, r, module, nmax):
-    """The complex of normalized level-r cochains up to degree nmax, on
-    the iterated bar.  A tabular module that is not a module over M
+    """The complex of normalized level-r cochains on the iterated bar to
+    degree nmax, which only sets the bar's depth: cohomology(n) reads up
+    to n = nmax - 1.  A tabular module that is not a module over M
     keeping its laws is refused first (hmod.require_lawful).
 
     For r >= 2 the construction is truncated at degree r+3, matching
     the range where the generic cells are classified.
     """
     require_lawful(module, M)
-    if not isinstance(M, FiniteCommutativeMonoid):
-        raise TruncationError("finite monoid required")
     if r >= 2 and nmax > r + 3:
         raise TruncationError(
             "level %d cochains are only classified up to degree %d" % (r, r + 3))
     dga = iterated_bar(M, r, max(nmax, r))
-    return CochainComplex(dga, module, nmax)
+    return CochainComplex(dga, module)
 
 
 def model(M, N, top):
@@ -228,14 +234,15 @@ def model(M, N, top):
 
 
 def small_model_complex(M, r, module, nmax):
-    """Hom(B^(r-1)(D), A) to degree nmax for the model D of the table M,
-    in M's labels.  A bar in degree n reads its input only below n, so D
-    and each bar before the last stop one degree below the next."""
+    """Hom(B^(r-1)(D), A) for the model D of the table M, in M's labels,
+    with B^(r-1)(D) built to degree nmax (at least r - 1).  A bar in
+    degree n reads its input only below n, so D and each bar before the
+    last stop one degree below the next."""
     top = max(0, nmax - r + 1)
     D = model(M, list(M.elements()), top)
     for k in range(1, r):
         D = bar(D, top + k)
-    return CochainComplex(D, module, nmax)
+    return CochainComplex(D, module)
 
 
 def cohomology_group(M, r, n, module):

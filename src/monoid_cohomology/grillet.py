@@ -48,7 +48,7 @@ from itertools import product
 
 from .bar import cells, iterated_bar
 from .cohomology import coboundary, cochain_group
-from .hmod import CochainGroup, FreeBasis, dualize, require_lawful
+from .hmod import CochainGroup, dualize, require_lawful
 from .zlinalg import (lattice_basis, preimage_lattice_multi, staircase_pivots,
                       staircase_solve, subquotient_invariants)
 
@@ -58,7 +58,7 @@ def _tuple_group(M, module, n):
     the level-1 cells of degree n, in the order of the level-1 bar's
     basis, so the degree-n cochain group of any level-1 bar."""
     tuples = list(cells(M, 1, n))
-    return CochainGroup(FreeBasis(tuples, {c: c.pi(M) for c in tuples}), module)
+    return CochainGroup(tuples, {c: c.pi(M) for c in tuples}, module)
 
 
 def _symmetry_identities(M, n):
@@ -107,16 +107,16 @@ def symmetry_constraints(M, module, n):
     if not 1 <= n <= 4:
         raise ValueError("symmetric cochains are defined for degrees 1..4")
     amb = _tuple_group(M, module, n)
-    term = {c.letters: (M.identity, c) for c in amb.basis.generators}
+    term = {c.letters: (M.identity, c) for c in amb.generators}
     d = {}
     pi = {}
     for k, identity in enumerate(_symmetry_identities(M, n)):
-        pi[k] = amb.basis.pi[term[identity[0][1]][1]]
+        pi[k] = amb.pi[term[identity[0][1]][1]]
         chain = d[k] = {}
         for c, args in identity:
             key = term[args]
             chain[key] = chain.get(key, 0) + c
-    identities = CochainGroup(FreeBasis(range(len(d)), pi), module)
+    identities = CochainGroup(range(len(d)), pi, module)
     return amb, (dualize(d, amb, identities, M), identities.relation_matrix())
 
 
@@ -173,9 +173,9 @@ def _inclusion(M, n, src, tgt):
     the map sending each plain word to (-1)^(n+1) times its tuple, so it
     applies the stored e_*, the identity modulo relations on a module
     that keeps its laws."""
-    tuple_of = {c.letters: c for c in src.basis.generators}
+    tuple_of = {c.letters: c for c in src.generators}
     sign = 1 if n % 2 else -1
-    d = {cell: {(M.identity, tuple_of[cell.letters]): sign} for cell in tgt.basis.generators
+    d = {cell: {(M.identity, tuple_of[cell.letters]): sign} for cell in tgt.generators
          if cell.seps == (1,) * (len(cell.letters) - 1)}
     return dualize(d, src, tgt, M)
 

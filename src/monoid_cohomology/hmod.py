@@ -7,9 +7,11 @@ Z^k / column-lattice(relations), kept as a certified Hermite basis of
 that lattice; homomorphisms are integer matrices compatible with the
 relations.
 
-Free modules on a graded basis with projection pi, and the dualization
-of basis-level maps into coefficient matrices (the Hom(-, A) functor on
-free modules), also live here.  Dualization returns a row-sparse matrix:
+The cochains on one degree of a graded free basis (CochainGroup: the
+generators, their projections pi to M and the value groups A(pi g)),
+and dualize, the Hom(-, A) functor on free modules, which turns a map
+of bases into the matrix between two cochain groups its caller built,
+also live here.  Dualization returns a row-sparse matrix:
 each bar differential has a few terms, so a coboundary is about 1%
 nonzero, and it stays sparse through the linear algebra.
 """
@@ -305,39 +307,25 @@ def zm_as_hmodule(M):
     return HModule(M, groups, actions)
 
 
-# -- free modules on graded bases ------------------------------------------
+# -- cochains on graded free bases -----------------------------------------
 
-class FreeBasis:
-    """An ordered list of generators with projection values in M."""
+class CochainGroup:
+    """Hom of the free module on `generators` into a module A: the
+    direct sum of the A(pi g), with fixed offsets.  pi, a dict over the
+    generators and possibly more (a DGA's own), is read, not copied."""
 
-    __slots__ = ("generators", "pi")
+    __slots__ = ("generators", "pi", "module", "blocks", "offsets", "total")
 
-    def __init__(self, generators, pi):
+    def __init__(self, generators, pi, module):
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generators")
-        self.pi = dict(pi)
         for g in self.generators:
-            if g not in self.pi:
+            if g not in pi:
                 raise ValueError("generator %r has no pi value" % (g,))
-
-    def __len__(self):
-        return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-
-class CochainGroup:
-    """Hom of a free module on `basis` into a module A: the direct sum
-    of the A(pi s) over the basis, with fixed generator offsets."""
-
-    __slots__ = ("basis", "module", "blocks", "offsets", "total")
-
-    def __init__(self, basis, module):
-        self.basis = basis
+        self.pi = pi
         self.module = module
-        self.blocks = [module.group(basis.pi[g]) for g in basis.generators]
+        self.blocks = [module.group(pi[g]) for g in self.generators]
         self.offsets = []
         total = 0
         for g in self.blocks:
@@ -349,12 +337,6 @@ class CochainGroup:
         """The block-diagonal relation bases of the value groups, itself
         a column-Hermite basis, row-sparse."""
         return block_diagonal([g.relation_basis for g in self.blocks])
-
-    def invariants(self):
-        parts = [g.invariants() for g in self.blocks]
-        free = sum(p.free_rank for p in parts)
-        tors = [d for p in parts for d in p.torsion]
-        return AbGroupInvariants.from_diagonal(tors, free_rank=free)
 
 
 class PiMismatchError(ValueError):
@@ -373,13 +355,12 @@ def dualize(d, source, target, monoid):
     module = source.module
     if target.module is not module:
         raise ValueError("dualize: source and target cochains take values in different modules")
-    src_at = {g: (off, source.basis.pi[g])
-              for g, off in zip(source.basis.generators, source.offsets)}
+    src_at = {g: (off, source.pi[g]) for g, off in zip(source.generators, source.offsets)}
     actions = {}  # (x, u) -> (ux, the row dicts of u_* on A(x))
     rows = [{} for _ in range(target.total)]
-    for tgen, toff in zip(target.basis.generators, target.offsets):
+    for tgen, toff in zip(target.generators, target.offsets):
         chain = d.get(tgen, {})
-        tpi = target.basis.pi[tgen]
+        tpi = target.pi[tgen]
         for (u, sgen), coeff in chain.items():
             if coeff == 0:
                 continue

@@ -2,8 +2,8 @@
 exhaustive module-law check, a relabelled table, the direct product of
 two tables, monoid.split of a whole table, a constant module
 written out as a table, ZM reduced mod 2, modules that break their
-laws, and a module sampled at finitely many elements of the infinite
-cyclic monoid."""
+laws, a module sampled at finitely many elements of the infinite
+cyclic monoid, and the invariants of a cochain group."""
 
 from monoid_cohomology.hmod import FGAbelianGroup, HModule, ModuleError, zm_as_hmodule
 from monoid_cohomology.monoid import closure, split, validate_table
@@ -114,6 +114,12 @@ def constant_as_tabular(group, monoid):
     ident = IntMatrix.identity(group.ngens)
     actions = {(x, y): ident for x in range(n) for y in range(n)}
     return HModule(monoid, [group] * n, actions)
+
+
+def cochain_invariants(group):
+    """The invariant factors of a cochain group: its generators modulo
+    its block-diagonal relations."""
+    return FGAbelianGroup(group.total, group.relation_matrix()).invariants()
 
 
 def zm_mod2(M):

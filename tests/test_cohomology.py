@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from monoid_cohomology import cohomology, grillet, zlinalg
-from monoid_cohomology.bar import (bar_word_diff, explicit_low_degree_differential,
+from monoid_cohomology.bar import (DGAError, bar_word_diff, explicit_low_degree_differential,
                                    iterated_bar, validate_dga)
 from monoid_cohomology.cohomology import (BruteForceCapError, CochainComplex, TruncationError,
                                           brute_force_cohomology,
@@ -17,11 +17,12 @@ from monoid_cohomology.groupoid import iso_classes
 from monoid_cohomology.hmod import (FGAbelianGroup, HModule, ModuleError, constant_module,
                                     dualize, parse_group_shorthand, require_lawful,
                                     validate_module, zm_as_hmodule)
-from monoid_cohomology.monoid import make_cyclic, validate_table
+from monoid_cohomology.monoid import INFINITE_CYCLIC, make_cyclic, validate_table
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix, preimage_lattice,
                                        subquotient_invariants)
 
-from helpers import identity_last, lawless_modules, product_table, split_whole, zm_mod2
+from helpers import (cochain_invariants, identity_last, lawless_modules, product_table,
+                     split_whole, zm_mod2)
 from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
@@ -37,8 +38,14 @@ def zmod(n):
 
 
 def test_cochain_groups_z2_level2():
-    cx = cochain_complex(Z2, 2, constant_module(zmod(2), Z2), 5)
-    sizes = [cx.groups[n].invariants() for n in range(6)]
+    # the complex of a constant module holds the integer cochain groups,
+    # one Z per cell; the A-valued ones are built on the same bar
+    A = constant_module(zmod(2), Z2)
+    cx = cochain_complex(Z2, 2, A, 5)
+    cells = [len(cx.dga.generators(n)) for n in range(6)]
+    assert [cochain_invariants(cx.group(n)) for n in range(6)] == \
+        [AbGroupInvariants(k) for k in cells]
+    sizes = [cochain_invariants(cochain_group(cx.dga, n, A)) for n in range(6)]
     assert sizes[0] == AbGroupInvariants(0, (2,))
     assert sizes[1].is_trivial()
     assert sizes[2] == AbGroupInvariants(0, (2,))
@@ -50,7 +57,7 @@ def test_cochain_groups_z2_level2():
 def test_level1_z2_mod2_coboundaries_alternate():
     cx = cochain_complex(Z2, 1, constant_module(zmod(2), Z2), 4)
     # maps alternate between multiplication by 2 and 0 on single cells
-    assert [cx.coboundaries[n].data for n in range(4)] == \
+    assert [cx.coboundary(n).data for n in range(4)] == \
         [[[0]], [[2]], [[0]], [[2]]]
     for n in range(4):
         assert cohomology_group(Z2, 1, n, constant_module(zmod(2), Z2)) == \
@@ -98,10 +105,9 @@ def mixed_modules(M):
 def lattice_route(cx, n):
     """The oracle: ker d^n / im d^{n-1} as preimage and subquotient
     lattices on the stored coboundaries, the relations adjoined."""
-    d_n = cx.coboundaries[n]
-    d_prev = cx.coboundaries[n - 1] if n else IntMatrix(d_n.cols, 0)
-    kernel = preimage_lattice(d_n, cx.groups[n + 1].relation_matrix())
-    return subquotient_invariants(kernel, d_prev.hstack(cx.groups[n].relation_matrix()))
+    kernel = preimage_lattice(cx.coboundary(n), cx.group(n + 1).relation_matrix())
+    return subquotient_invariants(kernel, cx.coboundary(n - 1).hstack(
+        cx.group(n).relation_matrix()))
 
 
 def test_cohomology_route_needs_no_lattice_algebra(monkeypatch):
@@ -123,12 +129,35 @@ def test_cohomology_route_needs_no_lattice_algebra(monkeypatch):
 
 
 def test_cohomology_leaves_the_complex_unchanged():
+    # the degrees read in descending, then ascending order give the same
+    # answers, and the coboundaries the first pass built, d^-1 .. d^4,
+    # keep their entries; a complex read in ascending order alone builds
+    # the same ones
     for module in (constant_module(zmod(4), C12), zm_as_hmodule(C12)):
         cx = cochain_complex(C12, 2, module, 5)
-        before = {n: d.row_dicts() for n, d in cx.coboundaries.items()}
-        first = [cx.cohomology(n) for n in range(5)]
+        first = [cx.cohomology(n) for n in reversed(range(5))][::-1]
+        built = [cx.coboundary(n).row_dicts() for n in range(-1, 5)]
         assert [cx.cohomology(n) for n in range(5)] == first
-        assert {n: d.row_dicts() for n, d in cx.coboundaries.items()} == before
+        assert [cx.coboundary(n).row_dicts() for n in range(-1, 5)] == built
+        ascending = cochain_complex(C12, 2, module, 5)
+        assert [ascending.cohomology(n) for n in range(5)] == first
+        assert [ascending.coboundary(n).row_dicts() for n in range(-1, 5)] == built
+
+
+def test_a_degree_above_the_dga_raises():
+    # the DGA's bound is the complex's one range check: H^n reads the
+    # cells of degree n + 1, so a DGA that stops at degree n refuses it,
+    # naming both, and still answers below
+    for M, A in ((C12, constant_module(zmod(4), C12)), (C12, zm_as_hmodule(C12)),
+                 (C23, constant_module(Z, C23))):
+        for r, n in ((1, 3), (2, 4), (3, 5)):
+            cx = cochain_complex(M, r, A, n)
+            with pytest.raises(DGAError, match="degree %d above the stored bound %d" % (n + 1, n)):
+                cx.cohomology(n)
+            assert cx.cohomology(n - 1) == cohomology_group(M, r, n - 1, A)
+    cx = small_model_complex(C12, 1, constant_module(Z, C12), 2)
+    with pytest.raises(DGAError, match="degree 3 above the stored bound 2"):
+        cx.cohomology(2)
 
 
 def test_wide_leftovers_reach_the_smith_form_as_a_lattice_basis(monkeypatch):
@@ -190,6 +219,9 @@ def test_truncation_guard():
         cohomology_group(Z2, 2, 5, A)
     with pytest.raises(TruncationError):
         cochain_complex(Z2, 3, A, 7)
+    # the infinite cyclic monoid has no iterated bar, finite or truncated
+    with pytest.raises(DGAError, match="the bar construction needs a finite monoid"):
+        cochain_complex(INFINITE_CYCLIC, 1, constant_module(Z), 2)
     # level 1 has no truncation
     assert cohomology_group(Z2, 1, 6, A) == AbGroupInvariants(0, (2,))
 
@@ -212,7 +244,7 @@ def test_truncated_matrices_equal_dualized_bar():
                 dga = iterated_bar(M, level, n + 1)
                 src = cochain_group(dga, n, A)
                 tgt = cochain_group(dga, n + 1, A)
-                d = {t: explicit_low_degree_differential(M, t) for t in tgt.basis.generators}
+                d = {t: explicit_low_degree_differential(M, t) for t in tgt.generators}
                 assert dualize(d, src, tgt, M) == coboundary(dga, src, tgt)
 
 
@@ -536,23 +568,40 @@ def test_cone_on_a_relation_basis_with_entries_below_its_pivots():
 
 
 def test_each_cochain_group_of_a_query_is_built_once(monkeypatch):
-    # dualize reads the cochain groups its caller built: a non-constant
-    # complex to degree nmax builds nmax + 1, and H^n_G builds the
-    # symmetric ambient and the identities' group of degrees n and n - 1
+    # dualize reads the cochain groups its caller built: H^n builds the
+    # groups of degrees n - 1, n and n + 1 and dualizes d^(n-1) and d^n,
+    # the empty degree -1 included, and H^n_G builds the symmetric
+    # ambient and the identities' group of degrees n and n - 1
     # (n - 1 >= 1) and the level-1 group of degree n + 1
     from monoid_cohomology import hmod
     built = []
     init = hmod.CochainGroup.__init__
 
-    def counting(self, basis, module):
-        built.append((basis.generators, tuple(basis.pi[g] for g in basis.generators),
-                      id(module)))
-        init(self, basis, module)
+    def counting(self, generators, pi, module):
+        generators = tuple(generators)
+        built.append((generators, tuple(pi[g] for g in generators), id(module)))
+        init(self, generators, pi, module)
     monkeypatch.setattr(hmod.CochainGroup, "__init__", counting)
-    for M, r, nmax in ((C12, 2, 4), (C23, 1, 3)):
-        built.clear()
-        cochain_complex(M, r, zm_as_hmodule(M), nmax)
-        assert len(built) == nmax + 1
+    dualized = []
+
+    def counting_dualize(*args):
+        dualized.append(args)
+        return dualize(*args)
+    monkeypatch.setattr(cohomology, "dualize", counting_dualize)
+    klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
+    semilattice = validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+    for M in (C12, klein, semilattice):
+        for A in (constant_module(zmod(4), M), zm_as_hmodule(M)):
+            for r in (1, 2, 3):
+                for n in (0, r + 2):
+                    built.clear()
+                    dualized.clear()
+                    cohomology_group(M, r, n, A)
+                    # three builds for three degrees: none twice (at levels
+                    # 2 and 3 the groups of degrees -1 and 1 may be equal,
+                    # both empty)
+                    assert len(built) == 3, (M.table, r, n)
+                    assert len(dualized) == 2, (M.table, r, n)
     for A in (constant_module(zmod(2), C12), zm_as_hmodule(C12)):
         for n in (1, 2, 3):
             built.clear()
@@ -566,10 +615,12 @@ def test_each_cochain_group_of_a_query_is_built_once(monkeypatch):
 
 def test_cone_free_rank_needs_no_second_module(monkeypatch):
     # the free rank comes from ranks the cone already has, and its top
-    # rows [d_R | K] from the stored d_F: H^3 dualizes nothing beyond
-    # the stored complex
+    # rows [d_R | K] from the stored d_F: once d^2 and d^3 are built, H^3
+    # dualizes nothing more
     C04 = make_cyclic(0, 4)
     cx = cochain_complex(C04, 1, twisted_z_z2(C04, (0, 1, 0, 1)), 4)
+    cx.coboundary(2)
+    cx.coboundary(3)
     calls = []
 
     def counting(*args):
@@ -666,7 +717,7 @@ def test_a_product_column_outside_the_relations_names_its_cell():
             entry()
     with pytest.raises(ModuleError, match=re.escape(
             "leaves the relations of A(0): the translations break the module laws")):
-        CochainComplex(iterated_bar(C03, 1, 2), A, 2).cohomology(1)
+        CochainComplex(iterated_bar(C03, 1, 2), A).cohomology(1)
 
 
 def test_a_module_flagged_constant_must_be_constant():

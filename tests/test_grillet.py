@@ -132,7 +132,7 @@ def test_grillet_coboundary_is_minus_the_closed_level1_formula():
         for A in (constant_module(zmod(6), M), zm_as_hmodule(M)):
             for n in (1, 2, 3):
                 src, tgt = _tuple_group(M, A, n), _tuple_group(M, A, n + 1)
-                d = {t: explicit_low_degree_differential(M, t) for t in tgt.basis.generators}
+                d = {t: explicit_low_degree_differential(M, t) for t in tgt.generators}
                 delta = grillet_coboundary(M, A, n)
                 expected = dualize(d, src, tgt, M).scaled(-1)
                 assert (delta.rows, delta.cols) == (expected.rows, expected.cols)
@@ -232,7 +232,7 @@ def test_eleob_randomized_and_constrained_c12():
     # walk the subgroup of tables satisfying the first condition set and
     # confirm the other two hold on all of it
     amb, lat = symmetric_cochains(M, A, 3)
-    index = {c.letters: amb.offsets[i] for i, c in enumerate(amb.basis.generators)}
+    index = {c.letters: amb.offsets[i] for i, c in enumerate(amb.generators)}
     seen = {tuple([0] * amb.total)}
     frontier = [tuple([0] * amb.total)]
     gens = [tuple(lat.column(j)) for j in range(lat.cols)]

@@ -6,7 +6,7 @@ import pytest
 
 from monoid_cohomology.bar import BarWord
 from monoid_cohomology.cohomology import cohomology_group
-from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, FreeBasis,
+from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup,
                                     HModule, ModuleError, PiMismatchError,
                                     constant_module, dualize,
                                     module_from_descriptor,
@@ -15,8 +15,8 @@ from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, FreeBasis,
 from monoid_cohomology.monoid import generating_set, make_cyclic
 from monoid_cohomology.zlinalg import AbGroupInvariants, IntMatrix
 
-from helpers import (constant_as_tabular, exhaustive_violations, lawless_modules, relabelled,
-                     zm_mod2)
+from helpers import (cochain_invariants, constant_as_tabular, exhaustive_violations,
+                     lawless_modules, relabelled, zm_mod2)
 from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
@@ -144,26 +144,29 @@ def test_zm_as_module_is_functorial():
 
 def test_cochain_group_examples():
     e_cell = BarWord((), (), 1)
-    basis = FreeBasis([e_cell], {e_cell: Z2.identity})
     A = constant_module(FGAbelianGroup.free(1), Z2)
-    cg = CochainGroup(basis, A)
-    assert cg.total == 1 and cg.invariants() == AbGroupInvariants(1)
+    cg = CochainGroup([e_cell], {e_cell: Z2.identity}, A)
+    assert cg.total == 1 and cochain_invariants(cg) == AbGroupInvariants(1)
+    with pytest.raises(ValueError, match="duplicate generators"):
+        CochainGroup([e_cell, e_cell], {e_cell: Z2.identity}, A)
+    with pytest.raises(ValueError, match="has no pi value"):
+        CochainGroup([e_cell], {}, A)
 
     cells = [BarWord((1,) * k, (1,) * (k - 1), 1) for k in (1, 2, 3)]
-    basis3 = FreeBasis(cells, {c: c.pi(Z2) for c in cells})
-    cg3 = CochainGroup(basis3, constant_module(FGAbelianGroup.cyclic(2), Z2))
-    assert cg3.invariants() == AbGroupInvariants(0, (2, 2, 2))
+    cg3 = CochainGroup(cells, {c: c.pi(Z2) for c in cells},
+                       constant_module(FGAbelianGroup.cyclic(2), Z2))
+    assert cochain_invariants(cg3) == AbGroupInvariants(0, (2, 2, 2))
 
     v1 = BarWord((2,), (), 1)
-    basis1 = FreeBasis([v1], {v1: 2})  # pi = m over C_{2,3}
-    cg1 = CochainGroup(basis1, constant_module(FGAbelianGroup.cyclic(6), C23))
-    assert cg1.invariants() == AbGroupInvariants(0, (6,))
+    # pi = m over C_{2,3}
+    cg1 = CochainGroup([v1], {v1: 2}, constant_module(FGAbelianGroup.cyclic(6), C23))
+    assert cochain_invariants(cg1) == AbGroupInvariants(0, (6,))
 
 
 def _one_gen_groups(A, pis):
     cells = [BarWord((i + 1,), (), 1) for i in range(len(pis))]
     # letters are only labels here; pin the projections explicitly
-    return CochainGroup(FreeBasis(cells, dict(zip(cells, pis))), A), cells
+    return CochainGroup(cells, dict(zip(cells, pis)), A), cells
 
 
 def assert_sparse_rows(mat):
@@ -201,7 +204,7 @@ def test_dualize_pi_mismatch():
     with pytest.raises(PiMismatchError):
         dualize({t: {(0, s): 1}}, src, tgt, Z2)
     # cochains with values in another module are refused, not misread
-    other = CochainGroup(tgt.basis, constant_module(FGAbelianGroup.free(2), Z2))
+    other = CochainGroup(tgt.generators, tgt.pi, constant_module(FGAbelianGroup.free(2), Z2))
     with pytest.raises(ValueError, match="different modules"):
         dualize({t: {}}, src, other, Z2)
 
@@ -222,7 +225,7 @@ def test_dualize_functorial_on_random_composites():
     A = zm_as_hmodule(M)  # a genuinely non-constant module
     for _ in range(20):
         sizes = [random.randint(1, 2) for _ in range(3)]
-        bases = []
+        groups = []
         labels = 0
         for k, sz in enumerate(sizes):
             cells = []
@@ -233,28 +236,27 @@ def test_dualize_functorial_on_random_composites():
                 labels += 1
                 cells.append(cell)
                 pis[cell] = random.choice(list(M.elements()))
-            bases.append(FreeBasis(cells, pis))
-        b0, b1, b2 = bases
-        g0, g1, g2 = (CochainGroup(b, A) for b in bases)
+            groups.append(CochainGroup(cells, pis, A))
+        g0, g1, g2 = groups
         d1 = {}
-        for t in b1.generators:
+        for t in g1.generators:
             chain = {}
-            for s in b0.generators:
+            for s in g0.generators:
                 u = random.choice(list(M.elements()))
                 coeff = random.randint(-2, 2)
-                if coeff and M.op(u, b0.pi[s]) == b1.pi[t]:
+                if coeff and M.op(u, g0.pi[s]) == g1.pi[t]:
                     chain[(u, s)] = coeff
             d1[t] = chain
         d2 = {}
-        for t in b2.generators:
+        for t in g2.generators:
             chain = {}
-            for s in b1.generators:
+            for s in g1.generators:
                 u = random.choice(list(M.elements()))
                 coeff = random.randint(-2, 2)
-                if coeff and M.op(u, b1.pi[s]) == b2.pi[t]:
+                if coeff and M.op(u, g1.pi[s]) == g2.pi[t]:
                     chain[(u, s)] = coeff
             d2[t] = chain
-        composite = {t: _apply_map(M, d1, d2[t]) for t in b2.generators}
+        composite = {t: _apply_map(M, d1, d2[t]) for t in g2.generators}
         lhs = dualize(composite, g0, g2, M)
         rhs = dualize(d2, g1, g2, M).mul(dualize(d1, g0, g1, M))
         assert lhs == rhs
