@@ -22,11 +22,15 @@ whichever side has fewer lines: A and its transpose have the same Smith
 diagonal, and the coboundaries are tall (degree n+1 has several times
 the cells of degree n), so their columns are the short side.
 
-What the sweep leaves of a coboundary is short and wide; snf_diagonal
-replaces it by its column-Hermite basis (lattice_basis) before the dense
-Smith form.  lattice_basis is the one builder of a lattice basis, and it
-certifies every basis it returns: the relation bases of the presented
-groups, the preimage lattices and subquotients, and this leftover.
+A leftover entry alone in its line and at its index is a 1 x 1 block,
+and snf_diagonal reads its Smith factor off directly: the relation
+basis q I of (Z/q)^k, or a coboundary that multiplies by q, never
+reaches a dense form.  The rest of what the sweep leaves of a
+coboundary is short and wide; snf_diagonal replaces it by its
+column-Hermite basis (lattice_basis) before the dense Smith form.
+lattice_basis is the one builder of a lattice basis, and it certifies
+every basis it returns: the relation bases of the presented groups, the
+preimage lattices and subquotients, and this leftover.
 
 Lattices are always given by matrices whose *columns* span them.  Every
 question "do these columns lie in the lattice?" is answered by one
@@ -185,7 +189,10 @@ class AbGroupInvariants:
         rank, entries 1 vanish.  diag need not be sorted or chained."""
         ds = [abs(d) for d in diag]
         free = free_rank + sum(1 for d in ds if d == 0)
-        ds = [d for d in ds if d >= 2]
+        ds = sorted(d for d in ds if d >= 2)
+        # a chain once sorted is the unique invariant-factor chain already
+        if all(b % a == 0 for a, b in zip(ds, ds[1:])):
+            return cls(free, ds)
         # pairwise (gcd, lcm) sift re-chains an arbitrary diagonal
         for i in range(len(ds)):
             for j in range(i + 1, len(ds)):
@@ -469,20 +476,42 @@ def snf_diagonal(A):
     would be operations of the other kind touching only that line, so
     each sweep contributes one factor 1.
 
-    The leftover L (one row per surviving line) goes to smith_normal_form
-    only as lattice_basis(L), a certified basis of its column lattice:
-    column operations keep that lattice, and the nonzero Smith factors of
-    L are those of Z^r modulo it, so the basis has L's Smith diagonal
-    with a k x k column transform (k = rank <= r) instead of a c x c one.
+    A surviving line with a single entry, at an index no other surviving
+    line meets, is a 1 x 1 diagonal block of the leftover, whose Smith
+    factor is that entry's absolute value; such lone entries are read
+    off directly.  A line of several entries is not: its factor is a gcd,
+    left to the certified path below, even when the line stands alone.
+
+    The rest of the leftover L (one row per surviving line) goes to
+    smith_normal_form only as lattice_basis(L), a certified basis of its
+    column lattice: column operations keep that lattice, and the nonzero
+    Smith factors of L are those of Z^r modulo it, so the basis has L's
+    Smith diagonal with a k x k column transform (k = rank <= r) instead
+    of a c x c one.  The Smith diagonal of a block-diagonal matrix is
+    the re-chained union of its blocks' diagonals (from_diagonal), with
+    one factor 1 for each factor the re-chaining merges away.
     """
     by_columns = A.rows > A.cols
     rows, pivots = _unit_sweep(A.col_dicts() if by_columns else A.row_dicts())
-    diag = [1] * len(pivots)
-    if rows:
-        leftover = IntMatrix(len(rows), A.rows if by_columns else A.cols, list(rows.values()))
+    meets = {}
+    for r in rows.values():
+        for j in r:
+            meets[j] = meets.get(j, 0) + 1
+    factors, rest = [], []
+    for r in rows.values():
+        j = next(iter(r))
+        if len(r) == 1 and meets[j] == 1:
+            factors.append(abs(r[j]))
+        else:
+            rest.append(r)
+    if rest:
+        leftover = IntMatrix(len(rest), A.rows if by_columns else A.cols, rest)
         Dm, _, _ = smith_normal_form(lattice_basis(leftover))
-        diag += [r[i] for i, r in enumerate(Dm._rows) if i in r]
-    return diag
+        factors += [r[i] for i, r in enumerate(Dm._rows) if i in r]
+    if not factors:  # the sweep took every line
+        return [1] * len(pivots)
+    torsion = AbGroupInvariants.from_diagonal(factors).torsion
+    return [1] * (len(pivots) + len(factors) - len(torsion)) + list(torsion)
 
 
 def _transposed(lines, n):
