@@ -189,10 +189,7 @@ class AbGroupInvariants:
         rank, entries 1 vanish.  diag need not be sorted or chained."""
         ds = [abs(d) for d in diag]
         free = free_rank + sum(1 for d in ds if d == 0)
-        ds = sorted(d for d in ds if d >= 2)
-        # a chain once sorted is the unique invariant-factor chain already
-        if all(b % a == 0 for a, b in zip(ds, ds[1:])):
-            return cls(free, ds)
+        ds = [d for d in ds if d >= 2]
         # pairwise (gcd, lcm) sift re-chains an arbitrary diagonal
         for i in range(len(ds)):
             for j in range(i + 1, len(ds)):
@@ -508,8 +505,6 @@ def snf_diagonal(A):
         leftover = IntMatrix(len(rest), A.rows if by_columns else A.cols, rest)
         Dm, _, _ = smith_normal_form(lattice_basis(leftover))
         factors += [r[i] for i, r in enumerate(Dm._rows) if i in r]
-    if not factors:  # the sweep took every line
-        return [1] * len(pivots)
     torsion = AbGroupInvariants.from_diagonal(factors).torsion
     return [1] * (len(pivots) + len(factors) - len(torsion)) + list(torsion)
 

@@ -499,8 +499,8 @@ def sifted(diag):
 
 
 def test_from_diagonal_matches_the_sift_and_sympy():
-    # a diagonal that is a chain once sorted is returned at once; the
-    # rest are sifted, and both agree with the sift and with sympy
+    # chained and unchained diagonals, with 0s, 1s and signs, agree
+    # with the sift and with sympy
     pytest.importorskip("sympy")
     random.seed(2718)
     draws = []
@@ -522,9 +522,6 @@ def test_from_diagonal_matches_the_sift_and_sympy():
         assert inv.free_rank == 1 + diag.count(0)
         want = sympy_invariant_factors(IntMatrix.diagonal(diag))
         assert [d for d in want if d >= 2] == list(inv.torsion), diag
-    chains = [sorted(abs(d) for d in diag if abs(d) >= 2) for diag in draws]
-    fast = sum(all(b % a == 0 for a, b in zip(ds, ds[1:])) for ds in chains)
-    assert 300 < fast < len(draws) - 200, fast
 
 
 def test_invariants_canonical_form():
