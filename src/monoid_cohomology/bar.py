@@ -33,11 +33,12 @@ calls.
 cells(M, r, n) yields the cells of one degree in the order of the
 stored basis; iterated_bar, Grillet's tuple bases, the groupoid's
 cocycle test, the brute-force oracle (through degree_cells) and the CLI
-take their cells from it.  A bar of more than MAX_CELLS cells is
-refused from a count, before any cell is listed, and check_reach, which
-iterated_bar and the oracle call first, also refuses templates of more
-than MAX_TEMPLATE_LETTERS letters, counted from the shapes, before any
-template is built.
+take their cells from it.  Each builder that grows with its degree
+(cells, iterated_bar, small_resolution, tensor_dga, bar) refuses more
+than MAX_CELLS cells from a count, before it lists any, and check_reach,
+which iterated_bar and the oracle call first, also refuses templates of
+more than MAX_TEMPLATE_LETTERS letters, counted from the shapes, before
+any template is built.
 
 The small resolutions of the cyclic monoids, the paper's two cells per
 degree, and tensor_dga are here too, below cohomology, which builds its
@@ -483,12 +484,22 @@ def bar(D, degmax):
 
     Generators in degree n are the words of non-unit generators of D
     with (number of letters) + (letter degrees) = n; any word holding a
-    translated unit letter is zero.
+    translated unit letter is zero.  Above MAX_CELLS words in all, counted
+    by c(0) = 1, c(n) = sum over non-unit g of c(n - 1 - |g|), it is refused.
     """
     M = D.monoid
     e = M.identity
     if D.degree_of.get(D.unit) != 0:
         raise DGAError("the unit of the input DGA must be a degree-0 basis generator")
+    sizes = {d: len(gens) - (d == 0) for d, gens in D.basis.items()}
+
+    def counts():
+        c = [1]
+        for n in range(degmax + 1):
+            yield c[n]
+            c.append(sum(k * c[n - d] for d, k in sizes.items() if d <= n))
+
+    refuse_above_max_cells(counts(), "the bar to degree %d" % degmax)
     reduced = []
     for d in sorted(D.basis):
         for g in D.basis[d]:
@@ -582,9 +593,9 @@ def shapes(r, n):
 
 # The largest bar the tests or the benchmark's pinned queries build has
 # 9,330 cells.  Each cell carries a word, a differential chain and at
-# least one coboundary row, a kilobyte or more in all, so a bar above
-# this many cells needs gigabytes of memory and hours of work: it is
-# refused before any cell is listed.
+# least one coboundary row, a kilobyte or more in all, so a bar or model
+# above this many cells needs gigabytes of memory and hours of work: it
+# is refused before any cell is listed.
 MAX_CELLS = 1 << 20
 
 
@@ -787,10 +798,11 @@ def small_resolution(m, q, degmax, monoid=None, powers=None):
     (monoid.cyclic_p).  By default R lies over C_{m,q} itself, where x^k
     is k; given a table monoid and powers[k], its label of x^k
     (monoid.closure), R lies over the submonoid the powers list, in the
-    table's own labels.
+    table's own labels.  Above MAX_CELLS cells (degmax + 1) it is refused.
     """
     if m < 0 or q < 1 or m + q < 2:
         raise MonoidError("invalid cyclic parameters (%r, %r)" % (m, q))
+    refuse_above_max_cells([degmax + 1], "the small resolution to degree %d" % degmax)
     C = make_cyclic(m, q) if monoid is None else monoid
     label = range(m + q) if powers is None else powers
 
@@ -862,9 +874,12 @@ def tensor_dga(D1, D2):
     multiplies.  When D1 and D2 resolve Z over N1 and N2, it resolves Z
     over N1 x N2 (monoid.split): both are free over Z, so the Kunneth
     theorem has no Tor term (Eilenberg and Mac Lane, On the groups
-    H(Pi, n), I/II)."""
+    H(Pi, n), I/II).  Above MAX_CELLS pairs, counted per degree, it is refused."""
     M = D1.monoid
     degmax = min(D1.degmax, D2.degmax)
+    s1, s2 = ([len(D.basis.get(d, ())) for d in range(degmax + 1)] for D in (D1, D2))
+    counts = (sum(s1[d] * s2[n - d] for d in range(n + 1)) for n in range(degmax + 1))
+    refuse_above_max_cells(counts, "the tensor product to degree %d" % degmax)
     basis = {}
     for n in range(degmax + 1):
         gens = tuple((g1, g2) for d in range(n + 1)

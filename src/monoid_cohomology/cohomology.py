@@ -64,16 +64,23 @@ classification searches its (g, mu) pairs, the level-3 5-cochains,
 with it too.
 """
 
-from .bar import (bar, bar_word_diff, check_reach, degree_cells, iterated_bar,
+from .bar import (DGAError, bar, bar_word_diff, check_reach, degree_cells, iterated_bar,
                   small_resolution, tensor_dga, zm_dga)
 from .hmod import (CochainGroup, FGAbelianGroup, ModuleError, constant_module, dualize,
                    require_lawful)
-from .monoid import closure, split
+from .monoid import FiniteCommutativeMonoid, closure, split
 from .zlinalg import AbGroupInvariants, IntMatrix, gcd, snf_diagonal
 
 
 class TruncationError(ValueError):
     pass
+
+
+def _check_truncation(r, n):
+    """Refuse H^n at level r >= 2 above r + 2, where the cells are classified."""
+    if r >= 2 and n > r + 2:
+        raise TruncationError("H^%d at level %d lies beyond the truncated range (n <= %d)"
+                              % (n, r, r + 2))
 
 
 def cochain_group(dga, n, module):
@@ -201,15 +208,10 @@ def cochain_complex(M, r, module, nmax):
     """The complex of normalized level-r cochains on the iterated bar to
     degree nmax, which only sets the bar's depth: cohomology(n) reads up
     to n = nmax - 1.  A tabular module that is not a module over M
-    keeping its laws is refused first (hmod.require_lawful).
-
-    For r >= 2 the construction is truncated at degree r+3, matching
-    the range where the generic cells are classified.
-    """
+    keeping its laws is refused first (hmod.require_lawful); for r >= 2,
+    nmax stops at r + 3, where H^(r+2) reads it (_check_truncation)."""
     require_lawful(module, M)
-    if r >= 2 and nmax > r + 3:
-        raise TruncationError(
-            "level %d cochains are only classified up to degree %d" % (r, r + 3))
+    _check_truncation(r, nmax - 1)
     dga = iterated_bar(M, r, max(nmax, r))
     return CochainComplex(dga, module)
 
@@ -238,6 +240,8 @@ def small_model_complex(M, r, module, nmax):
     with B^(r-1)(D) built to degree nmax (at least r - 1).  A bar in
     degree n reads its input only below n, so D and each bar before the
     last stop one degree below the next."""
+    if not isinstance(M, FiniteCommutativeMonoid):
+        raise DGAError("the bar construction needs a finite monoid")
     top = max(0, nmax - r + 1)
     D = model(M, list(M.elements()), top)
     for k in range(1, r):
@@ -247,15 +251,12 @@ def small_model_complex(M, r, module, nmax):
 
 def cohomology_group(M, r, n, module):
     """H^n(M, r; A) as invariant factors, read from the model of M
-    (small_model_complex).  A query is refused first where the iterated
-    bar would be (bar.check_reach); then a tabular A that is not a
-    module over M keeping its laws is refused (hmod.require_lawful)."""
+    (small_model_complex).  A tabular A that is not a module over M
+    keeping its laws is refused first (hmod.require_lawful); the model is
+    refused by the cells it would build, counted before it is built."""
     if n < 0:
         raise ValueError("negative degree")
-    if r >= 2 and n > r + 2:
-        raise TruncationError(
-            "H^%d at level %d lies beyond the truncated range (n <= %d)" % (n, r, r + 2))
-    check_reach(M, r, max(n + 1, r))
+    _check_truncation(r, n)
     require_lawful(module, M)
     return small_model_complex(M, r, module, n + 1).cohomology(n)
 
@@ -369,8 +370,7 @@ def brute_force_cohomology(M, r, n, module):
     """
     if n < 0:
         raise ValueError("negative degree")
-    if r >= 2 and n > r + 2:
-        raise TruncationError("degree beyond the truncated range")
+    _check_truncation(r, n)
     check_reach(M, r, max(n + 1, r))
     require_lawful(module, M)
     source, groups = _cochain_space(M, module, degree_cells(M, r, n))

@@ -121,8 +121,7 @@ def cyclic_p(m, q, x):
 
 # the table of C_{m,q} holds (m+q)^2 entries, about 200 MB at this order
 # and 750 MB at twice it, so a larger order is refused before the table
-# is allocated; no answer is lost in degrees n >= 1, since above order
-# 1025 bar.check_reach already refuses the degree-2 bar
+# is allocated
 MAX_CYCLIC_ORDER = 1 << 11
 
 

@@ -1,6 +1,7 @@
 import copy
 import pickle
 from itertools import product, repeat
+from types import SimpleNamespace
 
 import pytest
 
@@ -78,7 +79,27 @@ def test_cell_counts_match_the_listing():
             assert list(_degree_counts(len(M.nonunit()), r, r + 4)) == [len(c) for c in listed]
 
 
-def test_bars_out_of_reach_are_refused():
+class Unlisted:
+    """A basis of n generators that can be counted but not listed."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        raise AssertionError("a generator was listed")
+
+
+def unlisted_dga(sizes):
+    """A DGA over Z2 with sizes[d] generators in degree d (the unit among
+    those of degree 0), which holds nothing but what a count reads."""
+    return SimpleNamespace(monoid=Z2, degmax=len(sizes) - 1, unit="1", degree_of={"1": 0},
+                           basis={d: Unlisted(k) for d, k in enumerate(sizes)})
+
+
+def test_bars_out_of_reach_are_refused(monkeypatch):
     refuse_above_max_cells([MAX_CELLS], "a bar")
     with pytest.raises(DGAError):
         refuse_above_max_cells([MAX_CELLS, 1], "a bar")
@@ -87,6 +108,25 @@ def test_bars_out_of_reach_are_refused():
     for build in (lambda: iterated_bar(C23, 1, 60), lambda: next(cells(C12, 3, 60)),
                   lambda: iterated_bar(C12, 2, 10 ** 18)):
         with pytest.raises(DGAError):
+            build()
+
+    # each model builder counts its cells from its inputs' sizes: at the
+    # cap it builds exactly that many, one above it refuses, and the
+    # refusal comes before any input generator or table is listed
+    monkeypatch.setattr(bar_module, "MAX_CELLS", 10)
+    R = small_resolution(0, 2, 9)
+    assert sum(map(len, R.basis.values())) == 10
+    assert sum(map(len, tensor_dga(R, small_resolution(0, 2, 3)).basis.values())) == 10
+    assert sum(map(len, bar(zm_dga(C11), 9).basis.values())) == 10
+    assert sum(map(len, bar(small_resolution(0, 2, 3), 5).basis.values())) == 1 + 0 + 1 + 1 + 2 + 2
+    monkeypatch.setattr(bar_module, "make_cyclic", None)
+    for build in (lambda: small_resolution(0, 2, 10),
+                  lambda: tensor_dga(unlisted_dga([2, 2]), unlisted_dga([2, 2, 2])),
+                  lambda: tensor_dga(unlisted_dga([1, 1, 1, 1, 1]), unlisted_dga([1, 1, 1, 1, 1])),
+                  lambda: bar(unlisted_dga([2]), 10),
+                  lambda: bar(unlisted_dga([1, 1, 1, 1]), 6),  # 4 more words in degree 6
+                  lambda: bar(unlisted_dga([3]), 10 ** 18)):
+        with pytest.raises(DGAError, match="more than 10 cells"):
             build()
 
 

@@ -97,16 +97,26 @@ def test_cyclic_groups_validates_an_at_file_module_once(monkeypatch):
 
 
 def test_cyclic_groups_refuses_as_its_first_refused_query():
-    # order 3000 is above MAX_CYCLIC_ORDER (check_cyclic); at order 1025
-    # the level-2 bar to degree 3, which H^2 reads, has too many cells, and
-    # at order 200 the one to degree 4, which H^3 reads
-    for period, level, degree in ((3000, 2, 2), (1025, 2, 2), (200, 2, 3)):
-        code, out, err = invoke(["cyclic", "groups", "--index", "0", "--period", str(period),
-                                 "--coeff", "Z"])
-        assert code == 2 and out == ""
-        assert (code, err) == invoke(["cohomology", "--monoid", "cyclic:0,%d" % period,
-                                      "--level", str(level), "--degree", str(degree),
-                                      "--coeff", "Z"])[::2], period
+    # order 3000 is above MAX_CYCLIC_ORDER (check_cyclic)
+    code, out, err = invoke(["cyclic", "groups", "--index", "0", "--period", "3000",
+                             "--coeff", "Z"])
+    assert code == 2 and out == ""
+    assert (code, err) == invoke(["cohomology", "--monoid", "cyclic:0,3000", "--level", "2",
+                                  "--degree", "2", "--coeff", "Z"])[::2]
+
+
+def test_cyclic_groups_at_order_1025_match_the_cohomology_command():
+    # R has a cell per degree whatever the order, so order 1025 answers
+    code, out, _ = invoke(["--json", "cyclic", "groups", "--index", "0", "--period", "1025",
+                           "--coeff", "Z/2050"])
+    assert code == 0
+    groups = json.loads(out)
+    for key, level, degree in (("H2(C,2)", 2, 2), ("H3(C,2)", 2, 3), ("H4(C,2)", 2, 4),
+                               ("H5(C,3)", 3, 5)):
+        code, single, _ = invoke(["--json", "cohomology", "--monoid", "cyclic:0,1025",
+                                  "--level", str(level), "--degree", str(degree),
+                                  "--coeff", "Z/2050"])
+        assert code == 0 and json.loads(single) == groups[key], key
 
 
 def test_a_lawless_at_file_module_exits_2_through_every_subcommand(tmp_path):
@@ -363,15 +373,21 @@ def test_malformed_inputs_exit_2(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
     # degrees no computation can reach: the cells are counted, not
-    # listed, and the count is refused before anything is built, on a
-    # product of two cyclic submonoids (Klein, identity 3) as on a
-    # cyclic table, though neither would build the iterated bar
+    # listed, and the count is refused before anything is built: the bar
+    # on ZN of the semilattice, the tensor product of two R's on a
+    # product of two cyclic submonoids (Klein, identity 3), R on a cyclic
+    # table, and the iterated bar
     klein = json.dumps({"kind": "table", "size": 4, "identity": 3,
                         "table": [[3, 2, 1, 0], [2, 3, 0, 1], [1, 0, 3, 2], [0, 1, 2, 3]]})
+    semilattice = json.dumps({"kind": "table", "size": 3, "identity": 0,
+                              "table": [[0, 1, 2], [1, 1, 2], [2, 2, 2]]})
     for argv in (["cells", "--monoid", "cyclic:1,2", "--level", "3", "--degree", "60"],
-                 ["cohomology", "--monoid", "cyclic:2,3", "--level", "1",
+                 ["cohomology", "--monoid", semilattice, "--level", "1",
                   "--degree", "60", "--coeff", "Z"],
-                 ["cohomology", "--monoid", klein, "--level", "1", "--degree", "60", "--coeff", "Z"],
+                 ["cohomology", "--monoid", klein, "--level", "1", "--degree", "2000",
+                  "--coeff", "Z"],
+                 ["cohomology", "--monoid", "cyclic:0,2", "--level", "1",
+                  "--degree", str(2 ** 21), "--coeff", "Z"],
                  ["oracle", "--monoid", "cyclic:2,3", "--level", "1",
                   "--degree", "60", "--coeff", "Z/2"],
                  ["verify", "contraction", "--index", "1", "--period", "2",
@@ -383,11 +399,9 @@ def test_malformed_inputs_exit_2(tmp_path):
         assert "cells" in err, err
 
     # over a one-letter monoid the cells are few and long: degree 100000
-    # passes the cell cap, and its templates are refused from the shapes,
-    # and the contraction check's shuffle terms from the word counts
-    for argv, cause in ((["cohomology", "--monoid", "cyclic:0,2", "--level", "1",
-                          "--degree", "100000", "--coeff", "Z"], "templates"),
-                        (["oracle", "--monoid", "cyclic:0,2", "--level", "1",
+    # passes the cell cap, and the oracle's templates are refused from the
+    # shapes, and the contraction check's shuffle terms from the word counts
+    for argv, cause in ((["oracle", "--monoid", "cyclic:0,2", "--level", "1",
                           "--degree", "100000", "--coeff", "Z/2"], "templates"),
                         (["verify", "contraction", "--index", "0", "--period", "2",
                           "--max-degree", "100000"], "shuffle terms")):

@@ -11,7 +11,8 @@ from monoid_cohomology.cohomology import (BruteForceCapError, CochainComplex, Tr
                                           brute_force_cohomology,
                                           cochain_complex, coboundary, cohomology_group,
                                           cochain_group, model, small_model_complex)
-from monoid_cohomology.cyclic import leech_groups_cyclic, level2_groups_cyclic, level3_top
+from monoid_cohomology.cyclic import (closed_form_top, leech_groups_cyclic, level2_groups_cyclic,
+                                      level3_top)
 from monoid_cohomology.grillet import grillet_cohomology, inclusion_chainmap, injectivity_check
 from monoid_cohomology.groupoid import iso_classes
 from monoid_cohomology.hmod import (FGAbelianGroup, HModule, ModuleError, constant_module,
@@ -222,8 +223,36 @@ def test_truncation_guard():
     # the infinite cyclic monoid has no iterated bar, finite or truncated
     with pytest.raises(DGAError, match="the bar construction needs a finite monoid"):
         cochain_complex(INFINITE_CYCLIC, 1, constant_module(Z), 2)
+    with pytest.raises(DGAError, match="the bar construction needs a finite monoid"):
+        cohomology_group(INFINITE_CYCLIC, 1, 1, constant_module(Z))
     # level 1 has no truncation
     assert cohomology_group(Z2, 1, 6, A) == AbGroupInvariants(0, (2,))
+    # one guard, one message: H^(r+2) is the last degree every route reads
+    for refuse in (lambda: cohomology_group(Z2, 3, 6, A), lambda: cochain_complex(Z2, 3, A, 7),
+                   lambda: brute_force_cohomology(Z2, 3, 6, A)):
+        with pytest.raises(TruncationError, match=re.escape(
+                "H^6 at level 3 lies beyond the truncated range (n <= 5)")):
+            refuse()
+
+
+def test_high_degrees_match_the_group_cohomology_of_cyclic_and_klein_groups():
+    # the model answers degrees the iterated bar never reached; on groups
+    # they are classical (Eilenberg and Mac Lane, On the groups H(Pi, n)):
+    # H^2k(Z/q; Z) = Z/q and H^(2k+1) = 0 for k >= 1, and by Kunneth
+    # H^2k((Z/2)^2; Z) = (Z/2)^(k+1) and H^(2k+1) = (Z/2)^k
+    for q in range(2, 7):
+        C = make_cyclic(0, q)
+        assert cohomology_group(C, 1, 59, constant_module(Z, C)) == AbGroupInvariants(0)
+        assert cohomology_group(C, 1, 60, constant_module(Z, C)) == AbGroupInvariants(0, (q,))
+    klein = identity_last(validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)]))
+    A = constant_module(Z, klein)
+    assert cohomology_group(klein, 1, 59, A) == AbGroupInvariants(0, (2,) * 29)
+    assert cohomology_group(klein, 1, 60, A) == AbGroupInvariants(0, (2,) * 31)
+    # and a cyclic order whose iterated bar was out of reach in degree 2
+    C = make_cyclic(0, 1025)
+    G = zmod(2050)
+    assert cohomology_group(C, 2, 4, constant_module(G, C)) == closed_form_top(1025, G) \
+        == AbGroupInvariants(0, (1025,))
 
 
 def test_closed_formulas_equal_recursive_differential():
