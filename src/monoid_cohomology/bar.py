@@ -130,13 +130,6 @@ def chain_add_term(chain, key, coeff):
         del chain[key]
 
 
-def add_cell_term(M, chain, u, letters, seps, level, coeff):
-    """Add coeff (u, [letters]) to chain; a cell with a unit letter is
-    normalized away."""
-    if all(x != M.identity for x in letters):
-        chain_add_term(chain, (u, BarWord(letters, seps, level)), coeff)
-
-
 def chain_sum(*chains):
     out = {}
     for ch in chains:
@@ -346,63 +339,6 @@ def bar_word_shuffle(M, a, b):
     r = a.level
     return shuffles(e, segsA, segsB, [s.degree for s in segsA], [s.degree for s in segsB],
                     lambda merged: join_top(merged, r))
-
-
-def explicit_low_degree_differential(M, word):
-    """Hardcoded low-degree differential formulas, used purely as an
-    oracle against the recursive one: the level-1 alternating sum, the
-    top shapes [x|^2 y], [x|^2 y|z], [x|y|^2 z] and [x|^3 y], and the
-    suspension rule: a level-r word with no separator r is the
-    level-(r-1) word suspended, and its differential is minus that
-    one's.  Any other shape raises ValueError.
-    """
-    if word.level >= 2 and word.letters and word.level not in word.seps:
-        below = BarWord(word.letters, word.seps, word.level - 1)
-        return {(u, w.suspend(word.level)): -c
-                for (u, w), c in explicit_low_degree_differential(M, below).items()}
-    e = M.identity
-
-    out = {}
-    if word.level == 1:
-        xs = word.letters
-        n = len(xs)
-        add_cell_term(M, out, xs[0], xs[1:], (1,) * max(0, n - 2), 1, 1)
-        for i in range(n - 1):
-            sign = -1 if i % 2 == 0 else 1  # (-1)^{i+1} with 1-based i
-            merged = xs[:i] + (M.op(xs[i], xs[i + 1]),) + xs[i + 2:]
-            add_cell_term(M, out, e, merged, (1,) * (n - 2), 1, sign)
-        sign = 1 if n % 2 == 0 else -1
-        add_cell_term(M, out, xs[n - 1], xs[:-1], (1,) * max(0, n - 2), 1, sign)
-        return out
-    if word.level == 2 and word.seps == (2,):
-        x, y = word.letters
-        add_cell_term(M, out, e, (x, y), (1,), 2, 1)
-        add_cell_term(M, out, e, (y, x), (1,), 2, -1)
-        return out
-    if word.level == 2 and word.seps == (2, 1):
-        x1, x2, x3 = word.letters
-        add_cell_term(M, out, x2, (x1, x3), (2,), 2, -1)
-        add_cell_term(M, out, e, (x1, M.op(x2, x3)), (2,), 2, 1)
-        add_cell_term(M, out, x3, (x1, x2), (2,), 2, -1)
-        add_cell_term(M, out, e, (x1, x2, x3), (1, 1), 2, 1)
-        add_cell_term(M, out, e, (x2, x1, x3), (1, 1), 2, -1)
-        add_cell_term(M, out, e, (x2, x3, x1), (1, 1), 2, 1)
-        return out
-    if word.level == 2 and word.seps == (1, 2):
-        x1, x2, x3 = word.letters
-        add_cell_term(M, out, x1, (x2, x3), (2,), 2, -1)
-        add_cell_term(M, out, e, (M.op(x1, x2), x3), (2,), 2, 1)
-        add_cell_term(M, out, x2, (x1, x3), (2,), 2, -1)
-        add_cell_term(M, out, e, (x1, x2, x3), (1, 1), 2, -1)
-        add_cell_term(M, out, e, (x1, x3, x2), (1, 1), 2, 1)
-        add_cell_term(M, out, e, (x3, x1, x2), (1, 1), 2, -1)
-        return out
-    if word.level == 3 and word.seps == (3,):
-        x1, x2 = word.letters
-        add_cell_term(M, out, e, (x1, x2), (2,), 3, -1)
-        add_cell_term(M, out, e, (x2, x1), (2,), 3, -1)
-        return out
-    raise ValueError("no closed formula for the shape of %r" % (word,))
 
 
 # -- free-based DGA container -------------------------------------------------

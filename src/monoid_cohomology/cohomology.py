@@ -69,15 +69,26 @@ from .bar import (DGAError, bar, bar_word_diff, check_reach, degree_cells, itera
 from .hmod import (CochainGroup, FGAbelianGroup, ModuleError, constant_module, dualize,
                    require_lawful)
 from .monoid import FiniteCommutativeMonoid, closure, split
-from .zlinalg import AbGroupInvariants, IntMatrix, gcd, snf_diagonal
+from .zlinalg import AbGroupInvariants, IntMatrix, gcd, snf_diagonal, staircase_solve
 
 
 class TruncationError(ValueError):
     pass
 
 
+# The model's level-r cells are tuples nested r - 1 deep, compared
+# recursively, and bar_word_diff recurses three frames per level: near
+# level 1000 on the model and 330 on the iterated bar a query meets
+# Python's recursion limit.  No test or example reads above level 4.
+MAX_LEVEL = 200
+
+
 def _check_truncation(r, n):
-    """Refuse H^n at level r >= 2 above r + 2, where the cells are classified."""
+    """Refuse a level outside 1..MAX_LEVEL, and H^n at level r >= 2 above
+    r + 2, where the cells are classified."""
+    if not 1 <= r <= MAX_LEVEL:
+        raise TruncationError("level %d lies outside the computed range (1 <= r <= %d)"
+                              % (r, MAX_LEVEL))
     if r >= 2 and n > r + 2:
         raise TruncationError("H^%d at level %d lies beyond the truncated range (n <= %d)"
                               % (n, r, r + 2))
@@ -184,7 +195,7 @@ class CochainComplex:
         for g, off, cell in zip(target.blocks, target.offsets, target.generators):
             if not g.relation_basis.cols:
                 continue
-            coords, outside = g.relation_coordinates(product[off:off + g.ngens])
+            coords, outside = staircase_solve(g.relation_basis, product[off:off + g.ngens])
             if outside:
                 raise ModuleError("d_F [I | d_F] leaves the relations of A(%r): the "
                                   "translations break the module laws modulo the relations"

@@ -49,8 +49,8 @@ from itertools import product
 from .bar import cells, iterated_bar
 from .cohomology import coboundary, cochain_group
 from .hmod import CochainGroup, dualize, require_lawful
-from .zlinalg import (lattice_basis, preimage_lattice_multi, staircase_pivots,
-                      staircase_solve, subquotient_invariants)
+from .zlinalg import (lattice_basis, preimage_lattice_multi, staircase_solve,
+                      subquotient_invariants)
 
 
 def _tuple_group(M, module, n):
@@ -228,7 +228,7 @@ def inclusion_chainmap(M, module):
         lhs = coboundary(dga, level3[n + 2], level3[n + 3]).mul(mats[n].mul(lat))
         rhs = mats[n + 1].mul(delta.mul(lat))
         rel = level3[n + 3].relation_matrix()
-        _, outside = staircase_solve(rel, staircase_pivots(rel), lhs.sub(rhs).row_dicts())
+        _, outside = staircase_solve(rel, lhs.sub(rhs).row_dicts())
         report.record("square d.i_%d = i_%d.delta" % (n, n + 1), not outside,
                       ("lattice generator", outside[0]) if outside else None)
     return mats, report
@@ -284,7 +284,7 @@ def injectivity_check(M, module):
     amb2, sym2 = symmetric_cochains(M, module, 2)
     delta2 = _delta(level1, amb2, amb3)
     target = lattice_basis(delta2.mul(sym2).hstack(amb3.relation_matrix()))
-    _, outside = staircase_solve(target, staircase_pivots(target), problem.row_dicts())
+    _, outside = staircase_solve(target, problem.row_dicts())
     if outside:
         return False, problem.column(outside[0])
     return True, None

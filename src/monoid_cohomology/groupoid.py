@@ -30,7 +30,7 @@ from .cohomology import BruteForceCapError, _cochain_space, _rows, _search, _van
 from .hmod import (HModule, IntMatrix, _columns_equal_mod, _matrix_maps_relations,
                    require_lawful)
 from .monoid import is_integer, validate_table
-from .zlinalg import lattice_basis, staircase_pivots, staircase_solve
+from .zlinalg import lattice_basis, staircase_solve
 
 
 class GroupoidError(ValueError):
@@ -268,7 +268,7 @@ def _is_group_iso(src, tgt, mat):
     # surjectivity: every target generator is reachable modulo relations
     H = lattice_basis(mat.hstack(tgt.relation_basis))
     generators = [{i: 1} for i in range(tgt.ngens)]
-    if staircase_solve(H, staircase_pivots(H), generators)[1]:
+    if staircase_solve(H, generators)[1]:
         return False
     # injectivity: f.g. abelian groups are Hopfian (a surjective
     # endomorphism is injective), so a surjection between isomorphic ones

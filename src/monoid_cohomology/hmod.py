@@ -20,7 +20,7 @@ import json
 
 from .monoid import FiniteCommutativeMonoid, generating_set, is_integer
 from .zlinalg import (IntMatrix, AbGroupInvariants, block_diagonal, lattice_basis,
-                      snf_diagonal, staircase_pivots, staircase_solve)
+                      snf_diagonal, staircase_reduce, staircase_solve)
 
 
 class FGAbelianGroup:
@@ -29,7 +29,7 @@ class FGAbelianGroup:
     basis (lattice_basis), whose columns are independent.  Two groups
     are equal when they present the same lattice."""
 
-    __slots__ = ("ngens", "relation_basis", "_pivots", "_staircase")
+    __slots__ = ("ngens", "relation_basis", "_columns")
 
     def __init__(self, ngens, relations=None):
         self.ngens = ngens
@@ -39,8 +39,7 @@ class FGAbelianGroup:
             raise ValueError("relations have %d rows for %d generators"
                              % (relations.rows, ngens))
         self.relation_basis = lattice_basis(relations)
-        self._pivots = staircase_pivots(self.relation_basis)
-        self._staircase = None
+        self._columns = None
 
     @classmethod
     def free(cls, rank):
@@ -84,46 +83,23 @@ class FGAbelianGroup:
                 acc[i] += c * v
         return not any(acc) or self.is_zero_element(acc)
 
-    def relation_coordinates(self, rows):
-        """X with relation_basis * X = B for every column of B, and the
-        sorted columns of B outside the relations, where X means nothing:
-        zlinalg.staircase_solve over the cached pivots.  B (a row per
-        generator) and X (a row per relation) are lists of sparse row
-        dicts."""
-        return staircase_solve(self.relation_basis, self._pivots, rows)
-
     def element_list(self):
         """All elements as canonical coset representatives; requires a
         finite group."""
         if self.relation_basis.cols < self.ngens:
             raise ValueError("group is infinite")
-        # the relation basis is a square staircase; box of representatives
-        # below the pivots
-        bounds = [0] * self.ngens
-        for i, col in self._pivot_columns():
-            bounds[i] = col[i]
+        # a square staircase: representatives in the box below its diagonal
         reps = [[]]
-        for b in bounds:
-            reps = [r + [v] for r in reps for v in range(b)]
+        for i, row in enumerate(self.relation_basis.row_dicts()):
+            reps = [r + [v] for r in reps for v in range(row[i])]
         return [self.reduce(r) for r in reps]
 
-    def _pivot_columns(self):
-        """(pivot row, column dict) of each relation_basis column, built on
-        first use: only the element-level routes reduce vectors."""
-        if self._staircase is None:
-            columns = self.relation_basis.col_dicts()
-            self._staircase = [(i, columns[j]) for i, j in self._pivots]
-        return self._staircase
-
     def reduce(self, vec):
-        """Canonical representative of vec modulo the relation lattice."""
-        v = list(vec)
-        for r, col in self._pivot_columns():
-            q = v[r] // col[r]
-            if q:
-                for i, h in col.items():
-                    v[i] -= q * h
-        return v
+        """Canonical representative of vec modulo the relation lattice; the
+        basis's columns are built on first use, as few routes reduce."""
+        if self._columns is None:
+            self._columns = self.relation_basis.col_dicts()
+        return staircase_reduce(self._columns, vec)
 
     def __eq__(self, other):
         return (isinstance(other, FGAbelianGroup) and self.ngens == other.ngens
@@ -199,14 +175,14 @@ def constant_module(group, monoid=None):
 
 def _matrix_maps_relations(mat, src, tgt):
     """mat * rel_src lands in the relation lattice of tgt."""
-    return not tgt.relation_coordinates(mat.mul(src.relation_basis).row_dicts())[1]
+    return not staircase_solve(tgt.relation_basis, mat.mul(src.relation_basis).row_dicts())[1]
 
 
 def _columns_equal_mod(group, a, b):
     """Every column of a equals the same column of b modulo the
     relations of group: at once when a == b, else one solve on the block
     a - b."""
-    return a == b or not group.relation_coordinates(a.sub(b).row_dicts())[1]
+    return a == b or not staircase_solve(group.relation_basis, a.sub(b).row_dicts())[1]
 
 
 def _is_identity(mat, group):

@@ -37,6 +37,8 @@ question "do these columns lie in the lattice?" is answered by one
 elimination, staircase_solve, over the lattice's Hermite staircase
 (Cohen, A Course in Computational Algebraic Number Theory) and a whole
 block of columns at once; lattice_solve is that solve on one column.
+staircase_reduce takes floor quotients down the same staircase.  Both
+read each pivot off the staircase: no pivot list leaves this module.
 """
 
 
@@ -671,43 +673,51 @@ def lattice_basis(B):
         if image != basis[k]:
             raise ArithmeticError("basis column %d is not its tracked combination" % k)
     H = IntMatrix(B.rows, len(basis), _transposed(basis, B.rows))
-    # any pivots will do: staircase_solve leaves no column behind only
-    # where B = H X holds exactly
-    _, outside = staircase_solve(H, [(r, k) for k, (r, _) in enumerate(pivots)], B._rows)
+    _, outside = staircase_solve(H, B._rows)
     if outside:
         raise ArithmeticError("column %d lies outside its echelon basis" % outside[0])
     return H
 
 
-def staircase_pivots(H):
-    """(row, col) of the leading entry of every nonzero column of a
-    column staircase (lattice_basis output), rows increasing."""
-    return [(min(col), j) for j, col in enumerate(H.col_dicts()) if col]
-
-
-def staircase_solve(H, pivots, rows):
+def staircase_solve(H, rows):
     """X with H X = B for every column of B in the column lattice of H,
     by one elimination over all columns at once; H is a column staircase
-    (lattice_basis output) with pivots staircase_pivots(H).  B (one row
-    per row of H) and X (one row per column of H) are lists of sparse row
-    dicts.  Also returns the sorted columns of B outside the lattice,
-    where X means nothing: a column that does not divide at a pivot stays
-    behind in B, and so does one with an entry on a row without a pivot."""
+    (lattice_basis output), each nonzero column's pivot its topmost
+    entry.  B (a row per row of H) and X (a row per column of H) are
+    lists of sparse row dicts.  Also returns the sorted columns of B
+    outside the lattice, where X means nothing: those that do not divide
+    at a pivot, or have an entry on a row without one, stay behind in B."""
     B = [dict(row) for row in rows]
     X = [{} for _ in range(H.cols)]
-    columns = H.col_dicts()
-    for r, j in pivots:
-        p = columns[j][r]
-        X[j] = quot = {c: v // p for c, v in B[r].items() if v % p == 0}
-        for i, h in columns[j].items():
-            _dict_submul(B[i], quot, h)
+    for j, col in enumerate(H.col_dicts()):
+        if col:
+            r = min(col)
+            p = col[r]
+            X[j] = quot = {c: v // p for c, v in B[r].items() if v % p == 0}
+            for i, h in col.items():
+                _dict_submul(B[i], quot, h)
     return X, sorted(set().union(*B))
 
 
-def lattice_solve(H, b, pivots):
+def staircase_reduce(columns, vec):
+    """The canonical representative of vec modulo the lattice of a column
+    staircase given by its col_dicts(): floor quotients down the pivots
+    leave every pivot row's entry in [0, pivot)."""
+    v = list(vec)
+    for col in columns:
+        if col:
+            r = min(col)
+            q = v[r] // col[r]
+            if q:
+                for i, h in col.items():
+                    v[i] -= q * h
+    return v
+
+
+def lattice_solve(H, b):
     """Solve H x = b over Z for one vector b: staircase_solve on one
     column.  Returns the coefficient list or None."""
-    X, outside = staircase_solve(H, pivots, [{0: v} if v else {} for v in b])
+    X, outside = staircase_solve(H, [{0: v} if v else {} for v in b])
     if outside:
         return None
     return [x.get(0, 0) for x in X]
@@ -775,11 +785,10 @@ def subquotient_invariants(K, I):
     """
     _check_shape(K.rows == I.rows, "subquotient_invariants", K, I)
     Kb = lattice_basis(K)
-    pivots = staircase_pivots(Kb)
     coords = []
     for j in range(I.cols):
         col = I.column(j)
-        x = lattice_solve(Kb, col, pivots)
+        x = lattice_solve(Kb, col)
         if x is None:
             raise LatticeContainmentError(j, col)
         coords.append(x)

@@ -7,9 +7,7 @@ test prints a single pass/fail line (visible with `pytest -s`).
 
 from itertools import product
 
-from monoid_cohomology.bar import (bar, bar_word_diff,
-                                   explicit_low_degree_differential,
-                                   iterated_bar, validate_dga)
+from monoid_cohomology.bar import bar, bar_word_diff, iterated_bar, validate_dga
 from monoid_cohomology.cohomology import (BRUTE_FORCE_CAP, CochainComplex,
                                           brute_force_cohomology,
                                           cochain_complex, cohomology_group)
@@ -30,6 +28,7 @@ from monoid_cohomology.hmod import FGAbelianGroup, constant_module
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import AbGroupInvariants
 
+from helpers import explicit_low_degree_differential
 from monoid_census import census
 
 Z = FGAbelianGroup.free(1)

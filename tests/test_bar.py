@@ -8,11 +8,11 @@ import pytest
 from monoid_cohomology import bar as bar_module
 from monoid_cohomology.bar import (MAX_CELLS, POSITIONS, BarWord, DGAError, _degree_counts,
                                    _template_letters, bar, bar_word_diff, bar_word_shuffle,
-                                   cells, degree_cells, explicit_low_degree_differential,
-                                   extend_linear, generic_word, iterated_bar, level1_word,
-                                   refuse_above_max_cells, render_word, small_resolution,
-                                   tensor_dga, validate_dga, zm_dga)
+                                   cells, degree_cells, extend_linear, generic_word, iterated_bar,
+                                   level1_word, refuse_above_max_cells, render_word,
+                                   small_resolution, tensor_dga, validate_dga, zm_dga)
 from monoid_cohomology.monoid import make_cyclic, validate_table
+from helpers import explicit_low_degree_differential
 from monoid_census import census
 
 Z2 = make_cyclic(0, 2)

@@ -361,10 +361,17 @@ def test_malformed_inputs_exit_2(tmp_path):
     cocycle_exits_2({"mu": {"1,1": ["a"]}})
     cocycle_exits_2({"g": {"1,1,1": [True]}})
 
-    # a negative degree or bound, and a period without an index, would
-    # otherwise print an answer or a vacuous pass
+    # a negative degree or bound, a level below 1, and a period without
+    # an index, would otherwise print an answer or a vacuous pass; a level
+    # above cohomology.MAX_LEVEL would end in RecursionError
     for argv in (["oracle", "--monoid", "cyclic:0,2", "--level", "1",
                   "--degree", "-1", "--coeff", "Z/2"],
+                 ["cohomology", "--monoid", "cyclic:0,2", "--level", "0",
+                  "--degree", "2", "--coeff", "Z"],
+                 ["cohomology", "--monoid", "cyclic:0,2", "--level", "-5",
+                  "--degree", "2", "--coeff", "Z"],
+                 ["cohomology", "--monoid", "cyclic:0,2", "--level", "3000",
+                  "--degree", "3002", "--coeff", "Z/2"],
                  ["verify", "contraction", "--max-degree", "-2"],
                  ["verify", "contraction", "--entry-bound", "0"],
                  ["verify", "contraction", "--period", "2"]):

@@ -5,8 +5,7 @@ from math import gcd
 import pytest
 
 from monoid_cohomology import cohomology, grillet, zlinalg
-from monoid_cohomology.bar import (DGAError, bar_word_diff, explicit_low_degree_differential,
-                                   iterated_bar, validate_dga)
+from monoid_cohomology.bar import DGAError, bar_word_diff, iterated_bar, validate_dga
 from monoid_cohomology.cohomology import (BruteForceCapError, CochainComplex, TruncationError,
                                           brute_force_cohomology,
                                           cochain_complex, coboundary, cohomology_group,
@@ -22,8 +21,8 @@ from monoid_cohomology.monoid import INFINITE_CYCLIC, make_cyclic, validate_tabl
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix, preimage_lattice,
                                        subquotient_invariants)
 
-from helpers import (cochain_invariants, identity_last, lawless_modules, product_table,
-                     split_whole, zm_mod2)
+from helpers import (cochain_invariants, explicit_low_degree_differential, identity_last,
+                     lawless_modules, product_table, split_whole, zm_mod2)
 from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
@@ -233,6 +232,20 @@ def test_truncation_guard():
         with pytest.raises(TruncationError, match=re.escape(
                 "H^6 at level 3 lies beyond the truncated range (n <= 5)")):
             refuse()
+    # levels below 1 have no cells, and levels above MAX_LEVEL nest
+    # deeper than Python recurses: each route refuses them from the level
+    top = cohomology.MAX_LEVEL
+    for r in (0, -5, top + 1):
+        for refuse in (lambda: cohomology_group(Z2, r, 2, A),
+                       lambda: cochain_complex(Z2, r, A, 3),
+                       lambda: brute_force_cohomology(Z2, r, 2, A)):
+            with pytest.raises(TruncationError, match=re.escape(
+                    "level %d lies outside the computed range (1 <= r <= %d)" % (r, top))):
+                refuse()
+    # H^(r+2)(C(0,2), r; Z/2) = Z/2 at the cap, on every route
+    assert cohomology_group(Z2, top, top + 2, A) == AbGroupInvariants(0, (2,))
+    assert cochain_complex(Z2, top, A, top + 3).cohomology(top + 2) == AbGroupInvariants(0, (2,))
+    assert brute_force_cohomology(Z2, top, top + 2, A)[2] == AbGroupInvariants(0, (2,))
 
 
 def test_high_degrees_match_the_group_cohomology_of_cyclic_and_klein_groups():

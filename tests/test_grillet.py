@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from monoid_cohomology.bar import cells, explicit_low_degree_differential
+from monoid_cohomology.bar import cells
 from monoid_cohomology.cohomology import cohomology_group
 from monoid_cohomology.grillet import (_tuple_group, eleob_equivalent, grillet_coboundary,
                                        grillet_cohomology, inclusion_chainmap,
@@ -10,6 +10,7 @@ from monoid_cohomology.grillet import (_tuple_group, eleob_equivalent, grillet_c
 from monoid_cohomology.hmod import FGAbelianGroup, constant_module, dualize, zm_as_hmodule
 from monoid_cohomology.monoid import make_cyclic
 from monoid_cohomology.zlinalg import AbGroupInvariants, subquotient_invariants
+from helpers import explicit_low_degree_differential
 from monoid_census import census
 
 Z2 = make_cyclic(0, 2)

@@ -15,7 +15,7 @@ from monoid_cohomology.grillet import (grillet_coboundary, grillet_cohomology,
                                        symmetric_cochains, symmetry_constraints)
 from monoid_cohomology.groupoid import (cocycle_check, crossed_product, extract_triple,
                                         iso_classes)
-from monoid_cohomology.hmod import (FGAbelianGroup, HModule, constant_module,
+from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, HModule, constant_module,
                                     module_from_descriptor, zm_as_hmodule)
 from monoid_cohomology.monoid import make_cyclic, validate_table
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
@@ -24,7 +24,7 @@ from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
                                        lattice_solve, preimage_lattice,
                                        preimage_lattice_multi,
                                        smith_normal_form, snf_diagonal,
-                                       staircase_pivots, staircase_solve,
+                                       staircase_reduce, staircase_solve,
                                        subquotient_invariants)
 
 from helpers import determinant, zm_mod2
@@ -349,7 +349,7 @@ def test_preimage_lattice_is_certified_on_grillets_conditions(monkeypatch):
     assert len(seen) > 250
     for (A, L), P in seen.items():
         Lb = lattice_basis(L)
-        _, outside = staircase_solve(Lb, staircase_pivots(Lb), A.mul(P).row_dicts())
+        _, outside = staircase_solve(Lb, A.mul(P).row_dicts())
         assert not outside
         diag = snf_diagonal(P)
         quotient = AbGroupInvariants.from_diagonal(diag, free_rank=P.rows - len(diag))
@@ -378,15 +378,14 @@ def test_preimage_is_tight():
         P = preimage_lattice(A, L)
         Lb = lattice_basis(L)
         Pb = lattice_basis(P)
-        Lp, Pp = staircase_pivots(Lb), staircase_pivots(Pb)
         for j in range(P.cols):
             v = A.mul_vector(P.column(j))
-            assert lattice_solve(Lb, v, Lp) is not None if Lb.cols else not any(v)
+            assert lattice_solve(Lb, v) is not None if Lb.cols else not any(v)
         for v in product(range(-2, 3), repeat=n):
             Av = A.mul_vector(list(v))
-            in_l = lattice_solve(Lb, Av, Lp) is not None if Lb.cols else not any(Av)
+            in_l = lattice_solve(Lb, Av) is not None if Lb.cols else not any(Av)
             if in_l:
-                assert lattice_solve(Pb, list(v), Pp) is not None
+                assert lattice_solve(Pb, list(v)) is not None
 
 
 def _in_lattice_by_smith(H, b):
@@ -396,6 +395,18 @@ def _in_lattice_by_smith(H, b):
     # factors
     return (sorted(snf_diagonal(H.hstack(IntMatrix.from_columns([b], H.rows))))
             == sorted(snf_diagonal(H)))
+
+
+def _check_reduction(H, b):
+    # staircase_reduce leaves every pivot row (the topmost entry of a
+    # nonzero column) in [0, pivot), moves b only by a lattice vector,
+    # and reads 0 exactly for the columns the solve puts inside
+    red = staircase_reduce(H.col_dicts(), b)
+    for col in H.col_dicts():
+        if col:
+            assert 0 <= red[min(col)] < col[min(col)], (H, b, red)
+    assert _in_lattice_by_smith(H, [x - y for x, y in zip(b, red)]), (H, b, red)
+    assert (not any(red)) == (lattice_solve(H, b) is not None), (H, b, red)
 
 
 def test_staircase_solve_matches_the_smith_oracle():
@@ -408,6 +419,17 @@ def test_staircase_solve_matches_the_smith_oracle():
         m, n = rng.randint(1, 5), rng.randint(1, 4)
         staircases.append(lattice_basis(IntMatrix.from_rows(
             [[rng.choice(entries) for _ in range(n)] for _ in range(m)])))
+    # the relations of cochain groups, block diagonals of relation bases,
+    # which Grillet's inclusion square solves against
+    for _ in range(40):
+        groups = []
+        for _ in range(rng.randint(1, 3)):
+            k, c = rng.randint(1, 3), rng.randint(0, 3)
+            groups.append(FGAbelianGroup(k, IntMatrix.from_rows(
+                [[rng.choice(entries) for _ in range(c)] for _ in range(k)], c)))
+        cells = list(range(rng.randint(1, 4)))
+        pi = {g: rng.randrange(len(groups)) for g in cells}
+        staircases.append(CochainGroup(cells, pi, HModule(None, groups, {})).relation_matrix())
     inside_seen = outside_seen = 0
     for H in staircases:
         columns = []
@@ -417,10 +439,11 @@ def test_staircase_solve_matches_the_smith_oracle():
             else:
                 columns.append([rng.choice(entries) for _ in range(H.rows)])
         B = IntMatrix.from_columns(columns, H.rows)
-        X, outside = staircase_solve(H, staircase_pivots(H), B.row_dicts())
+        X, outside = staircase_solve(H, B.row_dicts())
         expected = [j for j, b in enumerate(columns) if not _in_lattice_by_smith(H, b)]
         assert outside == expected, (H, columns)
         for j, b in enumerate(columns):
+            _check_reduction(H, b)
             if j not in outside:
                 assert H.mul_vector([x.get(j, 0) for x in X]) == b, (H, b)
         inside_seen += len(columns) - len(outside)
@@ -435,6 +458,8 @@ def test_is_zero_element_matches_the_smith_oracle():
     assert g.relation_basis.data == [[2, 0], [1, 3]]
     for v in product(range(-6, 7), repeat=2):
         assert g.is_zero_element(list(v)) == _in_lattice_by_smith(g.relation_basis, list(v))
+        assert g.reduce(v) == staircase_reduce(g.relation_basis.col_dicts(), v)
+        _check_reduction(g.relation_basis, list(v))
 
 
 def test_subquotient_worked_examples():
@@ -654,11 +679,11 @@ def test_large_entry_exactness():
 OPTIMIZED_SELF_CHECKS = """
 import sys
 from monoid_cohomology import cohomology, cyclic, zlinalg
-from monoid_cohomology.bar import BarWord, explicit_low_degree_differential, iterated_bar
+from monoid_cohomology.bar import BarWord, iterated_bar
 from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, HModule, ModuleError,
                                     constant_module)
 from monoid_cohomology.monoid import make_cyclic, validate_table
-from helpers import determinant
+from helpers import determinant, explicit_low_degree_differential
 
 def raises(exc, fn, *args):
     try:
