@@ -546,6 +546,21 @@ MAX_CELLS = 1 << 20
 MAX_TEMPLATE_LETTERS = 1 << 25
 
 
+# The model's level-r cells are tuples nested r - 1 deep, compared
+# recursively, and bar_word_diff recurses three frames per level: near
+# level 1000 on the model and 330 on the iterated bar a query meets
+# Python's recursion limit.  No test or example reads above level 4.
+MAX_LEVEL = 200
+
+
+def check_level(r, error):
+    """Raise error if level r lies outside 1..MAX_LEVEL: below 1 there
+    are no cells, above MAX_LEVEL they nest deeper than Python recurses."""
+    if not 1 <= r <= MAX_LEVEL:
+        raise error("level %d lies outside the computed range (1 <= r <= %d)"
+                    % (r, MAX_LEVEL))
+
+
 def _refuse_above(counts, cap, what):
     """Raise DGAError naming what as soon as the running sum of counts
     passes cap; counts is read no further than that."""
@@ -584,8 +599,7 @@ def _degree_counts(k, r, degmax):
 def _check_range(M, r, degmax):
     if not isinstance(M, FiniteCommutativeMonoid):
         raise DGAError("the bar construction needs a finite monoid")
-    if r < 1:
-        raise DGAError("level must be >= 1")
+    check_level(r, DGAError)
     if degmax < r:
         raise DGAError("degree %d below the lowest positive cell degree %d" % (degmax, r))
     refuse_above_max_cells(_degree_counts(len(M.nonunit()), r, degmax),

@@ -64,8 +64,8 @@ classification searches its (g, mu) pairs, the level-3 5-cochains,
 with it too.
 """
 
-from .bar import (DGAError, bar, bar_word_diff, check_reach, degree_cells, iterated_bar,
-                  small_resolution, tensor_dga, zm_dga)
+from .bar import (DGAError, bar, bar_word_diff, check_level, check_reach,
+                  degree_cells, iterated_bar, small_resolution, tensor_dga, zm_dga)
 from .hmod import (CochainGroup, FGAbelianGroup, ModuleError, constant_module, dualize,
                    require_lawful)
 from .monoid import FiniteCommutativeMonoid, closure, split
@@ -76,19 +76,10 @@ class TruncationError(ValueError):
     pass
 
 
-# The model's level-r cells are tuples nested r - 1 deep, compared
-# recursively, and bar_word_diff recurses three frames per level: near
-# level 1000 on the model and 330 on the iterated bar a query meets
-# Python's recursion limit.  No test or example reads above level 4.
-MAX_LEVEL = 200
-
-
 def _check_truncation(r, n):
     """Refuse a level outside 1..MAX_LEVEL, and H^n at level r >= 2 above
     r + 2, where the cells are classified."""
-    if not 1 <= r <= MAX_LEVEL:
-        raise TruncationError("level %d lies outside the computed range (1 <= r <= %d)"
-                              % (r, MAX_LEVEL))
+    check_level(r, TruncationError)
     if r >= 2 and n > r + 2:
         raise TruncationError("H^%d at level %d lies beyond the truncated range (n <= %d)"
                               % (n, r, r + 2))

@@ -15,29 +15,28 @@ the product of its tuples, sent to its formal sum of n-tuples; the
 constraint matrix is that map dualized (hmod.dualize), next to the
 relations of the identities' value groups, so each constraint solution
 set is a preimage lattice in the free cover, found on the same sparse
-path as everything else.  The inclusion
-i_n into the level-3 complex is dualize of a basis map as well.
+path as everything else.  The inclusion i_n into the level-3 complex
+is dualize of a basis map as well.
 
-The n-tuples are the level-1 cells of degree n (bar.cells), and
-Grillet's coboundary is minus the level-1 (Leech) coboundary:
+The n-tuples are the level-1 cells of degree n, and Grillet's
+coboundary is minus the level-1 (Leech) coboundary:
 (delta^n f)(x_0, ..., x_n) = -f(d[x_0 | ... | x_n]), so delta^n is read
 off the level-1 bar to degree n + 1 and no formula of its own is kept.
-The cochains on the n-tuples are that bar's degree-n cochain group, so
-delta^n reads the symmetric ambient as its source.
+H^n_G is the preimage lattice of _cocycle_conditions over the lattice
+_coboundaries, each written once.
 
-Each entry point builds only what it reads, and each cochain group once
-(dualize reads the groups its caller built):
-- grillet_cohomology(n): the symmetry constraints of degree n, the
-  symmetric lattice of degree n - 1 (none for n = 1), delta^n and
-  delta^(n-1) from one level-1 bar to degree n + 1, and of degree n + 1
-  only the relations;
-- inclusion_matrices: one level-3 bar to degree 6 and i_1..i_4 on it;
-- inclusion_chainmap: the same bar and maps, delta^1..delta^3 from one
-  level-1 bar to degree 4, and the symmetric lattices of degrees 1-3;
-- injectivity_check: the symmetry constraints of degree 3, the symmetric
-  lattice of degree 2, delta^2 and delta^3 from one level-1 bar to
-  degree 4, the degree-4 relations, one level-3 bar to degree 5 and i_3
-  on it.
+Each entry point builds one level-1 bar and reads every cochain group
+on tuples from it; it builds only what it reads, and each cochain group
+once (dualize reads the groups its caller built):
+- grillet_cohomology(n): the bar to degree n + 1, the symmetry
+  constraints of degree n, the symmetric lattice of degree n - 1 (none
+  for n = 1), delta^n and delta^(n-1), and of degree n + 1 only the
+  relations;
+- inclusion_chainmap: the bar to degree 4, delta^1..delta^3, the
+  symmetric lattices of degrees 1-3, and one level-3 bar to degree 6
+  and i_1..i_4 on it;
+- injectivity_check: what grillet_cohomology(3) builds, and one level-3
+  bar to degree 5 and i_3 on it.
 
 grillet_cohomology, inclusion_chainmap and injectivity_check first refuse
 a tabular module that breaks its laws over M (hmod.require_lawful), as
@@ -46,19 +45,11 @@ cohomology_group does.
 
 from itertools import product
 
-from .bar import cells, iterated_bar
+from .bar import iterated_bar
 from .cohomology import coboundary, cochain_group
 from .hmod import CochainGroup, dualize, require_lawful
 from .zlinalg import (lattice_basis, preimage_lattice_multi, staircase_solve,
                       subquotient_invariants)
-
-
-def _tuple_group(M, module, n):
-    """The cochains on the normalized n-tuples over M \\ {e}: those on
-    the level-1 cells of degree n, in the order of the level-1 bar's
-    basis, so the degree-n cochain group of any level-1 bar."""
-    tuples = list(cells(M, 1, n))
-    return CochainGroup(tuples, {c: c.pi(M) for c in tuples}, module)
 
 
 def _symmetry_identities(M, n):
@@ -93,11 +84,11 @@ def _symmetry_identities(M, n):
     return rows
 
 
-def symmetry_constraints(M, module, n):
-    """(ambient, constraints) of the symmetric n-cochains, 1 <= n <= 4
-    (degree 1 is unconstrained): the full cochain group, and the pair
-    (identities, relations) whose preimage lattice they are.  Identity k
-    is generator k of a free basis over the product of its tuples, taken
+def symmetry_constraints(M, amb, n):
+    """The pair (identities, relations) whose preimage lattice in amb,
+    the degree-n cochain group of a level-1 bar, is the symmetric
+    n-cochains, 1 <= n <= 4 (degree 1 is unconstrained).  Identity k is
+    generator k of a free basis over the product of its tuples, taken
     from the tuples since the terms of one may cancel (x = y = z = t in
     degree 4); it maps to its sum of n-tuples, and the identities are
     that map dualized, with the relations of their value groups.
@@ -106,7 +97,6 @@ def symmetry_constraints(M, module, n):
     identities cut out."""
     if not 1 <= n <= 4:
         raise ValueError("symmetric cochains are defined for degrees 1..4")
-    amb = _tuple_group(M, module, n)
     term = {c.letters: (M.identity, c) for c in amb.generators}
     d = {}
     pi = {}
@@ -116,33 +106,40 @@ def symmetry_constraints(M, module, n):
         for c, args in identity:
             key = term[args]
             chain[key] = chain.get(key, 0) + c
-    identities = CochainGroup(range(len(d)), pi, module)
-    return amb, (dualize(d, amb, identities, M), identities.relation_matrix())
+    identities = CochainGroup(range(len(d)), pi, amb.module)
+    return dualize(d, amb, identities, M), identities.relation_matrix()
 
 
-def symmetric_cochains(M, module, n):
-    """(ambient, lattice) of the symmetric n-cochains, 1 <= n <= 4: the
-    full cochain group and, inside it, the preimage lattice of
-    symmetry_constraints."""
-    amb, constraints = symmetry_constraints(M, module, n)
-    return amb, preimage_lattice_multi([constraints], amb.total)
-
-
-def grillet_coboundary(M, module, n):
-    """Matrix of delta^n on the full ambient cochain groups (the
-    restriction to the symmetric lattices is taken by the callers).
-    Since (delta^n f)(x_0, ..., x_n) is -f(d[x_0 | ... | x_n]), delta^n
-    is minus d^n of the level-1 complex."""
-    if not 1 <= n <= 3:
-        raise ValueError("no Grillet coboundary in degree %d" % n)
-    level1 = iterated_bar(M, 1, n + 1)
-    return _delta(level1, cochain_group(level1, n, module), cochain_group(level1, n + 1, module))
+def symmetric_cochains(M, amb, n):
+    """The lattice of the symmetric n-cochains inside amb, 1 <= n <= 4:
+    the preimage lattice of symmetry_constraints."""
+    return preimage_lattice_multi([symmetry_constraints(M, amb, n)], amb.total)
 
 
 def _delta(level1, source, target):
     """delta^n between the degree-n and degree-(n + 1) cochain groups of
     a level-1 bar to degree n + 1 or beyond."""
     return coboundary(level1, source, target).scaled(-1)
+
+
+def _cocycle_conditions(M, level1, amb, n):
+    """The conditions whose preimage lattice in amb, the degree-n
+    cochains of level1, is the symmetric n-cocycles: the symmetry
+    identities, and delta^n into the relations of degree n + 1."""
+    above = cochain_group(level1, n + 1, amb.module)
+    return [symmetry_constraints(M, amb, n),
+            (_delta(level1, amb, above), above.relation_matrix())]
+
+
+def _coboundaries(M, level1, amb, n):
+    """delta^(n-1)(S^(n-1)) | rel_n, the symmetric n-coboundaries with
+    the relations of amb, S^(n-1) the symmetric (n-1)-cochains (only the
+    relations for n = 1)."""
+    image = amb.relation_matrix()
+    if n > 1:
+        below = cochain_group(level1, n - 1, amb.module)
+        image = _delta(level1, below, amb).mul(symmetric_cochains(M, below, n - 1)).hstack(image)
+    return image
 
 
 def grillet_cohomology(M, module, n):
@@ -152,16 +149,10 @@ def grillet_cohomology(M, module, n):
     if not 1 <= n <= 3:
         raise ValueError("Grillet cohomology is computed for degrees 1..3")
     require_lawful(module, M)
-    amb, constraints = symmetry_constraints(M, module, n)
     level1 = iterated_bar(M, 1, n + 1)
-    above = cochain_group(level1, n + 1, module)
-    kernel = preimage_lattice_multi(
-        [constraints, (_delta(level1, amb, above), above.relation_matrix())], amb.total)
-    image = amb.relation_matrix()
-    if n > 1:
-        amb_below, below = symmetric_cochains(M, module, n - 1)
-        image = _delta(level1, amb_below, amb).mul(below).hstack(image)
-    return subquotient_invariants(kernel, image)
+    amb = cochain_group(level1, n, module)
+    kernel = preimage_lattice_multi(_cocycle_conditions(M, level1, amb, n), amb.total)
+    return subquotient_invariants(kernel, _coboundaries(M, level1, amb, n))
 
 
 # -- the inclusion into the level-3 complex ----------------------------------
@@ -180,58 +171,28 @@ def _inclusion(M, n, src, tgt):
     return dualize(d, src, tgt, M)
 
 
-def inclusion_matrices(M, module):
-    """Matrices of i_1..i_4 from the symmetric cochain groups into
-    C^3..C^6(M, 3; A): i_1 = id, i_2 = -id, i_3 = (f, 0),
-    i_4 = (-f, 0, 0, 0)."""
-    level3 = iterated_bar(M, 3, 6)
-    return {n: _inclusion(M, n, _tuple_group(M, module, n), cochain_group(level3, n + 2, module))
-            for n in (1, 2, 3, 4)}
-
-
-class InclusionReport:
-    __slots__ = ("squares", "witnesses")
-
-    def __init__(self):
-        self.squares = {}
-        self.witnesses = {}
-
-    def record(self, name, ok, witness=None):
-        self.squares[name] = ok
-        if witness is not None:
-            self.witnesses[name] = witness
-
-    def all_pass(self):
-        return all(self.squares.values())
-
-    def __repr__(self):
-        return "InclusionReport(%r)" % (self.squares,)
-
-
 def inclusion_chainmap(M, module):
-    """Build i_1..i_4 and verify the three commuting squares
+    """Build i_1..i_4 (i_1 = id, i_2 = -id, i_3 = (f, 0),
+    i_4 = (-f, 0, 0, 0)) and check the three commuting squares
     d^(3) . i_n = i_{n+1} . delta^n on every generator of the symmetric
     lattices (the last square is the one that needs the symmetry
-    identities)."""
+    identities).  Returns (mats, squares): the matrices by n, and each
+    square's name mapped to whether it commutes."""
     require_lawful(module, M)
     dga = iterated_bar(M, 3, 6)
     level3 = {k: cochain_group(dga, k, module) for k in range(3, 7)}
     level1 = iterated_bar(M, 1, 4)
-    symmetric = {n: symmetric_cochains(M, module, n) for n in (1, 2, 3)}
-    tuples = {n: amb for n, (amb, _) in symmetric.items()}
-    tuples[4] = _tuple_group(M, module, 4)
+    tuples = {n: cochain_group(level1, n, module) for n in (1, 2, 3, 4)}
     mats = {n: _inclusion(M, n, tuples[n], level3[n + 2]) for n in (1, 2, 3, 4)}
-    report = InclusionReport()
+    squares = {}
     for n in (1, 2, 3):
-        lat = symmetric[n][1]
+        lat = symmetric_cochains(M, tuples[n], n)
         delta = _delta(level1, tuples[n], tuples[n + 1])
         lhs = coboundary(dga, level3[n + 2], level3[n + 3]).mul(mats[n].mul(lat))
         rhs = mats[n + 1].mul(delta.mul(lat))
-        rel = level3[n + 3].relation_matrix()
-        _, outside = staircase_solve(rel, lhs.sub(rhs).row_dicts())
-        report.record("square d.i_%d = i_%d.delta" % (n, n + 1), not outside,
-                      ("lattice generator", outside[0]) if outside else None)
-    return mats, report
+        _, outside = staircase_solve(level3[n + 3].relation_matrix(), lhs.sub(rhs).row_dicts())
+        squares["square d.i_%d = i_%d.delta" % (n, n + 1)] = not outside
+    return mats, squares
 
 
 def eleob_equivalent(M, module, table):
@@ -266,25 +227,18 @@ def injectivity_check(M, module):
     3-cocycle whose inclusion image is a level-3 coboundary is itself a
     symmetric 2-coboundary.  Returns (ok, witness)."""
     require_lawful(module, M)
-    amb3, constraints3 = symmetry_constraints(M, module, 3)
     level1 = iterated_bar(M, 1, 4)
-    amb4 = cochain_group(level1, 4, module)
-    delta3 = _delta(level1, amb3, amb4)
-
+    amb3 = cochain_group(level1, 3, module)
     dga = iterated_bar(M, 3, 5)
     c5 = cochain_group(dga, 5, module)
     image5 = coboundary(dga, cochain_group(dga, 4, module), c5).hstack(c5.relation_matrix())
-    i3 = _inclusion(M, 3, amb3, c5)
 
     # {f : f symmetric, delta^3 f ~ 0, i_3 f in im d^4 + rel}
     problem = preimage_lattice_multi(
-        [constraints3, (delta3, amb4.relation_matrix()), (i3, image5)], amb3.total)
-
-    # delta^2(C^2_G) + relations, the symmetric coboundaries
-    amb2, sym2 = symmetric_cochains(M, module, 2)
-    delta2 = _delta(level1, amb2, amb3)
-    target = lattice_basis(delta2.mul(sym2).hstack(amb3.relation_matrix()))
-    _, outside = staircase_solve(target, problem.row_dicts())
+        _cocycle_conditions(M, level1, amb3, 3) + [(_inclusion(M, 3, amb3, c5), image5)],
+        amb3.total)
+    _, outside = staircase_solve(lattice_basis(_coboundaries(M, level1, amb3, 3)),
+                                 problem.row_dicts())
     if outside:
         return False, problem.column(outside[0])
     return True, None

@@ -360,11 +360,12 @@ def dualize(d, source, target, monoid):
 
 # -- descriptors -------------------------------------------------------------
 
-# a group on k generators gets a relation matrix of k rows, and a
-# constant module on it a k x k identity translation on the routes that
-# read translations (Grillet, the brute-force oracle, groupoids): above
-# this count that identity would need more than 2^32 entries, which no
-# memory holds, so such a group is refused before anything is allocated
+# a group on k generators gives each cell k coordinates, and an answer
+# up to k invariant factors per cell, which AbGroupInvariants.from_diagonal
+# chains pairwise, in time quadratic in their number: H^2(C(1,2), 1; Z^k)
+# = (Z/2)^k takes 0.35 s at k = 2^12 and 99 s at this count (one core of
+# a shared 2-core host), so a group above it is refused before anything
+# is allocated
 MAX_GENERATORS = 1 << 16
 
 
@@ -377,8 +378,8 @@ def _group_from_orders(free_rank, torsion):
     if not all(is_integer(d) and d >= 1 for d in torsion):
         raise ModuleError("torsion orders must be integers >= 1, got %r" % (torsion,))
     if free_rank + len(torsion) > MAX_GENERATORS:
-        raise ModuleError("%d generators are above %d, where a constant module's "
-                          "identity translation would not fit in memory"
+        raise ModuleError("%d generators are above %d, where chaining the invariant "
+                          "factors of an answer takes minutes, growing with their square"
                           % (free_rank + len(torsion), MAX_GENERATORS))
     inv = AbGroupInvariants.from_diagonal(torsion, free_rank=free_rank)
     return FGAbelianGroup.from_invariants(inv)

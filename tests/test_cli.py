@@ -199,7 +199,7 @@ def test_cells_of_one_long_shape():
     assert cell["letters"] == [1] * 5000
 
 
-def test_grillet_subcommand():
+def test_grillet_subcommand(monkeypatch):
     code, out, _ = invoke(["--json", "grillet", "--monoid", "cyclic:0,2",
                            "--coeff", "Z/2", "--degree", "2"])
     assert code == 0
@@ -208,6 +208,29 @@ def test_grillet_subcommand():
                            "--coeff", "Z/4"])
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+    # with i_4 doubled the last square no longer commutes over Z/4: the
+    # report names it and the command exits 1
+    from monoid_cohomology import grillet
+    inclusion = grillet._inclusion
+
+    def doubled_i4(M, n, src, tgt):
+        mat = inclusion(M, n, src, tgt)
+        return mat.scaled(2) if n == 4 else mat
+    monkeypatch.setattr(grillet, "_inclusion", doubled_i4)
+    argv = ["grillet", "--monoid", "cyclic:0,4", "--coeff", "Z/4"]
+    code, out, _ = invoke(["--json"] + argv)
+    assert code == 1
+    assert '"pass":false' in out and '"square d.i_3 = i_4.delta":false' in out
+    assert json.loads(out)["squares"] == {"square d.i_1 = i_2.delta": True,
+                                          "square d.i_2 = i_3.delta": True,
+                                          "square d.i_3 = i_4.delta": False}
+    code, out, _ = invoke(argv)
+    assert code == 1
+    assert [line.split() for line in out.splitlines()] == [
+        ["square", "d.i_1", "=", "i_2.delta:", "pass"],
+        ["square", "d.i_2", "=", "i_3.delta:", "pass"],
+        ["square", "d.i_3", "=", "i_4.delta:", "FAIL"]]
 
 
 def test_cyclic_groups_subcommand():
@@ -363,7 +386,8 @@ def test_malformed_inputs_exit_2(tmp_path):
 
     # a negative degree or bound, a level below 1, and a period without
     # an index, would otherwise print an answer or a vacuous pass; a level
-    # above cohomology.MAX_LEVEL would end in RecursionError
+    # above bar.MAX_LEVEL would end in RecursionError, and `cells` refuses
+    # both levels with the message the other commands give
     for argv in (["oracle", "--monoid", "cyclic:0,2", "--level", "1",
                   "--degree", "-1", "--coeff", "Z/2"],
                  ["cohomology", "--monoid", "cyclic:0,2", "--level", "0",
@@ -372,6 +396,8 @@ def test_malformed_inputs_exit_2(tmp_path):
                   "--degree", "2", "--coeff", "Z"],
                  ["cohomology", "--monoid", "cyclic:0,2", "--level", "3000",
                   "--degree", "3002", "--coeff", "Z/2"],
+                 ["cells", "--monoid", "cyclic:1,2", "--level", "0", "--degree", "1"],
+                 ["cells", "--monoid", "cyclic:1,2", "--level", "3000", "--degree", "3001"],
                  ["verify", "contraction", "--max-degree", "-2"],
                  ["verify", "contraction", "--entry-bound", "0"],
                  ["verify", "contraction", "--period", "2"]):

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from monoid_cohomology import cohomology, grillet, zlinalg
-from monoid_cohomology.bar import DGAError, bar_word_diff, iterated_bar, validate_dga
+from monoid_cohomology.bar import MAX_LEVEL, DGAError, bar_word_diff, iterated_bar, validate_dga
 from monoid_cohomology.cohomology import (BruteForceCapError, CochainComplex, TruncationError,
                                           brute_force_cohomology,
                                           cochain_complex, coboundary, cohomology_group,
@@ -234,7 +234,7 @@ def test_truncation_guard():
             refuse()
     # levels below 1 have no cells, and levels above MAX_LEVEL nest
     # deeper than Python recurses: each route refuses them from the level
-    top = cohomology.MAX_LEVEL
+    top = MAX_LEVEL
     for r in (0, -5, top + 1):
         for refuse in (lambda: cohomology_group(Z2, r, 2, A),
                        lambda: cochain_complex(Z2, r, A, 3),

@@ -10,9 +10,9 @@ import monoid_cohomology
 from monoid_cohomology.bar import iterated_bar
 from monoid_cohomology.cohomology import (brute_force_cohomology, cochain_complex,
                                           cochain_group, cohomology_group)
-from monoid_cohomology.grillet import (grillet_coboundary, grillet_cohomology,
+from monoid_cohomology.grillet import (_cocycle_conditions, grillet_cohomology,
                                        inclusion_chainmap, injectivity_check,
-                                       symmetric_cochains, symmetry_constraints)
+                                       symmetric_cochains)
 from monoid_cohomology.groupoid import (cocycle_check, crossed_product, extract_triple,
                                         iso_classes)
 from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, HModule, constant_module,
@@ -277,9 +277,9 @@ def grillet_stacked_conditions(M, module, n):
     """The (A, L) that grillet_cohomology stacks for its kernel: the
     symmetry identities over their relations, then delta^n over the
     relations one degree up."""
-    amb, (S, rel) = symmetry_constraints(M, module, n)
-    d_n = grillet_coboundary(M, module, n)
-    rel_next = cochain_group(iterated_bar(M, 1, n + 1), n + 1, module).relation_matrix()
+    level1 = iterated_bar(M, 1, n + 1)
+    amb = cochain_group(level1, n, module)
+    (S, rel), (d_n, rel_next) = _cocycle_conditions(M, level1, amb, n)
     A = IntMatrix(S.rows + d_n.rows, amb.total, S.row_dicts() + d_n.row_dicts())
     L = block_diagonal([rel, rel_next])
     assert preimage_lattice(A, L) == preimage_lattice_multi([(S, rel), (d_n, rel_next)],
@@ -613,10 +613,6 @@ def test_no_route_reads_a_dense_view(monkeypatch):
     A2 = constant_module(FGAbelianGroup.cyclic(2), C12)
     A6 = constant_module(FGAbelianGroup.cyclic(6), C12)
     B2 = constant_module(FGAbelianGroup.cyclic(2), Z2)
-
-    def chainmap():
-        mats, report = inclusion_chainmap(C12, A2)
-        return mats, report.squares
     routes = {
         "universal coefficients": lambda: cohomology_group(
             C12, 2, 4, constant_module(FGAbelianGroup.cyclic(4), C12)),
@@ -626,10 +622,11 @@ def test_no_route_reads_a_dense_view(monkeypatch):
         "cone twisted": lambda: [cohomology_group(C04, 1, n, module_from_descriptor(twisted, C04))
                                  for n in (3, 0)],
         "grillet": lambda: [grillet_cohomology(C12, A2, n) for n in (1, 2, 3)],
-        "symmetric cochains": lambda: [symmetric_cochains(C12, A, n)[1]
-                                       for A in (A6, zm) for n in (1, 2, 3, 4)],
+        "symmetric cochains": lambda: [
+            symmetric_cochains(C12, cochain_group(iterated_bar(C12, 1, n), n, A), n)
+            for A in (A6, zm) for n in (1, 2, 3, 4)],
         "injectivity": lambda: injectivity_check(C12, A2),
-        "inclusion chain map": chainmap,
+        "inclusion chain map": lambda: inclusion_chainmap(C12, A2),
         "brute force": lambda: brute_force_cohomology(C12, 1, 2, A2),
         "iso classes": lambda: iso_classes(Z2, B2),
         "cocycle check": lambda: [cocycle_check(Z2, B2, g, mu) for g, mu in
