@@ -1,5 +1,5 @@
 """Cochain complexes of free DGA resolutions and their cohomology, read
-off Smith diagonals of sparse integer matrices.
+off Smith diagonals of sparse integer matrices, or off ranks over F_p.
 
 H^n(M, r; A) is the cohomology of Hom(B^(r-1)(D), A) for any free DGA
 resolution D of Z over ZM (Eilenberg and Mac Lane, On the groups
@@ -19,10 +19,19 @@ stored coboundary d_F is that of the free cover F (the same translation
 matrices, no relations).  H^n builds the groups of degrees n - 1, n
 and n + 1 and d^(n-1) and d^n, each once, when it first reads them.
 
-For a constant module the complex is K (x) A, with K the integer
-cochain complex (no A-valued group is built), and H^n follows from the
-Smith diagonals of d^(n-1) and d^n of K by the universal coefficient
-theorem, each read on its own (zlinalg.snf_diagonal).
+H^n takes one of three routes, chosen by the module.  For a constant
+module the complex is K (x) A, with K the integer cochain complex (no
+A-valued group is built), and H^n follows from the Smith diagonals of
+d^(n-1) and d^n of K by the universal coefficient theorem, each read on
+its own (zlinalg.snf_diagonal).
+
+A module whose every A(x) is (Z/p)^k presented by p I, for one prime p
+(hmod.prime_exponent), is an F_p-module: Hom(D, A) is then the free
+cover's complex read mod p, a complex of F_p-vector spaces, and
+H^n = (Z/p)^(dim C^n - rank_p d^n - rank_p d^(n-1)), each rank the
+pivots of one unit sweep over Z/p (zlinalg.rank).  No relation matrix,
+curvature or Smith form is built; d_F^n d_F^(n-1) = 0 mod p is checked
+instead, the counterpart of the cone's solve of its top rows below.
 
 Any other module goes through the mapping cone of the relations
 (Weibel, An Introduction to Homological Algebra, 1.5).  The relation
@@ -52,7 +61,9 @@ relations (ZM) is its own free cover: psi is d_F^(n-1) and the bottom
 block is d_F^n, the stored complex read as is.
 For constant A the cone reduces to the universal coefficient theorem,
 which stays as its closed form: it needs only the two Smith diagonals
-of K and is the faster of the two there.
+of K and is the faster of the two there.  For an F_p-module the relation
+columns p e_i are what the F_p route leaves out; the cone stays as its
+oracle in the tests (CochainComplex._cone_cohomology).
 
 The brute-force oracle reads none of this.  It holds the one cochain
 search: depth first and iterative over the cells of a degree in basis
@@ -67,9 +78,9 @@ with it too.
 from .bar import (DGAError, bar, bar_word_diff, check_level, check_reach,
                   degree_cells, iterated_bar, small_resolution, tensor_dga, zm_dga)
 from .hmod import (CochainGroup, FGAbelianGroup, ModuleError, constant_module, dualize,
-                   require_lawful)
+                   prime_exponent, require_lawful)
 from .monoid import FiniteCommutativeMonoid, closure, split
-from .zlinalg import AbGroupInvariants, IntMatrix, gcd, snf_diagonal, staircase_solve
+from .zlinalg import AbGroupInvariants, IntMatrix, gcd, rank, snf_diagonal, staircase_solve
 
 
 class TruncationError(ValueError):
@@ -105,12 +116,15 @@ class CochainComplex:
     read and keep them, so cohomology(n) builds degrees n - 1, n, n + 1
     and d^(n-1), d^n only.  A degree above D's bound raises DGAError.
     The groups are those of K = Hom(D, Z) for a constant module, of the
-    free cover otherwise.  cohomology(n) reads H^n from Smith diagonals:
-    the universal coefficient theorem for constant A, the mapping cone
-    of the relations otherwise (see the module docstring).  The module
-    is taken to keep its laws, which cohomology_group and cochain_complex
-    check first.  Built directly, the cone still raises ModuleError
-    where its top rows have no solution: a column of
+    free cover otherwise.  cohomology(n) takes one of three routes (see
+    the module docstring): the universal coefficient theorem on Smith
+    diagonals for constant A; ranks over F_p for a module whose every
+    A(x) is (Z/p)^k presented by p I; the mapping cone of the relations
+    otherwise.  The module is taken to keep its laws, which
+    cohomology_group and cochain_complex check first.  Built directly,
+    each route but the first still refuses a module that breaks them
+    with ModuleError: the F_p route where d_F^n d_F^(n-1) is not 0 mod p,
+    the cone where its top rows have no solution, a column of
     d_F^n [I_n | d_F^(n-1)] outside the relations of degree n + 1."""
 
     __slots__ = ("dga", "module", "_coeffs", "_groups", "_coboundaries")
@@ -135,16 +149,16 @@ class CochainComplex:
 
     def cohomology(self, n):
         """ker d^n / im d^{n-1} as invariant factors."""
-        d_n = self.coboundary(n)
-        d_prev = self.coboundary(n - 1)
         if not self.module.constant:
-            psi = self._cone_diagonal(n, d_prev)
-            return AbGroupInvariants.from_diagonal(psi, free_rank=self._free_rank(n, d_n, psi))
+            p = prime_exponent(self.module)
+            return self._prime_cohomology(n, p) if p else self._cone_cohomology(n)
         # universal coefficients (Mac Lane, Homology, III): H^n =
         # H^n(K) (x) A + Tor(H^{n+1}(K), A) = A^free (free = rank of
         # H^n(K)) + A/dA per factor d of d^{n-1} + A[d] per factor d
         # of d^n; for A = Z^a + (+)_t Z/t, A/dA = (Z/d)^a + (+) Z/gcd(d, t)
         # and A[d] = (+) Z/gcd(d, t)
+        d_n = self.coboundary(n)
+        d_prev = self.coboundary(n - 1)
         A = self.module.group(0).invariants()
         diag_prev = snf_diagonal(d_prev)
         diag_n = snf_diagonal(d_n)
@@ -152,6 +166,29 @@ class CochainComplex:
         tors = list(A.torsion) * free + [d for d in diag_prev if d > 1] * A.free_rank
         tors += [gcd(d, t) for d in diag_prev + diag_n if d > 1 for t in A.torsion]
         return AbGroupInvariants.from_diagonal(tors, free_rank=A.free_rank * free)
+
+    def _prime_cohomology(self, n, p):
+        """H^n over F_p, for a module whose every A(x) is (Z/p)^k
+        presented by p I (hmod.prime_exponent): the stored coboundaries
+        read mod p are those of Hom(D, A), so H^n is (Z/p)^k with
+        k = dim C^n - rank_p d^n - rank_p d^(n-1).  d_F^n d_F^(n-1) = 0
+        mod p is checked first, the counterpart of the cone's solve of
+        its top rows: a module that keeps its laws mod p always passes."""
+        d_n = self.coboundary(n)
+        d_prev = self.coboundary(n - 1)
+        if any(v % p for row in d_n.mul(d_prev).row_dicts() for v in row.values()):
+            raise ModuleError("d_F d_F is not 0 mod %d: the translations break the "
+                              "module laws modulo the relations" % p)
+        k = self.group(n).total - rank(d_n, p) - rank(d_prev, p)
+        return AbGroupInvariants(0, (p,) * k)
+
+    def _cone_cohomology(self, n):
+        """H^n through the mapping cone of the relations (see the module
+        docstring): the torsion from psi's Smith diagonal, the free rank
+        from the cone's ranks."""
+        d_n = self.coboundary(n)
+        psi = snf_diagonal(self._psi(n))
+        return AbGroupInvariants.from_diagonal(psi, free_rank=self._free_rank(n, d_n, psi))
 
     def _has_relations(self, n):
         return any(g.relation_basis.cols for g in self.group(n).blocks)
@@ -163,17 +200,15 @@ class CochainComplex:
             return d
         return self.group(n).relation_matrix().hstack(d)
 
-    def _cone_diagonal(self, n, d_prev):
-        """Smith diagonal of psi with its top rows negated, which leaves
-        the diagonal unchanged: [[d_R^n, K^n], [I_n, d_F^(n-1)]]; with no
-        relations in degree n+1 there are no top rows and psi is its
-        bottom block."""
-        bottom = self._with_inclusion(n, d_prev)
+    def _psi(self, n):
+        """psi with its top rows negated, which leaves its Smith diagonal
+        unchanged: [[d_R^n, K^n], [I_n, d_F^(n-1)]]; with no relations in
+        degree n+1 there are no top rows and psi is its bottom block."""
+        bottom = self._with_inclusion(n, self.coboundary(n - 1))
         if not self._has_relations(n + 1):
-            return snf_diagonal(bottom)
+            return bottom
         top = self._curvature(n, bottom)
-        return snf_diagonal(IntMatrix(len(top) + bottom.rows, bottom.cols,
-                                      top + bottom.row_dicts()))
+        return IntMatrix(len(top) + bottom.rows, bottom.cols, top + bottom.row_dicts())
 
     def _curvature(self, n, bottom):
         """psi's top rows [d_R^n | K^n] = I_{n+1}^-1 (d_F^n [I_n | d_F^(n-1)]),
@@ -198,12 +233,12 @@ class CochainComplex:
         """rank H^n = dim cone^n - rank D^n - rank psi, given psi's Smith
         diagonal.  The top rows of D^n are -I_{n+2}^-1 d_F^(n+1) times
         its bottom block [I_{n+1} | d_F^n], a map on all of cone^n, so
-        D^n has that block's rank.  0 at once when every A(x) of degree
-        n is finite."""
+        D^n has that block's rank, which zlinalg.rank reads with no Smith
+        form.  0 at once when every A(x) of degree n is finite."""
         if all(g.relation_basis.cols == g.ngens for g in self.group(n).blocks):
             return 0
         bottom = self._with_inclusion(n + 1, d_n)
-        return bottom.cols - len(snf_diagonal(bottom)) - len(psi)
+        return bottom.cols - rank(bottom) - len(psi)
 
 
 def cochain_complex(M, r, module, nmax):

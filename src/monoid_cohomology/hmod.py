@@ -19,7 +19,7 @@ nonzero, and it stays sparse through the linear algebra.
 import json
 
 from .monoid import FiniteCommutativeMonoid, generating_set, is_integer
-from .zlinalg import (IntMatrix, AbGroupInvariants, block_diagonal, lattice_basis,
+from .zlinalg import (IntMatrix, AbGroupInvariants, block_diagonal, is_prime, lattice_basis,
                       snf_diagonal, staircase_reduce, staircase_solve)
 
 
@@ -119,7 +119,8 @@ class ModuleError(ValueError):
 class HModule:
     """Tabular module over a finite commutative monoid: one presented
     group per element plus all translation matrices.  It is never taken
-    for constant: the mapping cone answers it, whatever its table."""
+    for constant, whatever its table: ranks over F_p answer it when
+    prime_exponent finds a prime, the mapping cone otherwise."""
 
     __slots__ = ("monoid", "groups", "actions")
     constant = False
@@ -259,6 +260,28 @@ def require_lawful(module, M):
         raise ModuleError("tabular module violates the module laws: %r" % (bad[:3],))
 
 
+def prime_exponent(module):
+    """The prime p when every A(x) of a module over a finite monoid is
+    presented as (Z/p)^k by the relation basis p I_k, an A(x) with no
+    generators passing; None otherwise.  p must pass zlinalg.is_prime,
+    so 1, 4 or 561 give None, as do mixed primes, any other presentation
+    of an F_p-vector space, and a module known at finitely many
+    elements of an infinite monoid."""
+    M = module.monoid
+    if not isinstance(M, FiniteCommutativeMonoid):
+        return None
+    p = None
+    for x in range(M.size):
+        g = module.group(x)
+        if not g.ngens:
+            continue
+        if p is None:
+            p = g.relation_basis.row_dicts()[0].get(0)
+        if p is None or g.relation_basis != IntMatrix.diagonal([p] * g.ngens):
+            return None
+    return p if p is not None and is_prime(p) else None
+
+
 def zm_as_hmodule(M):
     """The algebra ZM seen as a tabular module: ZM(x) is free on the
     pairs (u, v) with uv = x, and y_*(u, v) = (yu, v)."""
@@ -360,12 +383,12 @@ def dualize(d, source, target, monoid):
 
 # -- descriptors -------------------------------------------------------------
 
-# a group on k generators gives each cell k coordinates, and an answer
-# up to k invariant factors per cell, which AbGroupInvariants.from_diagonal
-# chains pairwise, in time quadratic in their number: H^2(C(1,2), 1; Z^k)
-# = (Z/2)^k takes 0.35 s at k = 2^12 and 99 s at this count (one core of
-# a shared 2-core host), so a group above it is refused before anything
-# is allocated
+# a group on k generators with k relations gets its certified Hermite
+# basis (zlinalg.lattice_basis) in time quadratic in k: (Z/2)^k takes
+# 0.5 s to build at k = 2^12, 8.7 s at 2^14 and 149 s at this count (one
+# core of a shared 2-core host), so a group above it is refused before
+# anything is allocated; a free Z^k has no relations, and
+# H^2(C(1,2), 1; Z^k) = (Z/2)^k answers in 0.2 s at this count
 MAX_GENERATORS = 1 << 16
 
 
@@ -378,8 +401,8 @@ def _group_from_orders(free_rank, torsion):
     if not all(is_integer(d) and d >= 1 for d in torsion):
         raise ModuleError("torsion orders must be integers >= 1, got %r" % (torsion,))
     if free_rank + len(torsion) > MAX_GENERATORS:
-        raise ModuleError("%d generators are above %d, where chaining the invariant "
-                          "factors of an answer takes minutes, growing with their square"
+        raise ModuleError("%d generators are above %d, where building the group's "
+                          "relations takes minutes, growing with their square"
                           % (free_rank + len(torsion), MAX_GENERATORS))
     inv = AbGroupInvariants.from_diagonal(torsion, free_rank=free_rank)
     return FGAbelianGroup.from_invariants(inv)

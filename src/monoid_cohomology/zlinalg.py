@@ -1,9 +1,10 @@
 """Exact integer matrix algebra.
 
 Everything here runs over arbitrary-precision Python ints: Smith normal
-form with unimodular transforms, kernel and preimage lattices (column
-Hermite echelon), and invariant factors of lattice subquotients.  These
-are the substrate for every cohomology-group extraction in the package.
+form with unimodular transforms, ranks over Z and over Z/p, kernel and
+preimage lattices (column Hermite echelon), and invariant factors of
+lattice subquotients.  These are the substrate for every
+cohomology-group extraction in the package.
 
 One matrix type, IntMatrix, holds one dict col -> value per row with no
 zeros stored: the coboundaries are about 1% nonzero, and the small
@@ -14,13 +15,18 @@ readers outside the engine.  block_diagonal alone assembles
 block-diagonal relations (for cochain groups, symmetry identities and
 stacked preimage conditions).
 
-The +-1 unit sweep in front of snf_diagonal and kernel_basis consumes
-such dicts.  kernel_basis sweeps columns with a tracked transform: the
-columns it brings to zero carry the kernel vectors, and a preimage
-lattice tracks only the coordinates it keeps.  snf_diagonal sweeps
-whichever side has fewer lines: A and its transpose have the same Smith
-diagonal, and the coboundaries are tall (degree n+1 has several times
-the cells of degree n), so their columns are the short side.
+The +-1 unit sweep in front of snf_diagonal, rank and kernel_basis
+consumes such dicts.  Given a prime modulus p it is the same sweep over
+Z/p, where every nonzero entry is a unit, so it eliminates everything
+and its pivots are the rank mod p (the prime case of linear algebra
+modulo N: Storjohann and Mulders, Fast algorithms for linear algebra
+modulo N, ESA 1998); the cohomology of an F_p-module reads these ranks.
+kernel_basis sweeps columns with a tracked transform: the columns it
+brings to zero carry the kernel vectors, and a preimage lattice tracks
+only the coordinates it keeps.  snf_diagonal sweeps whichever side has
+fewer lines: A and its transpose have the same Smith diagonal, and the
+coboundaries are tall (degree n+1 has several times the cells of
+degree n), so their columns are the short side.
 
 A leftover entry alone in its line and at its index is a 1 x 1 block,
 and snf_diagonal reads its Smith factor off directly: the relation
@@ -28,6 +34,8 @@ basis q I of (Z/q)^k, or a coboundary that multiplies by q, never
 reaches a dense form.  The rest of what the sweep leaves of a
 coboundary is short and wide; snf_diagonal replaces it by its
 column-Hermite basis (lattice_basis) before the dense Smith form.
+rank reads the same three parts, with the basis's column count as the
+rank of the rest and no Smith form.
 lattice_basis is the one builder of a lattice basis, and it certifies
 every basis it returns: the relation bases of the presented groups, the
 preimage lattices and subquotients, and this leftover.
@@ -40,6 +48,8 @@ block of columns at once; lattice_solve is that solve on one column.
 staircase_reduce takes floor quotients down the same staircase.  Both
 read each pivot off the staircase: no pivot list leaves this module.
 """
+
+from heapq import heapify, heappop, heappush
 
 
 class IntMatrix:
@@ -188,19 +198,40 @@ class AbGroupInvariants:
     @classmethod
     def from_diagonal(cls, diag, free_rank=0):
         """Group Z^free + (+)_d Z/d for d in diag; entries 0 add free
-        rank, entries 1 vanish.  diag need not be sorted or chained."""
-        ds = [abs(d) for d in diag]
-        free = free_rank + sum(1 for d in ds if d == 0)
-        ds = [d for d in ds if d >= 2]
-        # pairwise (gcd, lcm) sift re-chains an arbitrary diagonal
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                a, b = ds[i], ds[j]
-                if b % a != 0:
-                    g = gcd(a, b)
-                    ds[i], ds[j] = g, a * b // g
-        ds = sorted(d for d in ds if d >= 2)
-        return cls(free, ds)
+        rank, entries 1 vanish.  diag need not be sorted or chained.
+
+        The distinct values are re-chained with their multiplicities:
+        while two neighbours a < b in sorted order have a not dividing b,
+        m = min(mult a, mult b) copies of each become m copies of
+        gcd(a, b) and of lcm(a, b), as (Z/a + Z/b)^m = (Z/gcd + Z/lcm)^m.
+        Each step keeps the product of the entries and raises the sum of
+        their squared logarithms, so the steps end; a step moves whole
+        multiplicities, so (Z/2)^65536, one value, takes none.  No entry
+        is factored."""
+        free = free_rank
+        mult = {}
+        for d in diag:
+            d = abs(d)
+            if d == 0:
+                free += 1
+            elif d >= 2:
+                mult[d] = mult.get(d, 0) + 1
+        values = sorted(mult)
+        i = 1
+        while i < len(values):
+            a, b = values[i - 1], values[i]
+            if b % a == 0:
+                i += 1
+                continue
+            m = min(mult[a], mult[b])
+            g = gcd(a, b)
+            for v, dm in ((a, -m), (b, -m), (g, m), (a * b // g, m)):
+                mult[v] = mult.get(v, 0) + dm
+                if not mult[v]:
+                    del mult[v]
+            mult.pop(1, None)
+            values, i = sorted(mult), 1
+        return cls(free, [v for v in values for _ in range(mult[v])])
 
     def order(self):
         """Group order, or None when infinite."""
@@ -249,6 +280,38 @@ def xgcd(a, b):
     if g < 0:
         g, x, y = -g, -x, -y
     return g, x, y
+
+
+# Miller-Rabin on the thirteen primes up to 41 has no strong pseudoprime
+# below this bound (Sorenson and Webster, Strong pseudoprimes to twelve
+# prime bases, Math. Comp. 2017); the twelve up to 37 stop at 3.2e23
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n):
+    """n is prime, decided by deterministic Miller-Rabin, for n below
+    _MR_BOUND; at or above it the test is no proof and the answer is
+    False.  No trial division: an entry may be 2^61 - 1."""
+    if n < 2 or n >= _MR_BOUND:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def smith_normal_form(A):
@@ -379,7 +442,7 @@ def _rediagonalize_2x2(D, i, row_op, col_op):
                 row_op(i, i + 1, x, y, -(c // g), a // g)
 
 
-def _unit_sweep(lines, tracked=None):
+def _unit_sweep(lines, tracked=None, modulus=None):
     """Eliminate +-1 pivots from a list of fresh sparse lines (dicts
     index -> value, which the sweep consumes) by adding multiples of one
     line to another.  Fed row_dicts() these are row operations, fed
@@ -387,6 +450,12 @@ def _unit_sweep(lines, tracked=None):
     parallel to lines that undergo the same operations: subtracting q
     times line p from line i subtracts q times tracked[p] from
     tracked[i].
+
+    With a prime modulus p the lines are read over Z/p (and tracked is
+    not given): each is reduced into [0, p) first, so every entry left
+    is a unit, the quotient at a pivot is the entry times pval^-1 mod p,
+    and the entries a pivot changes are reduced again.  The sweep then
+    leaves no line, and the pivots count the rank over Z/p.
 
     Pivots in short lines and thin columns go first (Markowitz-style) to
     limit fill-in: the shortest line with a unit entry, then among its
@@ -396,8 +465,8 @@ def _unit_sweep(lines, tracked=None):
     positions of the pivot lines in sweep order.  A line that is neither
     a survivor nor a pivot line has been brought to zero.
     """
-    from heapq import heapify, heappush, heappop
-
+    if modulus:
+        lines = [{j: v % modulus for j, v in r.items() if v % modulus} for r in lines]
     rows = {i: r for i, r in enumerate(lines) if r}
     # col_index[j] holds exactly the live lines with an entry at j
     col_index = {}
@@ -405,7 +474,7 @@ def _unit_sweep(lines, tracked=None):
         for j in r:
             col_index.setdefault(j, set()).add(i)
     heap = [(len(r), i) for i, r in rows.items()
-            if 1 in r.values() or -1 in r.values()]
+            if modulus or 1 in r.values() or -1 in r.values()]
     heapify(heap)
     pivots = []
     while heap:
@@ -418,13 +487,14 @@ def _unit_sweep(lines, tracked=None):
             continue
         pj = None
         for j, v in prow.items():
-            if v == 1 or v == -1:
+            if v == 1 or v == -1 or modulus:
                 n = len(col_index[j])
                 if pj is None or n < best or (n == best and j < pj):
                     pj, best = j, n
         if pj is None:
             continue
         pval = prow[pj]
+        pinv = pow(pval, -1, modulus) if modulus else pval  # +-1 is its own inverse
         rest = [(j, v) for j, v in prow.items() if j != pj]
         ptrack = tracked[pi] if tracked is not None else None
         del rows[pi]
@@ -433,7 +503,7 @@ def _unit_sweep(lines, tracked=None):
             if i == pi:
                 continue
             r = rows[i]
-            q = r.pop(pj) * pval  # the entry at pj over pval, which is +-1
+            q = r.pop(pj) * pinv  # the entry at pj over pval
             if ptrack:
                 _dict_submul(tracked[i], ptrack, q)
             for j, v in rest:
@@ -448,6 +518,16 @@ def _unit_sweep(lines, tracked=None):
                     else:
                         del r[j]
                         col_index[j].discard(i)
+            if modulus:
+                for j, _ in rest:
+                    v = r.get(j)
+                    if v is not None:
+                        v %= modulus
+                        if v:
+                            r[j] = v
+                        else:
+                            del r[j]
+                            col_index[j].discard(i)
             if r:
                 touched.append(i)
             else:
@@ -459,7 +539,7 @@ def _unit_sweep(lines, tracked=None):
         pivots.append(pi)
         for i in touched:
             r = rows[i]
-            if 1 in r.values() or -1 in r.values():
+            if modulus or 1 in r.values() or -1 in r.values():
                 heappush(heap, (len(r), i))
     return rows, pivots
 
@@ -490,25 +570,47 @@ def snf_diagonal(A):
     the re-chained union of its blocks' diagonals (from_diagonal), with
     one factor 1 for each factor the re-chaining merges away.
     """
+    swept, factors, leftover = _swept(A)
+    if leftover is not None:
+        Dm, _, _ = smith_normal_form(lattice_basis(leftover))
+        factors += [r[i] for i, r in enumerate(Dm._rows) if i in r]
+    torsion = AbGroupInvariants.from_diagonal(factors).torsion
+    return [1] * (swept + len(factors) - len(torsion)) + list(torsion)
+
+
+def rank(A, modulus=None):
+    """Rank of A over Z, or over Z/p for a prime modulus p, with no
+    Smith form: the pivots of the unit sweep, plus the lone entries it
+    leaves, plus the rank of the rest, the column count of its lattice
+    basis (snf_diagonal reads the same three parts).  Over Z/p the sweep
+    leaves nothing, and a rank mod p is not the rank over Z: (2) has rank
+    1 over Z and 0 over Z/2."""
+    swept, factors, leftover = _swept(A, modulus)
+    return swept + len(factors) + (lattice_basis(leftover).cols if leftover is not None else 0)
+
+
+def _swept(A, modulus=None):
+    """The unit sweep of A along its short side, over Z or Z/modulus
+    (_unit_sweep), read as (pivots, lone, leftover): the number of pivots
+    swept; the absolute values of the lone entries, each alone in its
+    surviving line and at an index no other surviving line meets; and
+    the other surviving lines as one matrix (a row per line), or None."""
     by_columns = A.rows > A.cols
-    rows, pivots = _unit_sweep(A.col_dicts() if by_columns else A.row_dicts())
+    rows, pivots = _unit_sweep(A.col_dicts() if by_columns else A.row_dicts(),
+                               modulus=modulus)
     meets = {}
     for r in rows.values():
         for j in r:
             meets[j] = meets.get(j, 0) + 1
-    factors, rest = [], []
+    lone, rest = [], []
     for r in rows.values():
         j = next(iter(r))
         if len(r) == 1 and meets[j] == 1:
-            factors.append(abs(r[j]))
+            lone.append(abs(r[j]))
         else:
             rest.append(r)
-    if rest:
-        leftover = IntMatrix(len(rest), A.rows if by_columns else A.cols, rest)
-        Dm, _, _ = smith_normal_form(lattice_basis(leftover))
-        factors += [r[i] for i, r in enumerate(Dm._rows) if i in r]
-    torsion = AbGroupInvariants.from_diagonal(factors).torsion
-    return [1] * (len(pivots) + len(factors) - len(torsion)) + list(torsion)
+    leftover = IntMatrix(len(rest), A.rows if by_columns else A.cols, rest) if rest else None
+    return len(pivots), lone, leftover
 
 
 def _transposed(lines, n):

@@ -188,10 +188,10 @@ def cochain_invariants(group):
     return FGAbelianGroup(group.total, group.relation_matrix()).invariants()
 
 
-def zm_mod2(M):
-    """ZM with every value group reduced mod 2."""
+def zm_mod(M, q):
+    """ZM with every value group reduced mod q."""
     zm = zm_as_hmodule(M)
-    groups = [FGAbelianGroup(g.ngens, IntMatrix.diagonal([2] * g.ngens)) for g in zm.groups]
+    groups = [FGAbelianGroup(g.ngens, IntMatrix.diagonal([q] * g.ngens)) for g in zm.groups]
     return HModule(M, groups, zm.actions)
 
 

@@ -15,14 +15,14 @@ from monoid_cohomology.cyclic import (closed_form_top, leech_groups_cyclic, leve
 from monoid_cohomology.grillet import grillet_cohomology, inclusion_chainmap, injectivity_check
 from monoid_cohomology.groupoid import iso_classes
 from monoid_cohomology.hmod import (FGAbelianGroup, HModule, ModuleError, constant_module,
-                                    dualize, parse_group_shorthand, require_lawful,
-                                    validate_module, zm_as_hmodule)
+                                    dualize, parse_group_shorthand, prime_exponent,
+                                    require_lawful, validate_module, zm_as_hmodule)
 from monoid_cohomology.monoid import INFINITE_CYCLIC, make_cyclic, validate_table
-from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix, preimage_lattice,
-                                       subquotient_invariants)
+from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix, preimage_lattice, rank,
+                                       snf_diagonal, subquotient_invariants)
 
 from helpers import (cochain_invariants, explicit_low_degree_differential, identity_last,
-                     lawless_modules, product_table, split_whole, zm_mod2)
+                     lawless_modules, product_table, split_whole, zm_mod)
 from monoid_census import census
 
 Z2 = make_cyclic(0, 2)
@@ -95,7 +95,7 @@ def zm_plus_z2(M):
 
 
 def mixed_modules(M):
-    mods = [("ZM", zm_as_hmodule(M)), ("ZM/2", zm_mod2(M)), ("ZM+Z/2", zm_plus_z2(M))]
+    mods = [("ZM", zm_as_hmodule(M)), ("ZM/2", zm_mod(M, 2)), ("ZM+Z/2", zm_plus_z2(M))]
     chis = parity_characters(M)
     if chis:
         mods.append(("Z+Z/2 twisted", twisted_z_z2(M, chis[0])))
@@ -116,13 +116,14 @@ def test_cohomology_route_needs_no_lattice_algebra(monkeypatch):
     for name in ("preimage_lattice", "kernel_basis", "subquotient_invariants"):
         monkeypatch.setattr(zlinalg, name, no_lattice_algebra)
         monkeypatch.setattr(cohomology, name, no_lattice_algebra, raising=False)
-    # universal coefficients, then the cone with no relations (ZM), with
-    # finite values (ZM/2) and with mixed values (free rank and curvature)
+    # universal coefficients, the cone with no relations (ZM), the F_p
+    # route (ZM/2), and the cone with mixed values (free rank and
+    # curvature)
     C04 = make_cyclic(0, 4)
     for M, r, n, A, expect in (
             (C12, 2, 4, constant_module(zmod(4), C12), AbGroupInvariants(0, (4,))),
             (C12, 2, 3, zm_as_hmodule(C12), AbGroupInvariants(0, (2, 2, 2))),
-            (C12, 2, 3, zm_mod2(C12), AbGroupInvariants(0, (2, 2, 2))),
+            (C12, 2, 3, zm_mod(C12, 2), AbGroupInvariants(0, (2, 2, 2))),
             (C04, 1, 3, twisted_z_z2(C04, (0, 1, 0, 1)), AbGroupInvariants(0, (2,))),
             (C04, 1, 0, twisted_z_z2(C04, (0, 1, 0, 1)), AbGroupInvariants(1, (2,)))):
         assert cohomology_group(M, r, n, A) == expect, (M, r, n)
@@ -163,7 +164,9 @@ def test_a_degree_above_the_dga_raises():
 def test_wide_leftovers_reach_the_smith_form_as_a_lattice_basis(monkeypatch):
     # the ±1 sweep leaves 12x328, 12x428 and 8x448 of these coboundaries
     # of Klein's iterated bar; snf_diagonal hands the dense Smith form a
-    # basis of their column lattice instead, never wider than tall
+    # basis of their column lattice instead, never wider than tall.  ZM/2
+    # answers by the F_p route, with no Smith form; its cone, where these
+    # leftovers arise, is read on the same complex and must agree
     klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
     smith = zlinalg.smith_normal_form
     shapes = []
@@ -173,9 +176,10 @@ def test_wide_leftovers_reach_the_smith_form_as_a_lattice_basis(monkeypatch):
         return smith(A)
     monkeypatch.setattr(zlinalg, "smith_normal_form", recording)
     for A, r, n, expect in ((zm_as_hmodule(klein), 2, 4, AbGroupInvariants(0)),
-                            (zm_mod2(klein), 2, 4, AbGroupInvariants(0, (2,) * 12)),
-                            (zm_mod2(klein), 3, 5, AbGroupInvariants(0, (2,) * 8))):
-        assert cochain_complex(klein, r, A, n + 1).cohomology(n) == expect, (r, n)
+                            (zm_mod(klein, 2), 2, 4, AbGroupInvariants(0, (2,) * 12)),
+                            (zm_mod(klein, 2), 3, 5, AbGroupInvariants(0, (2,) * 8))):
+        cx = cochain_complex(klein, r, A, n + 1)
+        assert cx.cohomology(n) == cx._cone_cohomology(n) == expect, (r, n)
     assert max(rows for rows, _ in shapes) >= 12
     assert all(cols <= rows for rows, cols in shapes), shapes
 
@@ -439,6 +443,24 @@ def test_cone_matches_lattice_census():
                     (cx.cohomology(2 * k + 1), cx.cohomology(2 * k + 2)), (m, q, name, k)
 
 
+def test_cone_ranks_need_no_smith_form_census():
+    # the cone's free rank reads the Z-rank of [I_(n+1) | d_F^n], which
+    # zlinalg.rank gives with no Smith form; on every census cone it is
+    # the length of the Smith diagonal, for that block and for psi
+    cases = 0
+    for M in census():
+        for name, A in mixed_modules(M):
+            if prime_exponent(A):
+                continue
+            for r in (1, 2):
+                cx = small_model_complex(M, r, A, r + 3)
+                for n in range(r + 2):
+                    for block in (cx._psi(n), cx._with_inclusion(n + 1, cx.coboundary(n))):
+                        assert rank(block) == len(snf_diagonal(block)), (M.table, name, r, n)
+                        cases += 1
+    assert cases == 854
+
+
 def small_model_matches_the_bar_route(M, deepest):
     """The small model of M against the iterated bar: Z, Z/4, Z+Z/2,
     ZM, ZM/2 and a twisted Z+Z/2 where M has a parity character, at
@@ -446,7 +468,7 @@ def small_model_matches_the_bar_route(M, deepest):
     the top degree as the small model does."""
     modules = [(text, constant_module(parse_group_shorthand(text), M))
                for text in ("Z", "Z/4", "Z+Z/2")]
-    modules += [("ZM", zm_as_hmodule(M)), ("ZM/2", zm_mod2(M))]
+    modules += [("ZM", zm_as_hmodule(M)), ("ZM/2", zm_mod(M, 2))]
     chis = parity_characters(M)
     if chis:
         modules.append(("Z+Z/2 twisted", twisted_z_z2(M, chis[0])))
@@ -778,3 +800,101 @@ def test_a_module_flagged_constant_must_be_constant():
     five = IntMatrix.from_rows([[5]])
     B = HModule(C12, [zmod(4)] * C12.size, {key: five for key in actions})
     assert cohomology_group(C12, 1, 1, B) == AbGroupInvariants(0, (2,))
+
+
+def test_prime_exponent_route_matches_the_cone_census(monkeypatch):
+    # ZM/2 and ZM/3 take the F_p route (hmod.prime_exponent), which reads
+    # no Smith diagonal; the cone on the same complex is its oracle, and
+    # so is the brute-force search under its cap, on every table of order
+    # 2-4 and on Klein and the semilattice relabelled, at levels 1-3
+    diagonals = []
+
+    def recording(A):
+        diagonals.append(A)
+        return snf_diagonal(A)
+    monkeypatch.setattr(cohomology, "snf_diagonal", recording)
+    klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
+    semilattice = validate_table(3, 0, [[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+    cases, brute = 0, []
+    for M in census() + [identity_last(klein), identity_last(semilattice)]:
+        for q in (2, 3):
+            A = zm_mod(M, q)
+            assert prime_exponent(A) == q
+            for r in (1, 2, 3):
+                cx = small_model_complex(M, r, A, r + 3)
+                for n in range(r + 3):
+                    diagonals.clear()
+                    h = cx.cohomology(n)
+                    assert diagonals == [], (M.table, q, r, n)
+                    assert h == cx._cone_cohomology(n), (M.table, q, r, n)
+                    cases += 1
+                    if r == 1 and n <= 2:
+                        try:
+                            assert brute_force_cohomology(M, r, n, A)[2] == h, (M.table, q, n)
+                        except BruteForceCapError:
+                            continue
+                        brute.append((M.size, q, n))
+    assert (cases, len(brute)) == (2 * 28 * 15, 105)
+
+
+def test_prime_exponent_rule_boundaries():
+    # the rule takes one prime p with every A(x) presented by p I; every
+    # other presentation takes the cone, with the same answers as the
+    # constant module read by universal coefficients
+    def tabular(M, groups, value=lambda x, y: 1):
+        return HModule(M, groups, {(x, y): IntMatrix.diagonal([value(x, y)] * groups[x].ngens)
+                                   if groups[x].ngens == groups[M.op(x, y)].ngens
+                                   else IntMatrix(groups[M.op(x, y)].ngens, groups[x].ngens)
+                                   for x in range(M.size) for y in range(M.size)})
+    C03 = make_cyclic(0, 3)
+    klein = validate_table(4, 0, [[x ^ y for y in range(4)] for x in range(4)])
+    # (Z/2)^2 as Z^3 / <(1, 1, 0), (0, 2, 0), (0, 0, 2)>, and as 2 I
+    skew = FGAbelianGroup(3, IntMatrix.from_columns([[1, 1, 0], [0, 2, 0], [0, 0, 2]], 3))
+    assert skew.invariants() == AbGroupInvariants(0, (2, 2))
+    square = parse_group_shorthand("Z/2+Z/2")
+    for M in (C12, C03, klein):
+        cases = [(skew, None), (square, 2), (zmod(1), None), (zmod(4), None),
+                 (zmod(561), None), (parse_group_shorthand("Z/2+Z/3"), None),
+                 (zmod(2 ** 61 - 1), 2 ** 61 - 1), (zmod(2 ** 89 - 1), None)]
+        for G, p in cases:
+            A = tabular(M, [G] * M.size)
+            assert validate_module(A) == [] and prime_exponent(A) == p, (G, p)
+            for r, n in ((1, 0), (1, 2), (1, 3), (2, 4), (3, 5)):
+                expect = cohomology_group(M, r, n, constant_module(G, M))
+                cx = small_model_complex(M, r, A, n + 1)
+                assert cx.cohomology(n) == cx._cone_cohomology(n) == expect, (M.table, G, r, n)
+    # Z/2 at the identity, Z/3 elsewhere, the non-units mapping Z/2 by 0:
+    # two primes, so the cone
+    e = C12.identity
+    mixed = tabular(C12, [zmod(2) if x == e else zmod(3) for x in range(C12.size)],
+                    lambda x, y: 0 if x == e and y != e else 1)
+    assert validate_module(mixed) == [] and prime_exponent(mixed) is None
+    # a value group with no generators passes
+    zero = tabular(C12, [zmod(2) if x == e else FGAbelianGroup.free(0) for x in range(C12.size)])
+    assert validate_module(zero) == [] and prime_exponent(zero) == 2
+    for A in (mixed, zero):
+        cx = small_model_complex(C12, 2, A, 5)
+        for n in range(5):
+            assert cx.cohomology(n) == lattice_route(cx, n), n
+    # a module known at finitely many elements of an infinite monoid
+    assert prime_exponent(constant_module(zmod(2))) is None
+
+
+def test_the_prime_route_refuses_a_curved_module():
+    # every A(x) = Z/2 on C(0,3), the non-units acting by 0: 1_* 2_* = 0
+    # but (1 + 2)_* = e_* = 1, so d_F d_F is not 0 mod 2 from degree 2 on
+    # the iterated bar; the entry points refuse the module, and a complex
+    # built directly meets the F_p route's check, as it meets the cone's
+    C03 = make_cyclic(0, 3)
+    e = C03.identity
+    A = HModule(C03, [zmod(2)] * 3, {(x, y): IntMatrix.from_rows([[1 if y == e else 0]])
+                                     for x in range(3) for y in range(3)})
+    assert validate_module(A) and prime_exponent(A) == 2
+    with pytest.raises(ModuleError, match="violates the module laws"):
+        cohomology_group(C03, 1, 2, A)
+    for n in (2, 3):
+        cx = CochainComplex(iterated_bar(C03, 1, n + 1), A)
+        with pytest.raises(ModuleError, match=re.escape("d_F d_F is not 0 mod 2")):
+            cx.cohomology(n)
+        with pytest.raises(ModuleError, match="leaves the relations"):
+            cx._cone_cohomology(n)

@@ -20,14 +20,15 @@ from monoid_cohomology.hmod import (CochainGroup, FGAbelianGroup, HModule, const
 from monoid_cohomology.monoid import make_cyclic, validate_table
 from monoid_cohomology.zlinalg import (AbGroupInvariants, IntMatrix,
                                        LatticeContainmentError,
-                                       block_diagonal, gcd, kernel_basis, lattice_basis,
+                                       block_diagonal, gcd, is_prime, kernel_basis,
+                                       lattice_basis,
                                        lattice_solve, preimage_lattice,
-                                       preimage_lattice_multi,
+                                       preimage_lattice_multi, rank,
                                        smith_normal_form, snf_diagonal,
                                        staircase_reduce, staircase_solve,
                                        subquotient_invariants)
 
-from helpers import determinant, zm_mod2
+from helpers import determinant, zm_mod
 from monoid_census import census
 
 
@@ -173,6 +174,55 @@ def with_lone_entries(A, entries):
     return IntMatrix.from_rows([[B[i][j] for j in cols] for i in rows], len(cols))
 
 
+def dense_rank_mod(A, p):
+    """Rank over Z/p by dense Gauss-Jordan elimination, the oracle of
+    rank(A, p)."""
+    rows = [[v % p for v in row] for row in A.data]
+    rk = 0
+    for c in range(A.cols):
+        pivot = next((i for i in range(rk, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        inv = pow(rows[rk][c], -1, p)
+        for i in range(len(rows)):
+            if i != rk and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rk])]
+        rk += 1
+    return rk
+
+
+def test_rank_matches_the_smith_diagonal_and_dense_elimination():
+    # the Z-rank reads no Smith form: the swept pivots, the lone entries
+    # and the lattice basis of the rest; the rank mod p is the one sweep
+    # over Z/p, against dense elimination, and differs from the Z-rank
+    random.seed(4242)
+    for _ in range(400):
+        m, n = random.randint(0, 9), random.randint(0, 9)
+        A = IntMatrix.from_rows([[random.choice((0, 0, 0, 1, -1, 2, -2, 3, 4, 6, 9))
+                                  for _ in range(n)] for _ in range(m)], n)
+        assert rank(A) == len(snf_diagonal(A)), A
+        for p in (2, 3, 5, 2 ** 61 - 1):
+            assert rank(A, p) == dense_rank_mod(A, p), (A, p)
+    two = IntMatrix.from_rows([[2, 4], [1, 2]])
+    assert (rank(two), rank(two, 2), rank(two, 3)) == (1, 1, 1)
+    assert (rank(IntMatrix.diagonal([2, 3])), rank(IntMatrix.diagonal([2, 3]), 2)) == (2, 1)
+
+
+def test_is_prime_is_deterministic_miller_rabin():
+    assert [n for n in range(50) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
+                                                      37, 41, 43, 47]
+    # a Carmichael number, the strong pseudoprime to the twelve prime bases
+    # up to 37, and a Mersenne prime that trial division could not reach
+    assert not is_prime(4) and not is_prime(561)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1) and not is_prime(2 ** 61 + 1)
+    # at the bound, the strong pseudoprime to the thirteen bases up to 41,
+    # and above it a prime the test cannot prove
+    assert not is_prime(3317044064679887385961981) and not is_prime(2 ** 89 - 1)
+
+
 def test_lone_leftover_entries_skip_the_dense_smith_form(monkeypatch):
     # a line the sweep leaves with one entry, at an index no other
     # surviving line meets, is its own Smith factor; a line of several
@@ -201,9 +251,15 @@ def test_lone_leftover_entries_skip_the_dense_smith_form(monkeypatch):
                   FGAbelianGroup.cyclic(6)):
             for n in range(7):
                 assert dense_shapes(cohomology_group, M, 1, n, constant_module(G, M))[1] == []
+    # ZM/2 takes the F_p route, which reaches no Smith form; Z/4 twisted
+    # by the sign of y mod 2 takes the cone, whose leftover does
     C02 = make_cyclic(0, 2)
-    assert dense_shapes(cohomology_group, C02, 1, 2, zm_mod2(C02)) == (
-        AbGroupInvariants(0, (2, 2)), [(2, 2)])
+    assert dense_shapes(cohomology_group, C02, 1, 2, zm_mod(C02, 2)) == (
+        AbGroupInvariants(0, (2, 2)), [])
+    sign_z4 = HModule(C02, [FGAbelianGroup.cyclic(4)] * 2,
+                      {(x, y): IntMatrix.from_rows([[(-1) ** y]]) for x in range(2) for y in range(2)})
+    assert dense_shapes(cohomology_group, C02, 1, 1, sign_z4) == (
+        AbGroupInvariants(0, (2,)), [(2, 1)])
     assert dense_shapes(cohomology_group, C12, 2, 4,
                         constant_module(FGAbelianGroup.cyclic(4), C12)) == (
         AbGroupInvariants(0, (4,)), [(1, 1)])
@@ -341,7 +397,7 @@ def test_preimage_lattice_is_certified_on_grillets_conditions(monkeypatch):
     for M in census():
         for module, whole in ((constant_module(FGAbelianGroup.cyclic(2), M), True),
                               (constant_module(FGAbelianGroup.cyclic(4), M), True),
-                              (zm_mod2(M), M.size < 4)):
+                              (zm_mod(M, 2), M.size < 4)):
             for n in (1, 2, 3) if whole else (1, 2):
                 grillet_cohomology(M, module, n)
             if whole:
@@ -540,6 +596,12 @@ def test_from_diagonal_matches_the_sift_and_sympy():
             diag = [random.choice((1, -1)) * d for d in diag]
             random.shuffle(diag)
             draws.append(diag)
+    # few distinct values, each many times, which the re-chaining moves
+    # as whole multiplicities
+    for _ in range(30):
+        values = random.sample((2, 3, 4, 6, 8, 9, 10, 12, 18, 45), random.randint(1, 4))
+        draws.append([v for v in values for _ in range(random.randint(1, 25))])
+        random.shuffle(draws[-1])
     draws += [[], [0], [1], [0, 1, 2], [2] * 300]
     for diag in draws:
         inv = AbGroupInvariants.from_diagonal(diag, free_rank=1)
@@ -751,7 +813,12 @@ for name, A, n in (("lawless relations", leaves, 1), ("lawless composition", cur
 # directly on the iterated bar, which checks no law
 leaves3 = HModule(C3, [FGAbelianGroup.cyclic(4)] + [FGAbelianGroup.cyclic(2)] * 2,
                   {(x, y): one for x in range(3) for y in range(3)})
-for name, A, n in (("cone relations", leaves3, 1), ("cone curvature", curved, 2)):
+# every A(x) = Z/2 and the non-units acting by 0 take the F_p route,
+# whose check d_F d_F = 0 mod 2 fails in degree 2
+killed = HModule(C3, [FGAbelianGroup.cyclic(2)] * 3,
+                 {(x, y): M.from_rows([[0 if y else 1]]) for x in range(3) for y in range(3)})
+for name, A, n in (("cone relations", leaves3, 1), ("cone curvature", curved, 2),
+                   ("F_p curvature", killed, 2)):
     if not raises(ModuleError, cohomology.cochain_complex, A.monoid, 1, A, n + 1):
         failures.append(name + " entry check")
     cx = cohomology.CochainComplex(iterated_bar(A.monoid, 1, n + 1), A)
